@@ -15,7 +15,7 @@ from hodgeatoms.cohomology import AmbientRing
 from hodgeatoms.instance import load_instance
 from hodgeatoms.linalg import char_poly
 from hodgeatoms.periods import get_source
-from hodgeatoms.spectrum import kappa_char, reciprocity_check
+from hodgeatoms.spectrum import SpectrumReport, block_spectrum, reciprocity_check
 
 verra = load_instance("verra")
 ring = AmbientRing()
@@ -35,7 +35,8 @@ mminus = substitute_params(anti, {anti.params[0]: Fraction(2)})
 print("chi(M_+) =", char_poly(mplus).render())
 print("chi(M_-) =", char_poly(mminus).render())
 
-report = kappa_char(mplus, mminus)
+report = SpectrumReport(plus=block_spectrum(mplus, "symmetric"),
+                        minus=block_spectrum(mminus, "antisymmetric"))
 print("\ntemplate factorizations of the doubled matrices:")
 print("  chi(2M_+) =", report.plus.factored_render())
 print("  chi(2M_-) =", report.minus.factored_render())

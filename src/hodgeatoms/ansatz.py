@@ -17,8 +17,8 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Tuple
 
 from .cohomology import AmbientRing, coordinates, gram_matrix
-from .linalg import Matrix
-from .poly import Poly
+from .linalg import Matrix, rref
+from .poly import Poly, rational_content
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,7 @@ def build_ansatz(basis, ring: AmbientRing, rule: DegreeRule, block: str) -> Ansa
                 if any(row):
                     rows.append(row)
 
-    pivots = _rref(rows, nun)
+    pivots = rref(rows, nun)
     free = [k for k in range(nun) if k not in pivots]
 
     # nullspace basis vector per free unknown, primitive integers
@@ -126,12 +126,8 @@ def build_ansatz(basis, ring: AmbientRing, rule: DegreeRule, block: str) -> Ansa
         vec[f] = Fraction(1)
         for row, pcol in zip(rows, sorted(pivots)):
             vec[pcol] = -row[f]
-        den = math.lcm(*[c.denominator for c in vec])
-        ints = [c * den for c in vec]
-        g = 0
-        for c in ints:
-            g = math.gcd(g, int(c))
-        vec = [c * den / g for c in vec]
+        content = rational_content(vec)
+        vec = [c / content for c in vec]
         lead = next(c for c in vec if c)
         if lead < 0:
             vec = [-c for c in vec]
@@ -163,29 +159,6 @@ def build_ansatz(basis, ring: AmbientRing, rule: DegreeRule, block: str) -> Ansa
         block=block, matrix=out, params=params,
         positions={p: tuple(v) for p, v in positions.items()},
         classical=classical_matrix(basis, ring))
-
-
-def _rref(rows: List[List[Fraction]], ncols: int) -> List[int]:
-    """In-place reduced row echelon form; returns pivot columns."""
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    del rows[r:]
-    return pivots
 
 
 def apply_param_names(am: AnsatzMatrix,

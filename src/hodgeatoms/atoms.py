@@ -80,16 +80,6 @@ def surface_centre(h20: int, h10: int, h11: int) -> AtomInvariants:
     return AtomInvariants(3, hodge, f"surface(h20={h20},h10={h10},h11={h11})")
 
 
-def blowup_combine(base: AtomInvariants, centre: AtomInvariants,
-                   r: int) -> AtomInvariants:
-    """Invariants after blowing up a centre of local multiplicity r >= 2."""
-    if r < 2:
-        raise AtomError("blowup centres have codimension >= 2, so r >= 2")
-    return AtomInvariants(base.rho + (r - 1) * centre.rho,
-                          base.hodge + centre.hodge.scale(r - 1),
-                          base.label)
-
-
 # -- the zero eigenspace of the Verra-type instance ---------------------------
 
 def transcendental_invariants(instance: InstanceSpec) -> AtomInvariants:

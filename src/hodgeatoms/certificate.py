@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Any, Dict, List
 
 from .linalg import BiPoly, Matrix
-from .poly import LaurentPoly, Poly
+from .poly import Poly
 from .qde import DiffOperator
 from .series import Series
 
@@ -58,10 +58,6 @@ def bipoly_json(chi: BiPoly) -> Dict[str, Any]:
         "display": chi.render(),
         "coefficients": {str(k): poly_json(chi.coeff(k)) for k in sorted(chi.coeffs)},
     }
-
-
-def laurent_str(p: LaurentPoly) -> str:
-    return p.render()
 
 
 def dump_json(cert: Dict[str, Any]) -> str:

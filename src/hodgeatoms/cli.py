@@ -15,8 +15,8 @@ from typing import List, Optional
 
 from .certificate import dump_json
 from .instance import InstanceError, load_instance
-from .pipeline import (STAGES, PipelineRun, build_certificate, certificate_text,
-                       exit_code, run_pipeline)
+from .pipeline import (SATURATION_ORDER, STAGES, PipelineRun, build_certificate,
+                       certificate_text, exit_code, run_pipeline)
 
 _THROUGH_OF = {
     "period": "period",
@@ -77,8 +77,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if order < 0:
         print("hodgeatoms: truncation order must be non-negative", file=sys.stderr)
         return 1
-    if STAGES.index(through) >= STAGES.index("solve") and order < 10:
-        print(f"hodgeatoms: truncation order {order} < 10 cannot saturate the "
+    if STAGES.index(through) >= STAGES.index("solve") and order < SATURATION_ORDER:
+        print(f"hodgeatoms: truncation order {order} < {SATURATION_ORDER} cannot saturate the "
               f"matching system (raise --order or stop with --through eliminate)",
               file=sys.stderr)
         return 1

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .linalg import Matrix
-from .poly import Poly
+from .linalg import Matrix, rref
+from .poly import signed_join
 
 
 class AmbientRing:
@@ -29,12 +29,6 @@ class AmbientRing:
         n = nilpotency
         self.monomials: List[Tuple[int, int]] = [(a, b) for a in range(n) for b in range(n)]
         self.top = (n - 1, n - 1)
-
-    def dim(self) -> int:
-        return len(self.monomials)
-
-    def zero(self) -> "AmbientClass":
-        return AmbientClass(self, {})
 
     def monomial(self, a: int, b: int, c: Fraction = Fraction(1)) -> "AmbientClass":
         if not (0 <= a < self.nilpotency and 0 <= b < self.nilpotency):
@@ -134,8 +128,6 @@ class AmbientClass:
         return AmbientClass(self.ring, {(b, a): c for (a, b), c in self.coeffs.items()})
 
     def render(self) -> str:
-        if not self.coeffs:
-            return "0"
         def mono(a, b):
             ps = []
             if a:
@@ -149,9 +141,7 @@ class AmbientClass:
             m = mono(a, b)
             body = m if abs(c) == 1 and m != "1" else (str(abs(c)) if m == "1" else f"{abs(c)}*{m}")
             parts.append(("- " if c < 0 else "+ ") + body)
-        head = parts[0]
-        head = "-" + head[2:] if head.startswith("- ") else head[2:]
-        return " ".join([head] + parts[1:])
+        return signed_join(parts)
 
     def __repr__(self):
         return f"AmbientClass({self.render()})"
@@ -173,43 +163,19 @@ def gram_matrix(basis, variables=("q",)) -> Matrix:
         variables, [[x.pair(y) for y in basis] for x in basis])
 
 
-def mixed_gram(basis_a, basis_b, variables=("q",)) -> Matrix:
-    variables = tuple(variables)
-    return Matrix.from_scalars(
-        variables, [[x.pair(y) for y in basis_b] for x in basis_a])
-
-
 def coordinates(x: AmbientClass, basis) -> List[Fraction]:
     """Exact coordinates of x in the given basis; error if x is outside its span."""
-    ring = x.ring
-    monos = ring.monomials
+    monos = x.ring.monomials
     # solve the little linear system by Gaussian elimination over Q
     cols = [[b.coeff(a, bb) for (a, bb) in monos] for b in basis]
     target = [x.coeff(a, bb) for (a, bb) in monos]
     nrows, ncols = len(monos), len(basis)
     aug = [[cols[j][i] for j in range(ncols)] + [target[i]] for i in range(nrows)]
-    piv_cols = []
-    r = 0
-    for c in range(ncols):
-        p = next((i for i in range(r, nrows) if aug[i][c] != 0), None)
-        if p is None:
-            continue
-        aug[r], aug[p] = aug[p], aug[r]
-        pv = aug[r][c]
-        aug[r] = [v / pv for v in aug[r]]
-        for i in range(nrows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        piv_cols.append(c)
-        r += 1
+    pivots = rref(aug, ncols)
     sol = [Fraction(0)] * ncols
-    for row, c in zip(aug, piv_cols):
+    for row, c in zip(aug, pivots):
         sol[c] = row[-1]
-    for i in range(r, nrows):
-        if aug[i][-1] != 0:
-            raise ValueError("class does not lie in the span of the basis")
-    # consistency: residual must vanish
+    # consistency: residual must vanish, which also rejects an inconsistent system
     for i, (a, bb) in enumerate(monos):
         acc = sum((sol[j] * cols[j][i] for j in range(ncols)), Fraction(0))
         if acc != target[i]:

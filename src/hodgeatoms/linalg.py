@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterable, List, Mapping
 
-from .poly import Poly, _grlex_key, exact_div, poly_gcd_many
+from .poly import Poly, exact_div, poly_gcd_many, rational_content
 
 
 class Matrix:
@@ -35,12 +35,6 @@ class Matrix:
     def from_scalars(cls, variables, rows) -> "Matrix":
         variables = tuple(variables)
         return cls([[Poly.const(variables, c) for c in r] for r in rows])
-
-    @classmethod
-    def identity(cls, variables, n: int) -> "Matrix":
-        variables = tuple(variables)
-        return cls([[Poly.const(variables, 1 if i == j else 0) for j in range(n)]
-                    for i in range(n)])
 
     def entry(self, i: int, j: int) -> Poly:
         return self.rows[i][j]
@@ -92,16 +86,34 @@ class Matrix:
         return f"Matrix({body})"
 
 
-# -- kernel computation ------------------------------------------------------
+# -- elimination over Q and kernel computation -------------------------------
 
-def _vector_content(vec: List[Poly]) -> Fraction:
-    import math
-    num, den = 0, 1
-    for p in vec:
-        for c in p.terms.values():
-            num = math.gcd(num, abs(c.numerator))
-            den = den * c.denominator // math.gcd(den, c.denominator)
-    return Fraction(num, den) if num else Fraction(0)
+def rref(rows: List[List[Fraction]], ncols: int) -> List[int]:
+    """In-place reduced row echelon form over the first ncols columns;
+    returns the pivot columns.
+
+    Rows past the pivot rows are kept. Columns past ncols (an augmented
+    right-hand side) are reduced along, so a caller can check consistency
+    on those rows.
+    """
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return pivots
 
 
 def _normalize_kernel_vector(vec: List[Poly]) -> List[Poly]:
@@ -110,7 +122,7 @@ def _normalize_kernel_vector(vec: List[Poly]) -> List[Poly]:
     g = poly_gcd_many([p for p in vec if not p.is_zero()] or [vec[0]])
     if not g.is_zero() and g.constant_value() != 1:
         vec = [exact_div(p, g) for p in vec]
-    c = _vector_content(vec)
+    c = rational_content(v for p in vec for v in p.terms.values())
     if c not in (0, 1):
         vec = [p.scale(1 / c) for p in vec]
     for p in vec:
@@ -136,7 +148,7 @@ def left_nullspace(m: Matrix) -> List[List[Poly]]:
 
     def strip_content(pair):
         left, right = pair
-        c = _vector_content(left + right)
+        c = rational_content(v for p in left + right for v in p.terms.values())
         if c not in (0, 1):
             left = [p.scale(1 / c) for p in left]
             right = [p.scale(1 / c) for p in right]

@@ -11,7 +11,6 @@ so everything else is INCONCLUSIVE.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Any, Dict, List, Optional
 
 from . import __version__
@@ -21,13 +20,11 @@ from .certificate import (bipoly_json, dump_json, dump_text, matrix_json,
                           operator_json, poly_json, rat_str, series_json)
 from .cohomology import AmbientRing, gram_matrix
 from .instance import InstanceSpec
-from .linalg import char_poly
 from .periods import PeriodSpec, get_source, period_coefficients, regularized_coefficients
 from .qde import (apply, cofactor_identity_holds, eliminate, match_equations,
                   transform_even_operator)
 from .solve import SolveError, solve_parameters
-from .spectrum import (ReciprocityResult, SpectrumReport, TemplateError,
-                       factor_template, reciprocity_check)
+from .spectrum import SpectrumReport, TemplateError, block_spectrum, reciprocity_check
 
 STAGES = ("period", "ansatz", "eliminate", "solve", "spectrum", "atoms", "verdict")
 
@@ -36,6 +33,9 @@ _SECTION_OF = {"eliminate": "operator"}
 
 EXCLUSION_CENTRES = 4
 EXCLUSION_GENUS = 4
+
+# least truncation order at which solve attempts to saturate the matching system
+SATURATION_ORDER = 10
 
 
 class StageFailure(RuntimeError):
@@ -120,8 +120,7 @@ def _stage_period(run: PipelineRun, state: Dict[str, Any]) -> None:
     reg_q, content = transform_even_operator(src.regularized)
     qdeg = reg_q.q_degree()
     rescaled = regularized_coefficients(spec, order + qdeg)
-    resid = apply(reg_q, rescaled)
-    ok = all(c == 0 for c in resid.coeffs)
+    ok = apply(reg_q, rescaled).is_zero()
     run.check("period.regularized_annihilation", ok,
               f"transformed operator (content {rat_str(content)} divided) kills the "
               f"factorially rescaled series through q^{order}")
@@ -253,11 +252,12 @@ def _stage_solve(run: PipelineRun, state: Dict[str, Any]) -> None:
     op = state["operator"]
     g = state["period"]
 
-    sat = order >= 10
+    sat = order >= SATURATION_ORDER
     run.check("solve.saturation", sat,
               f"truncation order {order} supports matching depth {order - 6}")
     if not sat:
-        raise StageFailure(f"truncation order {order} < 10 cannot saturate the system")
+        raise StageFailure(f"truncation order {order} < {SATURATION_ORDER} cannot "
+                           f"saturate the system")
 
     eqs = match_equations(op, g, depth=order - 6)
     try:
@@ -282,8 +282,7 @@ def _stage_solve(run: PipelineRun, state: Dict[str, Any]) -> None:
     values = dict(zip(report.params, report.accepted[0]))
     numeric = op.substitute(values)
     padded = period_coefficients(state["spec"], order + numeric.q_degree())
-    resid = apply(numeric, padded)
-    ann = all(c == 0 for c in resid.coeffs)
+    ann = apply(numeric, padded).is_zero()
     run.check("solve.annihilation", ann,
               f"solved operator annihilates the period through q^{order}")
     if not ann:
@@ -313,9 +312,8 @@ def _stage_spectrum(run: PipelineRun, state: Dict[str, Any]) -> None:
     blocks = {}
     for name, m, key in (("symmetric", mplus, "plus"),
                          ("antisymmetric", mminus, "minus")):
-        chi = char_poly(m.map(lambda p: p.scale(2)))
         try:
-            blocks[key] = factor_template(chi, name)
+            blocks[key] = block_spectrum(m, name)
         except TemplateError as e:
             run.check(f"spectrum.template_{key}", False, str(e))
             raise StageFailure(f"spectrum template failed: {e}") from e

@@ -26,6 +26,23 @@ def _grlex_key(ex: tuple) -> tuple:
     return (sum(ex), ex)
 
 
+def rational_content(values: Iterable[Fraction]) -> Fraction:
+    """Positive rational content: gcd of numerators over lcm of denominators;
+    0 when every value is 0."""
+    num, den = 0, 1
+    for c in values:
+        num = math.gcd(num, abs(c.numerator))
+        den = math.lcm(den, c.denominator)
+    return Fraction(num, den) if num else Fraction(0)
+
+
+def signed_join(parts: Iterable[str]) -> str:
+    """Join "+ body" / "- body" terms, dropping the leading "+ " (or the space
+    of a leading "- "); "0" for no terms."""
+    text = " ".join(parts)
+    return "-" + text[2:] if text.startswith("- ") else (text[2:] or "0")
+
+
 class Poly:
     __slots__ = ("vars", "terms")
 
@@ -247,15 +264,7 @@ class Poly:
     # -- normal forms --------------------------------------------------------
 
     def content(self) -> Fraction:
-        """Positive rational content: gcd of numerators over lcm of denominators."""
-        if not self.terms:
-            return Fraction(0)
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = math.gcd(num, abs(c.numerator))
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        return Fraction(num, den)
+        return rational_content(self.terms.values())
 
     def primitive(self) -> "Poly":
         c = self.content()
@@ -270,8 +279,6 @@ class Poly:
 
     def render(self) -> str:
         """Deterministic human-readable form, graded-lex term order."""
-        if not self.terms:
-            return "0"
         parts = []
         for ex, c in self.sorted_terms():
             names = [f"{v}^{e}" if e > 1 else v for v, e in zip(self.vars, ex) if e]
@@ -284,9 +291,7 @@ class Poly:
             else:
                 body = str(mag)
             parts.append(("- " if c < 0 else "+ ") + body)
-        head = parts[0]
-        head = "-" + head[2:] if head.startswith("- ") else head[2:]
-        return " ".join([head] + parts[1:])
+        return signed_join(parts)
 
     def __repr__(self):
         return f"Poly({self.render()})"
@@ -321,7 +326,8 @@ def exact_div(a: Poly, b: Poly) -> Poly:
     return Poly(a.vars, quot)
 
 
-def _gcd_normal(p: Poly) -> Poly:
+def normal_form(p: Poly) -> Poly:
+    """Primitive multiple of p with a positive graded-lex leading coefficient."""
     out = p.primitive()
     if out.leading_coefficient() < 0:
         out = out.scale(-1)
@@ -355,9 +361,9 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     rationals are units, so the base case is the constant 1.
     """
     if a.is_zero():
-        return _gcd_normal(b)
+        return normal_form(b)
     if b.is_zero():
-        return _gcd_normal(a)
+        return normal_form(a)
     a._check(b)
     present = [v for v in a.vars
                if v in a.variables_present() or v in b.variables_present()]
@@ -373,7 +379,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     while not g.is_zero():
         r = _pseudo_rem(f, g, name)
         f, g = g, (r if r.is_zero() else _univariate_parts(r, name)[1])
-    return _gcd_normal(cg * _univariate_parts(f, name)[1])
+    return normal_form(cg * _univariate_parts(f, name)[1])
 
 
 def poly_gcd_many(polys) -> Poly:
@@ -401,15 +407,8 @@ class LaurentPoly:
             out[k] = out.get(k, 0) + v
         return LaurentPoly(out)
 
-    def scale(self, n: int) -> "LaurentPoly":
-        return LaurentPoly({k: n * v for k, v in self.coeffs.items()})
-
     def coeff(self, k: int) -> int:
         return self.coeffs.get(k, 0)
-
-    def is_symmetric(self) -> bool:
-        # Hodge symmetry under t <-> 1/t
-        return all(self.coeff(-k) == v for k, v in self.coeffs.items())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentPoly):
@@ -423,8 +422,6 @@ class LaurentPoly:
         return bool(self.coeffs)
 
     def render(self) -> str:
-        if not self.coeffs:
-            return "0"
         parts = []
         for k in sorted(self.coeffs, reverse=True):
             v = self.coeffs[k]
@@ -434,9 +431,7 @@ class LaurentPoly:
                 tk = "t" if k == 1 else f"t^{k}"
                 body = tk if abs(v) == 1 else f"{abs(v)}*{tk}"
             parts.append(("- " if v < 0 else "+ ") + body)
-        head = parts[0]
-        head = "-" + head[2:] if head.startswith("- ") else head[2:]
-        return " ".join([head] + parts[1:])
+        return signed_join(parts)
 
     def __repr__(self):
         return f"LaurentPoly({self.render()})"

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import List, Mapping, Tuple
 
 from .linalg import Matrix, left_nullspace
-from .poly import Poly, exact_div, poly_gcd_many
+from .poly import Poly, exact_div, poly_gcd_many, rational_content
 from .series import Series
 
 
@@ -47,9 +47,6 @@ class DiffOperator:
                     out.append(v)
         return tuple(out)
 
-    def is_numeric(self, qvar: str = "q") -> bool:
-        return not self.parameters_present(qvar)
-
     def substitute(self, values: Mapping[str, Fraction], qvar: str = "q") -> "DiffOperator":
         subs = {k: Fraction(v) for k, v in values.items()}
         coeffs = [c.substitute(subs).rename_vars((qvar,)) for c in self.coeffs]
@@ -58,7 +55,6 @@ class DiffOperator:
     def normalize(self) -> "DiffOperator":
         """Content-free form; monic when the top coefficient is a rational
         constant, otherwise positive leading coefficient."""
-        import math
         nonzero = [c for c in self.coeffs if not c.is_zero()]
         if not nonzero:
             return self
@@ -66,13 +62,8 @@ class DiffOperator:
         coeffs = list(self.coeffs)
         if g.constant_value() != 1:
             coeffs = [exact_div(c, g) for c in coeffs]
-        num, den = 0, 1
-        for c in coeffs:
-            for v in c.terms.values():
-                num = math.gcd(num, abs(v.numerator))
-                den = den * v.denominator // math.gcd(den, v.denominator)
-        scale = Fraction(den, num)
-        coeffs = [c.scale(scale) for c in coeffs]
+        content = rational_content(v for c in coeffs for v in c.terms.values())
+        coeffs = [c.scale(1 / content) for c in coeffs]
         top = coeffs[-1].constant_value()
         if top is not None and top != 0:
             coeffs = [c.scale(1 / top) for c in coeffs]
@@ -215,7 +206,6 @@ def transform_even_operator(op: DiffOperator, tvar: str = "t",
     D_t becomes 2 D_q on even series, so c_k(t) D_t^k maps to
     c_k(sqrt q) 2^k D^k. Returns the content-divided operator and the
     removed content."""
-    import math
     new_coeffs = []
     for k, c in enumerate(op.coeffs):
         out = {}
@@ -225,12 +215,7 @@ def transform_even_operator(op: DiffOperator, tvar: str = "t",
                 raise ValueError(f"coefficient of D^{k} has an odd power t^{e}")
             out[(e // 2,)] = v * Fraction(2) ** k
         new_coeffs.append(Poly((qvar,), out))
-    num, den = 0, 1
-    for c in new_coeffs:
-        for v in c.terms.values():
-            num = math.gcd(num, abs(v.numerator))
-            den = den * v.denominator // math.gcd(den, v.denominator)
-    content = Fraction(num, den) if num else Fraction(1)
-    if content not in (0, 1):
+    content = rational_content(v for c in new_coeffs for v in c.terms.values()) or Fraction(1)
+    if content != 1:
         new_coeffs = [c.scale(1 / content) for c in new_coeffs]
     return DiffOperator(tuple(new_coeffs)), content

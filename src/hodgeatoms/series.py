@@ -1,7 +1,7 @@
 """Truncated formal power series over exact rationals.
 
-A Series keeps a dense coefficient list c[0..order]. Arithmetic truncates
-to the shorter operand, so results are exact through their stated order.
+A Series keeps a dense coefficient list c[0..order], exact through its
+stated order.
 """
 
 from __future__ import annotations
@@ -29,37 +29,8 @@ class Series:
             raise IndexError(f"coefficient q^{m} beyond truncation order {self.order}")
         return self.coeffs[m]
 
-    def truncate(self, order: int) -> "Series":
-        if order > self.order:
-            raise ValueError(f"cannot extend truncation {self.order} to {order}")
-        return Series(self.coeffs[: order + 1])
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
-
-    def __add__(self, other: "Series") -> "Series":
-        n = min(self.order, other.order)
-        return Series([self.coeffs[i] + other.coeffs[i] for i in range(n + 1)])
-
-    def __sub__(self, other: "Series") -> "Series":
-        n = min(self.order, other.order)
-        return Series([self.coeffs[i] - other.coeffs[i] for i in range(n + 1)])
-
-    def __mul__(self, other: "Series") -> "Series":
-        n = min(self.order, other.order)
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if a == 0:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return Series(out)
-
-    def scale(self, c: Scalar) -> "Series":
-        c = Fraction(c)
-        return Series([a * c for a in self.coeffs])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Series):

@@ -13,9 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .poly import Poly
+from .linalg import rref
+from .poly import Poly, normal_form
 
 
 class SolveError(ValueError):
@@ -26,15 +27,10 @@ class SolveError(ValueError):
 class SolveReport:
     params: Tuple[str, ...]
     equations: Tuple[Tuple[int, Poly], ...]      # raw matched equations by q-order
-    monomials: Tuple[Tuple[int, ...], ...]       # linearization monomials
-    linear_rows: Tuple[Tuple[Fraction, ...], ...]  # reduced linear system (last col constant)
     reduced: Tuple[Poly, ...]                    # de-linearized equations
     solutions: Tuple[Tuple[Fraction, ...], ...]  # full solution set, param order
     accepted: Tuple[Tuple[Fraction, ...], ...]
     rejected: Tuple[Tuple[Tuple[Fraction, ...], str], ...]
-
-    def solution_dicts(self) -> List[Dict[str, Fraction]]:
-        return [dict(zip(self.params, s)) for s in self.solutions]
 
 
 def _rational_sqrt(x: Fraction) -> Optional[Fraction]:
@@ -44,13 +40,6 @@ def _rational_sqrt(x: Fraction) -> Optional[Fraction]:
     if rn * rn == x.numerator and rd * rd == x.denominator:
         return Fraction(rn, rd)
     return None
-
-
-def _canonical(e: Poly) -> Poly:
-    p = e.primitive()
-    if p.leading_coefficient() < 0:
-        p = p.scale(-1)
-    return p
 
 
 def _substitute_var(e: Poly, var: int, rule: Poly) -> Poly:
@@ -91,7 +80,7 @@ def solve_parameters(equations: Sequence[Tuple[int, Poly]],
         raw.append((order, p))
 
     # linearize over the occurring monomials, constants aside
-    canon = [_canonical(e) for _, e in raw]
+    canon = [normal_form(e) for _, e in raw]
     zero_ex = (0,) * len(params)
     monos = sorted({ex for e in canon for ex in e.terms if ex != zero_ex},
                    key=lambda ex: (-sum(ex), tuple(-x for x in ex)))
@@ -100,15 +89,14 @@ def solve_parameters(equations: Sequence[Tuple[int, Poly]],
         rows.append([e.terms.get(ex, Fraction(0)) for ex in monos]
                     + [e.terms.get(zero_ex, Fraction(0))])
 
-    pivots = _rref_rows(rows, len(monos))
+    pivots = rref(rows, len(monos))
     for row in rows[len(pivots):]:
         if row[-1] != 0:
             raise SolveError("inconsistent linearized system")
-    rref = rows[: len(pivots)]
 
     # de-linearize the reduced rows back into polynomial equations
     reduced: List[Poly] = []
-    for row in rref:
+    for row in rows[: len(pivots)]:
         terms = {ex: c for ex, c in zip(monos, row[:-1]) if c != 0}
         if row[-1] != 0:
             terms[zero_ex] = row[-1]
@@ -138,33 +126,10 @@ def solve_parameters(equations: Sequence[Tuple[int, Poly]],
     return SolveReport(
         params=params,
         equations=tuple(raw),
-        monomials=tuple(monos),
-        linear_rows=tuple(tuple(r) for r in rref),
         reduced=tuple(reduced),
         solutions=tuple(solutions),
         accepted=tuple(accepted),
         rejected=tuple(rejected))
-
-
-def _rref_rows(rows: List[List[Fraction]], ncols: int) -> List[int]:
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return pivots
 
 
 def _back_substitute(reduced: List[Poly], params: Tuple[str, ...]):

@@ -67,11 +67,6 @@ class SpectrumReport:
         return SpectrumReport(self.plus, self.minus, r)
 
 
-def zero_multiplicity(chi: BiPoly) -> int:
-    """Largest a with lam^a dividing chi."""
-    return chi.zero_multiplicity()
-
-
 def _rational_roots(coeffs: List[Fraction]) -> List[Fraction]:
     """All rational roots with multiplicity, via divisor candidates.
 
@@ -90,6 +85,9 @@ def _rational_roots(coeffs: List[Fraction]) -> List[Fraction]:
             work = work[1:]
             if len(work) == 1:
                 return roots
+        if len(work) == 2:
+            # a linear factor's root needs no divisor search
+            return roots + [-work[0] / work[1]]
         found = next((cand for cand in _root_candidates(work)
                       if _eval_poly(work, cand) == 0), None)
         if found is None:
@@ -100,19 +98,21 @@ def _rational_roots(coeffs: List[Fraction]) -> List[Fraction]:
 
 
 def _root_candidates(coeffs: List[Fraction]):
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
+    den = math.lcm(*(c.denominator for c in coeffs))
     ints = [int(c * den) for c in coeffs]
+    dens = _divisors(ints[-1])
     for p in _divisors(ints[0]):
-        for qd in _divisors(ints[-1]):
+        for qd in dens:
             yield Fraction(p, qd)
             yield Fraction(-p, qd)
 
 
 def _divisors(n: int) -> List[int]:
+    """Positive divisors of n in ascending order, each d <= sqrt|n| paired
+    with |n| / d."""
     n = abs(n)
-    return [d for d in range(1, n + 1) if n % d == 0]
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 def _eval_poly(coeffs: List[Fraction], x: Fraction) -> Fraction:
@@ -171,15 +171,12 @@ def factor_template(chi: BiPoly, block: str) -> BlockSpectrum:
                          square_factors=tuple(sorted(roots, reverse=True)))
 
 
-def kappa_char(mplus: Matrix, mminus: Matrix) -> SpectrumReport:
-    """Characteristic polynomials of 2*M_+/2*M_- with template factoring."""
-    for m, name in ((mplus, "symmetric"), (mminus, "antisymmetric")):
-        bad = [v for r in m.rows for p in r for v in p.variables_present() if v != "q"]
-        if bad:
-            raise ValueError(f"{name} matrix still has parameters: {sorted(set(bad))}")
-    plus = factor_template(char_poly(mplus.map(lambda p: p.scale(2))), "symmetric")
-    minus = factor_template(char_poly(mminus.map(lambda p: p.scale(2))), "antisymmetric")
-    return SpectrumReport(plus=plus, minus=minus)
+def block_spectrum(m: Matrix, block: str) -> BlockSpectrum:
+    """Template-factored characteristic polynomial of kappa = 2*m on one block."""
+    bad = [v for r in m.rows for p in r for v in p.variables_present() if v != "q"]
+    if bad:
+        raise ValueError(f"{block} matrix still has parameters: {sorted(set(bad))}")
+    return factor_template(char_poly(m.map(lambda p: p.scale(2))), block)
 
 
 def reciprocity_check(regularized: DiffOperator, report: SpectrumReport,

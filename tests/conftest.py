@@ -11,6 +11,7 @@ from hodgeatoms.instance import load_instance
 from hodgeatoms.periods import PeriodSpec, period_coefficients
 from hodgeatoms.pipeline import run_pipeline
 from hodgeatoms.qde import eliminate
+from hodgeatoms.spectrum import SpectrumReport, block_spectrum
 
 SOLUTION = {"s": Fraction(2), "t": Fraction(6), "u": Fraction(2), "v": Fraction(16)}
 
@@ -71,6 +72,12 @@ def mplus(sym_ansatz, solution):
 @pytest.fixture(scope="session")
 def mminus(anti_ansatz):
     return substitute_params(anti_ansatz, {anti_ansatz.params[0]: Fraction(2)})
+
+
+@pytest.fixture(scope="session")
+def spectrum_report(mplus, mminus):
+    return SpectrumReport(plus=block_spectrum(mplus, "symmetric"),
+                          minus=block_spectrum(mminus, "antisymmetric"))
 
 
 @pytest.fixture(scope="session")

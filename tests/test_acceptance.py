@@ -7,9 +7,9 @@ rendered strings; there are no tolerances anywhere.
 
 from fractions import Fraction
 
-from hodgeatoms.atoms import (assemble_zero_atoms, blowup_combine,
-                              curve_centre, exclusion_search, point_centre)
-from hodgeatoms.cohomology import gram_matrix, mixed_gram
+from hodgeatoms.atoms import (assemble_zero_atoms, atom_sum, curve_centre,
+                              exclusion_search, point_centre)
+from hodgeatoms.cohomology import gram_matrix
 from hodgeatoms.instance import load_instance
 from hodgeatoms.linalg import char_poly
 from hodgeatoms.periods import (PeriodSpec, get_source, period_coefficients,
@@ -19,7 +19,7 @@ from hodgeatoms.poly import LaurentPoly, Poly
 from hodgeatoms.qde import (apply, cofactor_identity_holds, cyclic_rows,
                             match_equations, transform_even_operator)
 from hodgeatoms.solve import solve_parameters
-from hodgeatoms.spectrum import kappa_char, reciprocity_check
+from hodgeatoms.spectrum import reciprocity_check
 
 
 def test_criterion_01_period_reproduction(period16):
@@ -83,8 +83,8 @@ def test_criterion_05_parameter_solving(parametric_op, verra):
     assert reports[0].solutions == reports[1].solutions
 
 
-def test_criterion_06_spectrum(mplus, mminus):
-    report = kappa_char(mplus, mminus)
+def test_criterion_06_spectrum(spectrum_report, mminus):
+    report = spectrum_report
     assert report.plus.factored_render() == "lam^2*(lam^2 - 128*q)*(lam^2 + 16*q)"
     assert report.minus.factored_render() == "lam*(lam^2 - 16*q)"
     assert report.plus.zero_multiplicity == 2
@@ -93,16 +93,15 @@ def test_criterion_06_spectrum(mplus, mminus):
     assert char_poly(mminus).render() == "lam^3 + (-4*q)*lam"
 
 
-def test_criterion_07_reciprocity(mplus, mminus, verra):
-    report = kappa_char(mplus, mminus)
-    rec = reciprocity_check(get_source(verra.period_source).regularized, report)
+def test_criterion_07_reciprocity(spectrum_report, verra):
+    rec = reciprocity_check(get_source(verra.period_source).regularized, spectrum_report)
     assert rec.singular_squares == (Fraction(-1, 16), Fraction(1, 128))
     assert rec.eigen_squares == (Fraction(-16), Fraction(128))
     assert rec.passed
 
 
-def test_criterion_08_obstruction(verra, mplus, mminus, full_run):
-    report = kappa_char(mplus, mminus)
+def test_criterion_08_obstruction(verra, spectrum_report, full_run):
+    report = spectrum_report
     cases = assemble_zero_atoms(verra, report.plus.zero_multiplicity,
                                 report.minus.zero_multiplicity)
     for case in cases:
@@ -117,8 +116,7 @@ def test_criterion_08_obstruction(verra, mplus, mminus, full_run):
 def test_criterion_09_property_suites(ring, basis, sym_ansatz, anti_ansatz,
                                       parametric_op, verra):
     # orthogonality of the two blocks, all 18 cross pairs
-    mixed = mixed_gram(basis.symmetric, basis.antisymmetric)
-    assert all(p.is_zero() for r in mixed.rows for p in r)
+    assert all(x.pair(y) == 0 for x in basis.symmetric for y in basis.antisymmetric)
 
     # the involution is a ring automorphism preserving the pairing
     monomials = [ring.monomial(a, b) for a in range(3) for b in range(3)]
@@ -145,11 +143,12 @@ def test_criterion_09_property_suites(ring, basis, sym_ansatz, anti_ansatz,
             acc = acc + c * rows.rows[k][j]
         assert acc.is_zero()
 
-    # blowup additivity: weights add across repeated centres
+    # blowup additivity: centre contributions add in any order
     base = curve_centre(0)
     c = curve_centre(3)
-    split = blowup_combine(blowup_combine(base, c, 2), point_centre(), 4)
-    joint = blowup_combine(blowup_combine(base, point_centre(), 4), c, 2)
+    points = atom_sum(atom_sum(point_centre(), point_centre(), "p"), point_centre(), "p")
+    split = atom_sum(atom_sum(base, c, "X"), points, "X")
+    joint = atom_sum(atom_sum(base, points, "X"), c, "X")
     assert (split.rho, split.hodge) == (joint.rho, joint.hodge)
     assert split.rho == base.rho + c.rho + 3 * point_centre().rho
     assert split.hodge == base.hodge + c.hodge + LaurentPoly({0: 3})

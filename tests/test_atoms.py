@@ -3,7 +3,7 @@
 import pytest
 
 from hodgeatoms.atoms import (AtomError, AtomInvariants, assemble_zero_atoms,
-                              atom_sum, blowup_combine, curve_centre,
+                              atom_sum, curve_centre,
                               exclusion_search, obstruction_applies,
                               point_centre, surface_centre,
                               transcendental_invariants)
@@ -58,22 +58,15 @@ def test_centre_model_errors():
         surface_centre(1, 0, 0)
 
 
-def test_blowup_combine():
-    base = AtomInvariants(1, LaurentPoly({0: 1}), "X")
-    out = blowup_combine(base, curve_centre(1), 3)
-    assert out.rho == 1 + 2 * 2
-    assert out.hodge.render() == "2*t + 5 + 2*t^-1"
-    assert out.label == "X"
-    with pytest.raises(AtomError, match="r >= 2"):
-        blowup_combine(base, point_centre(), 1)
-
-
 def test_blowup_additivity():
+    # blowing up a centre with multiplicity r adds r - 1 copies of its
+    # invariants, so two r = 2 blowups along c equal one r = 3 blowup
     base = AtomInvariants(1, LaurentPoly({0: 1}), "X")
     c = curve_centre(2)
-    twice = blowup_combine(blowup_combine(base, c, 2), c, 2)
-    once = blowup_combine(base, c, 3)
+    twice = atom_sum(atom_sum(base, c, "X"), c, "X")
+    once = atom_sum(base, atom_sum(c, c, "2c"), "X")
     assert (twice.rho, twice.hodge) == (once.rho, once.hodge)
+    assert twice.hodge.render() == "4*t + 5 + 4*t^-1"
 
 
 def test_atom_sum():

@@ -3,10 +3,10 @@
 from fractions import Fraction
 
 from hodgeatoms.certificate import (bipoly_json, dump_json, dump_text,
-                                    laurent_str, matrix_json, operator_json,
+                                    matrix_json, operator_json,
                                     poly_json, rat_str, series_json)
 from hodgeatoms.linalg import BiPoly, Matrix
-from hodgeatoms.poly import LaurentPoly, Poly
+from hodgeatoms.poly import Poly
 from hodgeatoms.qde import DiffOperator
 from hodgeatoms.series import Series
 
@@ -63,10 +63,6 @@ def test_bipoly_json():
     out = bipoly_json(chi)
     assert out["display"] == "lam^3 + (-4*q)*lam"
     assert out["coefficients"] == {"1": ["0", "-4"], "3": ["1"]}
-
-
-def test_laurent_str():
-    assert laurent_str(LaurentPoly({2: 1, 0: 19, -2: 1})) == "t^2 + 19 + t^-2"
 
 
 def test_dump_json_canonical():

@@ -1,10 +1,16 @@
 """Command line behaviour: focal output, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from hodgeatoms.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -35,6 +41,28 @@ def test_certify_json(capsys):
     assert cert["verdict"] == "IRRATIONAL_CERTIFIED"
     code2, out2, _ = run_cli(capsys, "certify", "--format", "json")
     assert out2 == out
+
+
+def test_certify_json_matches_committed_certificate(capsys):
+    # golden bytes: a fresh certificate equals the committed certificate.json
+    code, out, _ = run_cli(capsys, "certify", "--format", "json")
+    assert code == 0
+    assert out.encode("utf-8") == (ROOT / "certificate.json").read_bytes()
+
+
+def test_huge_n_instance_finishes(tmp_path):
+    # the antisymmetric block's square polynomial is then linear with a
+    # 14-digit constant, too large for trial division up to |n|
+    text = (ROOT / "src" / "hodgeatoms" / "data" / "verra.instance").read_text()
+    assert "N=-4/1" in text
+    path = tmp_path / "huge-n.instance"
+    path.write_text(text.replace("N=-4/1", "N=-4000000000002/1"))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hodgeatoms.cli", "certify", "--instance", str(path)],
+        env=env, capture_output=True, text=True, timeout=5)
+    assert proc.returncode in (0, 2)
+    assert "Traceback" not in proc.stderr
 
 
 def test_solve(capsys):

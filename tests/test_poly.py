@@ -194,10 +194,7 @@ def test_laurent_poly():
     p = LaurentPoly({2: 1, 0: 19, -2: 1})
     assert p.render() == "t^2 + 19 + t^-2"
     assert p.coeff(0) == 19 and p.coeff(5) == 0
-    assert p.is_symmetric()
-    assert not LaurentPoly({1: 2, -1: 1}).is_symmetric()
     assert (p + LaurentPoly({0: 2})).coeff(0) == 21
-    assert p.scale(3).coeff(2) == 3
     assert LaurentPoly({1: 1, 0: 0}) == LaurentPoly({1: 1})
     assert not LaurentPoly({})
     assert LaurentPoly({}).render() == "0"

@@ -8,8 +8,8 @@ from hodgeatoms.linalg import BiPoly, char_poly
 from hodgeatoms.periods import get_source
 from hodgeatoms.poly import Poly
 from hodgeatoms.qde import DiffOperator
-from hodgeatoms.spectrum import (TemplateError, factor_template, kappa_char,
-                                 reciprocity_check, zero_multiplicity)
+from hodgeatoms.spectrum import (TemplateError, _divisors, _rational_roots, block_spectrum,
+                                 factor_template, reciprocity_check)
 
 Q = ("q",)
 
@@ -19,21 +19,16 @@ def bp(coeffs):
                    for k, terms in coeffs.items()})
 
 
-@pytest.fixture(scope="module")
-def report(mplus, mminus):
-    return kappa_char(mplus, mminus)
-
-
-def test_plus_block(report):
-    plus = report.plus
+def test_plus_block(spectrum_report):
+    plus = spectrum_report.plus
     assert plus.dim == 6
     assert plus.zero_multiplicity == 2
     assert plus.square_factors == (Fraction(128), Fraction(-16))
     assert plus.factored_render() == "lam^2*(lam^2 - 128*q)*(lam^2 + 16*q)"
 
 
-def test_minus_block(report):
-    minus = report.minus
+def test_minus_block(spectrum_report):
+    minus = spectrum_report.minus
     assert minus.dim == 3
     assert minus.zero_multiplicity == 1
     assert minus.square_factors == (Fraction(16),)
@@ -44,9 +39,9 @@ def test_char_poly_of_unscaled_minus(mminus):
     assert char_poly(mminus).render() == "lam^3 + (-4*q)*lam"
 
 
-def test_kappa_char_rejects_parameters(sym_ansatz, mminus):
-    with pytest.raises(ValueError, match="still has parameters"):
-        kappa_char(sym_ansatz.matrix, mminus)
+def test_kappa_char_rejects_parameters(sym_ansatz):
+    with pytest.raises(ValueError, match="symmetric matrix still has parameters"):
+        block_spectrum(sym_ansatz.matrix, "symmetric")
 
 
 def test_classical_limit_is_nilpotent(mplus):
@@ -79,15 +74,15 @@ def test_template_non_split():
         factor_template(bp({4: {0: 1}, 0: {2: -2}}), "demo")
 
 
-def test_reciprocity_passes(report, verra):
+def test_reciprocity_passes(spectrum_report, verra):
     reg = get_source(verra.period_source).regularized
-    rec = reciprocity_check(reg, report)
+    rec = reciprocity_check(reg, spectrum_report)
     assert rec.passed
     assert rec.eigen_squares == (Fraction(-16), Fraction(128))
     assert rec.singular_squares == (Fraction(-1, 16), Fraction(1, 128))
 
 
-def test_reciprocity_detects_mismatch(report):
+def test_reciprocity_detects_mismatch(spectrum_report):
     # flip the constant sign of the leading coefficient: the singular
     # squares move to {1/16, -1/128} and the comparison must fail
     T = ("t",)
@@ -95,27 +90,40 @@ def test_reciprocity_detects_mismatch(report):
         Poly(T, {(0,): Fraction(1)}),
         Poly(T, {(4,): Fraction(2048), (2,): Fraction(-112), (0,): Fraction(-1)}),
     ))
-    rec = reciprocity_check(perturbed, report)
+    rec = reciprocity_check(perturbed, spectrum_report)
     assert not rec.passed
     assert rec.singular_squares == (Fraction(-1, 128), Fraction(1, 16))
 
 
-def test_reciprocity_rejects_odd_t_powers(report):
+def test_reciprocity_rejects_odd_t_powers(spectrum_report):
     T = ("t",)
     bad = DiffOperator((Poly(T, {(0,): Fraction(1)}),
                         Poly(T, {(1,): Fraction(1), (0,): Fraction(1)})))
     with pytest.raises(TemplateError, match="odd powers of t"):
-        reciprocity_check(bad, report)
+        reciprocity_check(bad, spectrum_report)
 
 
-def test_reciprocity_rejects_parametric_lead(report):
+def test_reciprocity_rejects_parametric_lead(spectrum_report):
     TS = ("t", "a")
     bad = DiffOperator((Poly(TS, {(0, 0): Fraction(1)}),
                         Poly(TS, {(2, 1): Fraction(1), (0, 0): Fraction(1)})))
     with pytest.raises(TemplateError, match="not constant in the parameters"):
-        reciprocity_check(bad, report)
+        reciprocity_check(bad, spectrum_report)
 
 
 def test_zero_multiplicity_helper():
-    assert zero_multiplicity(bp({6: {0: 1}, 2: {2: 3}})) == 2
-    assert zero_multiplicity(bp({3: {0: 1}, 0: {0: 5}})) == 0
+    assert bp({6: {0: 1}, 2: {2: 3}}).zero_multiplicity() == 2
+    assert bp({3: {0: 1}, 0: {0: 5}}).zero_multiplicity() == 0
+
+
+def test_divisors_ascending():
+    assert _divisors(36) == [1, 2, 3, 4, 6, 9, 12, 18, 36]
+    assert _divisors(-10) == [1, 2, 5, 10]
+    assert _divisors(1) == [1]
+    assert _divisors(0) == []
+
+
+def test_rational_roots_large_coefficients():
+    # (y - 2) (4000000000001 y + 3): a quadratic, then a linear factor
+    coeffs = [Fraction(-6), Fraction(-8000000000002 + 3), Fraction(4000000000001)]
+    assert sorted(_rational_roots(coeffs)) == [Fraction(-3, 4000000000001), Fraction(2)]
