@@ -25,7 +25,7 @@ op, content = transform_even_operator(src.regularized)
 print(f"\nafter t^2 = q, D_t = 2 D_q, divided by content {content}:")
 print(" ", op.render())
 
-rescaled = regularized_coefficients(spec)
+rescaled = regularized_coefficients(g)
 residual = apply(op, rescaled)
 print(f"\napplied to the (2m)!-rescaled series: zero through q^{residual.order}?",
       residual.is_zero())

@@ -35,12 +35,14 @@ class PeriodSource:
 
 def _verra_coefficient(m: int) -> Fraction:
     # closed two-point sum for the double cover of P2 x P2 in the
-    # anticanonical Novikov slice
-    total = Fraction(0)
-    f = math.factorial
+    # anticanonical Novikov slice, a_m = (2m)! Sum_l C(m,l)^3 / m!^4; the
+    # binomials come from the integer term ratio C(m,l+1) = C(m,l)(m-l)/(l+1)
+    total, binom = 0, 1
     for l in range(m + 1):
-        total += Fraction(f(2 * m), f(l) ** 3 * f(m) * f(m - l) ** 3)
-    return total
+        total += binom ** 3
+        binom = binom * (m - l) // (l + 1)
+    f = math.factorial
+    return Fraction(f(2 * m) * total, f(m) ** 4)
 
 
 def _verra_regularized() -> DiffOperator:
@@ -87,7 +89,11 @@ def period_coefficients(spec: PeriodSpec, order: Optional[int] = None) -> Series
     return Series(coeffs)
 
 
-def regularized_coefficients(spec: PeriodSpec, order: Optional[int] = None) -> Series:
+def regularized_coefficients(g: Series) -> Series:
     """The factorially rescaled series: coefficient of q^m is (2m)! a_m."""
-    g = period_coefficients(spec, order)
-    return Series([math.factorial(2 * m) * c for m, c in enumerate(g.coeffs)])
+    out, fact = [], 1
+    for m, c in enumerate(g.coeffs):
+        if m:
+            fact *= (2 * m - 1) * (2 * m)
+        out.append(fact * c)
+    return Series(out)

@@ -114,28 +114,28 @@ def _stage_period(run: PipelineRun, state: Dict[str, Any]) -> None:
         raise StageFailure(f"unknown period source {inst.period_source!r}") from e
     run.check("period.source_known", True, f"{src.name}: {src.description}")
 
-    g = period_coefficients(spec)
+    # the one period series of the run, padded for the operators applied to it
+    reg_q, content = transform_even_operator(src.regularized)
+    series = period_coefficients(spec, order + reg_q.q_degree())
+    g = series.truncate(order)
     run.check("period.initial_coefficient", g.coeff(0) == 1, "a_0 = 1")
 
-    reg_q, content = transform_even_operator(src.regularized)
-    qdeg = reg_q.q_degree()
-    rescaled = regularized_coefficients(spec, order + qdeg)
-    ok = apply(reg_q, rescaled).is_zero()
+    ok = apply(reg_q, regularized_coefficients(series)).is_zero()
     run.check("period.regularized_annihilation", ok,
               f"transformed operator (content {rat_str(content)} divided) kills the "
               f"factorially rescaled series through q^{order}")
     if not ok:
         raise StageFailure("regularized operator does not annihilate the rescaled series")
 
-    plain = period_coefficients(spec, order + qdeg)
-    plain_resid = apply(reg_q, plain)
+    plain_resid = apply(reg_q, series)
     first = [f"{rat_str(c)}*q^{m}" for m, c in enumerate(plain_resid.coeffs) if c != 0][:3]
     if first:
         run.note("the transformed regularized operator annihilates the factorially "
                  "rescaled series, not the plain period series; residual on the "
                  "plain series starts " + " + ".join(first))
 
-    state.update(period=g, spec=spec, source=src, reg_q=reg_q, content=content)
+    state.update(period=g, series=series, spec=spec, source=src, reg_q=reg_q,
+                 content=content)
     run.sections["period"] = {
         "status": "ok",
         "source": src.name,
@@ -155,8 +155,12 @@ def _stage_ansatz(run: PipelineRun, state: Dict[str, Any]) -> None:
 
     sym_rule = DegreeRule(basis.degrees("symmetric"))
     anti_rule = DegreeRule(basis.degrees("antisymmetric"))
-    sym_raw = build_ansatz(basis.symmetric, ring, sym_rule, "symmetric")
-    anti = build_ansatz(basis.antisymmetric, ring, anti_rule, "antisymmetric")
+    try:
+        sym_raw = build_ansatz(basis.symmetric, ring, sym_rule, "symmetric")
+        anti = build_ansatz(basis.antisymmetric, ring, anti_rule, "antisymmetric")
+    except RuntimeError as e:
+        run.check("ansatz.construction", False, str(e))
+        raise StageFailure(f"ansatz construction failed: {e}") from e
 
     try:
         sym = apply_param_names(sym_raw, inst.param_names)
@@ -231,7 +235,11 @@ def _stage_ansatz(run: PipelineRun, state: Dict[str, Any]) -> None:
 def _stage_eliminate(run: PipelineRun, state: Dict[str, Any]) -> None:
     inst = run.instance
     sym = state["sym"]
-    op = eliminate(sym.matrix, inst.component)
+    try:
+        op = eliminate(sym.matrix, inst.component)
+    except RuntimeError as e:
+        run.check("eliminate.operator_found", False, str(e))
+        raise StageFailure(f"elimination failed: {e}") from e
     ok = cofactor_identity_holds(op, sym.matrix, inst.component)
     run.check("eliminate.cofactor_identity", ok,
               "sum c_k r_k = 0 symbolically, parameters included")
@@ -281,7 +289,10 @@ def _stage_solve(run: PipelineRun, state: Dict[str, Any]) -> None:
 
     values = dict(zip(report.params, report.accepted[0]))
     numeric = op.substitute(values)
-    padded = period_coefficients(state["spec"], order + numeric.q_degree())
+    padding = order + numeric.q_degree()
+    series = state["series"]
+    padded = (series.truncate(padding) if padding <= series.order
+              else period_coefficients(state["spec"], padding))
     ann = apply(numeric, padded).is_zero()
     run.check("solve.annihilation", ann,
               f"solved operator annihilates the period through q^{order}")

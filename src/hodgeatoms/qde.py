@@ -149,27 +149,34 @@ def cofactor_identity_holds(op: DiffOperator, m: Matrix, component: int) -> bool
     return True
 
 
+def _q_slices(op: DiffOperator, qvar: str) -> List[Tuple[int, int, Poly]]:
+    """The nonzero slices c_k[q^j] as (k, j, slice), in (k, j) order."""
+    out = []
+    for k, c in enumerate(op.coeffs):
+        for j in range(c.degree_in(qvar) + 1):
+            cj = c.coeff_of(qvar, j)
+            if not cj.is_zero():
+                out.append((k, j, cj))
+    return out
+
+
 def apply(op: DiffOperator, f: Series, qvar: str = "q") -> Series:
     """Apply a parameter-free operator; the result is exact through
     f.order minus the operator's q-degree."""
     extra = op.parameters_present(qvar)
     if extra:
         raise ValueError(f"operator carries unknown parameters {extra}")
-    qdeg = op.q_degree(qvar)
-    out_order = f.order - qdeg
+    out_order = f.order - op.q_degree(qvar)
     if out_order < 0:
         raise ValueError("series too short for this operator")
-    table: List[List[Fraction]] = []
-    for c in op.coeffs:
-        table.append([c.coeff_of(qvar, j).constant_value() or Fraction(0)
-                      for j in range(qdeg + 1)])
+    table = [(k, j, cj.constant_value()) for k, j, cj in _q_slices(op, qvar)]
+    fc = f.coeffs
     out = []
     for mo in range(out_order + 1):
         acc = Fraction(0)
-        for k, row in enumerate(table):
-            for j, cj in enumerate(row):
-                if cj and mo - j >= 0:
-                    acc += cj * Fraction(mo - j) ** k * f.coeff(mo - j)
+        for k, j, cj in table:
+            if j <= mo:
+                acc += cj * (mo - j) ** k * fc[mo - j]
         out.append(acc)
     return Series(out)
 
@@ -177,17 +184,18 @@ def apply(op: DiffOperator, f: Series, qvar: str = "q") -> Series:
 def apply_symbolic(op: DiffOperator, f: Series, qvar: str = "q") -> List[Poly]:
     """Coefficients of apply(op, f) when the operator still carries parameters;
     entry m is a polynomial in the parameters."""
-    qdeg = op.q_degree(qvar)
-    out_order = f.order - qdeg
+    out_order = f.order - op.q_degree(qvar)
+    table = [(k, j, list(cj.terms.items())) for k, j, cj in _q_slices(op, qvar)]
+    fc = f.coeffs
     out = []
     for mo in range(out_order + 1):
-        acc = Poly.zero(op.vars)
-        for k, c in enumerate(op.coeffs):
-            for j in range(qdeg + 1):
-                cj = c.coeff_of(qvar, j)
-                if not cj.is_zero() and mo - j >= 0:
-                    acc = acc + cj.scale(Fraction(mo - j) ** k * f.coeff(mo - j))
-        out.append(acc)
+        acc: dict = {}
+        for k, j, terms in table:
+            if j <= mo:
+                w = (mo - j) ** k * fc[mo - j]
+                for ex, v in terms:
+                    acc[ex] = acc.get(ex, 0) + v * w
+        out.append(Poly(op.vars, acc))
     return out
 
 

@@ -32,7 +32,7 @@ def test_criterion_02_regularized_annihilation(verra, period16):
     reg = get_source(verra.period_source).regularized
     op, content = transform_even_operator(reg)
     assert content == 16
-    rescaled = regularized_coefficients(PeriodSpec(verra.period_source, 16))
+    rescaled = regularized_coefficients(period16)
     residual = apply(op, rescaled)
     assert residual.order == 14
     assert residual.is_zero()

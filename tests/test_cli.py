@@ -1,5 +1,6 @@
 """Command line behaviour: focal output, formats, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from hodgeatoms import pipeline
 from hodgeatoms.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -48,6 +50,48 @@ def test_certify_json_matches_committed_certificate(capsys):
     code, out, _ = run_cli(capsys, "certify", "--format", "json")
     assert code == 0
     assert out.encode("utf-8") == (ROOT / "certificate.json").read_bytes()
+
+
+def test_certify_json_at_order_200_is_pinned(capsys):
+    # golden bytes at depth, where the period series is longest
+    code, out, _ = run_cli(capsys, "certify", "--format", "json", "--order", "200")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "cd776f1d947ad5bc4245bc815e627e66f92ed6bef3c77851a923aa5f0e3f55f1")
+
+
+def test_one_period_series_per_certify(capsys, monkeypatch):
+    calls = []
+    original = pipeline.period_coefficients
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "period_coefficients", counted)
+    code, _, _ = run_cli(capsys, "certify")
+    assert code == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("target, stage, check, reason", [
+    ("build_ansatz", "ansatz", "ansatz.construction", "ansatz construction failed"),
+    ("eliminate", "eliminate", "eliminate.operator_found", "elimination failed"),
+])
+def test_internal_error_fails_the_stage(capsys, monkeypatch, target, stage, check, reason):
+    # an engine invariant that breaks inside a stage ends in exit 2, not a traceback
+    def broken(*args, **kwargs):
+        raise RuntimeError("invariant broken")
+
+    monkeypatch.setattr(pipeline, target, broken)
+    code, out, err = run_cli(capsys, "certify", "--format", "json")
+    assert code == 2
+    assert "Traceback" not in err
+    cert = json.loads(out)
+    assert cert["verdict"] == "INCONCLUSIVE"
+    assert {"name": stage, "status": "failed",
+            "reason": f"{reason}: invariant broken"} in cert["stages"]
+    assert {"name": check, "passed": False, "detail": "invariant broken"} in cert["checks"]
 
 
 def test_huge_n_instance_finishes(tmp_path):

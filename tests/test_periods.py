@@ -1,5 +1,6 @@
 """Period sources: exact coefficients and the published regularized operator."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,20 @@ def test_coefficients_match_the_closed_sum():
                         Fraction(280, 9), Fraction(6055, 144), Fraction(3941, 100)]
 
 
+def _closed_sum_reference(m):
+    # the two-point sum term by term, with one Fraction add per term
+    f = math.factorial
+    total = Fraction(0)
+    for l in range(m + 1):
+        total += Fraction(f(2 * m), f(l) ** 3 * f(m) * f(m - l) ** 3)
+    return total
+
+
+def test_term_ratio_construction_matches_the_fraction_sum():
+    g = period_coefficients(PeriodSpec("verra-eq3", 60))
+    assert g.coeffs == [_closed_sum_reference(m) for m in range(61)]
+
+
 def test_order_override_and_validation():
     g = period_coefficients(PeriodSpec("verra-eq3", 16), order=2)
     assert g.order == 2
@@ -24,7 +39,7 @@ def test_order_override_and_validation():
 def test_regularized_rescaling():
     spec = PeriodSpec("verra-eq3", 3)
     g = period_coefficients(spec)
-    r = regularized_coefficients(spec)
+    r = regularized_coefficients(g)
     # q^m coefficient picks up (2m)!
     assert r.coeffs == [g.coeffs[0], 2 * g.coeffs[1], 24 * g.coeffs[2], 720 * g.coeffs[3]]
     assert r.coeff(2) == 360

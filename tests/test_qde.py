@@ -5,8 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from hodgeatoms.periods import (PeriodSpec, get_source,
-                                regularized_coefficients)
+from hodgeatoms.periods import get_source, regularized_coefficients
 from hodgeatoms.poly import Poly
 from hodgeatoms.qde import (DiffOperator, apply, apply_symbolic,
                             cofactor_identity_holds, cyclic_rows, eliminate,
@@ -151,6 +150,19 @@ def test_apply_symbolic_consistency(parametric_op, period16, solution):
         assert p.evaluate(solution) == num.coeff(m)
 
 
+def test_apply_symbolic_equals_apply_without_parameters(solved_op, period16):
+    sym = apply_symbolic(solved_op, period16)
+    num = apply(solved_op, period16)
+    assert [p.constant_value() for p in sym] == num.coeffs
+
+
+def test_match_equations_vanish_at_the_solution(parametric_op, period16, solution):
+    # every matched equation through the pipeline's depth order - 6 = 10
+    eqs = match_equations(parametric_op, period16, 10)
+    assert eqs
+    assert all(e.evaluate(solution) == 0 for _, e in eqs)
+
+
 def test_match_equations(parametric_op, period16):
     # the pipeline matches through depth order - 6 = 10
     eqs = match_equations(parametric_op, period16, 10)
@@ -187,7 +199,7 @@ def test_transform_rejects_odd_powers():
 def test_regularized_annihilation(verra, period16):
     reg = get_source(verra.period_source).regularized
     op, _ = transform_even_operator(reg)
-    rescaled = regularized_coefficients(PeriodSpec(verra.period_source, 16))
+    rescaled = regularized_coefficients(period16)
     assert apply(op, rescaled).is_zero()
     # the unrescaled period is NOT annihilated; the residual is fixed
     plain = apply(op, period16)
