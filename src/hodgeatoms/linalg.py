@@ -1,17 +1,20 @@
 """Exact linear algebra over polynomial rings.
 
-Everything here is fraction-free in spirit: elimination uses
-cross-multiplication and explicit rational content removal instead of
-rational-function entries, and determinants expand by minors. Matrices
-are tiny (at most 9 by 9), so clarity beats asymptotics.
+Kernels come from Bareiss's fraction-free elimination on integer
+polynomials: every division is exact, so entries grow like minors
+instead of like nested cross-products, and no rational-function entry
+appears. Determinants expand by minors with subset memoisation; `rref`
+is Gauss-Jordan over Q for the small numeric systems of the ansatz, the
+solver and the cohomology coordinates.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable, Iterable, List, Mapping
 
-from .poly import Poly, exact_div, poly_gcd_many, rational_content
+from .poly import Poly, _zdiv, _zmul, _zsub, exact_div, poly_gcd_many, rational_content
 
 
 class Matrix:
@@ -134,51 +137,44 @@ def _normalize_kernel_vector(vec: List[Poly]) -> List[Poly]:
 
 
 def left_nullspace(m: Matrix) -> List[List[Poly]]:
-    """Basis of {v : v . m = 0}, primitive vectors with a fixed sign convention.
+    """Basis of {v : v . m = 0}: primitive vectors with a fixed sign
+    convention, in the order of the row each one ends at.
 
-    Fraction-free row elimination on m with an augmented identity tracking
-    the row operations. Rows whose matrix part vanishes yield kernel vectors.
+    Row-incremental Bareiss elimination over Z on [m | I], each row first
+    scaled to integer coefficients. A new row r is reduced against the pivot
+    rows P_1..P_k found so far by r <- (p_k r - r[c_k] P_k) / p_(k-1), with
+    c_k the pivot column of P_k, p_k = P_k[c_k] and p_0 = 1; by Sylvester's
+    identity every division is exact. A row whose left part vanishes yields a
+    kernel vector; any other row becomes a pivot row at its nonzero entry of
+    least total degree.
     """
-    variables = m.vars
-    work = []
-    for i in range(m.nrows):
-        left = list(m.rows[i])
-        right = [Poly.const(variables, 1 if j == i else 0) for j in range(m.nrows)]
-        work.append((left, right))
-
-    def strip_content(pair):
-        left, right = pair
-        c = rational_content(v for p in left + right for v in p.terms.values())
-        if c not in (0, 1):
-            left = [p.scale(1 / c) for p in left]
-            right = [p.scale(1 / c) for p in right]
-        return (left, right)
-
-    done = 0  # rows 0..done-1 hold pivots
-    for col in range(m.ncols):
-        # smallest-degree nonzero pivot keeps intermediate growth down
-        cands = [i for i in range(done, len(work)) if not work[i][0][col].is_zero()]
-        if not cands:
-            continue
-        piv = min(cands, key=lambda i: (work[i][0][col].total_degree(), i))
-        work[done], work[piv] = work[piv], work[done]
-        pl, pr = work[done]
-        pv = pl[col]
-        for i in range(done + 1, len(work)):
-            il, ir = work[i]
-            e = il[col]
-            if e.is_zero():
-                continue
-            nl = [pv * a - e * b for a, b in zip(il, pl)]
-            nr = [pv * a - e * b for a, b in zip(ir, pr)]
-            work[i] = strip_content((nl, nr))
-        done += 1
-
+    ncols = m.ncols
+    one = (0,) * len(m.vars)
+    pivots = []  # (column, pivot, row)
     kernel = []
-    for left, right in work[done:]:
-        if all(p.is_zero() for p in left):
-            kernel.append(_normalize_kernel_vector(right))
-    kernel.sort(key=lambda v: [p.render() for p in v])
+    for i, src in enumerate(m.rows):
+        den = math.lcm(*(c.denominator for p in src for c in p.terms.values()))
+        row = [{ex: c.numerator * (den // c.denominator) for ex, c in p.terms.items()}
+               for p in src]
+        row += [{one: den} if j == i else {} for j in range(m.nrows)]
+        prev = {one: 1}
+        for col, pv, prow in pivots:
+            e = row[col]
+            nxt = []
+            for x, y in zip(row, prow):
+                v = _zsub(_zmul(pv, x), _zmul(e, y)) if e and y else _zmul(pv, x)
+                v = _zdiv(v, prev)
+                if v is None:
+                    raise RuntimeError("inexact Bareiss division in left_nullspace")
+                nxt.append(v)
+            row, prev = nxt, pv
+        left = row[:ncols]
+        if any(left):
+            col = min((j for j in range(ncols) if left[j]),
+                      key=lambda j: (max(map(sum, left[j])), j))
+            pivots.append((col, left[col], row))
+        else:
+            kernel.append(_normalize_kernel_vector([Poly(m.vars, x) for x in row[ncols:]]))
     return kernel
 
 

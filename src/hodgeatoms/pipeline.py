@@ -116,7 +116,11 @@ def _stage_period(run: PipelineRun, state: Dict[str, Any]) -> None:
 
     # the one period series of the run, padded for the operators applied to it
     reg_q, content = transform_even_operator(src.regularized)
-    series = period_coefficients(spec, order + reg_q.q_degree())
+    try:
+        series = period_coefficients(spec, order + reg_q.q_degree())
+    except ValueError as e:
+        run.check("period.initial_coefficient", False, str(e))
+        raise StageFailure(str(e)) from e
     g = series.truncate(order)
     run.check("period.initial_coefficient", g.coeff(0) == 1, "a_0 = 1")
 

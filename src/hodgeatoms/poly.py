@@ -7,8 +7,10 @@ aligned with the variable tuple. Zero coefficients are never stored.
 
 from __future__ import annotations
 
+import heapq
 import math
 from fractions import Fraction
+from operator import add, neg, sub
 from typing import Iterable, Mapping, Tuple, Union
 
 Scalar = Union[int, Fraction]
@@ -297,6 +299,104 @@ class Poly:
         return f"Poly({self.render()})"
 
 
+# -- integer kernel ------------------------------------------------------------
+#
+# Polynomials over Z as dicts from exponent tuples to nonzero ints. The
+# elimination path and the gcd run on these, without Fraction or Poly.
+
+def _zprimitive(p: Poly) -> Tuple[dict, Fraction]:
+    """(P, c) with p = c*P, P primitive over Z and c > 0; p nonzero."""
+    c = p.content()
+    num, den = c.numerator, c.denominator
+    return {ex: v.numerator * (den // v.denominator) // num
+            for ex, v in p.terms.items()}, c
+
+
+def _zmul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    get = out.get
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            ex = tuple(map(add, ea, eb))
+            out[ex] = get(ex, 0) + ca * cb
+    return {ex: c for ex, c in out.items() if c}
+
+
+def _zsub(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for ex, c in b.items():
+        out[ex] = out.get(ex, 0) - c
+    return {ex: c for ex, c in out.items() if c}
+
+
+def _zdiv(a: dict, b: dict) -> dict | None:
+    """Quotient a/b over Z, or None when b (nonzero) does not divide a.
+
+    Leading terms come off a heap; a monomial popped once never comes back,
+    since every later term lies below it in graded-lex order.
+    """
+    if not a:
+        return {}
+    bex = max(b, key=_grlex_key)
+    bc = b[bex]
+    rest = [(ex, c) for ex, c in b.items() if ex != bex]
+    rem = dict(a)
+    heap = [(-sum(ex), tuple(map(neg, ex)), ex) for ex in rem]
+    heapq.heapify(heap)
+    quot = {}
+    while heap:
+        ex = heapq.heappop(heap)[2]
+        c = rem.pop(ex)
+        if not c:
+            continue
+        f, r = divmod(c, bc)
+        dif = tuple(map(sub, ex, bex))
+        if r or min(dif, default=0) < 0:
+            return None
+        quot[dif] = f
+        for ex2, c2 in rest:
+            tgt = tuple(map(add, dif, ex2))
+            v = rem.get(tgt)
+            if v is None:
+                rem[tgt] = -f * c2
+                heapq.heappush(heap, (-sum(tgt), tuple(map(neg, tgt)), tgt))
+            else:
+                rem[tgt] = v - f * c2
+    return quot
+
+
+def _zevaluate(f: dict, xi: int) -> dict:
+    """f at first variable = xi, over the remaining variables."""
+    powers = [1]
+    for _ in range(max(ex[0] for ex in f)):
+        powers.append(powers[-1] * xi)
+    out: dict = {}
+    for ex, c in f.items():
+        out[ex[1:]] = out.get(ex[1:], 0) + c * powers[ex[0]]
+    return {ex: c for ex, c in out.items() if c}
+
+
+def _zinterpolate(h: dict, xi: int) -> dict:
+    """The polynomial in a new first variable whose coefficients are the
+    balanced base-xi digits of h's, so that it equals h at that variable = xi."""
+    out = {}
+    half = xi // 2
+    k = 0
+    while h:
+        rest = {}
+        for ex, c in h.items():
+            d = c % xi
+            if d > half:
+                d -= xi
+            if d:
+                out[(k,) + ex] = d
+            if c != d:
+                rest[ex] = (c - d) // xi
+        h = rest
+        k += 1
+    return out
+
+
 def exact_div(a: Poly, b: Poly) -> Poly:
     """Quotient a/b when b divides a exactly; ValueError otherwise."""
     if b.is_zero():
@@ -304,26 +404,13 @@ def exact_div(a: Poly, b: Poly) -> Poly:
     a._check(b)
     if a.is_zero():
         return Poly.zero(a.vars)
-    bex = max(b.terms, key=_grlex_key)
-    bc = b.terms[bex]
-    rem = dict(a.terms)
-    quot: dict = {}
-    while rem:
-        # if the division is exact, the leading term always cancels
-        aex = max(rem, key=_grlex_key)
-        dif = tuple(x - y for x, y in zip(aex, bex))
-        if any(d < 0 for d in dif):
-            raise ValueError("not exactly divisible")
-        f = rem[aex] / bc
-        quot[dif] = quot.get(dif, Fraction(0)) + f
-        for ex2, c2 in b.terms.items():
-            tgt = tuple(d + e for d, e in zip(dif, ex2))
-            v = rem.get(tgt, Fraction(0)) - f * c2
-            if v:
-                rem[tgt] = v
-            else:
-                rem.pop(tgt, None)
-    return Poly(a.vars, quot)
+    (za, ca), (zb, cb) = _zprimitive(a), _zprimitive(b)
+    # b's primitive part divides a's over Q exactly when it does over Z (Gauss)
+    quot = _zdiv(za, zb)
+    if quot is None:
+        raise ValueError("not exactly divisible")
+    k = ca / cb
+    return Poly(a.vars, {ex: c * k for ex, c in quot.items()})
 
 
 def normal_form(p: Poly) -> Poly:
@@ -339,7 +426,7 @@ def _univariate_parts(p: Poly, name: str) -> Tuple[Poly, Poly]:
     coeffs = [p.coeff_of(name, k) for k in range(p.degree_in(name) + 1)]
     cont = Poly.zero(p.vars)
     for c in coeffs:
-        cont = poly_gcd(cont, c)
+        cont = _prs_gcd(cont, c)
     return cont, exact_div(p, cont)
 
 
@@ -354,12 +441,9 @@ def _pseudo_rem(f: Poly, g: Poly, name: str) -> Poly:
     return r
 
 
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Gcd over Q[vars], primitive with positive leading coefficient.
-
-    Primitive pseudo-remainder sequence on the last variable present;
-    rationals are units, so the base case is the constant 1.
-    """
+def _prs_gcd(a: Poly, b: Poly) -> Poly:
+    """Gcd over Q[vars] by the primitive pseudo-remainder sequence on the last
+    variable present; rationals are units, so the base case is the constant 1."""
     if a.is_zero():
         return normal_form(b)
     if b.is_zero():
@@ -372,7 +456,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     name = present[-1]
     ca, pa = _univariate_parts(a, name)
     cb, pb = _univariate_parts(b, name)
-    cg = poly_gcd(ca, cb)
+    cg = _prs_gcd(ca, cb)
     f, g = pa, pb
     if f.degree_in(name) < g.degree_in(name):
         f, g = g, f
@@ -382,11 +466,73 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return normal_form(cg * _univariate_parts(f, name)[1])
 
 
+# evaluation points GCDHEU tries before it gives up
+HEU_POINTS = 6
+
+
+def _heu_gcd(f: dict, g: dict) -> dict | None:
+    """Gcd over Z of two nonzero integer polynomials by GCDHEU (Char, Geddes
+    and Gonnet 1989), or None when HEU_POINTS evaluation points do not give it.
+
+    The first variable is evaluated at an integer xi, the gcd of the images
+    is taken one variable down, and its balanced base-xi digits give the
+    candidate. With xi >= 2 min(|f|, |g|) + 2 (max norms), a primitive
+    candidate that divides both f and g is their gcd.
+    """
+    if not next(iter(f)):
+        return {(): math.gcd(f[()], g[()])}
+    cont = math.gcd(math.gcd(*f.values()), math.gcd(*g.values()))
+    if cont > 1:
+        f = {ex: c // cont for ex, c in f.items()}
+        g = {ex: c // cont for ex, c in g.items()}
+    if not any(ex[0] for ex in f) and not any(ex[0] for ex in g):
+        h = _heu_gcd({ex[1:]: c for ex, c in f.items()}, {ex[1:]: c for ex, c in g.items()})
+        return None if h is None else {(0,) + ex: c * cont for ex, c in h.items()}
+    xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 2
+    for _ in range(HEU_POINTS):
+        ff, gg = _zevaluate(f, xi), _zevaluate(g, xi)
+        if ff and gg:
+            h = _heu_gcd(ff, gg)
+            if h is None:
+                return None
+            h = _zinterpolate(h, xi)
+            c = math.gcd(*h.values())
+            h = {ex: v // c for ex, v in h.items()}
+            if _zdiv(f, h) is not None and _zdiv(g, h) is not None:
+                return {ex: v * cont for ex, v in h.items()}
+        xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
+    return None
+
+
+def poly_gcd(a: Poly, b: Poly) -> Poly:
+    """Gcd over Q[vars], primitive with positive leading coefficient.
+
+    GCDHEU on the primitive integer multiples of a and b; the primitive PRS
+    when it gives up.
+    """
+    if a.is_zero() or b.is_zero():
+        return normal_form(b if a.is_zero() else a)
+    a._check(b)
+    h = _heu_gcd(_zprimitive(a)[0], _zprimitive(b)[0])
+    return _prs_gcd(a, b) if h is None else normal_form(Poly(a.vars, h))
+
+
 def poly_gcd_many(polys) -> Poly:
-    it = iter(polys)
-    out = next(it)
-    for p in it:
-        out = poly_gcd(out, p)
+    """Gcd of the nonzero polynomials in polys (0 when there are none).
+
+    Fewest terms first; the running gcd is kept while it divides the next
+    polynomial, and the scan stops once it is constant.
+    """
+    polys = list(polys)
+    todo = sorted((p for p in polys if not p.is_zero()), key=lambda p: len(p.terms))
+    if not todo:
+        return Poly.zero(polys[0].vars)
+    out = normal_form(todo[0])
+    for p in todo[1:]:
+        if out.constant_value() is not None:
+            break
+        if _zdiv(_zprimitive(p)[0], _zprimitive(out)[0]) is None:
+            out = poly_gcd(out, p)
     return out
 
 

@@ -122,18 +122,18 @@ def cyclic_rows(m: Matrix, component: int, count: int) -> Matrix:
 
 
 def eliminate(m: Matrix, component: int) -> DiffOperator:
-    """Least-order scalar operator annihilating the chosen solution component."""
-    n = m.ncols
-    for k in range(1, n + 1):
-        stack = cyclic_rows(m, component, k)
-        kernel = left_nullspace(stack)
-        if kernel:
-            vec = kernel[0]
-            if vec[k].is_zero():
-                # dependence among r_0..r_{k-1} would have been found earlier
-                raise RuntimeError("kernel vector does not involve the top row")
-            return DiffOperator(tuple(vec)).normalize()
-    raise RuntimeError("no dependence found through order n (cannot happen)")
+    """Least-order scalar operator annihilating the chosen solution component.
+
+    The first kernel vector of r_0..r_n ends at the least k with r_k
+    dependent on r_0..r_(k-1); that kernel is one-dimensional, so the
+    vector is the operator up to normalisation.
+    """
+    kernel = left_nullspace(cyclic_rows(m, component, m.ncols))
+    if not kernel:
+        raise RuntimeError("no dependence found through order n (cannot happen)")
+    vec = kernel[0]
+    top = max(k for k, c in enumerate(vec) if not c.is_zero())
+    return DiffOperator(tuple(vec[:top + 1])).normalize()
 
 
 def cofactor_identity_holds(op: DiffOperator, m: Matrix, component: int) -> bool:

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from hodgeatoms.ansatz import (DegreeRule, apply_param_names, build_ansatz,
                                substitute_params)
@@ -12,6 +13,10 @@ from hodgeatoms.periods import PeriodSpec, period_coefficients
 from hodgeatoms.pipeline import run_pipeline
 from hodgeatoms.qde import eliminate
 from hodgeatoms.spectrum import SpectrumReport, block_spectrum
+
+# the same examples on every run, and no wall-clock deadline on a slow host
+settings.register_profile("tier1", derandomize=True, deadline=None, database=None)
+settings.load_profile("tier1")
 
 SOLUTION = {"s": Fraction(2), "t": Fraction(6), "u": Fraction(2), "v": Fraction(16)}
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from hodgeatoms import pipeline
+from hodgeatoms import periods, pipeline
 from hodgeatoms.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -92,6 +92,49 @@ def test_internal_error_fails_the_stage(capsys, monkeypatch, target, stage, chec
     assert {"name": stage, "status": "failed",
             "reason": f"{reason}: invariant broken"} in cert["stages"]
     assert {"name": check, "passed": False, "detail": "invariant broken"} in cert["checks"]
+
+
+def test_period_source_not_starting_at_one_fails_the_stage(capsys, monkeypatch, tmp_path):
+    verra = periods.get_source("verra-eq3")
+    monkeypatch.setitem(periods.REGISTRY, "doubled", periods.PeriodSource(
+        name="doubled", description="a_0 = 2",
+        coefficient=lambda m: 2 * verra.coefficient(m), regularized=verra.regularized))
+    text = (ROOT / "src" / "hodgeatoms" / "data" / "verra.instance").read_text()
+    path = tmp_path / "doubled.instance"
+    path.write_text(text.replace("source=verra-eq3", "source=doubled"))
+    code, out, err = run_cli(capsys, "certify", "--format", "json", "--instance", str(path))
+    assert code == 2
+    assert "Traceback" not in err
+    cert = json.loads(out)
+    assert cert["verdict"] == "INCONCLUSIVE"
+    reason = "period source 'doubled' does not start at 1"
+    assert {"name": "period", "status": "failed", "reason": reason} in cert["stages"]
+    assert {"name": "period.initial_coefficient", "passed": False,
+            "detail": reason} in cert["checks"]
+
+
+@pytest.mark.parametrize("component", range(6))
+def test_every_component_derives_an_operator(tmp_path, component):
+    # cyclic-vector elimination from every symmetric solution component ends
+    # in an operator that passes the cofactor identity
+    text = (ROOT / "src" / "hodgeatoms" / "data" / "verra.instance").read_text()
+    path = tmp_path / "verra.instance"
+    path.write_text(text.replace("component=5", f"component={component}"))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hodgeatoms.cli", "certify", "--format", "json",
+         "--instance", str(path)],
+        env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode in (0, 2)
+    assert "Traceback" not in proc.stderr
+    cert = json.loads(proc.stdout)
+    assert cert["operator"]["status"] == "ok"
+    assert cert["operator"]["component"] == component
+    assert {"name": "eliminate.cofactor_identity", "passed": True,
+            "detail": "sum c_k r_k = 0 symbolically, parameters included"} in cert["checks"]
+    if component == 4:
+        assert hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest() == (
+            "648e66ffb483a67934be21f72c8b1f1411a4bfca78fb61af3b54a90cb74ea031")
 
 
 def test_huge_n_instance_finishes(tmp_path):

@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import assume, given, settings, strategies as st
 
-from hodgeatoms.linalg import BiPoly, Matrix, char_poly, det, left_nullspace
-from hodgeatoms.poly import Poly
+from hodgeatoms.linalg import (BiPoly, Matrix, _normalize_kernel_vector, char_poly, det,
+                               left_nullspace)
+from hodgeatoms.poly import Poly, rational_content
 
 Q = ("q",)
 TU = ("t", "u", "q")
@@ -63,6 +65,93 @@ def test_left_nullspace_sign_convention():
     m = M([[-1, -2], [-2, -4]])
     [vec] = left_nullspace(m)
     assert vec[0].leading_coefficient() > 0
+
+
+def cross_multiplying_left_nullspace(m):
+    """Reference kernel: elimination on [m | I] by cross-multiplication,
+    dividing each new row by its rational content only (no Bareiss division),
+    with the least-degree pivot per column."""
+    variables = m.vars
+    work = [(list(m.rows[i]), [Poly.const(variables, 1 if j == i else 0)
+                                for j in range(m.nrows)]) for i in range(m.nrows)]
+
+    def strip_content(left, right):
+        c = rational_content(v for p in left + right for v in p.terms.values())
+        if c not in (0, 1):
+            left = [p.scale(1 / c) for p in left]
+            right = [p.scale(1 / c) for p in right]
+        return left, right
+
+    done = 0
+    for col in range(m.ncols):
+        cands = [i for i in range(done, len(work)) if not work[i][0][col].is_zero()]
+        if not cands:
+            continue
+        piv = min(cands, key=lambda i: (work[i][0][col].total_degree(), i))
+        work[done], work[piv] = work[piv], work[done]
+        pl, pr = work[done]
+        pv = pl[col]
+        for i in range(done + 1, len(work)):
+            il, ir = work[i]
+            e = il[col]
+            if not e.is_zero():
+                work[i] = strip_content([pv * a - e * b for a, b in zip(il, pl)],
+                                        [pv * a - e * b for a, b in zip(ir, pr)])
+        done += 1
+    kernel = [_normalize_kernel_vector(right) for left, right in work[done:]
+              if all(p.is_zero() for p in left)]
+    return sorted(kernel, key=lambda v: [p.render() for p in v])
+
+
+def annihilates(vec, m):
+    return all(sum((v * m.rows[i][j] for i, v in enumerate(vec)), Poly.zero(m.vars)).is_zero()
+               for j in range(m.ncols))
+
+
+entries = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(0, 2)),
+                          st.fractions(-6, 6, max_denominator=3),
+                          max_size=3).map(lambda terms: Poly(TU, terms))
+
+
+@st.composite
+def polynomial_matrices(draw, extra_rows):
+    ncols = draw(st.integers(1, 3))
+    rows = [[draw(entries) for _ in range(ncols)] for _ in range(ncols + extra_rows)]
+    return Matrix(rows)
+
+
+@given(polynomial_matrices(1))
+def test_left_nullspace_matches_cross_multiplication(m):
+    # one-dimensional left kernels: the Bareiss kernel equals the
+    # cross-multiplying reference after normalisation
+    reference = cross_multiplying_left_nullspace(m)
+    assume(len(reference) == 1)
+    kernel = left_nullspace(m)
+    assert kernel == reference
+    assert annihilates(kernel[0], m)
+
+
+@settings(max_examples=30)
+@given(polynomial_matrices(2), st.data())
+def test_left_nullspace_vectors_annihilate(m, data):
+    # a row that is a polynomial combination of the others adds a kernel vector
+    coeffs = [data.draw(entries) for _ in range(m.nrows)]
+    extra = [sum((c * row[j] for c, row in zip(coeffs, m.rows)), Poly.zero(TU))
+             for j in range(m.ncols)]
+    m = Matrix(m.rows + [extra])
+    kernel = left_nullspace(m)
+    assert len(kernel) == len(cross_multiplying_left_nullspace(m))
+    for vec in kernel:
+        assert annihilates(vec, m)
+        assert any(not p.is_zero() for p in vec)
+
+
+def test_left_nullspace_vectors_follow_their_rows():
+    # kernel vectors come in the order of the row each one ends at
+    m = M([[1, 0], [2, 0], [0, 1], [0, 3]])
+    assert left_nullspace(m) == [
+        [Poly.const(Q, 2), Poly.const(Q, -1), Poly.zero(Q), Poly.zero(Q)],
+        [Poly.zero(Q), Poly.zero(Q), Poly.const(Q, 3), Poly.const(Q, -1)]]
 
 
 def test_det_examples():

@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, strategies as st
 
-from hodgeatoms.poly import LaurentPoly, Poly, exact_div, poly_gcd, poly_gcd_many
+from hodgeatoms import poly
+from hodgeatoms.poly import LaurentPoly, Poly, exact_div, normal_form, poly_gcd, poly_gcd_many
 
 V = ("s", "t", "q")
 
@@ -182,6 +184,47 @@ def test_poly_gcd_matches_sympy():
         assert ratio.is_Rational and ratio != 0
         assert exact_div(a, ours) * ours == a
         assert exact_div(b, ours) * ours == b
+
+
+integer_polys = st.dictionaries(
+    st.tuples(*(st.integers(0, 2) for _ in V)), st.integers(-9, 9),
+    min_size=1, max_size=4).map(P)
+
+
+@given(integer_polys, integer_polys, integer_polys)
+def test_poly_gcd_is_the_prs_gcd(a, b, g):
+    if g.is_zero():
+        g = Poly.const(V, 1)
+    x, y = a * g, b * g
+    h = poly_gcd(x, y)
+    assert h == poly._prs_gcd(x, y)
+    if x.is_zero() and y.is_zero():
+        assert h.is_zero()
+        return
+    for p in (x, y):
+        assert exact_div(p, h) * h == p
+    exact_div(h, g)
+
+
+def test_poly_gcd_falls_back_to_prs(monkeypatch):
+    s, t, q = (Poly.var(V, n) for n in V)
+    calls = []
+
+    def give_up(f, g):
+        calls.append((f, g))
+        return None
+
+    monkeypatch.setattr(poly, "_heu_gcd", give_up)
+    a, b = (s - 2 * t) * (q + 3) * q, (s - 2 * t) * (t * q - 1)
+    assert poly_gcd(a, b) == s - 2 * t
+    assert calls
+
+
+def test_heuristic_gcd_without_fallback():
+    s, t, q = (Poly.var(V, n) for n in V)
+    g = 7 * s * t * q - 3 * q * q + 5
+    f = poly._heu_gcd(poly._zprimitive(g * (s + q))[0], poly._zprimitive(g * (t - 1))[0])
+    assert normal_form(Poly(V, f)) == normal_form(g)
 
 
 def test_poly_gcd_many():
