@@ -254,10 +254,3 @@ def load_instance(path: str) -> InstanceSpec:
         return parse_instance_text(bundled.read_text(encoding="utf-8"), name=path)
     raise InstanceError(f"no such instance file or bundled instance: {path!r}")
 
-
-def bundled_instance_names() -> List[str]:
-    names = []
-    for entry in resources.files("hodgeatoms").joinpath("data").iterdir():
-        if entry.name.endswith(".instance"):
-            names.append(entry.name[: -len(".instance")])
-    return sorted(names)

@@ -3,9 +3,11 @@
 Kernels come from Bareiss's fraction-free elimination on integer
 polynomials: every division is exact, so entries grow like minors
 instead of like nested cross-products, and no rational-function entry
-appears. Determinants expand by minors with subset memoisation; `rref`
-is Gauss-Jordan over Q for the small numeric systems of the ansatz, the
-solver and the cohomology coordinates.
+appears. Kernel vectors are returned unnormalised; the one normal form
+of an operator vector is `qde.DiffOperator.normalize`. Determinants
+expand by minors with subset memoisation; `rref` is Gauss-Jordan over Q
+for the small numeric systems of the ansatz, the solver and the
+cohomology coordinates.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, List, Mapping
 
-from .poly import Poly, _zdiv, _zmul, _zsub, exact_div, poly_gcd_many, rational_content
+from .poly import Poly, _zdiv, _zmul, _zsub
 
 
 class Matrix:
@@ -119,26 +121,12 @@ def rref(rows: List[List[Fraction]], ncols: int) -> List[int]:
     return pivots
 
 
-def _normalize_kernel_vector(vec: List[Poly]) -> List[Poly]:
-    # divide by the collective polynomial content, then make the first
-    # nonzero cofactor's leading coefficient positive under graded-lex
-    g = poly_gcd_many([p for p in vec if not p.is_zero()] or [vec[0]])
-    if not g.is_zero() and g.constant_value() != 1:
-        vec = [exact_div(p, g) for p in vec]
-    c = rational_content(v for p in vec for v in p.terms.values())
-    if c not in (0, 1):
-        vec = [p.scale(1 / c) for p in vec]
-    for p in vec:
-        if not p.is_zero():
-            if p.leading_coefficient() < 0:
-                vec = [x.scale(-1) for x in vec]
-            break
-    return vec
-
-
 def left_nullspace(m: Matrix) -> List[List[Poly]]:
-    """Basis of {v : v . m = 0}: primitive vectors with a fixed sign
-    convention, in the order of the row each one ends at.
+    """Basis of {v : v . m = 0}, in the order of the row each vector ends at.
+
+    The vectors are returned as the elimination leaves them: integer
+    coefficients, neither content-free nor sign-normalised (callers that
+    need a normal form take it, as `DiffOperator.normalize` does).
 
     Row-incremental Bareiss elimination over Z on [m | I], each row first
     scaled to integer coefficients. A new row r is reduced against the pivot
@@ -174,7 +162,7 @@ def left_nullspace(m: Matrix) -> List[List[Poly]]:
                       key=lambda j: (max(map(sum, left[j])), j))
             pivots.append((col, left[col], row))
         else:
-            kernel.append(_normalize_kernel_vector([Poly(m.vars, x) for x in row[ncols:]]))
+            kernel.append([Poly(m.vars, x) for x in row[ncols:]])
     return kernel
 
 

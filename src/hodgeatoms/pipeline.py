@@ -75,17 +75,11 @@ def run_pipeline(instance: InstanceSpec, through: str = "verdict",
     failed_at: Optional[str] = None
     for idx, stage in enumerate(STAGES):
         section = _SECTION_OF.get(stage, stage)
-        if idx > limit:
-            run.stages.append({"name": stage, "status": "not run",
-                               "reason": f"run limited through {through}"})
-            run.sections.setdefault(section, {"status": "not run",
-                                              "reason": f"run limited through {through}"})
-            continue
-        if failed_at is not None:
-            run.stages.append({"name": stage, "status": "not run",
-                               "reason": f"upstream failure in {failed_at}"})
-            run.sections.setdefault(section, {"status": "not run",
-                                              "reason": f"upstream failure in {failed_at}"})
+        skip = (f"run limited through {through}" if idx > limit else
+                f"upstream failure in {failed_at}" if failed_at is not None else None)
+        if skip is not None:
+            run.stages.append({"name": stage, "status": "not run", "reason": skip})
+            run.sections.setdefault(section, {"status": "not run", "reason": skip})
             continue
         runner = _STAGE_RUNNERS[stage]
         try:

@@ -97,15 +97,7 @@ class Poly:
         return Poly.const(self.vars, other)
 
     def __add__(self, other) -> "Poly":
-        other = self._coerce(other)
-        out = dict(self.terms)
-        for ex, c in other.terms.items():
-            s = out.get(ex, Fraction(0)) + c
-            if s == 0:
-                out.pop(ex, None)
-            else:
-                out[ex] = s
-        return Poly(self.vars, out)
+        return Poly(self.vars, _zadd(self.terms, self._coerce(other).terms))
 
     __radd__ = __add__
 
@@ -113,23 +105,13 @@ class Poly:
         return Poly(self.vars, {ex: -c for ex, c in self.terms.items()})
 
     def __sub__(self, other) -> "Poly":
-        return self + (-self._coerce(other))
+        return Poly(self.vars, _zsub(self.terms, self._coerce(other).terms))
 
     def __rsub__(self, other) -> "Poly":
-        return self._coerce(other) + (-self)
+        return Poly(self.vars, _zsub(self._coerce(other).terms, self.terms))
 
     def __mul__(self, other) -> "Poly":
-        other = self._coerce(other)
-        out: dict = {}
-        for ex1, c1 in self.terms.items():
-            for ex2, c2 in other.terms.items():
-                ex = tuple(a + b for a, b in zip(ex1, ex2))
-                s = out.get(ex, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(ex, None)
-                else:
-                    out[ex] = s
-        return Poly(self.vars, out)
+        return Poly(self.vars, _zmul(self.terms, self._coerce(other).terms))
 
     __rmul__ = __mul__
 
@@ -299,10 +281,12 @@ class Poly:
         return f"Poly({self.render()})"
 
 
-# -- integer kernel ------------------------------------------------------------
+# -- term-dict kernel ----------------------------------------------------------
 #
-# Polynomials over Z as dicts from exponent tuples to nonzero ints. The
-# elimination path and the gcd run on these, without Fraction or Poly.
+# Polynomials as dicts from exponent tuples to nonzero coefficients. Poly's
+# ring operations run _zadd, _zsub and _zmul on Fraction values; the
+# elimination path and the gcd run the same code on ints (over Z), without
+# Fraction or Poly, and _zdiv and the GCDHEU helpers are for ints only.
 
 def _zprimitive(p: Poly) -> Tuple[dict, Fraction]:
     """(P, c) with p = c*P, P primitive over Z and c > 0; p nonzero."""
@@ -319,6 +303,13 @@ def _zmul(a: dict, b: dict) -> dict:
         for eb, cb in b.items():
             ex = tuple(map(add, ea, eb))
             out[ex] = get(ex, 0) + ca * cb
+    return {ex: c for ex, c in out.items() if c}
+
+
+def _zadd(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for ex, c in b.items():
+        out[ex] = out.get(ex, 0) + c
     return {ex: c for ex, c in out.items() if c}
 
 

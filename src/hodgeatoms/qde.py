@@ -149,43 +149,28 @@ def cofactor_identity_holds(op: DiffOperator, m: Matrix, component: int) -> bool
     return True
 
 
-def _q_slices(op: DiffOperator, qvar: str) -> List[Tuple[int, int, Poly]]:
-    """The nonzero slices c_k[q^j] as (k, j, slice), in (k, j) order."""
-    out = []
-    for k, c in enumerate(op.coeffs):
-        for j in range(c.degree_in(qvar) + 1):
-            cj = c.coeff_of(qvar, j)
-            if not cj.is_zero():
-                out.append((k, j, cj))
-    return out
-
-
 def apply(op: DiffOperator, f: Series, qvar: str = "q") -> Series:
     """Apply a parameter-free operator; the result is exact through
     f.order minus the operator's q-degree."""
     extra = op.parameters_present(qvar)
     if extra:
         raise ValueError(f"operator carries unknown parameters {extra}")
-    out_order = f.order - op.q_degree(qvar)
-    if out_order < 0:
+    if f.order < op.q_degree(qvar):
         raise ValueError("series too short for this operator")
-    table = [(k, j, cj.constant_value()) for k, j, cj in _q_slices(op, qvar)]
-    fc = f.coeffs
-    out = []
-    for mo in range(out_order + 1):
-        acc = Fraction(0)
-        for k, j, cj in table:
-            if j <= mo:
-                acc += cj * (mo - j) ** k * fc[mo - j]
-        out.append(acc)
-    return Series(out)
+    return Series([c.constant_value() for c in apply_symbolic(op, f, qvar)])
 
 
 def apply_symbolic(op: DiffOperator, f: Series, qvar: str = "q") -> List[Poly]:
     """Coefficients of apply(op, f) when the operator still carries parameters;
     entry m is a polynomial in the parameters."""
     out_order = f.order - op.q_degree(qvar)
-    table = [(k, j, list(cj.terms.items())) for k, j, cj in _q_slices(op, qvar)]
+    # the nonzero slices c_k[q^j] as (k, j, terms)
+    table = []
+    for k, c in enumerate(op.coeffs):
+        for j in range(c.degree_in(qvar) + 1):
+            cj = c.coeff_of(qvar, j)
+            if not cj.is_zero():
+                table.append((k, j, list(cj.terms.items())))
     fc = f.coeffs
     out = []
     for mo in range(out_order + 1):

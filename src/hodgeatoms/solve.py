@@ -10,13 +10,13 @@ Nothing is ever guessed: states the loop cannot reduce are reported.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .linalg import rref
 from .poly import Poly, normal_form
+from .spectrum import rational_roots
 
 
 class SolveError(ValueError):
@@ -31,30 +31,6 @@ class SolveReport:
     solutions: Tuple[Tuple[Fraction, ...], ...]  # full solution set, param order
     accepted: Tuple[Tuple[Fraction, ...], ...]
     rejected: Tuple[Tuple[Tuple[Fraction, ...], str], ...]
-
-
-def _rational_sqrt(x: Fraction) -> Optional[Fraction]:
-    if x < 0:
-        return None
-    rn, rd = math.isqrt(x.numerator), math.isqrt(x.denominator)
-    if rn * rn == x.numerator and rd * rd == x.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
-def _substitute_var(e: Poly, var: int, rule: Poly) -> Poly:
-    """Replace variable #var by the rule polynomial, exactly."""
-    n = len(e.vars)
-    out = Poly.zero(e.vars)
-    for ex, c in e.terms.items():
-        k = ex[var]
-        base = list(ex)
-        base[var] = 0
-        term = Poly(e.vars, {tuple(base): c})
-        for _ in range(k):
-            term = term * rule
-        out = out + term
-    return out
 
 
 def _classify(e: Poly) -> Tuple[List[int], int]:
@@ -179,22 +155,18 @@ def _back_substitute(reduced: List[Poly], params: Tuple[str, ...]):
         if kind in ("assign", "rewrite"):
             c = e.terms[unit]
             rule = Poly(params, {ex: -v / c for ex, v in e.terms.items() if ex != unit})
-            new_eqs = [_substitute_var(x, var, rule) for x in rest]
+            new_eqs = [x.substitute({params[var]: rule}) for x in rest]
             if kind == "assign":
                 stack.append((rules, {**assign, var: rule.constant_value() or Fraction(0)}, new_eqs))
             else:
                 stack.append((rules + [(var, rule)], assign, new_eqs))
         else:
-            sq = tuple(2 if i == var else 0 for i in range(nvars))
-            a = e.terms.get(sq, Fraction(0))
-            b = e.terms.get(unit, Fraction(0))
-            c = e.terms.get(zero_ex, Fraction(0))
-            root = _rational_sqrt(b * b - 4 * a * c)
-            if root is None:
+            roots = rational_roots([e.terms.get(tuple(k * u for u in unit), Fraction(0))
+                                    for k in range(3)])
+            if len(roots) < 2:
                 raise SolveError(f"unsolved: irrational roots of {e.render()} = 0")
-            for r in sorted({(-b + root) / (2 * a), (-b - root) / (2 * a)}):
-                rule = Poly.const(params, r)
-                new_eqs = [_substitute_var(x, var, rule) for x in rest]
+            for r in sorted(set(roots)):
+                new_eqs = [x.substitute({params[var]: r}) for x in rest]
                 stack.append((rules, {**assign, var: r}, new_eqs))
 
     solutions = set()

@@ -67,11 +67,13 @@ class SpectrumReport:
         return SpectrumReport(self.plus, self.minus, r)
 
 
-def _rational_roots(coeffs: List[Fraction]) -> List[Fraction]:
-    """All rational roots with multiplicity, via divisor candidates.
+def rational_roots(coeffs: List[Fraction]) -> List[Fraction]:
+    """All rational roots with multiplicity; coeffs[k] is the y^k coefficient.
 
-    coeffs[k] is the y^k coefficient. The callers demand a full split
-    over Q and raise when the returned count falls short of the degree.
+    Zero roots come off first. A linear factor's root is taken directly and a
+    quadratic's from its discriminant; only degree 3 and up searches the
+    divisor candidates. The callers demand a full split over Q and raise when
+    the returned count falls short of the degree.
     """
     work = list(coeffs)
     while work and work[-1] == 0:
@@ -79,21 +81,26 @@ def _rational_roots(coeffs: List[Fraction]) -> List[Fraction]:
     if len(work) <= 1:
         raise TemplateError("degenerate polynomial in the square variable")
     roots: List[Fraction] = []
-    while len(work) > 1:
-        while work[0] == 0:
-            roots.append(Fraction(0))
-            work = work[1:]
-            if len(work) == 1:
-                return roots
-        if len(work) == 2:
-            # a linear factor's root needs no divisor search
-            return roots + [-work[0] / work[1]]
+    while work[0] == 0:
+        roots.append(Fraction(0))
+        work = work[1:]
+    while len(work) > 3:
         found = next((cand for cand in _root_candidates(work)
                       if _eval_poly(work, cand) == 0), None)
         if found is None:
             return roots
         roots.append(found)
         work = _synthetic_div(work, found)
+    if len(work) == 2:
+        return roots + [-work[0] / work[1]]
+    if len(work) == 3:
+        c, b, a = work
+        disc = b * b - 4 * a * c
+        if disc >= 0:
+            rn, rd = math.isqrt(disc.numerator), math.isqrt(disc.denominator)
+            if rn * rn == disc.numerator and rd * rd == disc.denominator:
+                root = Fraction(rn, rd)
+                roots += [(-b - root) / (2 * a), (-b + root) / (2 * a)]
     return roots
 
 
@@ -153,7 +160,7 @@ def factor_template(chi: BiPoly, block: str) -> BlockSpectrum:
         if p.degree_in("q") != want or sum(ex) != want:
             raise TemplateError(f"{block}: lam^{2 * k + a} coefficient has q-degree != {want}")
         alphas.append(c)
-    roots = _rational_roots(alphas) if f else []
+    roots = rational_roots(alphas) if f else []
     if len(roots) != f:
         raise TemplateError(f"{block}: square polynomial does not split over Q")
 
@@ -197,7 +204,7 @@ def reciprocity_check(regularized: DiffOperator, report: SpectrumReport,
         if c is None:
             raise TemplateError("leading coefficient is not constant in the parameters")
         ycoeffs.append(c)
-    roots = _rational_roots(ycoeffs)
+    roots = rational_roots(ycoeffs)
     if len(roots) != (len(ycoeffs) - 1):
         raise TemplateError("leading coefficient does not split into linear factors in t^2")
     singular = tuple(sorted(set(roots)))

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from hodgeatoms import periods, pipeline
+from hodgeatoms import linalg, periods, pipeline, poly, qde
 from hodgeatoms.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -113,6 +113,18 @@ def test_period_source_not_starting_at_one_fails_the_stage(capsys, monkeypatch, 
             "detail": reason} in cert["checks"]
 
 
+# sha256 of `certify --format json` from each symmetric component (an
+# instance file named verra.instance); component 5 is certificate.json
+COMPONENT_SHA256 = {
+    0: "2f9310a8c6352211a7d8e5731bb65ff60675ade9fc7668df08c3e71e7617250a",
+    1: "d2a6e1c2c79d1b8a2710b91ab1af89688a4e65267104525cffed03d6607a7f55",
+    2: "b65613c586d0a55b6ffcbeaa721a2e2f0e4470812598399ed6d699a2f0a50da0",
+    3: "ce1b04f08e17db6fe6dfbf8bb0f65c72dc866f63660a3231fbbd1250bc2093df",
+    4: "648e66ffb483a67934be21f72c8b1f1411a4bfca78fb61af3b54a90cb74ea031",
+    5: "9920da4c89b60f6e4f17f9a4b8a9483783bc64e52f465817b37d91c530844e47",
+}
+
+
 @pytest.mark.parametrize("component", range(6))
 def test_every_component_derives_an_operator(tmp_path, component):
     # cyclic-vector elimination from every symmetric solution component ends
@@ -132,9 +144,29 @@ def test_every_component_derives_an_operator(tmp_path, component):
     assert cert["operator"]["component"] == component
     assert {"name": "eliminate.cofactor_identity", "passed": True,
             "detail": "sum c_k r_k = 0 symbolically, parameters included"} in cert["checks"]
-    if component == 4:
-        assert hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest() == (
-            "648e66ffb483a67934be21f72c8b1f1411a4bfca78fb61af3b54a90cb74ea031")
+    assert hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest() == COMPONENT_SHA256[component]
+
+
+def test_one_content_gcd_per_elimination(capsys, monkeypatch, tmp_path):
+    # the kernel vector's polynomial content is taken once, in the operator
+    # normal form
+    calls = []
+    original = poly.poly_gcd_many
+
+    def counted(polys):
+        calls.append(polys)
+        return original(polys)
+
+    for module in (poly, linalg, qde):
+        if hasattr(module, "poly_gcd_many"):
+            monkeypatch.setattr(module, "poly_gcd_many", counted)
+    text = (ROOT / "src" / "hodgeatoms" / "data" / "verra.instance").read_text()
+    path = tmp_path / "verra.instance"
+    path.write_text(text.replace("component=5", "component=0"))
+    code, out, _ = run_cli(capsys, "derive-operator", "--instance", str(path))
+    assert code == 2
+    assert "order 6 operator for component y_0:" in out
+    assert len(calls) == 1
 
 
 def test_huge_n_instance_finishes(tmp_path):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from hodgeatoms.linalg import Matrix, left_nullspace
 from hodgeatoms.periods import get_source, regularized_coefficients
 from hodgeatoms.poly import Poly
 from hodgeatoms.qde import (DiffOperator, apply, apply_symbolic,
@@ -65,6 +66,19 @@ def test_normalize():
     c0 = Poly(vars3, {(0, 1): Fraction(4)})
     op = DiffOperator((c0, c1)).normalize()
     assert op.render() == "s*D - 2"
+
+
+def test_normalize_strips_polynomial_content():
+    # the kernel of the stack (t q, u q) is (u q, -t q) up to a constant; the
+    # collective factor q comes out in the operator normal form, not just the
+    # rational content, and the top coefficient's sign is made positive
+    TU = ("t", "u", "q")
+    t = Poly.var(TU, "t") * Poly.var(TU, "q")
+    u = Poly.var(TU, "u") * Poly.var(TU, "q")
+    [vec] = left_nullspace(Matrix([[t], [u]]))
+    op = DiffOperator(tuple(vec)).normalize()
+    assert op.coeffs == (Poly.var(TU, "u").scale(-1), Poly.var(TU, "t"))
+    assert DiffOperator((u.scale(3), t.scale(-3))).normalize() == op
 
 
 def test_cyclic_rows_first_two(sym_ansatz, verra):

@@ -1,6 +1,10 @@
 """Eigenvalue template factoring and the reciprocity comparison."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -8,7 +12,7 @@ from hodgeatoms.linalg import BiPoly, char_poly
 from hodgeatoms.periods import get_source
 from hodgeatoms.poly import Poly
 from hodgeatoms.qde import DiffOperator
-from hodgeatoms.spectrum import (TemplateError, _divisors, _rational_roots, block_spectrum,
+from hodgeatoms.spectrum import (TemplateError, _divisors, block_spectrum, rational_roots,
                                  factor_template, reciprocity_check)
 
 Q = ("q",)
@@ -126,4 +130,24 @@ def test_divisors_ascending():
 def test_rational_roots_large_coefficients():
     # (y - 2) (4000000000001 y + 3): a quadratic, then a linear factor
     coeffs = [Fraction(-6), Fraction(-8000000000002 + 3), Fraction(4000000000001)]
-    assert sorted(_rational_roots(coeffs)) == [Fraction(-3, 4000000000001), Fraction(2)]
+    assert sorted(rational_roots(coeffs)) == [Fraction(-3, 4000000000001), Fraction(2)]
+
+
+def test_rational_roots_of_a_quadratic_come_from_the_discriminant():
+    # y^2 - 10^24 (a divisor search would trial-divide up to 10^12), a double
+    # root that comes back twice, no rational root, a zero root then a quadratic
+    code = ("from fractions import Fraction as F\n"
+            "from hodgeatoms.spectrum import rational_roots\n"
+            "print(sorted(rational_roots([F(-10**24), F(0), F(1)])))\n"
+            "print(rational_roots([F(9, 4), F(-3), F(1)]))\n"
+            "print(rational_roots([F(2), F(0), F(1)]))\n"
+            "print(sorted(rational_roots([F(0), F(-4), F(0), F(1)])))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=5)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "[Fraction(-1000000000000, 1), Fraction(1000000000000, 1)]",
+        "[Fraction(3, 2), Fraction(3, 2)]",
+        "[]",
+        "[Fraction(-2, 1), Fraction(0, 1), Fraction(2, 1)]"]
