@@ -6,18 +6,15 @@
 # registered fourth-order operator after the even change of variables
 # t^2 = q (which turns D_t into 2 D_q on even series).
 
-from hodgeatoms.periods import (PeriodSpec, get_source, period_coefficients,
-                                regularized_coefficients)
+from hodgeatoms.periods import get_source, period_coefficients, regularized_coefficients
 from hodgeatoms.qde import apply, transform_even_operator
 
-spec = PeriodSpec("verra-eq3", 16)
-
-g = period_coefficients(spec)
+g = period_coefficients("verra-eq3", 16)
 print("G(q) coefficients a_0..a_8:")
 for m in range(9):
     print(f"  a_{m} = {g.coeff(m)}")
 
-src = get_source(spec.source)
+src = get_source("verra-eq3")
 print("\nregularized operator in t (D = t d/dt):")
 print(" ", src.regularized.render())
 

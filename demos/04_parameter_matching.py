@@ -10,7 +10,7 @@
 from hodgeatoms.ansatz import DegreeRule, apply_param_names, build_ansatz
 from hodgeatoms.cohomology import AmbientRing
 from hodgeatoms.instance import load_instance
-from hodgeatoms.periods import PeriodSpec, period_coefficients
+from hodgeatoms.periods import period_coefficients
 from hodgeatoms.qde import eliminate, match_equations
 from hodgeatoms.solve import solve_parameters
 
@@ -23,7 +23,7 @@ op = eliminate(apply_param_names(
     verra.param_names).matrix, verra.component)
 
 for order in (12, 16):
-    g = period_coefficients(PeriodSpec(verra.period_source, order))
+    g = period_coefficients(verra.period_source, order)
     eqs = match_equations(op, g, order - 6)
     print(f"truncation order {order}: {len(eqs)} nonzero equations, "
           f"first at q^{eqs[0][0]}")

@@ -15,7 +15,7 @@ from hodgeatoms.cohomology import AmbientRing
 from hodgeatoms.instance import load_instance
 from hodgeatoms.linalg import char_poly
 from hodgeatoms.periods import get_source
-from hodgeatoms.spectrum import SpectrumReport, block_spectrum, reciprocity_check
+from hodgeatoms.spectrum import block_spectrum, reciprocity_check
 
 verra = load_instance("verra")
 ring = AmbientRing()
@@ -35,15 +35,14 @@ mminus = substitute_params(anti, {anti.params[0]: Fraction(2)})
 print("chi(M_+) =", char_poly(mplus).render())
 print("chi(M_-) =", char_poly(mminus).render())
 
-report = SpectrumReport(plus=block_spectrum(mplus, "symmetric"),
-                        minus=block_spectrum(mminus, "antisymmetric"))
+plus = block_spectrum(mplus, "symmetric")
+minus = block_spectrum(mminus, "antisymmetric")
 print("\ntemplate factorizations of the doubled matrices:")
-print("  chi(2M_+) =", report.plus.factored_render())
-print("  chi(2M_-) =", report.minus.factored_render())
-print("zero multiplicities:", report.plus.zero_multiplicity,
-      "and", report.minus.zero_multiplicity)
+print("  chi(2M_+) =", plus.factored_render())
+print("  chi(2M_-) =", minus.factored_render())
+print("zero multiplicities:", plus.zero_multiplicity, "and", minus.zero_multiplicity)
 
-rec = reciprocity_check(get_source(verra.period_source).regularized, report)
+rec = reciprocity_check(get_source(verra.period_source).regularized, plus)
 print("\nsingular squares of the regularized leading coefficient:",
       [str(c) for c in rec.singular_squares])
 print("nonzero eigenvalue squares:", [str(c) for c in rec.eigen_squares])

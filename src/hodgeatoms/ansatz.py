@@ -3,10 +3,14 @@
 The entry (j, i) of the multiplication matrix can receive a q^d
 contribution only when deg(b_j) = 2 + deg(b_i) - 4d. We place one fresh
 unknown at every admissible position with d >= 1 on top of the classical
-cup matrix, impose self-adjointness for the block's pairing matrix, and
-reduce the unknowns by exact elimination. Surviving parameters are named
-canonically by the first matrix position they occupy; instance files
-attach conventional names by those positions.
+cup matrix C. Self-adjointness M^T G = G M for the block's pairing matrix
+G is linear in the unknowns, so it is written down directly on scalars:
+the unknown at (j, i, d) adds [r = i] G[j][c] - G[r][j] [c = i] to the
+relation of entry (r, c) at q^d, and C^T G = G C is checked once. Exact
+elimination reduces the unknowns. The cup matrix is computed once per
+block and serves both the parametric matrix and its classical limit.
+Surviving parameters are named canonically by the first matrix position
+they occupy; instance files attach conventional names by those positions.
 """
 
 from __future__ import annotations
@@ -16,34 +20,33 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Tuple
 
-from .cohomology import AmbientRing, coordinates, gram_matrix
+from .cohomology import AmbientRing, coordinates
 from .linalg import Matrix, rref
 from .poly import Poly, rational_content
+
+# degree of the Novikov variable q, and of the multiplier H
+NOVIKOV_DEGREE = 4
+MULTIPLIER_DEGREE = 2
 
 
 @dataclass(frozen=True)
 class DegreeRule:
     degrees: Tuple[int, ...]
-    novikov_degree: int = 4
-    multiplier_degree: int = 2
 
     def max_power(self) -> int:
         # beyond this cap the degree equation has no solutions
-        return math.ceil((max(self.degrees) + self.multiplier_degree) / self.novikov_degree)
+        return math.ceil((max(self.degrees) + MULTIPLIER_DEGREE) / NOVIKOV_DEGREE)
 
 
 def admissible_powers(j: int, i: int, rule: DegreeRule) -> Tuple[int, ...]:
     """All d >= 0 with deg(b_j) = multiplier + deg(b_i) - novikov*d."""
-    lhs = rule.degrees[i] + rule.multiplier_degree - rule.degrees[j]
-    out = []
-    for d in range(rule.max_power() + 1):
-        if rule.novikov_degree * d == lhs:
-            out.append(d)
-    return tuple(out)
+    lhs = rule.degrees[i] + MULTIPLIER_DEGREE - rule.degrees[j]
+    return tuple(d for d in range(rule.max_power() + 1) if NOVIKOV_DEGREE * d == lhs)
 
 
-def classical_matrix(basis, ring: AmbientRing, variables=("q",)) -> Matrix:
-    """Cup multiplication by H in the given block basis, column convention."""
+def classical_matrix(basis, ring: AmbientRing) -> List[List[Fraction]]:
+    """Cup multiplication by H in the given block basis, column convention:
+    entry [j][i] is the b_j coordinate of H b_i."""
     H = ring.H
     cols = []
     for b in basis:
@@ -51,9 +54,7 @@ def classical_matrix(basis, ring: AmbientRing, variables=("q",)) -> Matrix:
             cols.append(coordinates(H.cup(b), basis))
         except ValueError as e:
             raise RuntimeError(f"H-multiple leaves the block span: {e}") from e
-    variables = tuple(variables)
-    return Matrix([[Poly.const(variables, cols[i][j]) for i in range(len(basis))]
-                   for j in range(len(basis))])
+    return [list(row) for row in zip(*cols)]
 
 
 @dataclass(frozen=True)
@@ -72,93 +73,65 @@ class AnsatzMatrix:
 
 def build_ansatz(basis, ring: AmbientRing, rule: DegreeRule, block: str) -> AnsatzMatrix:
     n = len(basis)
-    slots: List[Tuple[int, int, int]] = []  # (row j, col i, power d), row-major
-    for j in range(n):
-        for i in range(n):
-            for d in admissible_powers(j, i, rule):
-                if d >= 1:
-                    slots.append((j, i, d))
+    slots = [(j, i, d) for j in range(n) for i in range(n)  # (row, col, power), row-major
+             for d in admissible_powers(j, i, rule) if d >= 1]
     nun = len(slots)
+    cup = classical_matrix(basis, ring)
+    gram = [[x.pair(y) for y in basis] for x in basis]
+    # C^T G = G C on scalars; the cup matrix is sparse, so its zeros are skipped
+    ctg = [[sum(cup[j][r] * gram[j][c] for j in range(n) if cup[j][r]) for c in range(n)]
+           for r in range(n)]
+    gc = [[sum(gram[r][j] * cup[j][c] for j in range(n) if cup[j][c]) for c in range(n)]
+          for r in range(n)]
+    if ctg != gc:
+        raise RuntimeError("classical part is not self-adjoint (pairing or degree bug)")
 
-    tmp_vars = tuple(f"x{k}" for k in range(nun)) + ("q",)
-    classical = classical_matrix(basis, ring, tmp_vars)
-    quantum = Matrix([[Poly.zero(tmp_vars) for _ in range(n)] for _ in range(n)])
+    # M^T G - G M, one linear relation per entry (r, c) per q-power d
+    relations: Dict[Tuple[int, int, int], List[Fraction]] = {}
     for k, (j, i, d) in enumerate(slots):
-        term = Poly.var(tmp_vars, f"x{k}") * Poly.var(tmp_vars, "q", d)
-        quantum.rows[j][i] = quantum.rows[j][i] + term
-    m = classical + quantum
-
-    gram = gram_matrix(basis, tmp_vars)
-    residual = m.transpose() * gram - gram * m
-
-    # each residual entry is affine in the unknowns; collect one linear
-    # relation per entry per q-power
-    rows: List[List[Fraction]] = []
-    for r in residual.rows:
-        for p in r:
-            for qp in range(p.degree_in("q") + 1):
-                cq = p.coeff_of("q", qp)
-                if cq.is_zero():
-                    continue
-                row = [Fraction(0)] * nun
-                const = Fraction(0)
-                for ex, c in cq.terms.items():
-                    active = [k for k in range(nun) if ex[k]]
-                    if not active:
-                        const += c
-                    elif len(active) == 1 and ex[active[0]] == 1:
-                        row[active[0]] += c
-                    else:
-                        raise RuntimeError("self-adjointness produced a nonlinear relation")
-                if const != 0:
-                    raise RuntimeError(
-                        "classical part is not self-adjoint (pairing or degree bug)")
-                if any(row):
-                    rows.append(row)
-
+        for c in range(n):
+            relations.setdefault((i, c, d), [Fraction(0)] * nun)[k] += gram[j][c]
+        for r in range(n):
+            relations.setdefault((r, i, d), [Fraction(0)] * nun)[k] -= gram[r][j]
+    rows = [row for row in relations.values() if any(row)]
     pivots = rref(rows, nun)
-    free = [k for k in range(nun) if k not in pivots]
 
-    # nullspace basis vector per free unknown, primitive integers
-    vectors: List[List[Fraction]] = []
-    for f in free:
+    # nullspace basis vector per free unknown, primitive integers, named
+    # canonically by the first row-major slot it hits
+    named: List[Tuple[Tuple[int, int], str, List[Fraction]]] = []
+    for f in (k for k in range(nun) if k not in pivots):
         vec = [Fraction(0)] * nun
         vec[f] = Fraction(1)
-        for row, pcol in zip(rows, sorted(pivots)):
+        for row, pcol in zip(rows, pivots):
             vec[pcol] = -row[f]
         content = rational_content(vec)
         vec = [c / content for c in vec]
-        lead = next(c for c in vec if c)
-        if lead < 0:
+        if next(c for c in vec if c) < 0:
             vec = [-c for c in vec]
-        vectors.append(vec)
-
-    # canonical parameter names from the first row-major slot each vector hits
-    named: List[Tuple[Tuple[int, int], str, List[Fraction]]] = []
-    for vec in vectors:
-        k0 = next(k for k in range(nun) if vec[k])
-        j, i, _ = slots[k0]
+        j, i, _ = slots[next(k for k, c in enumerate(vec) if c)]
         named.append(((j, i), f"p_{j}_{i}", vec))
     named.sort(key=lambda item: item[0])
     params = tuple(name for _, name, _ in named)
     if len(set(params)) != len(params):
         raise RuntimeError("parameter naming collision between reduction vectors")
 
-    final_vars = params + ("q",)
-    out = classical_matrix(basis, ring, final_vars)
+    # term dicts over (params..., q): the cup entry, then each parameter's slots
+    entries = [[{(0,) * (len(params) + 1): c} for c in row] for row in cup]
     positions: Dict[str, List[Tuple[int, int, Fraction, int]]] = {p: [] for p in params}
-    for (_, name, vec) in named:
-        pvar = Poly.var(final_vars, name)
+    for idx, (_, name, vec) in enumerate(named):
         for k, c in enumerate(vec):
-            if c == 0:
-                continue
-            j, i, d = slots[k]
-            out.rows[j][i] = out.rows[j][i] + pvar * Poly.var(final_vars, "q", d) * c
-            positions[name].append((j, i, c, d))
+            if c:
+                j, i, d = slots[k]
+                ex = [0] * (len(params) + 1)
+                ex[idx], ex[-1] = 1, d
+                entries[j][i][tuple(ex)] = c
+                positions[name].append((j, i, c, d))
     return AnsatzMatrix(
-        block=block, matrix=out, params=params,
+        block=block,
+        matrix=Matrix([[Poly(params + ("q",), t) for t in row] for row in entries]),
+        params=params,
         positions={p: tuple(v) for p, v in positions.items()},
-        classical=classical_matrix(basis, ring))
+        classical=Matrix.from_scalars(("q",), cup))
 
 
 def apply_param_names(am: AnsatzMatrix,

@@ -202,13 +202,16 @@ def _masks_of_size(n: int, k: int):
         yield mask
 
 
+# the outer variable of characteristic polynomials
+LAM = "lam"
+
+
 class BiPoly:
-    """Polynomial in an outer variable (default lam) with Poly coefficients."""
+    """Polynomial in the outer variable LAM with Poly coefficients."""
 
-    __slots__ = ("outer", "coeffs", "vars")
+    __slots__ = ("coeffs", "vars")
 
-    def __init__(self, coeffs: Mapping[int, Poly], outer: str = "lam", variables=("q",)):
-        self.outer = outer
+    def __init__(self, coeffs: Mapping[int, Poly], variables=("q",)):
         self.coeffs = {int(k): p for k, p in coeffs.items() if not p.is_zero()}
         self.vars = next((p.vars for p in self.coeffs.values()), tuple(variables))
 
@@ -219,15 +222,15 @@ class BiPoly:
         return self.coeffs.get(k, Poly.zero(self.vars))
 
     def zero_multiplicity(self) -> int:
-        """Largest a with outer^a dividing the polynomial."""
+        """Largest a with lam^a dividing the polynomial."""
         if not self.coeffs:
             return 0
         return min(self.coeffs)
 
     def shift_down(self, a: int) -> "BiPoly":
         if any(k < a for k in self.coeffs):
-            raise ValueError(f"not divisible by {self.outer}^{a}")
-        return BiPoly({k - a: p for k, p in self.coeffs.items()}, self.outer)
+            raise ValueError(f"not divisible by {LAM}^{a}")
+        return BiPoly({k - a: p for k, p in self.coeffs.items()})
 
     def __mul__(self, other: "BiPoly") -> "BiPoly":
         out: dict = {}
@@ -236,12 +239,12 @@ class BiPoly:
                 k = k1 + k2
                 cur = out.get(k)
                 out[k] = p1 * p2 if cur is None else cur + p1 * p2
-        return BiPoly(out, self.outer)
+        return BiPoly(out)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BiPoly):
             return NotImplemented
-        return self.outer == other.outer and self.coeffs == other.coeffs
+        return self.coeffs == other.coeffs
 
     def render(self) -> str:
         if not self.coeffs:
@@ -249,7 +252,7 @@ class BiPoly:
         parts = []
         for k in sorted(self.coeffs, reverse=True):
             p = self.coeffs[k]
-            lk = self.outer if k == 1 else f"{self.outer}^{k}"
+            lk = LAM if k == 1 else f"{LAM}^{k}"
             if k == 0:
                 parts.append(f"({p.render()})")
             elif p.constant_value() == 1:
@@ -264,22 +267,22 @@ class BiPoly:
         return f"BiPoly({self.render()})"
 
 
-def char_poly(m: Matrix, outer: str = "lam") -> BiPoly:
-    """det(lam I - m), exact, grouped by powers of the outer variable."""
+def char_poly(m: Matrix) -> BiPoly:
+    """det(lam I - m), exact, grouped by powers of lam."""
     if m.nrows != m.ncols:
         raise ValueError("characteristic polynomial of a non-square matrix")
-    if outer in m.vars:
-        raise ValueError(f"matrix ring already uses {outer!r}")
-    ext = m.vars + (outer,)
+    if LAM in m.vars:
+        raise ValueError(f"matrix ring already uses {LAM!r}")
+    ext = m.vars + (LAM,)
     n = m.nrows
-    lam = Poly.var(ext, outer)
+    lam = Poly.var(ext, LAM)
     big = Matrix([[lam.scale(1 if i == j else 0) - m.rows[i][j].rename_vars(ext)
                    for j in range(n)] for i in range(n)])
     full = det(big)
     out: dict = {}
-    for k in range(full.degree_in(outer) + 1):
-        ck = full.coeff_of(outer, k)
+    for k in range(full.degree_in(LAM) + 1):
+        ck = full.coeff_of(LAM, k)
         if not ck.is_zero():
             # project back onto the original variable tuple
             out[k] = ck.rename_vars(m.vars)
-    return BiPoly(out, outer)
+    return BiPoly(out)

@@ -20,12 +20,6 @@ from .series import Series
 
 
 @dataclass(frozen=True)
-class PeriodSpec:
-    source: str
-    order: int
-
-
-@dataclass(frozen=True)
 class PeriodSource:
     name: str
     description: str
@@ -76,16 +70,14 @@ def get_source(name: str) -> PeriodSource:
     return REGISTRY[name]
 
 
-def period_coefficients(spec: PeriodSpec, order: Optional[int] = None) -> Series:
-    """G(q) through the requested order, exactly."""
-    if order is None:
-        order = spec.order
+def period_coefficients(source: str, order: int) -> Series:
+    """G(q) of the named source through q^order, exactly."""
     if order < 0:
         raise ValueError("order must be non-negative")
-    src = get_source(spec.source)
+    src = get_source(source)
     coeffs = [src.coefficient(m) for m in range(order + 1)]
     if coeffs[0] != 1:
-        raise ValueError(f"period source {spec.source!r} does not start at 1")
+        raise ValueError(f"period source {source!r} does not start at 1")
     return Series(coeffs)
 
 

@@ -20,11 +20,11 @@ from .certificate import (bipoly_json, dump_json, dump_text, matrix_json,
                           operator_json, poly_json, rat_str, series_json)
 from .cohomology import AmbientRing, gram_matrix
 from .instance import InstanceSpec
-from .periods import PeriodSpec, get_source, period_coefficients, regularized_coefficients
+from .periods import get_source, period_coefficients, regularized_coefficients
 from .qde import (apply, cofactor_identity_holds, eliminate, match_equations,
                   transform_even_operator)
 from .solve import SolveError, solve_parameters
-from .spectrum import SpectrumReport, TemplateError, block_spectrum, reciprocity_check
+from .spectrum import TemplateError, block_spectrum, reciprocity_check
 
 STAGES = ("period", "ansatz", "eliminate", "solve", "spectrum", "atoms", "verdict")
 
@@ -100,18 +100,21 @@ def run_pipeline(instance: InstanceSpec, through: str = "verdict",
 def _stage_period(run: PipelineRun, state: Dict[str, Any]) -> None:
     inst = run.instance
     order = run.effective_order()
-    spec = PeriodSpec(source=inst.period_source, order=order)
     try:
         src = get_source(inst.period_source)
     except KeyError as e:
         run.check("period.source_known", False, str(e.args[0]))
         raise StageFailure(f"unknown period source {inst.period_source!r}") from e
     run.check("period.source_known", True, f"{src.name}: {src.description}")
+    if src.regularized is None:
+        reason = f"period source {src.name!r} publishes no regularized operator"
+        run.check("period.regularized_annihilation", False, reason)
+        raise StageFailure(reason)
 
     # the one period series of the run, padded for the operators applied to it
     reg_q, content = transform_even_operator(src.regularized)
     try:
-        series = period_coefficients(spec, order + reg_q.q_degree())
+        series = period_coefficients(inst.period_source, order + reg_q.q_degree())
     except ValueError as e:
         run.check("period.initial_coefficient", False, str(e))
         raise StageFailure(str(e)) from e
@@ -132,7 +135,7 @@ def _stage_period(run: PipelineRun, state: Dict[str, Any]) -> None:
                  "rescaled series, not the plain period series; residual on the "
                  "plain series starts " + " + ".join(first))
 
-    state.update(period=g, series=series, spec=spec, source=src, reg_q=reg_q,
+    state.update(period=g, series=series, source=src, reg_q=reg_q,
                  content=content)
     run.sections["period"] = {
         "status": "ok",
@@ -290,7 +293,7 @@ def _stage_solve(run: PipelineRun, state: Dict[str, Any]) -> None:
     padding = order + numeric.q_degree()
     series = state["series"]
     padded = (series.truncate(padding) if padding <= series.order
-              else period_coefficients(state["spec"], padding))
+              else period_coefficients(inst.period_source, padding))
     ann = apply(numeric, padded).is_zero()
     run.check("solve.annihilation", ann,
               f"solved operator annihilates the period through q^{order}")
@@ -328,32 +331,30 @@ def _stage_spectrum(run: PipelineRun, state: Dict[str, Any]) -> None:
             raise StageFailure(f"spectrum template failed: {e}") from e
         run.check(f"spectrum.template_{key}", True, blocks[key].factored_render())
 
-    report = SpectrumReport(plus=blocks["plus"], minus=blocks["minus"])
-    dims_ok = (report.plus.dim == len(basis.symmetric)
-               and report.minus.dim == len(basis.antisymmetric))
+    plus, minus = blocks["plus"], blocks["minus"]
+    dims_ok = (plus.dim == len(basis.symmetric) and minus.dim == len(basis.antisymmetric))
     run.check("spectrum.block_dims", dims_ok,
-              f"dims {report.plus.dim}+{report.minus.dim}, zero multiplicities "
-              f"{report.plus.zero_multiplicity} and {report.minus.zero_multiplicity}")
+              f"dims {plus.dim}+{minus.dim}, zero multiplicities "
+              f"{plus.zero_multiplicity} and {minus.zero_multiplicity}")
     if not dims_ok:
         raise StageFailure("characteristic polynomial degree mismatch")
 
     try:
-        rec = reciprocity_check(state["source"].regularized, report)
+        rec = reciprocity_check(state["source"].regularized, plus)
     except TemplateError as e:
         run.check("spectrum.reciprocity", False, str(e))
         raise StageFailure(f"reciprocity check failed: {e}") from e
-    report = report.with_reciprocity(rec)
     run.check("spectrum.reciprocity", rec.passed,
               f"singular squares {{{', '.join(rat_str(x) for x in rec.singular_squares)}}} "
               f"vs eigenvalue squares {{{', '.join(rat_str(x) for x in rec.eigen_squares)}}}")
     if not rec.passed:
         raise StageFailure("singular squares are not the reciprocal eigenvalue squares")
 
-    state["spectrum"] = report
+    state["spectrum"] = blocks
     run.sections["spectrum"] = {
         "status": "ok",
-        "symmetric": _block_json(report.plus),
-        "antisymmetric": _block_json(report.minus),
+        "symmetric": _block_json(plus),
+        "antisymmetric": _block_json(minus),
         "reciprocity": {
             "singular_squares": [rat_str(x) for x in rec.singular_squares],
             "eigen_squares": [rat_str(x) for x in rec.eigen_squares],
@@ -374,7 +375,7 @@ def _block_json(b) -> Dict[str, Any]:
 
 def _stage_atoms(run: PipelineRun, state: Dict[str, Any]) -> None:
     inst = run.instance
-    report = state["spectrum"]
+    plus, minus = state["spectrum"]["plus"], state["spectrum"]["minus"]
 
     simple_ok = inst.simple or inst.dim_t == 0
     run.check("atoms.transcendental_simple", simple_ok,
@@ -383,12 +384,12 @@ def _stage_atoms(run: PipelineRun, state: Dict[str, Any]) -> None:
     if not simple_ok:
         raise StageFailure("transcendental part not known simple")
 
-    zero_plus = report.plus.zero_multiplicity
+    zero_plus = plus.zero_multiplicity
     if inst.a0plus_override is not None:
         zero_plus = inst.a0plus_override
         run.note(f"dim E_0^+ overridden to {zero_plus} by the instance file "
-                 f"(computed value {report.plus.zero_multiplicity})")
-    zero_minus = report.minus.zero_multiplicity
+                 f"(computed value {plus.zero_multiplicity})")
+    zero_minus = minus.zero_multiplicity
 
     try:
         trans = transcendental_invariants(inst)

@@ -57,10 +57,8 @@ class Poly:
                 if len(ex) != len(self.vars):
                     raise ValueError(f"exponent {ex} does not fit variables {self.vars}")
                 c = _as_fraction(c)
-                if c != 0:
-                    clean[ex] = clean.get(ex, Fraction(0)) + c
-                    if clean[ex] == 0:
-                        del clean[ex]
+                if c:
+                    clean[ex] = c
         self.terms = clean
 
     # -- constructors ------------------------------------------------------
@@ -194,9 +192,9 @@ class Poly:
 
     # -- calculus and substitution ------------------------------------------
 
-    def euler_derivative(self, name: str = "q") -> "Poly":
+    def euler_derivative(self) -> "Poly":
         """The Euler derivative q d/dq: each monomial c q^k m goes to k c q^k m."""
-        i = self.vars.index(name)
+        i = self.vars.index("q")
         return Poly(self.vars, {ex: c * ex[i] for ex, c in self.terms.items() if ex[i]})
 
     def substitute(self, values: Mapping[str, Union["Poly", Scalar]]) -> "Poly":

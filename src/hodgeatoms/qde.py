@@ -36,20 +36,20 @@ class DiffOperator:
     def vars(self) -> Tuple[str, ...]:
         return self.coeffs[0].vars
 
-    def q_degree(self, qvar: str = "q") -> int:
-        return max(c.degree_in(qvar) for c in self.coeffs)
+    def q_degree(self) -> int:
+        return max(c.degree_in("q") for c in self.coeffs)
 
-    def parameters_present(self, qvar: str = "q") -> Tuple[str, ...]:
+    def parameters_present(self) -> Tuple[str, ...]:
         out = []
         for c in self.coeffs:
             for v in c.variables_present():
-                if v != qvar and v not in out:
+                if v != "q" and v not in out:
                     out.append(v)
         return tuple(out)
 
-    def substitute(self, values: Mapping[str, Fraction], qvar: str = "q") -> "DiffOperator":
+    def substitute(self, values: Mapping[str, Fraction]) -> "DiffOperator":
         subs = {k: Fraction(v) for k, v in values.items()}
-        coeffs = [c.substitute(subs).rename_vars((qvar,)) for c in self.coeffs]
+        coeffs = [c.substitute(subs).rename_vars(("q",)) for c in self.coeffs]
         return DiffOperator(tuple(coeffs)).normalize()
 
     def normalize(self) -> "DiffOperator":
@@ -71,13 +71,13 @@ class DiffOperator:
             coeffs = [c.scale(-1) for c in coeffs]
         return DiffOperator(tuple(coeffs))
 
-    def render(self, dvar: str = "D") -> str:
+    def render(self) -> str:
         parts = []
         for k in range(self.order, -1, -1):
             c = self.coeffs[k]
             if c.is_zero():
                 continue
-            dk = "" if k == 0 else (dvar if k == 1 else f"{dvar}^{k}")
+            dk = "" if k == 0 else ("D" if k == 1 else f"D^{k}")
             cv = c.constant_value()
             if not dk:
                 parts.append(f"({c.render()})" if len(c.terms) > 1 else c.render())
@@ -113,7 +113,7 @@ def cyclic_rows(m: Matrix, component: int, count: int) -> Matrix:
         prev = rows[-1]
         nxt = []
         for j in range(m.ncols):
-            acc = prev[j].euler_derivative("q")
+            acc = prev[j].euler_derivative()
             for k in range(m.ncols):
                 acc = acc + prev[k] * m.rows[k][j]
             nxt.append(acc)
@@ -149,26 +149,26 @@ def cofactor_identity_holds(op: DiffOperator, m: Matrix, component: int) -> bool
     return True
 
 
-def apply(op: DiffOperator, f: Series, qvar: str = "q") -> Series:
+def apply(op: DiffOperator, f: Series) -> Series:
     """Apply a parameter-free operator; the result is exact through
     f.order minus the operator's q-degree."""
-    extra = op.parameters_present(qvar)
+    extra = op.parameters_present()
     if extra:
         raise ValueError(f"operator carries unknown parameters {extra}")
-    if f.order < op.q_degree(qvar):
+    if f.order < op.q_degree():
         raise ValueError("series too short for this operator")
-    return Series([c.constant_value() for c in apply_symbolic(op, f, qvar)])
+    return Series([c.constant_value() for c in apply_symbolic(op, f)])
 
 
-def apply_symbolic(op: DiffOperator, f: Series, qvar: str = "q") -> List[Poly]:
+def apply_symbolic(op: DiffOperator, f: Series) -> List[Poly]:
     """Coefficients of apply(op, f) when the operator still carries parameters;
     entry m is a polynomial in the parameters."""
-    out_order = f.order - op.q_degree(qvar)
+    out_order = f.order - op.q_degree()
     # the nonzero slices c_k[q^j] as (k, j, terms)
     table = []
     for k, c in enumerate(op.coeffs):
-        for j in range(c.degree_in(qvar) + 1):
-            cj = c.coeff_of(qvar, j)
+        for j in range(c.degree_in("q") + 1):
+            cj = c.coeff_of("q", j)
             if not cj.is_zero():
                 table.append((k, j, list(cj.terms.items())))
     fc = f.coeffs
@@ -184,17 +184,15 @@ def apply_symbolic(op: DiffOperator, f: Series, qvar: str = "q") -> List[Poly]:
     return out
 
 
-def match_equations(op: DiffOperator, f: Series, depth: int,
-                    qvar: str = "q") -> List[Tuple[int, Poly]]:
+def match_equations(op: DiffOperator, f: Series, depth: int) -> List[Tuple[int, Poly]]:
     """One polynomial equation in the parameters per q-order of apply(op, f),
     zero equations omitted."""
-    residual = apply_symbolic(op, f, qvar)
+    residual = apply_symbolic(op, f)
     depth = min(depth, len(residual) - 1)
     return [(m, residual[m]) for m in range(depth + 1) if not residual[m].is_zero()]
 
 
-def transform_even_operator(op: DiffOperator, tvar: str = "t",
-                            qvar: str = "q") -> Tuple[DiffOperator, Fraction]:
+def transform_even_operator(op: DiffOperator) -> Tuple[DiffOperator, Fraction]:
     """Change of variables q = t^2 for an operator with even coefficients:
     D_t becomes 2 D_q on even series, so c_k(t) D_t^k maps to
     c_k(sqrt q) 2^k D^k. Returns the content-divided operator and the
@@ -203,11 +201,11 @@ def transform_even_operator(op: DiffOperator, tvar: str = "t",
     for k, c in enumerate(op.coeffs):
         out = {}
         for ex, v in c.terms.items():
-            e = ex[c.vars.index(tvar)]
+            e = ex[c.vars.index("t")]
             if e % 2:
                 raise ValueError(f"coefficient of D^{k} has an odd power t^{e}")
             out[(e // 2,)] = v * Fraction(2) ** k
-        new_coeffs.append(Poly((qvar,), out))
+        new_coeffs.append(Poly(("q",), out))
     content = rational_content(v for c in new_coeffs for v in c.terms.values()) or Fraction(1)
     if content != 1:
         new_coeffs = [c.scale(1 / content) for c in new_coeffs]

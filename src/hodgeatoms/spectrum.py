@@ -13,9 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
-from .linalg import BiPoly, Matrix, char_poly
+from .linalg import LAM, BiPoly, Matrix, char_poly
 from .poly import Poly
 from .qde import DiffOperator
 
@@ -33,17 +33,16 @@ class BlockSpectrum:
     square_factors: Tuple[Fraction, ...]   # multiset {c} with (lam^2 - c q) | chi
 
     def factored_render(self) -> str:
-        lam = self.chi.outer
         parts = []
         if self.zero_multiplicity == 1:
-            parts.append(lam)
+            parts.append(LAM)
         elif self.zero_multiplicity > 1:
-            parts.append(f"{lam}^{self.zero_multiplicity}")
+            parts.append(f"{LAM}^{self.zero_multiplicity}")
         for c in self.square_factors:
             if c > 0:
-                parts.append(f"({lam}^2 - {c}*q)")
+                parts.append(f"({LAM}^2 - {c}*q)")
             else:
-                parts.append(f"({lam}^2 + {-c}*q)")
+                parts.append(f"({LAM}^2 + {-c}*q)")
         return "*".join(parts) if parts else "1"
 
 
@@ -52,19 +51,6 @@ class ReciprocityResult:
     singular_squares: Tuple[Fraction, ...]
     eigen_squares: Tuple[Fraction, ...]
     passed: bool
-
-
-@dataclass(frozen=True)
-class SpectrumReport:
-    plus: BlockSpectrum
-    minus: BlockSpectrum
-    reciprocity: Optional[ReciprocityResult] = None
-
-    def blocks(self) -> Tuple[BlockSpectrum, BlockSpectrum]:
-        return (self.plus, self.minus)
-
-    def with_reciprocity(self, r: ReciprocityResult) -> "SpectrumReport":
-        return SpectrumReport(self.plus, self.minus, r)
 
 
 def rational_roots(coeffs: List[Fraction]) -> List[Fraction]:
@@ -165,11 +151,10 @@ def factor_template(chi: BiPoly, block: str) -> BlockSpectrum:
         raise TemplateError(f"{block}: square polynomial does not split over Q")
 
     # rebuild and compare, the template match is verified by multiplication
-    rebuilt = BiPoly({a: Poly.const(chi.vars, 1)}, chi.outer, chi.vars)
+    rebuilt = BiPoly({a: Poly.const(chi.vars, 1)}, chi.vars)
     for c in roots:
         rebuilt = rebuilt * BiPoly(
-            {2: Poly.const(chi.vars, 1), 0: Poly.var(chi.vars, "q", 1, -c)},
-            chi.outer, chi.vars)
+            {2: Poly.const(chi.vars, 1), 0: Poly.var(chi.vars, "q", 1, -c)}, chi.vars)
     if rebuilt != chi:
         raise TemplateError(f"{block}: template product does not reproduce chi")
     if a + 2 * f != dim:
@@ -186,21 +171,20 @@ def block_spectrum(m: Matrix, block: str) -> BlockSpectrum:
     return factor_template(char_poly(m.map(lambda p: p.scale(2))), block)
 
 
-def reciprocity_check(regularized: DiffOperator, report: SpectrumReport,
-                      tvar: str = "t") -> ReciprocityResult:
+def reciprocity_check(regularized: DiffOperator, plus: BlockSpectrum) -> ReciprocityResult:
     """Singular squares of the regularized operator vs eigenvalue squares.
 
     The regularized operator's leading coefficient is a polynomial in
-    tvar^2; its roots in the square variable must be exactly the
+    t^2; its roots in the square variable must be exactly the
     reciprocals of the symmetric block's nonzero eigenvalue squares.
     """
     lead = regularized.coeffs[-1]
-    if any(not lead.coeff_of(tvar, k).is_zero()
-           for k in range(1, lead.degree_in(tvar) + 1, 2)):
+    if any(not lead.coeff_of("t", k).is_zero()
+           for k in range(1, lead.degree_in("t") + 1, 2)):
         raise TemplateError("leading coefficient has odd powers of t")
     ycoeffs = []
-    for k in range(0, lead.degree_in(tvar) + 1, 2):
-        c = lead.coeff_of(tvar, k).constant_value()
+    for k in range(0, lead.degree_in("t") + 1, 2):
+        c = lead.coeff_of("t", k).constant_value()
         if c is None:
             raise TemplateError("leading coefficient is not constant in the parameters")
         ycoeffs.append(c)
@@ -208,7 +192,7 @@ def reciprocity_check(regularized: DiffOperator, report: SpectrumReport,
     if len(roots) != (len(ycoeffs) - 1):
         raise TemplateError("leading coefficient does not split into linear factors in t^2")
     singular = tuple(sorted(set(roots)))
-    eigen = tuple(sorted({c for c in report.plus.square_factors if c != 0}))
+    eigen = tuple(sorted({c for c in plus.square_factors if c != 0}))
     recip = tuple(sorted({Fraction(1, 1) / c for c in eigen}))
     return ReciprocityResult(singular_squares=singular, eigen_squares=eigen,
                              passed=singular == recip)

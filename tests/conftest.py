@@ -9,10 +9,10 @@ from hodgeatoms.ansatz import (DegreeRule, apply_param_names, build_ansatz,
                                substitute_params)
 from hodgeatoms.cohomology import AmbientRing
 from hodgeatoms.instance import load_instance
-from hodgeatoms.periods import PeriodSpec, period_coefficients
+from hodgeatoms.periods import period_coefficients
 from hodgeatoms.pipeline import run_pipeline
 from hodgeatoms.qde import eliminate
-from hodgeatoms.spectrum import SpectrumReport, block_spectrum
+from hodgeatoms.spectrum import block_spectrum
 
 # the same examples on every run, and no wall-clock deadline on a slow host
 settings.register_profile("tier1", derandomize=True, deadline=None, database=None)
@@ -56,7 +56,7 @@ def parametric_op(sym_ansatz, verra):
 
 @pytest.fixture(scope="session")
 def period16(verra):
-    return period_coefficients(PeriodSpec(verra.period_source, verra.order))
+    return period_coefficients(verra.period_source, verra.order)
 
 
 @pytest.fixture(scope="session")
@@ -80,9 +80,13 @@ def mminus(anti_ansatz):
 
 
 @pytest.fixture(scope="session")
-def spectrum_report(mplus, mminus):
-    return SpectrumReport(plus=block_spectrum(mplus, "symmetric"),
-                          minus=block_spectrum(mminus, "antisymmetric"))
+def plus_spectrum(mplus):
+    return block_spectrum(mplus, "symmetric")
+
+
+@pytest.fixture(scope="session")
+def minus_spectrum(mminus):
+    return block_spectrum(mminus, "antisymmetric")
 
 
 @pytest.fixture(scope="session")

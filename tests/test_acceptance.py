@@ -12,7 +12,7 @@ from hodgeatoms.atoms import (assemble_zero_atoms, atom_sum, curve_centre,
 from hodgeatoms.cohomology import gram_matrix
 from hodgeatoms.instance import load_instance
 from hodgeatoms.linalg import char_poly
-from hodgeatoms.periods import (PeriodSpec, get_source, period_coefficients,
+from hodgeatoms.periods import (get_source, period_coefficients,
                                 regularized_coefficients)
 from hodgeatoms.pipeline import certificate_json, exit_code, run_pipeline
 from hodgeatoms.poly import LaurentPoly, Poly
@@ -73,7 +73,7 @@ def test_criterion_05_parameter_solving(parametric_op, verra):
     expected = ((F(2), F(2, 3), F(14, 3), F(16)), (F(2), F(6), F(2), F(16)))
     reports = []
     for order in (12, 16):
-        g = period_coefficients(PeriodSpec(verra.period_source, order))
+        g = period_coefficients(verra.period_source, order)
         eqs = match_equations(parametric_op, g, order - 6)
         reports.append(solve_parameters(eqs, verra.parameter_order(),
                                         verra.enumerative))
@@ -83,27 +83,25 @@ def test_criterion_05_parameter_solving(parametric_op, verra):
     assert reports[0].solutions == reports[1].solutions
 
 
-def test_criterion_06_spectrum(spectrum_report, mminus):
-    report = spectrum_report
-    assert report.plus.factored_render() == "lam^2*(lam^2 - 128*q)*(lam^2 + 16*q)"
-    assert report.minus.factored_render() == "lam*(lam^2 - 16*q)"
-    assert report.plus.zero_multiplicity == 2
-    assert report.minus.zero_multiplicity == 1
+def test_criterion_06_spectrum(plus_spectrum, minus_spectrum, mminus):
+    assert plus_spectrum.factored_render() == "lam^2*(lam^2 - 128*q)*(lam^2 + 16*q)"
+    assert minus_spectrum.factored_render() == "lam*(lam^2 - 16*q)"
+    assert plus_spectrum.zero_multiplicity == 2
+    assert minus_spectrum.zero_multiplicity == 1
     # unscaled cross-check: chi(M_-) = lam^3 - 4q lam halves each square
     assert char_poly(mminus).render() == "lam^3 + (-4*q)*lam"
 
 
-def test_criterion_07_reciprocity(spectrum_report, verra):
-    rec = reciprocity_check(get_source(verra.period_source).regularized, spectrum_report)
+def test_criterion_07_reciprocity(plus_spectrum, verra):
+    rec = reciprocity_check(get_source(verra.period_source).regularized, plus_spectrum)
     assert rec.singular_squares == (Fraction(-1, 16), Fraction(1, 128))
     assert rec.eigen_squares == (Fraction(-16), Fraction(128))
     assert rec.passed
 
 
-def test_criterion_08_obstruction(verra, spectrum_report, full_run):
-    report = spectrum_report
-    cases = assemble_zero_atoms(verra, report.plus.zero_multiplicity,
-                                report.minus.zero_multiplicity)
+def test_criterion_08_obstruction(verra, plus_spectrum, minus_spectrum, full_run):
+    cases = assemble_zero_atoms(verra, plus_spectrum.zero_multiplicity,
+                                minus_spectrum.zero_multiplicity)
     for case in cases:
         assert case.plus.rho == 2
         bearing = case.obstructed()

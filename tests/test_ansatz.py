@@ -1,12 +1,16 @@
 """Ansatz construction: degree slots, self-adjoint reduction, naming."""
 
 from fractions import Fraction
+from typing import List
 
 import pytest
 
+from hodgeatoms import ansatz
 from hodgeatoms.ansatz import (DegreeRule, admissible_powers, build_ansatz,
                                classical_matrix, substitute_params)
-from hodgeatoms.cohomology import gram_matrix
+from hodgeatoms.cohomology import AmbientRing, coordinates, gram_matrix
+from hodgeatoms.linalg import Matrix, rref
+from hodgeatoms.poly import Poly, rational_content
 
 SYM_DEGREES = (0, 2, 4, 4, 6, 8)
 ANTI_DEGREES = (2, 4, 6)
@@ -75,7 +79,7 @@ def test_self_adjointness_both_blocks(sym_ansatz, anti_ansatz, basis):
 
 def test_classical_limit(sym_ansatz, basis, ring):
     zeroed = substitute_params(sym_ansatz, {p: Fraction(0) for p in sym_ansatz.params})
-    classical = classical_matrix(basis.symmetric, ring)
+    classical = Matrix.from_scalars(("q",), classical_matrix(basis.symmetric, ring))
     assert zeroed.rows == classical.rows
     # the same limit by killing q instead of the parameters
     at_q0 = sym_ansatz.matrix.substitute({"q": Fraction(0)})
@@ -86,7 +90,7 @@ def test_classical_limit(sym_ansatz, basis, ring):
 
 def test_support_respects_degree_rule(sym_ansatz, basis, ring):
     rule = DegreeRule(SYM_DEGREES)
-    classical = classical_matrix(basis.symmetric, ring)
+    classical = Matrix.from_scalars(("q",), classical_matrix(basis.symmetric, ring))
     for j in range(6):
         for i in range(6):
             quantum = substitute_params(
@@ -139,3 +143,99 @@ def test_apply_param_names_declared_order(basis, ring):
                                      ("t", (1, 2)), ("u", (1, 3))))
     assert renamed.params == ("v", "s", "t", "u")
     assert renamed.matrix.rows[0][1].render() == "2*s*q"
+
+
+def symbolic_ansatz(basis, ring, rule, block):
+    """Reference construction: the unknowns as ring variables, M^T G - G M
+    expanded symbolically and its linear relations read off the coefficients."""
+    n = len(basis)
+    slots = [(j, i, d) for j in range(n) for i in range(n)
+             for d in admissible_powers(j, i, rule) if d >= 1]
+    nun = len(slots)
+    cols = [coordinates(ring.H.cup(b), basis) for b in basis]
+
+    def cup(variables):
+        return Matrix([[Poly.const(variables, cols[i][j]) for i in range(n)]
+                       for j in range(n)])
+
+    tmp_vars = tuple(f"x{k}" for k in range(nun)) + ("q",)
+    m = cup(tmp_vars)
+    for k, (j, i, d) in enumerate(slots):
+        m.rows[j][i] = m.rows[j][i] + Poly.var(tmp_vars, f"x{k}") * Poly.var(tmp_vars, "q", d)
+    gram = gram_matrix(basis, tmp_vars)
+    residual = m.transpose() * gram - gram * m
+    rows: List[List[Fraction]] = []
+    for r in residual.rows:
+        for p in r:
+            for qp in range(p.degree_in("q") + 1):
+                cq = p.coeff_of("q", qp)
+                row = [Fraction(0)] * nun
+                for ex, c in cq.terms.items():
+                    active = [k for k in range(nun) if ex[k]]
+                    assert len(active) == 1 and ex[active[0]] == 1
+                    row[active[0]] += c
+                if any(row):
+                    rows.append(row)
+    pivots = rref(rows, nun)
+    named = []
+    for f in (k for k in range(nun) if k not in pivots):
+        vec = [Fraction(0)] * nun
+        vec[f] = Fraction(1)
+        for row, pcol in zip(rows, pivots):
+            vec[pcol] = -row[f]
+        content = rational_content(vec)
+        vec = [c / content for c in vec]
+        if next(c for c in vec if c) < 0:
+            vec = [-c for c in vec]
+        j, i, _ = slots[next(k for k in range(nun) if vec[k])]
+        named.append(((j, i), f"p_{j}_{i}", vec))
+    named.sort(key=lambda item: item[0])
+    params = tuple(name for _, name, _ in named)
+    final_vars = params + ("q",)
+    out = cup(final_vars)
+    positions = {p: [] for p in params}
+    for _, name, vec in named:
+        for k, c in enumerate(vec):
+            if c:
+                j, i, d = slots[k]
+                out.rows[j][i] = out.rows[j][i] + (
+                    Poly.var(final_vars, name) * Poly.var(final_vars, "q", d) * c)
+                positions[name].append((j, i, c, d))
+    return params, {p: tuple(v) for p, v in positions.items()}, out, cup(("q",))
+
+
+@pytest.mark.parametrize("pairing", [Fraction(2), Fraction(7, 3)], ids=str)
+@pytest.mark.parametrize("nilpotency", [2, 3, 4, 5])
+def test_direct_system_matches_symbolic_construction(nilpotency, pairing):
+    ring = AmbientRing(nilpotency, pairing)
+    basis = ring.eigenbasis()
+    for block in ("symmetric", "antisymmetric"):
+        rule = DegreeRule(basis.degrees(block))
+        am = build_ansatz(getattr(basis, block), ring, rule, block)
+        params, positions, matrix, classical = symbolic_ansatz(
+            getattr(basis, block), ring, rule, block)
+        assert am.params == params
+        assert am.positions == positions
+        assert am.matrix == matrix
+        assert am.classical == classical
+
+
+def test_classical_part_must_be_self_adjoint(basis, ring, monkeypatch):
+    cup = classical_matrix(basis.symmetric, ring)
+    cup[0][1] += 1
+    monkeypatch.setattr(ansatz, "classical_matrix", lambda b, r: cup)
+    with pytest.raises(RuntimeError, match="classical part is not self-adjoint"):
+        build_ansatz(basis.symmetric, ring, DegreeRule(SYM_DEGREES), "symmetric")
+
+
+def test_one_cup_matrix_per_block(basis, ring, monkeypatch):
+    calls = []
+    original = ansatz.coordinates
+
+    def counted(x, b):
+        calls.append(x)
+        return original(x, b)
+
+    monkeypatch.setattr(ansatz, "coordinates", counted)
+    build_ansatz(basis.symmetric, ring, DegreeRule(SYM_DEGREES), "symmetric")
+    assert len(calls) == len(basis.symmetric)

@@ -113,6 +113,26 @@ def test_period_source_not_starting_at_one_fails_the_stage(capsys, monkeypatch, 
             "detail": reason} in cert["checks"]
 
 
+def test_period_source_without_regularized_operator_fails_the_stage(
+        capsys, monkeypatch, tmp_path):
+    verra = periods.get_source("verra-eq3")
+    monkeypatch.setitem(periods.REGISTRY, "unregularized", periods.PeriodSource(
+        name="unregularized", description="no published operator",
+        coefficient=verra.coefficient, regularized=None))
+    text = (ROOT / "src" / "hodgeatoms" / "data" / "verra.instance").read_text()
+    path = tmp_path / "unregularized.instance"
+    path.write_text(text.replace("source=verra-eq3", "source=unregularized"))
+    code, out, err = run_cli(capsys, "certify", "--format", "json", "--instance", str(path))
+    assert code == 2
+    assert "Traceback" not in err
+    cert = json.loads(out)
+    assert cert["verdict"] == "INCONCLUSIVE"
+    reason = "period source 'unregularized' publishes no regularized operator"
+    assert {"name": "period", "status": "failed", "reason": reason} in cert["stages"]
+    assert {"name": "period.regularized_annihilation", "passed": False,
+            "detail": reason} in cert["checks"]
+
+
 # sha256 of `certify --format json` from each symmetric component (an
 # instance file named verra.instance); component 5 is certificate.json
 COMPONENT_SHA256 = {
@@ -245,6 +265,20 @@ def test_broken_fixture(capsys):
     assert code == 2
     assert "[FAIL] atoms.transcendental_simple" in out
     assert "INCONCLUSIVE" in out
+
+
+# sha256 of `certify --format json` for each bundled INCONCLUSIVE fixture
+FIXTURE_SHA256 = {
+    "broken-nonsimple": "3d354f6c72a4b184279c136bb56c6707fcf646583c29153598bdf4ddf68f1f03",
+    "broken-a0plus": "0fb3e297c605e6b282005ae7fac084761672300d7fa67dca78ac38023863182f",
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(FIXTURE_SHA256))
+def test_fixture_certificate_is_pinned(capsys, fixture):
+    code, out, _ = run_cli(capsys, "certify", "--format", "json", "--instance", fixture)
+    assert code == 2
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == FIXTURE_SHA256[fixture]
 
 
 def test_unknown_instance(capsys):

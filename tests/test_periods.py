@@ -5,12 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from hodgeatoms.periods import (REGISTRY, PeriodSpec, get_source,
-                                period_coefficients, regularized_coefficients)
+from hodgeatoms.periods import (REGISTRY, get_source, period_coefficients,
+                                regularized_coefficients)
 
 
 def test_coefficients_match_the_closed_sum():
-    g = period_coefficients(PeriodSpec("verra-eq3", 5))
+    g = period_coefficients("verra-eq3", 5)
     assert g.coeffs == [Fraction(1), Fraction(4), Fraction(15),
                         Fraction(280, 9), Fraction(6055, 144), Fraction(3941, 100)]
 
@@ -25,20 +25,19 @@ def _closed_sum_reference(m):
 
 
 def test_term_ratio_construction_matches_the_fraction_sum():
-    g = period_coefficients(PeriodSpec("verra-eq3", 60))
+    g = period_coefficients("verra-eq3", 60)
     assert g.coeffs == [_closed_sum_reference(m) for m in range(61)]
 
 
-def test_order_override_and_validation():
-    g = period_coefficients(PeriodSpec("verra-eq3", 16), order=2)
+def test_order_and_validation():
+    g = period_coefficients("verra-eq3", 2)
     assert g.order == 2
     with pytest.raises(ValueError):
-        period_coefficients(PeriodSpec("verra-eq3", -1))
+        period_coefficients("verra-eq3", -1)
 
 
 def test_regularized_rescaling():
-    spec = PeriodSpec("verra-eq3", 3)
-    g = period_coefficients(spec)
+    g = period_coefficients("verra-eq3", 3)
     r = regularized_coefficients(g)
     # q^m coefficient picks up (2m)!
     assert r.coeffs == [g.coeffs[0], 2 * g.coeffs[1], 24 * g.coeffs[2], 720 * g.coeffs[3]]
@@ -67,4 +66,4 @@ def test_first_coefficient_must_be_one(monkeypatch):
                     regularized=None)
     monkeypatch.setitem(REGISTRY, "bad", bad)
     with pytest.raises(ValueError, match="does not start at 1"):
-        period_coefficients(PeriodSpec("bad", 2))
+        period_coefficients("bad", 2)

@@ -95,15 +95,15 @@ def test_structure_queries():
 def test_euler_derivative():
     # q d/dq multiplies each monomial by its q-exponent
     p = P({(0, 0, 2): 3, (0, 0, 1): 5, (0, 0, 0): 7})
-    assert p.euler_derivative("q") == P({(0, 0, 2): 6, (0, 0, 1): 5})
+    assert p.euler_derivative() == P({(0, 0, 2): 6, (0, 0, 1): 5})
 
 
 def test_euler_derivative_is_a_derivation():
     rng = random.Random(11)
     for _ in range(10):
         f, g = random_poly(rng), random_poly(rng)
-        lhs = (f * g).euler_derivative("q")
-        rhs = f.euler_derivative("q") * g + f * g.euler_derivative("q")
+        lhs = (f * g).euler_derivative()
+        rhs = f.euler_derivative() * g + f * g.euler_derivative()
         assert lhs == rhs
 
 

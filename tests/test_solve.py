@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from hodgeatoms.periods import PeriodSpec, period_coefficients
+from hodgeatoms.periods import period_coefficients
 from hodgeatoms.poly import Poly
 from hodgeatoms.qde import match_equations
 from hodgeatoms.solve import SolveError, solve_parameters
@@ -46,7 +46,7 @@ def test_reduced_system(report):
 def test_stability_across_truncation_orders(parametric_op, verra):
     sets = []
     for order in (12, 16):
-        g = period_coefficients(PeriodSpec(verra.period_source, order))
+        g = period_coefficients(verra.period_source, order)
         eqs = match_equations(parametric_op, g, order - 6)
         rep = solve_parameters(eqs, verra.parameter_order(), verra.enumerative)
         sets.append((rep.solutions, rep.accepted))

@@ -23,16 +23,16 @@ def bp(coeffs):
                    for k, terms in coeffs.items()})
 
 
-def test_plus_block(spectrum_report):
-    plus = spectrum_report.plus
+def test_plus_block(plus_spectrum):
+    plus = plus_spectrum
     assert plus.dim == 6
     assert plus.zero_multiplicity == 2
     assert plus.square_factors == (Fraction(128), Fraction(-16))
     assert plus.factored_render() == "lam^2*(lam^2 - 128*q)*(lam^2 + 16*q)"
 
 
-def test_minus_block(spectrum_report):
-    minus = spectrum_report.minus
+def test_minus_block(minus_spectrum):
+    minus = minus_spectrum
     assert minus.dim == 3
     assert minus.zero_multiplicity == 1
     assert minus.square_factors == (Fraction(16),)
@@ -78,15 +78,15 @@ def test_template_non_split():
         factor_template(bp({4: {0: 1}, 0: {2: -2}}), "demo")
 
 
-def test_reciprocity_passes(spectrum_report, verra):
+def test_reciprocity_passes(plus_spectrum, verra):
     reg = get_source(verra.period_source).regularized
-    rec = reciprocity_check(reg, spectrum_report)
+    rec = reciprocity_check(reg, plus_spectrum)
     assert rec.passed
     assert rec.eigen_squares == (Fraction(-16), Fraction(128))
     assert rec.singular_squares == (Fraction(-1, 16), Fraction(1, 128))
 
 
-def test_reciprocity_detects_mismatch(spectrum_report):
+def test_reciprocity_detects_mismatch(plus_spectrum):
     # flip the constant sign of the leading coefficient: the singular
     # squares move to {1/16, -1/128} and the comparison must fail
     T = ("t",)
@@ -94,25 +94,25 @@ def test_reciprocity_detects_mismatch(spectrum_report):
         Poly(T, {(0,): Fraction(1)}),
         Poly(T, {(4,): Fraction(2048), (2,): Fraction(-112), (0,): Fraction(-1)}),
     ))
-    rec = reciprocity_check(perturbed, spectrum_report)
+    rec = reciprocity_check(perturbed, plus_spectrum)
     assert not rec.passed
     assert rec.singular_squares == (Fraction(-1, 128), Fraction(1, 16))
 
 
-def test_reciprocity_rejects_odd_t_powers(spectrum_report):
+def test_reciprocity_rejects_odd_t_powers(plus_spectrum):
     T = ("t",)
     bad = DiffOperator((Poly(T, {(0,): Fraction(1)}),
                         Poly(T, {(1,): Fraction(1), (0,): Fraction(1)})))
     with pytest.raises(TemplateError, match="odd powers of t"):
-        reciprocity_check(bad, spectrum_report)
+        reciprocity_check(bad, plus_spectrum)
 
 
-def test_reciprocity_rejects_parametric_lead(spectrum_report):
+def test_reciprocity_rejects_parametric_lead(plus_spectrum):
     TS = ("t", "a")
     bad = DiffOperator((Poly(TS, {(0, 0): Fraction(1)}),
                         Poly(TS, {(2, 1): Fraction(1), (0, 0): Fraction(1)})))
     with pytest.raises(TemplateError, match="not constant in the parameters"):
-        reciprocity_check(bad, spectrum_report)
+        reciprocity_check(bad, plus_spectrum)
 
 
 def test_zero_multiplicity_helper():
