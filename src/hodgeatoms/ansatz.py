@@ -47,13 +47,10 @@ def admissible_powers(j: int, i: int, rule: DegreeRule) -> Tuple[int, ...]:
 def classical_matrix(basis, ring: AmbientRing) -> List[List[Fraction]]:
     """Cup multiplication by H in the given block basis, column convention:
     entry [j][i] is the b_j coordinate of H b_i."""
-    H = ring.H
-    cols = []
-    for b in basis:
-        try:
-            cols.append(coordinates(H.cup(b), basis))
-        except ValueError as e:
-            raise RuntimeError(f"H-multiple leaves the block span: {e}") from e
+    try:
+        cols = coordinates([ring.H.cup(b) for b in basis], basis)
+    except ValueError as e:
+        raise RuntimeError(f"H-multiple leaves the block span: {e}") from e
     return [list(row) for row in zip(*cols)]
 
 

@@ -163,21 +163,22 @@ def gram_matrix(basis, variables=("q",)) -> Matrix:
         variables, [[x.pair(y) for y in basis] for x in basis])
 
 
-def coordinates(x: AmbientClass, basis) -> List[Fraction]:
-    """Exact coordinates of x in the given basis; error if x is outside its span."""
-    monos = x.ring.monomials
-    # solve the little linear system by Gaussian elimination over Q
-    cols = [[b.coeff(a, bb) for (a, bb) in monos] for b in basis]
-    target = [x.coeff(a, bb) for (a, bb) in monos]
-    nrows, ncols = len(monos), len(basis)
-    aug = [[cols[j][i] for j in range(ncols)] + [target[i]] for i in range(nrows)]
+def coordinates(targets, basis) -> List[List[Fraction]]:
+    """Exact coordinates of each target in the given basis, from one reduction
+    of the basis columns augmented by every target; error if a target is
+    outside the span."""
+    monos = basis[0].ring.monomials
+    ncols = len(basis)
+    aug = [[b.coeff(*mono) for b in basis] + [x.coeff(*mono) for x in targets]
+           for mono in monos]
     pivots = rref(aug, ncols)
-    sol = [Fraction(0)] * ncols
+    sols = [[Fraction(0)] * ncols for _ in targets]
     for row, c in zip(aug, pivots):
-        sol[c] = row[-1]
+        for t, sol in enumerate(sols):
+            sol[c] = row[ncols + t]
     # consistency: residual must vanish, which also rejects an inconsistent system
-    for i, (a, bb) in enumerate(monos):
-        acc = sum((sol[j] * cols[j][i] for j in range(ncols)), Fraction(0))
-        if acc != target[i]:
-            raise ValueError("class does not lie in the span of the basis")
-    return sol
+    for x, sol in zip(targets, sols):
+        for mono in monos:
+            if sum(s * b.coeff(*mono) for s, b in zip(sol, basis)) != x.coeff(*mono):
+                raise ValueError("class does not lie in the span of the basis")
+    return sols

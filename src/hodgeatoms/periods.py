@@ -9,10 +9,9 @@ series the regularized operator annihilates.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional
 
 from .poly import Poly
 from .qde import DiffOperator
@@ -23,20 +22,24 @@ from .series import Series
 class PeriodSource:
     name: str
     description: str
-    coefficient: Callable[[int], Fraction]
+    coefficients: Callable[[int], List[Fraction]]  # a_0 .. a_order
     regularized: Optional[DiffOperator]  # in t, with D_t = t d/dt
 
 
-def _verra_coefficient(m: int) -> Fraction:
+def _verra_coefficients(order: int) -> List[Fraction]:
     # closed two-point sum for the double cover of P2 x P2 in the
-    # anticanonical Novikov slice, a_m = (2m)! Sum_l C(m,l)^3 / m!^4; the
-    # binomials come from the integer term ratio C(m,l+1) = C(m,l)(m-l)/(l+1)
-    total, binom = 0, 1
-    for l in range(m + 1):
-        total += binom ** 3
-        binom = binom * (m - l) // (l + 1)
-    f = math.factorial
-    return Fraction(f(2 * m) * total, f(m) ** 4)
+    # anticanonical Novikov slice, a_m = (2m)! f_m / m!^4, with f_m =
+    # Sum_l C(m,l)^3 the Franel numbers from their recurrence
+    # (n+1)^2 f_(n+1) = (7n^2 + 7n + 2) f_n + 8n^2 f_(n-1)
+    out, prev, franel, top, bottom = [], 0, 1, 1, 1
+    for m in range(order + 1):
+        if m:
+            n = m - 1
+            prev, franel = franel, ((7 * n * n + 7 * n + 2) * franel + 8 * n * n * prev) // (m * m)
+            top *= (2 * m - 1) * 2 * m
+            bottom *= m ** 4
+        out.append(Fraction(top * franel, bottom))
+    return out
 
 
 def _verra_regularized() -> DiffOperator:
@@ -58,7 +61,7 @@ REGISTRY: Dict[str, PeriodSource] = {
     "verra-eq3": PeriodSource(
         name="verra-eq3",
         description="quantum period of the very general Verra fourfold",
-        coefficient=_verra_coefficient,
+        coefficients=_verra_coefficients,
         regularized=_verra_regularized(),
     ),
 }
@@ -74,8 +77,7 @@ def period_coefficients(source: str, order: int) -> Series:
     """G(q) of the named source through q^order, exactly."""
     if order < 0:
         raise ValueError("order must be non-negative")
-    src = get_source(source)
-    coeffs = [src.coefficient(m) for m in range(order + 1)]
+    coeffs = get_source(source).coefficients(order)
     if coeffs[0] != 1:
         raise ValueError(f"period source {source!r} does not start at 1")
     return Series(coeffs)

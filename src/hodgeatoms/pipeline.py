@@ -128,8 +128,14 @@ def _stage_period(run: PipelineRun, state: Dict[str, Any]) -> None:
     if not ok:
         raise StageFailure("regularized operator does not annihilate the rescaled series")
 
-    plain_resid = apply(reg_q, series)
-    first = [f"{rat_str(c)}*q^{m}" for m, c in enumerate(plain_resid.coeffs) if c != 0][:3]
+    # the plain-series residual's first 3 nonzero terms, from a growing prefix
+    end = 0
+    while True:
+        end = min(2 * end + 8, order)
+        resid = apply(reg_q, series.truncate(end + reg_q.q_degree()))
+        first = [f"{rat_str(c)}*q^{m}" for m, c in enumerate(resid.coeffs) if c != 0][:3]
+        if len(first) == 3 or end == order:
+            break
     if first:
         run.note("the transformed regularized operator annihilates the factorially "
                  "rescaled series, not the plain period series; residual on the "

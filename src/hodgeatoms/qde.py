@@ -9,6 +9,7 @@ scalar operator annihilating that component for every solution.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Mapping, Tuple
@@ -162,25 +163,38 @@ def apply(op: DiffOperator, f: Series) -> Series:
 
 def apply_symbolic(op: DiffOperator, f: Series) -> List[Poly]:
     """Coefficients of apply(op, f) when the operator still carries parameters;
-    entry m is a polynomial in the parameters."""
+    entry m is a polynomial in the parameters.
+
+    Integer arithmetic throughout: the operator is cleared of denominators
+    once (lcm dv), and for each output order the few series coefficients it
+    uses are put over their lcm den, so each term of entry m is one integer
+    sum over den * dv.
+    """
     out_order = f.order - op.q_degree()
-    # the nonzero slices c_k[q^j] as (k, j, terms)
-    table = []
+    dv = math.lcm(*(v.denominator for c in op.coeffs for v in c.terms.values()))
+    # (j, monomial without q) -> dv times its coefficients in c_0 .. c_order at q^j
+    qi = op.vars.index("q")
+    slices: dict = {}
     for k, c in enumerate(op.coeffs):
-        for j in range(c.degree_in("q") + 1):
-            cj = c.coeff_of("q", j)
-            if not cj.is_zero():
-                table.append((k, j, list(cj.terms.items())))
+        for ex, v in c.terms.items():
+            key = (ex[qi], ex[:qi] + (0,) + ex[qi + 1:])
+            slices.setdefault(key, [0] * len(op.coeffs))[k] = v.numerator * (dv // v.denominator)
+    js = sorted({j for j, _ in slices})
     fc = f.coeffs
     out = []
     for mo in range(out_order + 1):
+        used = {j: fc[mo - j] for j in js if j <= mo}
+        den = math.lcm(*(x.denominator for x in used.values()))
+        scale = {j: x.numerator * (den // x.denominator) for j, x in used.items()}
         acc: dict = {}
-        for k, j, terms in table:
+        for (j, ex), ks in slices.items():
             if j <= mo:
-                w = (mo - j) ** k * fc[mo - j]
-                for ex, v in terms:
-                    acc[ex] = acc.get(ex, 0) + v * w
-        out.append(Poly(op.vars, acc))
+                n, w = mo - j, 0
+                for v in reversed(ks):  # sum_k v_k (mo - j)^k
+                    w = w * n + v
+                acc[ex] = acc.get(ex, 0) + w * scale[j]
+        den *= dv
+        out.append(Poly(op.vars, {ex: Fraction(v, den) for ex, v in acc.items() if v}))
     return out
 
 

@@ -10,6 +10,7 @@ Nothing is ever guessed: states the loop cannot reduce are reported.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple
@@ -55,38 +56,52 @@ def solve_parameters(equations: Sequence[Tuple[int, Poly]],
             raise SolveError(f"equation at q^{order} has degree {p.total_degree()} > 2")
         raw.append((order, p))
 
-    # linearize over the occurring monomials, constants aside
+    # linearize over the occurring monomials, constants aside; the normal
+    # forms are primitive, so every row is an integer vector
     canon = [normal_form(e) for _, e in raw]
     zero_ex = (0,) * len(params)
     monos = sorted({ex for e in canon for ex in e.terms if ex != zero_ex},
                    key=lambda ex: (-sum(ex), tuple(-x for x in ex)))
-    rows: List[List[Fraction]] = []
-    for e in canon:
-        rows.append([e.terms.get(ex, Fraction(0)) for ex in monos]
-                    + [e.terms.get(zero_ex, Fraction(0))])
+    cols = monos + [zero_ex]
+    rows = [[e.terms[ex].numerator if ex in e.terms else 0 for ex in cols] for e in canon]
 
-    pivots = rref(rows, len(monos))
-    for row in rows[len(pivots):]:
-        if row[-1] != 0:
-            raise SolveError("inconsistent linearized system")
+    # Gauss-Jordan only on the rows found independent so far. Any other row r
+    # lies in their span iff d r[j] = sum_c r[p_c] (d R_c)[j] on every
+    # non-pivot column j, with R the reduced rows, p_c their pivots and d
+    # their common denominator; the right-hand side must follow.
+    basis: List[List[Fraction]] = []
+    pivots: List[int] = []
+    scaled: List[List[int]] = []
+    d, free = 1, list(range(len(cols)))
+    for row in rows:
+        excess = [d * row[j] - sum(row[p] * s[j] for p, s in zip(pivots, scaled))
+                  for j in free]
+        if not any(excess[:-1]):
+            if excess[-1]:
+                raise SolveError("inconsistent linearized system")
+            continue
+        basis.append([Fraction(x) for x in row])
+        pivots = rref(basis, len(monos))
+        d = math.lcm(*(x.denominator for r in basis for x in r))
+        scaled = [[(x * d).numerator for x in r] for r in basis]
+        free = [j for j in range(len(cols)) if j not in pivots]
 
     # de-linearize the reduced rows back into polynomial equations
-    reduced: List[Poly] = []
-    for row in rows[: len(pivots)]:
-        terms = {ex: c for ex, c in zip(monos, row[:-1]) if c != 0}
-        if row[-1] != 0:
-            terms[zero_ex] = row[-1]
-        reduced.append(Poly(params, terms))
+    reduced = [Poly(params, dict(zip(cols, r))) for r in basis]
 
     solutions = _back_substitute(reduced, params)
 
-    # every candidate must satisfy every raw equation exactly
+    # every candidate must satisfy every raw equation exactly: over one
+    # denominator of its monomial values, equation i vanishes iff rows[i]
+    # dotted with the scaled values does
     for sol in solutions:
-        values = dict(zip(params, sol))
-        for order, e in raw:
-            if e.evaluate(values) != 0:
-                raise SolveError(
-                    f"candidate {values} fails the q^{order} equation (internal error)")
+        vals = [math.prod(x ** k for x, k in zip(sol, ex)) for ex in cols]
+        den = math.lcm(*(Fraction(v).denominator for v in vals))
+        ints = [(v * den).numerator for v in vals]
+        for (order, _), row in zip(raw, rows):
+            if sum(a * b for a, b in zip(row, ints)):
+                raise SolveError(f"candidate {dict(zip(params, sol))} fails the "
+                                 f"q^{order} equation (internal error)")
 
     accepted, rejected = [], []
     for sol in solutions:

@@ -152,7 +152,7 @@ def symbolic_ansatz(basis, ring, rule, block):
     slots = [(j, i, d) for j in range(n) for i in range(n)
              for d in admissible_powers(j, i, rule) if d >= 1]
     nun = len(slots)
-    cols = [coordinates(ring.H.cup(b), basis) for b in basis]
+    cols = coordinates([ring.H.cup(b) for b in basis], basis)
 
     def cup(variables):
         return Matrix([[Poly.const(variables, cols[i][j]) for i in range(n)]
@@ -232,10 +232,11 @@ def test_one_cup_matrix_per_block(basis, ring, monkeypatch):
     calls = []
     original = ansatz.coordinates
 
-    def counted(x, b):
-        calls.append(x)
-        return original(x, b)
+    def counted(targets, b):
+        calls.append(targets)
+        return original(targets, b)
 
     monkeypatch.setattr(ansatz, "coordinates", counted)
     build_ansatz(basis.symmetric, ring, DegreeRule(SYM_DEGREES), "symmetric")
-    assert len(calls) == len(basis.symmetric)
+    # one reduction for all of the block's H-multiples
+    assert [len(targets) for targets in calls] == [len(basis.symmetric)]

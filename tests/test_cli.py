@@ -60,6 +60,14 @@ def test_certify_json_at_order_200_is_pinned(capsys):
         "cd776f1d947ad5bc4245bc815e627e66f92ed6bef3c77851a923aa5f0e3f55f1")
 
 
+def test_certify_json_at_order_400_is_pinned(capsys):
+    # golden bytes deeper still, where the matched equations are longest
+    code, out, _ = run_cli(capsys, "certify", "--format", "json", "--order", "400")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "b2e6467111d40274e359d6fc70c4ab937561e0cb2b0363002a0d5b84db11b28b")
+
+
 def test_one_period_series_per_certify(capsys, monkeypatch):
     calls = []
     original = pipeline.period_coefficients
@@ -98,7 +106,8 @@ def test_period_source_not_starting_at_one_fails_the_stage(capsys, monkeypatch, 
     verra = periods.get_source("verra-eq3")
     monkeypatch.setitem(periods.REGISTRY, "doubled", periods.PeriodSource(
         name="doubled", description="a_0 = 2",
-        coefficient=lambda m: 2 * verra.coefficient(m), regularized=verra.regularized))
+        coefficients=lambda n: [2 * a for a in verra.coefficients(n)],
+        regularized=verra.regularized))
     text = (ROOT / "src" / "hodgeatoms" / "data" / "verra.instance").read_text()
     path = tmp_path / "doubled.instance"
     path.write_text(text.replace("source=verra-eq3", "source=doubled"))
@@ -118,7 +127,7 @@ def test_period_source_without_regularized_operator_fails_the_stage(
     verra = periods.get_source("verra-eq3")
     monkeypatch.setitem(periods.REGISTRY, "unregularized", periods.PeriodSource(
         name="unregularized", description="no published operator",
-        coefficient=verra.coefficient, regularized=None))
+        coefficients=verra.coefficients, regularized=None))
     text = (ROOT / "src" / "hodgeatoms" / "data" / "verra.instance").read_text()
     path = tmp_path / "unregularized.instance"
     path.write_text(text.replace("source=verra-eq3", "source=unregularized"))

@@ -104,7 +104,7 @@ def test_gram_matrices(basis):
 
 def test_coordinates_roundtrip(ring, basis):
     x = basis.symmetric[2] + basis.symmetric[3].scale(Fraction(1, 2))
-    coords = coordinates(x, basis.symmetric)
-    assert coords == [0, 0, 1, Fraction(1, 2), 0, 0]
+    coords = coordinates([x, basis.symmetric[0]], basis.symmetric)
+    assert coords == [[0, 0, 1, Fraction(1, 2), 0, 0], [1, 0, 0, 0, 0, 0]]
     with pytest.raises(ValueError, match="span"):
-        coordinates(ring.H1, basis.symmetric)
+        coordinates([x, ring.H1], basis.symmetric)

@@ -29,6 +29,21 @@ def test_term_ratio_construction_matches_the_fraction_sum():
     assert g.coeffs == [_closed_sum_reference(m) for m in range(61)]
 
 
+def _term_ratio_reference(m):
+    # the closed two-point sum, binomials by their integer term ratio
+    total, binom = 0, 1
+    for l in range(m + 1):
+        total += binom ** 3
+        binom = binom * (m - l) // (l + 1)
+    f = math.factorial
+    return Fraction(f(2 * m) * total, f(m) ** 4)
+
+
+def test_franel_recurrence_matches_the_closed_form_through_300():
+    g = period_coefficients("verra-eq3", 300)
+    assert g.coeffs == [_term_ratio_reference(m) for m in range(301)]
+
+
 def test_order_and_validation():
     g = period_coefficients("verra-eq3", 2)
     assert g.order == 2
@@ -62,8 +77,8 @@ def test_registry_source_metadata():
 
 def test_first_coefficient_must_be_one(monkeypatch):
     src = get_source("verra-eq3")
-    bad = type(src)(name="bad", description="", coefficient=lambda m: Fraction(2),
-                    regularized=None)
+    bad = type(src)(name="bad", description="",
+                    coefficients=lambda n: [Fraction(2)] * (n + 1), regularized=None)
     monkeypatch.setitem(REGISTRY, "bad", bad)
     with pytest.raises(ValueError, match="does not start at 1"):
         period_coefficients("bad", 2)

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from hodgeatoms.linalg import Matrix, left_nullspace
 from hodgeatoms.periods import get_source, regularized_coefficients
@@ -168,6 +169,57 @@ def test_apply_symbolic_equals_apply_without_parameters(solved_op, period16):
     sym = apply_symbolic(solved_op, period16)
     num = apply(solved_op, period16)
     assert [p.constant_value() for p in sym] == num.coeffs
+
+
+def _apply_symbolic_reference(op, f):
+    # one Fraction multiply-add per operator term and output order
+    out_order = f.order - op.q_degree()
+    table = []
+    for k, c in enumerate(op.coeffs):
+        for j in range(c.degree_in("q") + 1):
+            cj = c.coeff_of("q", j)
+            if not cj.is_zero():
+                table.append((k, j, list(cj.terms.items())))
+    fc = f.coeffs
+    out = []
+    for mo in range(out_order + 1):
+        acc = {}
+        for k, j, terms in table:
+            if j <= mo:
+                w = (mo - j) ** k * fc[mo - j]
+                for ex, v in terms:
+                    acc[ex] = acc.get(ex, 0) + v * w
+        out.append(Poly(op.vars, acc))
+    return out
+
+
+_RATIONALS = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+
+
+@st.composite
+def parametric_operators(draw):
+    # q in any position among two parameters, coefficients with denominators
+    variables = draw(st.permutations(("s", "t", "q")))
+    qi = variables.index("q")
+    exps = [ex for ex in ((a, b, c) for a in range(3) for b in range(3) for c in range(3))
+            if sum(ex) - ex[qi] <= 2]
+    coeffs = [Poly(variables, draw(st.dictionaries(st.sampled_from(exps), _RATIONALS,
+                                                   max_size=5)))
+              for _ in range(draw(st.integers(1, 4)))]
+    if coeffs[-1].is_zero():
+        coeffs[-1] = Poly.const(variables, draw(_RATIONALS.filter(bool)))
+    return DiffOperator(tuple(coeffs))
+
+
+@given(parametric_operators(), st.lists(_RATIONALS, min_size=3, max_size=12))
+def test_apply_symbolic_matches_the_per_term_fraction_loop(op, values):
+    f = Series(values)
+    assert apply_symbolic(op, f) == _apply_symbolic_reference(op, f)
+
+
+def test_apply_symbolic_at_depth_matches_the_per_term_fraction_loop(parametric_op, verra):
+    f = Series(get_source(verra.period_source).coefficients(60))
+    assert apply_symbolic(parametric_op, f) == _apply_symbolic_reference(parametric_op, f)
 
 
 def test_match_equations_vanish_at_the_solution(parametric_op, period16, solution):

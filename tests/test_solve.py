@@ -1,11 +1,15 @@
 """Exact parameter solving on the matched equations."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, strategies as st
 
+from hodgeatoms import solve
+from hodgeatoms.linalg import rref
 from hodgeatoms.periods import period_coefficients
-from hodgeatoms.poly import Poly
+from hodgeatoms.poly import Poly, normal_form
 from hodgeatoms.qde import match_equations
 from hodgeatoms.solve import SolveError, solve_parameters
 
@@ -107,3 +111,99 @@ def test_enumerative_filter_rejects_negatives():
     rep = solve_parameters(eqs, XY, ("x",))
     assert rep.accepted == ()
     assert rep.rejected[0][1] == "not a non-negative integer: x = -1"
+
+
+def _full_rref_reference(equations, params):
+    # the reduced system from one Gauss-Jordan pass over every row
+    canon = [normal_form(e.rename_vars(params)) for _, e in equations]
+    zero_ex = (0,) * len(params)
+    monos = sorted({ex for e in canon for ex in e.terms if ex != zero_ex},
+                   key=lambda ex: (-sum(ex), tuple(-x for x in ex)))
+    rows = [[e.terms.get(ex, Fraction(0)) for ex in monos]
+            + [e.terms.get(zero_ex, Fraction(0))] for e in canon]
+    pivots = rref(rows, len(monos))
+    for row in rows[len(pivots):]:
+        if row[-1] != 0:
+            raise SolveError("inconsistent linearized system")
+    reduced = []
+    for row in rows[: len(pivots)]:
+        terms = {ex: c for ex, c in zip(monos, row[:-1]) if c != 0}
+        if row[-1] != 0:
+            terms[zero_ex] = row[-1]
+        reduced.append(Poly(params, terms))
+    return reduced
+
+
+XYZ = ("x", "y", "z")
+_MONOS = [ex for ex in ((a, b, c) for a in range(3) for b in range(3) for c in range(3))
+          if 1 <= sum(ex) <= 2]
+_SMALL = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+
+
+def _evaluate(terms, point):
+    total = Fraction(0)
+    for ex, c in terms.items():
+        for x, k in zip(point, ex):
+            c *= x ** k
+        total += c
+    return total
+
+
+@st.composite
+def consistent_systems(draw):
+    """Degree <= 2 equations in x, y, z vanishing at one rational point, with
+    rational combinations of them mixed in as dependent rows."""
+    point = draw(st.tuples(_SMALL, _SMALL, _SMALL))
+    base = []
+    for _ in range(draw(st.integers(1, 5))):
+        terms = draw(st.dictionaries(st.sampled_from(_MONOS), _SMALL.filter(bool),
+                                     min_size=1, max_size=4))
+        terms[(0, 0, 0)] = -_evaluate(terms, point)
+        base.append(Poly(XYZ, terms))
+    eqs = list(base)
+    for _ in range(draw(st.integers(0, 6))):
+        combo = Poly.zero(XYZ)
+        for e in base:
+            combo = combo + e.scale(draw(st.integers(-3, 3)))
+        if not combo.is_zero():
+            eqs.insert(draw(st.integers(0, len(eqs))), combo)
+    return [(k + 2, e) for k, e in enumerate(eqs)], point
+
+
+@given(consistent_systems())
+def test_reduced_system_matches_a_full_rref(system):
+    eqs, _ = system
+    # back-substitution left out: the reduced system is compared as reduced
+    with mock.patch.object(solve, "_back_substitute", lambda reduced, params: []):
+        report = solve_parameters(eqs, XYZ, ())
+    assert list(report.reduced) == _full_rref_reference(eqs, XYZ)
+
+
+@given(consistent_systems(), st.data())
+def test_inconsistent_systems_still_raise(system, data):
+    eqs, _ = system
+    # a dependent combination shifted by a nonzero constant has no solution
+    shifted = eqs[0][1].scale(data.draw(st.integers(1, 3))) + data.draw(_SMALL.filter(bool))
+    eqs.insert(data.draw(st.integers(0, len(eqs))), (99, shifted))
+    with pytest.raises(SolveError, match="inconsistent linearized system"):
+        _full_rref_reference(eqs, XYZ)
+    with mock.patch.object(solve, "_back_substitute", lambda reduced, params: []), \
+            pytest.raises(SolveError, match="inconsistent linearized system"):
+        solve_parameters(eqs, XYZ, ())
+
+
+def test_reduced_system_at_depth_matches_a_full_rref(parametric_op, verra):
+    g = period_coefficients(verra.period_source, 120)
+    eqs = match_equations(parametric_op, g, 114)
+    report = solve_parameters(eqs, verra.parameter_order(), verra.enumerative)
+    assert list(report.reduced) == _full_rref_reference(eqs, verra.parameter_order())
+
+
+def test_wrong_candidate_is_an_internal_error(monkeypatch):
+    # x = 2 satisfies the q^2 equation x^2 = 4 but not the q^3 one, y = 0
+    eqs = [(2, e2({(2, 0): 1, (0, 0): -4})), (3, e2({(0, 1): 1}))]
+    monkeypatch.setattr(solve, "_back_substitute",
+                        lambda reduced, params: [(Fraction(2), Fraction(0)),
+                                                 (Fraction(2), Fraction(1, 3))])
+    with pytest.raises(SolveError, match=r"fails the q\^3 equation \(internal error\)"):
+        solve_parameters(eqs, XY, ())
