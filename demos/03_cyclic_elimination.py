@@ -19,17 +19,17 @@ am = apply_param_names(
                  DegreeRule(basis.degrees("symmetric")), "symmetric"),
     verra.param_names)
 
-rows = cyclic_rows(am.matrix, verra.component, 2)
+rows = cyclic_rows(am.matrix, verra.component, am.matrix.ncols)
 print(f"component {verra.component} (top degree); first cyclic rows:")
 for k in range(3):
     print(f"  r_{k} = (" + ", ".join(p.render() for p in rows.rows[k]) + ")")
 
-op = eliminate(am.matrix, verra.component)
+op = eliminate(rows)
 print(f"\nfirst dependence at order {op.order}:")
 print(" ", op.render())
 
 print("\ncofactor identity sum c_k r_k = 0 holds with parameters:",
-      cofactor_identity_holds(op, am.matrix, verra.component))
+      cofactor_identity_holds(op, rows))
 
 solved = op.substitute({"s": 2, "t": 6, "u": 2, "v": 16})
 print("\nat the solved parameters (2, 6, 2, 16):")

@@ -11,16 +11,17 @@ from hodgeatoms.ansatz import DegreeRule, apply_param_names, build_ansatz
 from hodgeatoms.cohomology import AmbientRing
 from hodgeatoms.instance import load_instance
 from hodgeatoms.periods import period_coefficients
-from hodgeatoms.qde import eliminate, match_equations
+from hodgeatoms.qde import cyclic_rows, eliminate, match_equations
 from hodgeatoms.solve import solve_parameters
 
 verra = load_instance("verra")
 ring = AmbientRing()
 basis = ring.eigenbasis()
-op = eliminate(apply_param_names(
+m = apply_param_names(
     build_ansatz(basis.symmetric, ring,
                  DegreeRule(basis.degrees("symmetric")), "symmetric"),
-    verra.param_names).matrix, verra.component)
+    verra.param_names).matrix
+op = eliminate(cyclic_rows(m, verra.component, m.ncols))
 
 for order in (12, 16):
     g = period_coefficients(verra.period_source, order)

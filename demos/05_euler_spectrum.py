@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from hodgeatoms.ansatz import (DegreeRule, apply_param_names, build_ansatz,
                                substitute_params)
+from hodgeatoms.certificate import chi_render
 from hodgeatoms.cohomology import AmbientRing
 from hodgeatoms.instance import load_instance
 from hodgeatoms.linalg import char_poly
@@ -32,8 +33,8 @@ solution = {"s": Fraction(2), "t": Fraction(6), "u": Fraction(2), "v": Fraction(
 mplus = substitute_params(sym, solution)
 mminus = substitute_params(anti, {anti.params[0]: Fraction(2)})
 
-print("chi(M_+) =", char_poly(mplus).render())
-print("chi(M_-) =", char_poly(mminus).render())
+print("chi(M_+) =", chi_render(char_poly(mplus)))
+print("chi(M_-) =", chi_render(char_poly(mminus)))
 
 plus = block_spectrum(mplus, "symmetric")
 minus = block_spectrum(mminus, "antisymmetric")

@@ -13,7 +13,7 @@ import json
 from fractions import Fraction
 from typing import Any, Dict, List
 
-from .linalg import BiPoly, Matrix
+from .linalg import LAM, Matrix
 from .poly import Poly
 from .qde import DiffOperator
 from .series import Series
@@ -53,10 +53,32 @@ def matrix_json(m: Matrix) -> List[List[Any]]:
     return [[poly_json(p) for p in row] for row in m.rows]
 
 
-def bipoly_json(chi: BiPoly) -> Dict[str, Any]:
+def _lam_coeffs(chi: Poly):
+    """(k, coefficient of LAM^k) for the nonzero coefficients, k ascending."""
+    coeffs = ((k, chi.coeff_of(LAM, k)) for k in range(chi.degree_in(LAM) + 1))
+    return [(k, p) for k, p in coeffs if not p.is_zero()]
+
+
+def chi_render(chi: Poly) -> str:
+    """A characteristic polynomial grouped by descending powers of LAM."""
+    parts = []
+    for k, p in reversed(_lam_coeffs(chi)):
+        lk = LAM if k == 1 else f"{LAM}^{k}"
+        if k == 0:
+            parts.append(f"({p.render()})")
+        elif p.constant_value() == 1:
+            parts.append(lk)
+        elif p.constant_value() is not None:
+            parts.append(f"{p.constant_value()}*{lk}")
+        else:
+            parts.append(f"({p.render()})*{lk}")
+    return " + ".join(parts) or "0"
+
+
+def chi_json(chi: Poly) -> Dict[str, Any]:
     return {
-        "display": chi.render(),
-        "coefficients": {str(k): poly_json(chi.coeff(k)) for k in sorted(chi.coeffs)},
+        "display": chi_render(chi),
+        "coefficients": {str(k): poly_json(p) for k, p in _lam_coeffs(chi)},
     }
 
 

@@ -4,17 +4,18 @@ Kernels come from Bareiss's fraction-free elimination on integer
 polynomials: every division is exact, so entries grow like minors
 instead of like nested cross-products, and no rational-function entry
 appears. Kernel vectors are returned unnormalised; the one normal form
-of an operator vector is `qde.DiffOperator.normalize`. Determinants
-expand by minors with subset memoisation; `rref` is Gauss-Jordan over Q
-for the small numeric systems of the ansatz, the solver and the
-cohomology coordinates.
+of an operator vector is `qde.DiffOperator.normalize`. The same
+elimination gives determinants: its last pivot, signed by the order of
+the pivot columns, is the determinant of the rows scaled to integers.
+`rref` is Gauss-Jordan over Q for the small numeric systems of the
+ansatz, the solver and the cohomology coordinates.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, List, Mapping
+from typing import Callable, Iterable, List, Mapping, Tuple
 
 from .poly import Poly, _zdiv, _zmul, _zsub
 
@@ -121,39 +122,37 @@ def rref(rows: List[List[Fraction]], ncols: int) -> List[int]:
     return pivots
 
 
-def left_nullspace(m: Matrix) -> List[List[Poly]]:
-    """Basis of {v : v . m = 0}, in the order of the row each vector ends at.
+def _int_row(row: List[Poly]) -> Tuple[List[dict], int]:
+    """(den * row as integer term dicts, den), den the lcm of its denominators."""
+    den = math.lcm(*(c.denominator for p in row for c in p.terms.values()))
+    return [{ex: c.numerator * (den // c.denominator) for ex, c in p.terms.items()}
+            for p in row], den
 
-    The vectors are returned as the elimination leaves them: integer
-    coefficients, neither content-free nor sign-normalised (callers that
-    need a normal form take it, as `DiffOperator.normalize` does).
 
-    Row-incremental Bareiss elimination over Z on [m | I], each row first
-    scaled to integer coefficients. A new row r is reduced against the pivot
-    rows P_1..P_k found so far by r <- (p_k r - r[c_k] P_k) / p_(k-1), with
-    c_k the pivot column of P_k, p_k = P_k[c_k] and p_0 = 1; by Sylvester's
-    identity every division is exact. A row whose left part vanishes yields a
-    kernel vector; any other row becomes a pivot row at its nonzero entry of
-    least total degree.
+def _bareiss(rows: Iterable[List[dict]], ncols: int) -> Tuple[list, list]:
+    """Row-incremental Bareiss elimination over Z on the first ncols entries.
+
+    A new row r is reduced against the pivot rows P_1..P_k found so far by
+    r <- (p_k r - r[c_k] P_k) / p_(k-1), with c_k the pivot column of P_k,
+    p_k = P_k[c_k] and p_0 = 1. By Sylvester's identity every division is
+    exact and entry j of the reduced row is the minor of the rows so far on
+    the columns c_1..c_k, j. A row whose first ncols entries vanish is
+    dependent; any other row becomes a pivot row at its nonzero entry of
+    least total degree. Returns the pivots (column, pivot, row) and the
+    dependent rows, each in the order the rows came in.
     """
-    ncols = m.ncols
-    one = (0,) * len(m.vars)
-    pivots = []  # (column, pivot, row)
-    kernel = []
-    for i, src in enumerate(m.rows):
-        den = math.lcm(*(c.denominator for p in src for c in p.terms.values()))
-        row = [{ex: c.numerator * (den // c.denominator) for ex, c in p.terms.items()}
-               for p in src]
-        row += [{one: den} if j == i else {} for j in range(m.nrows)]
-        prev = {one: 1}
+    pivots, dependent = [], []
+    for row in rows:
+        prev = None
         for col, pv, prow in pivots:
             e = row[col]
             nxt = []
             for x, y in zip(row, prow):
                 v = _zsub(_zmul(pv, x), _zmul(e, y)) if e and y else _zmul(pv, x)
-                v = _zdiv(v, prev)
-                if v is None:
-                    raise RuntimeError("inexact Bareiss division in left_nullspace")
+                if prev is not None:
+                    v = _zdiv(v, prev)
+                    if v is None:
+                        raise RuntimeError("inexact Bareiss division")
                 nxt.append(v)
             row, prev = nxt, pv
         left = row[:ncols]
@@ -162,127 +161,59 @@ def left_nullspace(m: Matrix) -> List[List[Poly]]:
                       key=lambda j: (max(map(sum, left[j])), j))
             pivots.append((col, left[col], row))
         else:
-            kernel.append([Poly(m.vars, x) for x in row[ncols:]])
-    return kernel
+            dependent.append(row)
+    return pivots, dependent
+
+
+def left_nullspace(m: Matrix) -> List[List[Poly]]:
+    """Basis of {v : v . m = 0}, in the order of the row each vector ends at.
+
+    The vectors are returned as the elimination leaves them: integer
+    coefficients, neither content-free nor sign-normalised (callers that
+    need a normal form take it, as `DiffOperator.normalize` does).
+
+    Bareiss elimination on [m | I], each row first scaled to integer
+    coefficients; a dependent row's right part is a kernel vector.
+    """
+    one = (0,) * len(m.vars)
+    rows = []
+    for i, src in enumerate(m.rows):
+        row, den = _int_row(src)
+        rows.append(row + [{one: den} if j == i else {} for j in range(m.nrows)])
+    _, dependent = _bareiss(rows, m.ncols)
+    return [[Poly(m.vars, x) for x in row[m.ncols:]] for row in dependent]
 
 
 # -- determinants and characteristic polynomials -----------------------------
 
 def det(m: Matrix) -> Poly:
-    """Determinant by division-free minor expansion with subset memoization."""
+    """Determinant from the last Bareiss pivot.
+
+    With each row i scaled to integers by den_i, the last pivot is the
+    determinant of the scaled rows on the pivot columns c_1..c_n, so
+    det m = sign(c) * p_n / (den_1 ... den_n); a dependent row makes it 0.
+    """
     if m.nrows != m.ncols:
         raise ValueError("determinant of a non-square matrix")
-    n = m.nrows
-    # minors[mask] = det of rows 0..k-1 against the column set mask (k = popcount)
-    minors = {0: Poly.const(m.vars, 1)}
-    for k in range(1, n + 1):
-        nxt = {}
-        for mask in _masks_of_size(n, k):
-            acc = Poly.zero(m.vars)
-            idx = 0
-            for j in range(n):
-                if not (mask >> j) & 1:
-                    continue
-                entry = m.rows[k - 1][j]
-                if not entry.is_zero():
-                    term = entry * minors[mask & ~(1 << j)]
-                    acc = acc + (term if (k - 1 + idx) % 2 == 0 else -term)
-                idx += 1
-            nxt[mask] = acc
-        minors = nxt
-    return minors[(1 << n) - 1]
-
-
-def _masks_of_size(n: int, k: int):
-    from itertools import combinations
-    for cols in combinations(range(n), k):
-        mask = 0
-        for c in cols:
-            mask |= 1 << c
-        yield mask
+    scaled = [_int_row(r) for r in m.rows]
+    pivots, dependent = _bareiss((row for row, _ in scaled), m.ncols)
+    if dependent:
+        return Poly.zero(m.vars)
+    cols = [col for col, _, _ in pivots]
+    inversions = sum(a > b for i, a in enumerate(cols) for b in cols[i + 1:])
+    scale = Fraction((-1) ** inversions, math.prod(den for _, den in scaled))
+    return Poly(m.vars, {ex: c * scale for ex, c in pivots[-1][1].items()})
 
 
 # the outer variable of characteristic polynomials
 LAM = "lam"
 
 
-class BiPoly:
-    """Polynomial in the outer variable LAM with Poly coefficients."""
-
-    __slots__ = ("coeffs", "vars")
-
-    def __init__(self, coeffs: Mapping[int, Poly], variables=("q",)):
-        self.coeffs = {int(k): p for k, p in coeffs.items() if not p.is_zero()}
-        self.vars = next((p.vars for p in self.coeffs.values()), tuple(variables))
-
-    def degree(self) -> int:
-        return max(self.coeffs, default=0)
-
-    def coeff(self, k: int) -> Poly:
-        return self.coeffs.get(k, Poly.zero(self.vars))
-
-    def zero_multiplicity(self) -> int:
-        """Largest a with lam^a dividing the polynomial."""
-        if not self.coeffs:
-            return 0
-        return min(self.coeffs)
-
-    def shift_down(self, a: int) -> "BiPoly":
-        if any(k < a for k in self.coeffs):
-            raise ValueError(f"not divisible by {LAM}^{a}")
-        return BiPoly({k - a: p for k, p in self.coeffs.items()})
-
-    def __mul__(self, other: "BiPoly") -> "BiPoly":
-        out: dict = {}
-        for k1, p1 in self.coeffs.items():
-            for k2, p2 in other.coeffs.items():
-                k = k1 + k2
-                cur = out.get(k)
-                out[k] = p1 * p2 if cur is None else cur + p1 * p2
-        return BiPoly(out)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def render(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k in sorted(self.coeffs, reverse=True):
-            p = self.coeffs[k]
-            lk = LAM if k == 1 else f"{LAM}^{k}"
-            if k == 0:
-                parts.append(f"({p.render()})")
-            elif p.constant_value() == 1:
-                parts.append(lk)
-            elif p.constant_value() is not None:
-                parts.append(f"{p.constant_value()}*{lk}")
-            else:
-                parts.append(f"({p.render()})*{lk}")
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"BiPoly({self.render()})"
-
-
-def char_poly(m: Matrix) -> BiPoly:
-    """det(lam I - m), exact, grouped by powers of lam."""
-    if m.nrows != m.ncols:
-        raise ValueError("characteristic polynomial of a non-square matrix")
+def char_poly(m: Matrix) -> Poly:
+    """det(lam I - m), exact, over m.vars + (LAM,)."""
     if LAM in m.vars:
         raise ValueError(f"matrix ring already uses {LAM!r}")
     ext = m.vars + (LAM,)
-    n = m.nrows
     lam = Poly.var(ext, LAM)
-    big = Matrix([[lam.scale(1 if i == j else 0) - m.rows[i][j].rename_vars(ext)
-                   for j in range(n)] for i in range(n)])
-    full = det(big)
-    out: dict = {}
-    for k in range(full.degree_in(LAM) + 1):
-        ck = full.coeff_of(LAM, k)
-        if not ck.is_zero():
-            # project back onto the original variable tuple
-            out[k] = ck.rename_vars(m.vars)
-    return BiPoly(out)
+    return det(Matrix([[(lam if i == j else 0) - p.rename_vars(ext) for j, p in enumerate(r)]
+                       for i, r in enumerate(m.rows)]))

@@ -16,12 +16,12 @@ from typing import Any, Dict, List, Optional
 from . import __version__
 from .ansatz import DegreeRule, admissible_powers, apply_param_names, build_ansatz, substitute_params
 from .atoms import AtomError, assemble_zero_atoms, exclusion_search, transcendental_invariants
-from .certificate import (bipoly_json, dump_json, dump_text, matrix_json,
+from .certificate import (chi_json, dump_json, dump_text, matrix_json,
                           operator_json, poly_json, rat_str, series_json)
 from .cohomology import AmbientRing, gram_matrix
 from .instance import InstanceSpec
 from .periods import get_source, period_coefficients, regularized_coefficients
-from .qde import (apply, cofactor_identity_holds, eliminate, match_equations,
+from .qde import (apply, cofactor_identity_holds, cyclic_rows, eliminate, match_equations,
                   transform_even_operator)
 from .solve import SolveError, solve_parameters
 from .spectrum import TemplateError, block_spectrum, reciprocity_check
@@ -241,13 +241,14 @@ def _stage_ansatz(run: PipelineRun, state: Dict[str, Any]) -> None:
 
 def _stage_eliminate(run: PipelineRun, state: Dict[str, Any]) -> None:
     inst = run.instance
-    sym = state["sym"]
+    m = state["sym"].matrix
+    rows = cyclic_rows(m, inst.component, m.ncols)
     try:
-        op = eliminate(sym.matrix, inst.component)
+        op = eliminate(rows)
     except RuntimeError as e:
         run.check("eliminate.operator_found", False, str(e))
         raise StageFailure(f"elimination failed: {e}") from e
-    ok = cofactor_identity_holds(op, sym.matrix, inst.component)
+    ok = cofactor_identity_holds(op, rows)
     run.check("eliminate.cofactor_identity", ok,
               "sum c_k r_k = 0 symbolically, parameters included")
     if not ok:
@@ -371,7 +372,7 @@ def _stage_spectrum(run: PipelineRun, state: Dict[str, Any]) -> None:
 
 def _block_json(b) -> Dict[str, Any]:
     return {
-        "chi": bipoly_json(b.chi),
+        "chi": chi_json(b.chi),
         "factored": b.factored_render(),
         "dim": b.dim,
         "zero_multiplicity": b.zero_multiplicity,

@@ -122,14 +122,14 @@ def cyclic_rows(m: Matrix, component: int, count: int) -> Matrix:
     return Matrix(rows)
 
 
-def eliminate(m: Matrix, component: int) -> DiffOperator:
-    """Least-order scalar operator annihilating the chosen solution component.
+def eliminate(rows: Matrix) -> DiffOperator:
+    """Least-order scalar operator from the cyclic rows r_0..r_n.
 
-    The first kernel vector of r_0..r_n ends at the least k with r_k
+    The first kernel vector of the rows ends at the least k with r_k
     dependent on r_0..r_(k-1); that kernel is one-dimensional, so the
     vector is the operator up to normalisation.
     """
-    kernel = left_nullspace(cyclic_rows(m, component, m.ncols))
+    kernel = left_nullspace(rows)
     if not kernel:
         raise RuntimeError("no dependence found through order n (cannot happen)")
     vec = kernel[0]
@@ -137,12 +137,12 @@ def eliminate(m: Matrix, component: int) -> DiffOperator:
     return DiffOperator(tuple(vec[:top + 1])).normalize()
 
 
-def cofactor_identity_holds(op: DiffOperator, m: Matrix, component: int) -> bool:
-    """Check Sum c_k r_k = 0 exactly, parameters included."""
-    rows = cyclic_rows(m, component, op.order)
-    n = m.ncols
-    for j in range(n):
-        acc = Poly.zero(m.vars)
+def cofactor_identity_holds(op: DiffOperator, rows: Matrix) -> bool:
+    """Check Sum c_k r_k = 0 exactly on the cyclic rows, parameters included."""
+    if op.order >= rows.nrows:
+        return False
+    for j in range(rows.ncols):
+        acc = Poly.zero(rows.vars)
         for k, c in enumerate(op.coeffs):
             acc = acc + c * rows.rows[k][j]
         if not acc.is_zero():

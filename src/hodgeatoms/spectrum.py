@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple
 
-from .linalg import LAM, BiPoly, Matrix, char_poly
+from .linalg import LAM, Matrix, char_poly
 from .poly import Poly
 from .qde import DiffOperator
 
@@ -27,7 +27,7 @@ class TemplateError(ValueError):
 @dataclass(frozen=True)
 class BlockSpectrum:
     block: str
-    chi: BiPoly
+    chi: Poly                              # over (..., LAM)
     dim: int
     zero_multiplicity: int
     square_factors: Tuple[Fraction, ...]   # multiset {c} with (lam^2 - c q) | chi
@@ -125,17 +125,18 @@ def _synthetic_div(coeffs: List[Fraction], root: Fraction) -> List[Fraction]:
     return out
 
 
-def factor_template(chi: BiPoly, block: str) -> BlockSpectrum:
-    """Match chi against lam^a * prod(lam^2 - c_i q), exactly."""
-    dim = chi.degree()
-    a = chi.zero_multiplicity()
-    body = chi.shift_down(a)
-    if any(k % 2 for k in body.coeffs):
+def factor_template(chi: Poly, block: str) -> BlockSpectrum:
+    """Match chi, a polynomial over (..., LAM), against
+    lam^a * prod(lam^2 - c_i q), exactly."""
+    dim = chi.degree_in(LAM)
+    li = chi.vars.index(LAM)
+    a = min((ex[li] for ex in chi.terms), default=0)
+    if any((ex[li] - a) % 2 for ex in chi.terms):
         raise TemplateError(f"{block}: odd eigenvalue powers outside the zero factor")
-    f = body.degree() // 2
+    f = (dim - a) // 2
     alphas: List[Fraction] = []
     for k in range(f + 1):
-        p = body.coeff(2 * k)
+        p = chi.coeff_of(LAM, 2 * k + a)
         want = f - k
         if p.is_zero():
             alphas.append(Fraction(0))
@@ -151,10 +152,10 @@ def factor_template(chi: BiPoly, block: str) -> BlockSpectrum:
         raise TemplateError(f"{block}: square polynomial does not split over Q")
 
     # rebuild and compare, the template match is verified by multiplication
-    rebuilt = BiPoly({a: Poly.const(chi.vars, 1)}, chi.vars)
+    lam = Poly.var(chi.vars, LAM)
+    rebuilt = lam ** a
     for c in roots:
-        rebuilt = rebuilt * BiPoly(
-            {2: Poly.const(chi.vars, 1), 0: Poly.var(chi.vars, "q", 1, -c)}, chi.vars)
+        rebuilt = rebuilt * (lam * lam - Poly.var(chi.vars, "q", 1, c))
     if rebuilt != chi:
         raise TemplateError(f"{block}: template product does not reproduce chi")
     if a + 2 * f != dim:

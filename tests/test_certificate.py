@@ -2,10 +2,10 @@
 
 from fractions import Fraction
 
-from hodgeatoms.certificate import (bipoly_json, dump_json, dump_text,
+from hodgeatoms.certificate import (chi_json, chi_render, dump_json, dump_text,
                                     matrix_json, operator_json,
                                     poly_json, rat_str, series_json)
-from hodgeatoms.linalg import BiPoly, Matrix
+from hodgeatoms.linalg import LAM, Matrix
 from hodgeatoms.poly import Poly
 from hodgeatoms.qde import DiffOperator
 from hodgeatoms.series import Series
@@ -58,11 +58,19 @@ def test_matrix_json():
     assert matrix_json(m) == [[["0", "2"], ["0"]], [["1"], ["0", "0", "-1"]]]
 
 
-def test_bipoly_json():
-    chi = BiPoly({3: qp((0, 1)), 1: qp((1, -4))})
-    out = bipoly_json(chi)
+def test_chi_json():
+    QL = ("q", LAM)
+    chi = Poly(QL, {(0, 3): Fraction(1), (1, 1): Fraction(-4)})     # lam^3 - 4 q lam
+    out = chi_json(chi)
     assert out["display"] == "lam^3 + (-4*q)*lam"
     assert out["coefficients"] == {"1": ["0", "-4"], "3": ["1"]}
+    # every coefficient shape: constant 1, other constants, polynomials, lam^0
+    chi = Poly(QL, {(0, 4): Fraction(1), (0, 3): Fraction(-2), (1, 2): Fraction(3),
+                    (0, 2): Fraction(1), (2, 0): Fraction(1, 2)})
+    assert chi_render(chi) == "lam^4 + -2*lam^3 + (3*q + 1)*lam^2 + (1/2*q^2)"
+    assert chi_json(chi)["coefficients"] == {
+        "0": ["0", "0", "1/2"], "2": ["1", "3"], "3": ["-2"], "4": ["1"]}
+    assert chi_render(Poly.zero(QL)) == "0" and chi_json(Poly.zero(QL))["coefficients"] == {}
 
 
 def test_dump_json_canonical():

@@ -198,6 +198,24 @@ def test_one_content_gcd_per_elimination(capsys, monkeypatch, tmp_path):
     assert len(calls) == 1
 
 
+def test_one_cyclic_row_stack_per_derive_operator(capsys, monkeypatch):
+    # elimination and the cofactor identity read the same rows r_0..r_n
+    calls = []
+    original = qde.cyclic_rows
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (qde, pipeline):
+        if hasattr(module, "cyclic_rows"):
+            monkeypatch.setattr(module, "cyclic_rows", counted)
+    code, out, _ = run_cli(capsys, "derive-operator")
+    assert code == 2
+    assert "order 6 operator for component y_5:" in out
+    assert len(calls) == 1
+
+
 def test_huge_n_instance_finishes(tmp_path):
     # the antisymmetric block's square polynomial is then linear with a
     # 14-digit constant, too large for trial division up to |n|

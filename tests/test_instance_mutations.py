@@ -1,0 +1,66 @@
+"""Single-field mutations of the bundled Verra instance.
+
+Every mutated file must end in a verdict (exit 0 or 2) or in a clean
+configuration error (exit 1), within a time bound and without a traceback.
+Each case pins the exit code it ends in.
+"""
+
+import signal
+from pathlib import Path
+
+import pytest
+
+from hodgeatoms.cli import main
+
+VERRA = (Path(__file__).resolve().parents[1] / "src" / "hodgeatoms" / "data"
+         / "verra.instance").read_text(encoding="utf-8")
+CASE_SECONDS = 30
+
+# (field as written in verra.instance, its mutation, exit code)
+MUTATIONS = [
+    ("nilpotency=3", "nilpotency=2", 1),
+    ("nilpotency=3", "nilpotency=4", 1),      # the middle dimension no longer fits
+    ("order=16", "order=3", 1),
+    ("middle=24", "middle=25", 1),
+    ("N=-4/1", "N=0/1", 2),
+    ("enumerative=t,u", "enumerative=s", 2),
+    ("order=16", "order=10", 2),
+    ("tdecomp=1,19,1", "tdecomp=0,21,0", 2),
+    ("simple=true", "simple=false", 2),
+    ("v@(0,4)", "v@(0,5)", 2),
+    ("component=5", "component=4", 2),
+    ("component=5", "component=0", 2),
+    ("tdecomp=1,19,1", "tdecomp=21", 2),
+    ("N=-4/1", "N=7/3", 0),
+    ("enumerative=t,u", "enumerative=s,t,u,v", 0),
+    ("pairing=2/1", "pairing=1/1", 0),
+    ("s@(0,1),t@(1,2)", "s@(1,2),t@(0,1)", 0),
+    ("N=-4/1", "N=-4000000000002/1", 0),
+    ("h31=1", "h31=2", 0),
+]
+
+
+class CaseTimeout(BaseException):
+    """Raised by the alarm; a BaseException so the engine cannot swallow it."""
+
+
+def _on_alarm(signum, frame):
+    raise CaseTimeout()
+
+
+@pytest.mark.parametrize("old, new, code", MUTATIONS, ids=[m[1] for m in MUTATIONS])
+def test_mutated_instance_ends_cleanly(tmp_path, capsys, old, new, code):
+    assert VERRA.count(old) == 1
+    path = tmp_path / "mutated.instance"
+    path.write_text(VERRA.replace(old, new), encoding="utf-8")
+    previous = signal.signal(signal.SIGALRM, _on_alarm)
+    signal.setitimer(signal.ITIMER_REAL, CASE_SECONDS)
+    try:
+        got = main(["certify", "--instance", str(path)])
+    except CaseTimeout:
+        pytest.fail(f"no exit within {CASE_SECONDS} s")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert "Traceback" not in capsys.readouterr().err
+    assert got == code

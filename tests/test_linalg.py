@@ -2,17 +2,19 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
-from hodgeatoms.linalg import BiPoly, Matrix, char_poly, det, left_nullspace
+from hodgeatoms.linalg import LAM, Matrix, _bareiss, _int_row, char_poly, det, left_nullspace
 from hodgeatoms.poly import Poly, exact_div, poly_gcd_many, rational_content
 from hodgeatoms.qde import DiffOperator
 
 Q = ("q",)
 TU = ("t", "u", "q")
+QX = ("q", "x")
 
 
 def M(rows):
@@ -169,12 +171,36 @@ def test_left_nullspace_vectors_follow_their_rows():
         [Poly.zero(Q), Poly.zero(Q), Poly.const(Q, 3), Poly.const(Q, -1)]]
 
 
+def minor_expansion_det(m):
+    """Reference determinant: division-free expansion by minors along the
+    rows, memoised over column subsets."""
+    n = m.nrows
+    # minors[mask] = det of rows 0..k-1 against the column set mask (k = popcount)
+    minors = {0: Poly.const(m.vars, 1)}
+    for k in range(1, n + 1):
+        nxt = {}
+        for cols in combinations(range(n), k):
+            mask = sum(1 << c for c in cols)
+            acc = Poly.zero(m.vars)
+            for idx, j in enumerate(cols):
+                entry = m.rows[k - 1][j]
+                if not entry.is_zero():
+                    term = entry * minors[mask & ~(1 << j)]
+                    acc = acc + (term if (k - 1 + idx) % 2 == 0 else -term)
+            nxt[mask] = acc
+        minors = nxt
+    return minors[(1 << n) - 1]
+
+
 def test_det_examples():
     assert det(M([[1, 2], [3, 4]])).constant_value() == -2
     q = Poly.var(Q, "q")
     one = Poly.const(Q, 1)
     zero = Poly.zero(Q)
     assert det(Matrix([[q, one], [zero, q]])) == q * q
+    # the constant entry is the first pivot, so the pivot columns are (1, 0)
+    assert det(Matrix([[q, one], [one, zero]])) == -one
+    assert det(Matrix([[zero, zero], [q, one]])) == zero
     with pytest.raises(ValueError):
         det(M([[1, 2]]))
 
@@ -190,12 +216,88 @@ def test_det_matches_sympy():
         assert sympy.Rational(ours.numerator, ours.denominator) == ref
 
 
+coefficients = st.fractions(-4, 4, max_denominator=3)
+exponents = st.tuples(st.integers(0, 2), st.integers(0, 1))
+# about half the entries are zero
+sparse_entries = st.one_of(
+    st.just(Poly.zero(QX)),
+    st.dictionaries(exponents, coefficients, max_size=2).map(lambda t: Poly(QX, t)))
+nonzero_entries = st.dictionaries(exponents, coefficients.filter(bool), min_size=1,
+                                  max_size=2).map(lambda t: Poly(QX, t))
+
+
+@st.composite
+def square_matrices(draw, max_size):
+    n = draw(st.integers(1, max_size))
+    return Matrix([[draw(sparse_entries) for _ in range(n)] for _ in range(n)])
+
+
+@settings(max_examples=60)
+@given(square_matrices(5))
+def test_det_matches_minor_expansion(m):
+    assert det(m) == minor_expansion_det(m)
+
+
+@settings(max_examples=60)
+@given(square_matrices(5), st.data())
+def test_det_of_singular_matrices(m, data):
+    # a zero row, or a row that is a polynomial multiple of another
+    rows = [list(r) for r in m.rows]
+    n = len(rows)
+    i = data.draw(st.integers(0, n - 1))
+    j = data.draw(st.integers(0, n - 1))
+    if i == j:
+        rows[i] = [Poly.zero(QX)] * n
+    else:
+        c = data.draw(nonzero_entries)
+        rows[i] = [c * p for p in rows[j]]
+    singular = Matrix(rows)
+    assert det(singular).is_zero()
+    assert minor_expansion_det(singular).is_zero()
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_det_with_odd_pivot_permutation(data):
+    # a lower-triangular matrix with its columns permuted: every reduced row
+    # has one nonzero entry, so the pivot columns are forced to be the
+    # permutation, taken odd; the determinant is minus the diagonal product
+    n = data.draw(st.integers(2, 5))
+    perm = data.draw(st.permutations(range(n)))
+    if sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:]) % 2 == 0:
+        perm[0], perm[1] = perm[1], perm[0]
+    diag = [data.draw(nonzero_entries) for _ in range(n)]
+    tri = [[diag[i] if k == i else data.draw(sparse_entries) if k < i else Poly.zero(QX)
+            for k in range(n)] for i in range(n)]
+    m = Matrix([[tri[i][perm.index(j)] for j in range(n)] for i in range(n)])
+    pivots, _ = _bareiss([_int_row(r)[0] for r in m.rows], n)
+    assert [col for col, _, _ in pivots] == perm
+    product = Poly.const(QX, 1)
+    for d in diag:
+        product = product * d
+    assert det(m) == -product == minor_expansion_det(m)
+
+
+def lam_minus(m):
+    ext = m.vars + (LAM,)
+    lam = Poly.var(ext, LAM)
+    return Matrix([[(lam if i == j else 0) - p.rename_vars(ext) for j, p in enumerate(r)]
+                   for i, r in enumerate(m.rows)])
+
+
+@settings(max_examples=40)
+@given(square_matrices(4))
+def test_char_poly_matches_minor_expansion(m):
+    assert char_poly(m) == minor_expansion_det(lam_minus(m))
+
+
 def test_char_poly_examples():
     chi = char_poly(M([[0, 1], [1, 0]]))
-    assert chi.coeff(2).constant_value() == 1
-    assert chi.coeff(0).constant_value() == -1
-    assert chi.coeff(1).is_zero()
-    assert chi.degree() == 2
+    assert chi.vars == ("q", LAM)
+    assert chi.coeff_of(LAM, 2).constant_value() == 1
+    assert chi.coeff_of(LAM, 0).constant_value() == -1
+    assert chi.coeff_of(LAM, 1).is_zero()
+    assert chi.degree_in(LAM) == 2
     with pytest.raises(ValueError):
         char_poly(M([[1, 2]]))
     # outer variable must be fresh
@@ -212,7 +314,7 @@ def test_char_poly_matches_sympy():
         chi = char_poly(M(rows))
         ref = sympy.Matrix([[int(c) for c in r] for r in rows]).charpoly(lam)
         for k in range(4):
-            c = chi.coeff(k).constant_value()
+            c = chi.coeff_of(LAM, k).constant_value()
             assert sympy.Rational(c.numerator, c.denominator) == ref.as_expr().coeff(lam, k)
 
 
@@ -231,16 +333,3 @@ def test_char_poly_of_block_diagonal_is_the_product(mplus, mminus):
                 row.append(zero)
         rows.append(row)
     assert char_poly(Matrix(rows)) == char_poly(mplus) * char_poly(mminus)
-
-
-def test_bipoly_structure():
-    q = Poly.var(Q, "q")
-    chi = BiPoly({3: Poly.const(Q, 1), 1: q.scale(-4)})     # lam^3 - 4 q lam
-    assert chi.zero_multiplicity() == 1
-    shifted = chi.shift_down(1)
-    assert shifted.coeff(2).constant_value() == 1
-    with pytest.raises(ValueError):
-        chi.shift_down(2)
-    assert chi.render() == "lam^3 + (-4*q)*lam"
-    prod = BiPoly({1: Poly.const(Q, 1)}) * BiPoly({1: Poly.const(Q, 1)})
-    assert prod == BiPoly({2: Poly.const(Q, 1)})

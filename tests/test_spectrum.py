@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from hodgeatoms.linalg import BiPoly, char_poly
+from hodgeatoms.certificate import chi_render
+from hodgeatoms.linalg import LAM, char_poly
 from hodgeatoms.periods import get_source
 from hodgeatoms.poly import Poly
 from hodgeatoms.qde import DiffOperator
@@ -16,11 +17,13 @@ from hodgeatoms.spectrum import (TemplateError, _divisors, block_spectrum, ratio
                                  factor_template, reciprocity_check)
 
 Q = ("q",)
+QL = ("q", LAM)
 
 
 def bp(coeffs):
-    return BiPoly({k: Poly(Q, {(e,): Fraction(c) for e, c in terms.items()})
-                   for k, terms in coeffs.items()})
+    """chi over (q, lam) from {lam power: {q power: coefficient}}."""
+    return Poly(QL, {(e, k): Fraction(c) for k, terms in coeffs.items()
+                     for e, c in terms.items()})
 
 
 def test_plus_block(plus_spectrum):
@@ -40,7 +43,7 @@ def test_minus_block(minus_spectrum):
 
 
 def test_char_poly_of_unscaled_minus(mminus):
-    assert char_poly(mminus).render() == "lam^3 + (-4*q)*lam"
+    assert chi_render(char_poly(mminus)) == "lam^3 + (-4*q)*lam"
 
 
 def test_kappa_char_rejects_parameters(sym_ansatz):
@@ -113,11 +116,6 @@ def test_reciprocity_rejects_parametric_lead(plus_spectrum):
                         Poly(TS, {(2, 1): Fraction(1), (0, 0): Fraction(1)})))
     with pytest.raises(TemplateError, match="not constant in the parameters"):
         reciprocity_check(bad, plus_spectrum)
-
-
-def test_zero_multiplicity_helper():
-    assert bp({6: {0: 1}, 2: {2: 3}}).zero_multiplicity() == 2
-    assert bp({3: {0: 1}, 0: {0: 5}}).zero_multiplicity() == 0
 
 
 def test_divisors_ascending():
