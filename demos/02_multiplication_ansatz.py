@@ -12,7 +12,7 @@ from fractions import Fraction
 from hodgeatoms.ansatz import (DegreeRule, admissible_powers,
                                apply_param_names, build_ansatz,
                                substitute_params)
-from hodgeatoms.cohomology import AmbientRing, gram_matrix
+from hodgeatoms.cohomology import AmbientRing, degree, gram_matrix, render
 from hodgeatoms.instance import load_instance
 
 ring = AmbientRing()
@@ -20,10 +20,10 @@ basis = ring.eigenbasis()
 
 print("symmetric eigenbasis (degree order):")
 for b in basis.symmetric:
-    print(f"  deg {b.degree()}: {b.render()}")
+    print(f"  deg {degree(b)}: {render(b)}")
 print("antisymmetric eigenbasis:")
 for b in basis.antisymmetric:
-    print(f"  deg {b.degree()}: {b.render()}")
+    print(f"  deg {degree(b)}: {render(b)}")
 
 rule = DegreeRule(basis.degrees("symmetric"))
 slots = [(j, i, d)
@@ -42,7 +42,7 @@ print("\nsymmetric matrix with conventional names "
 for row in am.matrix.rows:
     print("  [" + ", ".join(p.render() for p in row) + "]")
 
-gram = gram_matrix(basis.symmetric, am.matrix.rows[0][0].vars)
+gram = gram_matrix(ring, basis.symmetric, am.matrix.rows[0][0].vars)
 residual = am.matrix.transpose() * gram - gram * am.matrix
 print("M^T G - G M identically zero:",
       all(p.is_zero() for r in residual.rows for p in r))

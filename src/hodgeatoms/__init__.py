@@ -10,7 +10,7 @@ certificate from the Hodge-atom obstruction calculus.
 
 __version__ = "0.1.0"
 
-from .poly import Poly, LaurentPoly
+from .poly import Poly
 from .series import Series
 
-__all__ = ["Poly", "LaurentPoly", "Series", "__version__"]
+__all__ = ["Poly", "Series", "__version__"]

@@ -48,7 +48,7 @@ def classical_matrix(basis, ring: AmbientRing) -> List[List[Fraction]]:
     """Cup multiplication by H in the given block basis, column convention:
     entry [j][i] is the b_j coordinate of H b_i."""
     try:
-        cols = coordinates([ring.H.cup(b) for b in basis], basis)
+        cols = coordinates([ring.cup(ring.H, b) for b in basis], basis)
     except ValueError as e:
         raise RuntimeError(f"H-multiple leaves the block span: {e}") from e
     return [list(row) for row in zip(*cols)]
@@ -74,7 +74,7 @@ def build_ansatz(basis, ring: AmbientRing, rule: DegreeRule, block: str) -> Ansa
              for d in admissible_powers(j, i, rule) if d >= 1]
     nun = len(slots)
     cup = classical_matrix(basis, ring)
-    gram = [[x.pair(y) for y in basis] for x in basis]
+    gram = [[ring.pair(x, y) for y in basis] for x in basis]
     # C^T G = G C on scalars; the cup matrix is sparse, so its zeros are skipped
     ctg = [[sum(cup[j][r] * gram[j][c] for j in range(n) if cup[j][r]) for c in range(n)]
            for r in range(n)]

@@ -1,22 +1,23 @@
 """Atom invariant calculus and the irrationality decision.
 
 Each atom carries (rho, P): the count of rational Hodge classes and the
-Laurent polynomial recording Hodge types by p - q. Blowing up along a
-centre of local multiplicity r adds r - 1 copies of the centre's
-invariants, so a rational fourfold can only contain atoms assembled
-from point, curve and surface contributions. An atom with a nonzero
-t^2 coefficient and rho < 3 cannot be assembled that way: points and
-curves contribute no t^2 and any surface forces rho >= 3.
+Laurent polynomial recording Hodge types by p - q, a Poly over (t,) with
+negative exponents. Blowing up along a centre of local multiplicity r
+adds r - 1 copies of the centre's invariants, so a rational fourfold
+can only contain atoms assembled from point, curve and surface
+contributions. An atom with a nonzero t^2 coefficient and rho < 3
+cannot be assembled that way: points and curves contribute no t^2 and
+any surface forces rho >= 3.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import List, Optional, Tuple
+from typing import List, Mapping, Optional, Tuple
 
 from .instance import InstanceSpec
-from .poly import LaurentPoly
+from .poly import Poly
 
 
 class AtomError(ValueError):
@@ -26,24 +27,29 @@ class AtomError(ValueError):
 @dataclass(frozen=True)
 class AtomInvariants:
     rho: int
-    hodge: LaurentPoly
+    hodge: Poly
     label: str
 
     def __post_init__(self):
         if self.rho < 0:
             raise AtomError(f"{self.label}: negative rho")
-        if any(c < 0 for c in self.hodge.coeffs.values()):
+        if any(c < 0 for c in self.hodge.terms.values()):
             raise AtomError(f"{self.label}: negative Hodge multiplicity")
-        if self.rho > self.hodge.coeff(0):
+        pp = self.hodge.terms.get((0,), 0)
+        if self.rho > pp:
             raise AtomError(
-                f"{self.label}: rho = {self.rho} exceeds the (p,p) dimension"
-                f" {self.hodge.coeff(0)}")
+                f"{self.label}: rho = {self.rho} exceeds the (p,p) dimension {pp}")
 
     def t2_coefficient(self) -> int:
-        return self.hodge.coeff(2)
+        return int(self.hodge.terms.get((2,), 0))
 
     def render(self) -> str:
         return f"{self.label}: rho = {self.rho}, P = {self.hodge.render()}"
+
+
+def hodge_poly(coeffs: Mapping[int, int]) -> Poly:
+    """P(t) from its coefficients by exponent p - q."""
+    return Poly(("t",), {(k,): c for k, c in coeffs.items()})
 
 
 def atom_sum(a: AtomInvariants, b: AtomInvariants, label: str) -> AtomInvariants:
@@ -58,7 +64,7 @@ def obstruction_applies(atom: AtomInvariants) -> bool:
 # -- centre contribution models ----------------------------------------------
 
 def point_centre() -> AtomInvariants:
-    return AtomInvariants(1, LaurentPoly({0: 1}), "point")
+    return AtomInvariants(1, hodge_poly({0: 1}), "point")
 
 
 def curve_centre(genus: int) -> AtomInvariants:
@@ -66,7 +72,7 @@ def curve_centre(genus: int) -> AtomInvariants:
     # |p - q| = 1
     if genus < 0:
         raise AtomError("negative genus")
-    return AtomInvariants(2, LaurentPoly({1: genus, 0: 2, -1: genus}),
+    return AtomInvariants(2, hodge_poly({1: genus, 0: 2, -1: genus}),
                           f"curve(g={genus})")
 
 
@@ -76,7 +82,7 @@ def surface_centre(h20: int, h10: int, h11: int) -> AtomInvariants:
         raise AtomError("negative Hodge number")
     if h11 < 1:
         raise AtomError("a surface has at least one (1,1) class")
-    hodge = LaurentPoly({2: h20, 1: 2 * h10, 0: 2 + h11, -1: 2 * h10, -2: h20})
+    hodge = hodge_poly({2: h20, 1: 2 * h10, 0: 2 + h11, -1: 2 * h10, -2: h20})
     return AtomInvariants(3, hodge, f"surface(h20={h20},h10={h10},h11={h11})")
 
 
@@ -94,7 +100,7 @@ def transcendental_invariants(instance: InstanceSpec) -> AtomInvariants:
         raise AtomError("transcendental part not flagged simple; rho unknown")
     parts = instance.tdecomp
     span = len(parts) - 1
-    hodge = LaurentPoly({span - 2 * i: parts[i] for i in range(len(parts))})
+    hodge = hodge_poly({span - 2 * i: parts[i] for i in range(len(parts))})
     return AtomInvariants(0, hodge, "T")
 
 
@@ -123,8 +129,8 @@ def assemble_zero_atoms(instance: InstanceSpec, zero_plus: int,
     not known, so both cases are returned.
     """
     trans = transcendental_invariants(instance)
-    ambient_plus = AtomInvariants(zero_plus, LaurentPoly({0: zero_plus}), "E_0^+")
-    ambient_minus = AtomInvariants(zero_minus, LaurentPoly({0: zero_minus}), "E_0^-")
+    ambient_plus = AtomInvariants(zero_plus, hodge_poly({0: zero_plus}), "E_0^+")
+    ambient_minus = AtomInvariants(zero_minus, hodge_poly({0: zero_minus}), "E_0^-")
     case_plus = PlacementCase(
         "T_in_plus",
         plus=atom_sum(ambient_plus, trans, "E_0^+"),

@@ -180,7 +180,7 @@ def _stage_ansatz(run: PipelineRun, state: Dict[str, Any]) -> None:
 
     ok = True
     for am, bas in ((sym, basis.symmetric), (anti, basis.antisymmetric)):
-        gram = gram_matrix(bas, am.matrix.entry(0, 0).vars)
+        gram = gram_matrix(ring, bas, am.matrix.entry(0, 0).vars)
         if not (am.matrix.transpose() * gram - gram * am.matrix).is_zero():
             ok = False
     run.check("ansatz.self_adjointness", ok,

@@ -3,6 +3,8 @@
 A Poly is a map from exponent vectors to nonzero Fraction coefficients,
 over a variable set fixed at construction. Exponent vectors are tuples
 aligned with the variable tuple. Zero coefficients are never stored.
+Exponents may be negative: a Hodge polynomial P(t) is a Laurent Poly over
+(t,).
 """
 
 from __future__ import annotations
@@ -256,14 +258,13 @@ class Poly:
 
     # -- rendering -----------------------------------------------------------
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True)
-
-    def render(self) -> str:
-        """Deterministic human-readable form, graded-lex term order."""
+    def render(self, ascending: bool = False) -> str:
+        """Deterministic human-readable form, graded-lex term order (leading
+        term first unless ascending)."""
         parts = []
-        for ex, c in self.sorted_terms():
-            names = [f"{v}^{e}" if e > 1 else v for v, e in zip(self.vars, ex) if e]
+        for ex, c in sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0]),
+                            reverse=not ascending):
+            names = [f"{v}^{e}" if e != 1 else v for v, e in zip(self.vars, ex) if e]
             mono = "*".join(names)
             mag = abs(c)
             if mono and mag == 1:
@@ -524,49 +525,3 @@ def poly_gcd_many(polys) -> Poly:
             out = poly_gcd(out, p)
     return out
 
-
-class LaurentPoly:
-    """Integer Laurent polynomial in one variable, for Hodge polynomials P(t).
-
-    Exponent is the type difference p - q; negative exponents allowed.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Mapping[int, int] | None = None):
-        self.coeffs = {int(k): int(v) for k, v in (coeffs or {}).items() if v != 0}
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0) + v
-        return LaurentPoly(out)
-
-    def coeff(self, k: int) -> int:
-        return self.coeffs.get(k, 0)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.coeffs.items())))
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def render(self) -> str:
-        parts = []
-        for k in sorted(self.coeffs, reverse=True):
-            v = self.coeffs[k]
-            if k == 0:
-                body = str(abs(v))
-            else:
-                tk = "t" if k == 1 else f"t^{k}"
-                body = tk if abs(v) == 1 else f"{abs(v)}*{tk}"
-            parts.append(("- " if v < 0 else "+ ") + body)
-        return signed_join(parts)
-
-    def __repr__(self):
-        return f"LaurentPoly({self.render()})"

@@ -158,8 +158,6 @@ def factor_template(chi: Poly, block: str) -> BlockSpectrum:
         rebuilt = rebuilt * (lam * lam - Poly.var(chi.vars, "q", 1, c))
     if rebuilt != chi:
         raise TemplateError(f"{block}: template product does not reproduce chi")
-    if a + 2 * f != dim:
-        raise TemplateError(f"{block}: factor count does not add up to the dimension")
     return BlockSpectrum(block=block, chi=chi, dim=dim, zero_multiplicity=a,
                          square_factors=tuple(sorted(roots, reverse=True)))
 

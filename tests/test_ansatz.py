@@ -70,9 +70,9 @@ def test_antisymmetric_matrix_frozen(anti_ansatz):
     ]
 
 
-def test_self_adjointness_both_blocks(sym_ansatz, anti_ansatz, basis):
+def test_self_adjointness_both_blocks(sym_ansatz, anti_ansatz, ring, basis):
     for am, block in ((sym_ansatz, basis.symmetric), (anti_ansatz, basis.antisymmetric)):
-        gram = gram_matrix(block, am.matrix.rows[0][0].vars)
+        gram = gram_matrix(ring, block, am.matrix.rows[0][0].vars)
         residual = am.matrix.transpose() * gram - gram * am.matrix
         assert all(p.is_zero() for r in residual.rows for p in r)
 
@@ -152,7 +152,7 @@ def symbolic_ansatz(basis, ring, rule, block):
     slots = [(j, i, d) for j in range(n) for i in range(n)
              for d in admissible_powers(j, i, rule) if d >= 1]
     nun = len(slots)
-    cols = coordinates([ring.H.cup(b) for b in basis], basis)
+    cols = coordinates([ring.cup(ring.H, b) for b in basis], basis)
 
     def cup(variables):
         return Matrix([[Poly.const(variables, cols[i][j]) for i in range(n)]
@@ -162,7 +162,7 @@ def symbolic_ansatz(basis, ring, rule, block):
     m = cup(tmp_vars)
     for k, (j, i, d) in enumerate(slots):
         m.rows[j][i] = m.rows[j][i] + Poly.var(tmp_vars, f"x{k}") * Poly.var(tmp_vars, "q", d)
-    gram = gram_matrix(basis, tmp_vars)
+    gram = gram_matrix(ring, basis, tmp_vars)
     residual = m.transpose() * gram - gram * m
     rows: List[List[Fraction]] = []
     for r in residual.rows:

@@ -3,21 +3,20 @@
 import pytest
 
 from hodgeatoms.atoms import (AtomError, AtomInvariants, assemble_zero_atoms,
-                              atom_sum, curve_centre,
-                              exclusion_search, obstruction_applies,
+                              atom_sum, curve_centre, exclusion_search,
+                              hodge_poly, obstruction_applies,
                               point_centre, surface_centre,
                               transcendental_invariants)
 from hodgeatoms.instance import load_instance
-from hodgeatoms.poly import LaurentPoly
 
 
 def test_invariant_validation():
     with pytest.raises(AtomError, match="negative rho"):
-        AtomInvariants(-1, LaurentPoly({0: 1}), "x")
+        AtomInvariants(-1, hodge_poly({0: 1}), "x")
     with pytest.raises(AtomError, match="negative Hodge multiplicity"):
-        AtomInvariants(0, LaurentPoly({2: -1}), "x")
+        AtomInvariants(0, hodge_poly({2: -1}), "x")
     with pytest.raises(AtomError, match="exceeds the .p,p. dimension"):
-        AtomInvariants(2, LaurentPoly({0: 1}), "x")
+        AtomInvariants(2, hodge_poly({0: 1}), "x")
 
 
 def test_transcendental_atom(verra):
@@ -61,7 +60,7 @@ def test_centre_model_errors():
 def test_blowup_additivity():
     # blowing up a centre with multiplicity r adds r - 1 copies of its
     # invariants, so two r = 2 blowups along c equal one r = 3 blowup
-    base = AtomInvariants(1, LaurentPoly({0: 1}), "X")
+    base = AtomInvariants(1, hodge_poly({0: 1}), "X")
     c = curve_centre(2)
     twice = atom_sum(atom_sum(base, c, "X"), c, "X")
     once = atom_sum(base, atom_sum(c, c, "2c"), "X")

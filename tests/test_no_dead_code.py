@@ -1,9 +1,13 @@
-"""Every top-level function and class in the package is used somewhere.
+"""Every top-level function and class in the package, and every method of
+its classes, is used somewhere.
 
 A name counts as used when some code in src/ or demos/ outside its own
 definition mentions it: a call, an attribute access, an import or a
-reference (a recursive call from its own body does not count). Code that
-nothing in the package or the demos uses gets deleted, not kept for tests.
+reference (a recursive call from its own body does not count). Dunder
+methods are exempt, and so are the methods of a class with a base from
+outside the package (such as an argparse hook), which that base calls.
+Code that nothing in the package or the demos uses gets deleted, not kept
+for tests.
 """
 
 import ast
@@ -31,14 +35,43 @@ def _mentions(node, skip):
     return out
 
 
-def test_every_top_level_definition_is_used():
+def _trees():
     files = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
-    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in files}
-    unused = []
+    return {path: ast.parse(path.read_text(encoding="utf-8")) for path in files}
+
+
+def _unused(definitions, trees):
+    return [label for label, node in definitions
+            if not any(node.name in _mentions(tree, node) for tree in trees.values())]
+
+
+def _top_level(trees):
     for path in sorted(PACKAGE.glob("*.py")):
         for node in trees[path].body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            if not any(node.name in _mentions(tree, node) for tree in trees.values()):
-                unused.append(f"{path.name}: {node.name}")
-    assert unused == []
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                yield f"{path.name}: {node.name}", node
+
+
+def _methods(trees):
+    """Non-dunder methods of package classes whose bases are package classes."""
+    top = list(_top_level(trees))
+    classes = {node.name for _, node in top if isinstance(node, ast.ClassDef)}
+    for label, node in top:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        if any(not (isinstance(b, ast.Name) and b.id in classes) for b in node.bases):
+            continue
+        for item in node.body:
+            if isinstance(item, ast.FunctionDef) and not (
+                    item.name.startswith("__") and item.name.endswith("__")):
+                yield f"{label}.{item.name}", item
+
+
+def test_every_top_level_definition_is_used():
+    trees = _trees()
+    assert _unused(_top_level(trees), trees) == []
+
+
+def test_every_method_is_used():
+    trees = _trees()
+    assert _unused(_methods(trees), trees) == []

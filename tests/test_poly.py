@@ -8,7 +8,7 @@ import sympy
 from hypothesis import given, strategies as st
 
 from hodgeatoms import poly
-from hodgeatoms.poly import LaurentPoly, Poly, exact_div, normal_form, poly_gcd, poly_gcd_many
+from hodgeatoms.poly import Poly, exact_div, normal_form, poly_gcd, poly_gcd_many
 
 V = ("s", "t", "q")
 
@@ -140,6 +140,8 @@ def test_render():
     assert P({(1, 0, 1): 2}).render() == "2*s*q"
     assert P({(0, 0, 1): Fraction(3, 2)}).render() == "3/2*q"
     assert P({(0, 1, 0): 1, (1, 0, 0): -1}).render() == "-s + t"
+    assert P({(0, 0, 2): -1, (0, 0, 0): 1}).render(ascending=True) == "1 - q^2"
+    assert P({(0, 1, 0): 1, (1, 0, 0): -1}).render(ascending=True) == "t - s"
 
 
 def test_exact_div():
@@ -234,11 +236,14 @@ def test_poly_gcd_many():
 
 
 def test_laurent_poly():
-    p = LaurentPoly({2: 1, 0: 19, -2: 1})
+    # Hodge polynomials: one variable, negative exponents allowed
+    T = ("t",)
+    p = Poly(T, {(2,): 1, (0,): 19, (-2,): 1})
     assert p.render() == "t^2 + 19 + t^-2"
-    assert p.coeff(0) == 19 and p.coeff(5) == 0
-    assert (p + LaurentPoly({0: 2})).coeff(0) == 21
-    assert LaurentPoly({1: 1, 0: 0}) == LaurentPoly({1: 1})
-    assert not LaurentPoly({})
-    assert LaurentPoly({}).render() == "0"
-    assert LaurentPoly({1: 2, 0: 2, -1: 2}).render() == "2*t + 2 + 2*t^-1"
+    assert p.terms.get((0,)) == 19 and (5,) not in p.terms
+    assert (p + Poly(T, {(0,): 2})).terms[(0,)] == 21
+    assert Poly(T, {(1,): 1, (0,): 0}) == Poly(T, {(1,): 1})
+    assert not Poly(T, {})
+    assert Poly(T, {}).render() == "0"
+    assert Poly(T, {(1,): 2, (0,): 2, (-1,): 2}).render() == "2*t + 2 + 2*t^-1"
+    assert Poly(T, {(-1,): -1, (-3,): 3}).render() == "-t^-1 + 3*t^-3"
