@@ -8,7 +8,8 @@ G is linear in the unknowns, so it is written down directly on scalars:
 the unknown at (j, i, d) adds [r = i] G[j][c] - G[r][j] [c = i] to the
 relation of entry (r, c) at q^d, and C^T G = G C is checked once. Exact
 elimination reduces the unknowns. The cup matrix is computed once per
-block and serves both the parametric matrix and its classical limit.
+block and serves both the parametric matrix and its classical limit; the
+Gram matrix is computed once too and carried for the self-adjointness check.
 Surviving parameters are named canonically by the first matrix position
 they occupy; instance files attach conventional names by those positions.
 """
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Tuple
 
-from .cohomology import AmbientRing, coordinates
+from .cohomology import AmbientRing, coordinates, gram_matrix
 from .linalg import Matrix, rref
 from .poly import Poly, rational_content
 
@@ -62,6 +63,7 @@ class AnsatzMatrix:
     # parameter -> positions it occupies, as (row, col, multiplier, q-power)
     positions: Dict[str, Tuple[Tuple[int, int, Fraction, int], ...]]
     classical: Matrix
+    gram: Matrix  # the block's pairing matrix, over ("q",)
 
     def first_position(self, param: str) -> Tuple[int, int]:
         row, col, _, _ = self.positions[param][0]
@@ -74,7 +76,8 @@ def build_ansatz(basis, ring: AmbientRing, rule: DegreeRule, block: str) -> Ansa
              for d in admissible_powers(j, i, rule) if d >= 1]
     nun = len(slots)
     cup = classical_matrix(basis, ring)
-    gram = [[ring.pair(x, y) for y in basis] for x in basis]
+    gram_q = gram_matrix(ring, basis)
+    gram = [[p.constant_value() for p in row] for row in gram_q.rows]
     # C^T G = G C on scalars; the cup matrix is sparse, so its zeros are skipped
     ctg = [[sum(cup[j][r] * gram[j][c] for j in range(n) if cup[j][r]) for c in range(n)]
            for r in range(n)]
@@ -128,7 +131,8 @@ def build_ansatz(basis, ring: AmbientRing, rule: DegreeRule, block: str) -> Ansa
         matrix=Matrix([[Poly(params + ("q",), t) for t in row] for row in entries]),
         params=params,
         positions={p: tuple(v) for p, v in positions.items()},
-        classical=Matrix.from_scalars(("q",), cup))
+        classical=Matrix.from_scalars(("q",), cup),
+        gram=gram_q)
 
 
 def apply_param_names(am: AnsatzMatrix,
@@ -153,7 +157,8 @@ def apply_param_names(am: AnsatzMatrix,
         matrix=am.matrix.map(lambda p: p.rename_vars(new_vars, rename)),
         params=new_params,
         positions={rename[p]: v for p, v in am.positions.items()},
-        classical=am.classical)
+        classical=am.classical,
+        gram=am.gram)
 
 
 def substitute_params(am: AnsatzMatrix, values: Mapping[str, Fraction]) -> Matrix:

@@ -1,12 +1,14 @@
 """Exact linear algebra over polynomial rings.
 
 Kernels come from Bareiss's fraction-free elimination on integer
-polynomials: every division is exact, so entries grow like minors
-instead of like nested cross-products, and no rational-function entry
-appears. Kernel vectors are returned unnormalised; the one normal form
-of an operator vector is `qde.DiffOperator.normalize`. The same
-elimination gives determinants: its last pivot, signed by the order of
-the pivot columns, is the determinant of the rows scaled to integers.
+polynomials: every division is exact, so entries grow like minors instead
+of like nested cross-products, and no rational-function entry appears. It
+runs on packed monomials (one int per exponent tuple, see `poly`) in
+fields wide enough for every minor and every product of two. Kernel
+vectors are returned unnormalised; the one normal form of an operator
+vector is `qde.DiffOperator.normalize`. The same elimination gives
+determinants: its last pivot, signed by the order of the pivot columns, is
+the determinant of the rows scaled to integers.
 `rref` is Gauss-Jordan over Q for the small numeric systems of the
 ansatz, the solver and the cohomology coordinates.
 """
@@ -17,7 +19,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, List, Mapping, Tuple
 
-from .poly import Poly, _zdiv, _zmul, _zsub
+from .poly import Poly, _pack, _packing, _unpack, _zdiv
 
 
 class Matrix:
@@ -52,16 +54,8 @@ class Matrix:
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        out = []
-        for i in range(self.nrows):
-            row = []
-            for j in range(other.ncols):
-                acc = Poly.zero(self.vars)
-                for k in range(self.ncols):
-                    acc = acc + self.rows[i][k] * other.rows[k][j]
-                row.append(acc)
-            out.append(row)
-        return Matrix(out)
+        return Matrix([[sum((a * other.rows[k][j] for k, a in enumerate(r)), Poly.zero(self.vars))
+                        for j in range(other.ncols)] for r in self.rows])
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
@@ -129,6 +123,18 @@ def _int_row(row: List[Poly]) -> Tuple[List[dict], int]:
             for p in row], den
 
 
+def _cross(a: dict, x: dict, b: dict, y: dict) -> dict:
+    """a x - b y on packed term dicts: poly._zmul's loop with ea + eb."""
+    out: dict = {}
+    get = out.get
+    for u, v in ((a, x), ({k: -c for k, c in b.items()}, y)):
+        for eu, cu in u.items():
+            for ev, cv in v.items():
+                k = eu + ev
+                out[k] = get(k, 0) + cu * cv
+    return {k: c for k, c in out.items() if c}
+
+
 def _bareiss(rows: Iterable[List[dict]], ncols: int) -> Tuple[list, list]:
     """Row-incremental Bareiss elimination over Z on the first ncols entries.
 
@@ -140,17 +146,28 @@ def _bareiss(rows: Iterable[List[dict]], ncols: int) -> Tuple[list, list]:
     dependent; any other row becomes a pivot row at its nonzero entry of
     least total degree. Returns the pivots (column, pivot, row) and the
     dependent rows, each in the order the rows came in.
+
+    Rows are packed on entry and unpacked on exit. Every entry is a minor of
+    the rows, of total degree at most S, the sum of the rows' largest total
+    degrees, so a product p_k x has degree at most 2 S: fields of 2 S's bit
+    length plus a guard bit hold every monomial the elimination makes.
     """
+    rows = list(rows)
+    nvars = next((len(ex) for r in rows for x in r for ex in x), 0)
+    width, guard = _packing(nvars, 2 * sum(max((sum(ex) for x in r for ex in x), default=0)
+                                            for r in rows))
+    shift = width * nvars
     pivots, dependent = [], []
     for row in rows:
+        row = [_pack(x, width) for x in row]
         prev = None
         for col, pv, prow in pivots:
             e = row[col]
             nxt = []
             for x, y in zip(row, prow):
-                v = _zsub(_zmul(pv, x), _zmul(e, y)) if e and y else _zmul(pv, x)
+                v = _cross(pv, x, e, y)
                 if prev is not None:
-                    v = _zdiv(v, prev)
+                    v = _zdiv(v, prev, guard)
                     if v is None:
                         raise RuntimeError("inexact Bareiss division")
                 nxt.append(v)
@@ -158,11 +175,13 @@ def _bareiss(rows: Iterable[List[dict]], ncols: int) -> Tuple[list, list]:
         left = row[:ncols]
         if any(left):
             col = min((j for j in range(ncols) if left[j]),
-                      key=lambda j: (max(map(sum, left[j])), j))
+                      key=lambda j: (max(left[j]) >> shift, j))
             pivots.append((col, left[col], row))
         else:
             dependent.append(row)
-    return pivots, dependent
+    return ([(col, _unpack(pv, nvars, width), [_unpack(x, nvars, width) for x in row])
+             for col, pv, row in pivots],
+            [[_unpack(x, nvars, width) for x in row] for row in dependent])
 
 
 def left_nullspace(m: Matrix) -> List[List[Poly]]:

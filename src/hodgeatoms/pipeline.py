@@ -18,7 +18,7 @@ from .ansatz import DegreeRule, admissible_powers, apply_param_names, build_ansa
 from .atoms import AtomError, assemble_zero_atoms, exclusion_search, transcendental_invariants
 from .certificate import (chi_json, dump_json, dump_text, matrix_json,
                           operator_json, poly_json, rat_str, series_json)
-from .cohomology import AmbientRing, gram_matrix
+from .cohomology import AmbientRing
 from .instance import InstanceSpec
 from .periods import get_source, period_coefficients, regularized_coefficients
 from .qde import (apply, cofactor_identity_holds, cyclic_rows, eliminate, match_equations,
@@ -179,8 +179,8 @@ def _stage_ansatz(run: PipelineRun, state: Dict[str, Any]) -> None:
               sym.params == inst.parameter_order(), mapping)
 
     ok = True
-    for am, bas in ((sym, basis.symmetric), (anti, basis.antisymmetric)):
-        gram = gram_matrix(ring, bas, am.matrix.entry(0, 0).vars)
+    for am in (sym, anti):
+        gram = am.gram.map(lambda p: p.rename_vars(am.matrix.vars))
         if not (am.matrix.transpose() * gram - gram * am.matrix).is_zero():
             ok = False
     run.check("ansatz.self_adjointness", ok,

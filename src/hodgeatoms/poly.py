@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 import math
 from fractions import Fraction
-from operator import add, neg, sub
+from operator import add, sub
 from typing import Iterable, Mapping, Tuple, Union
 
 Scalar = Union[int, Fraction]
@@ -72,9 +72,6 @@ class Poly:
     @classmethod
     def const(cls, variables: Iterable[str], c: Scalar) -> "Poly":
         variables = tuple(variables)
-        c = _as_fraction(c)
-        if c == 0:
-            return cls(variables)
         return cls(variables, {(0,) * len(variables): c})
 
     @classmethod
@@ -146,44 +143,26 @@ class Poly:
     # -- structure queries -------------------------------------------------
 
     def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(ex) for ex in self.terms)
+        return max(map(sum, self.terms), default=0)
 
     def degree_in(self, name: str) -> int:
         i = self.vars.index(name)
-        if not self.terms:
-            return 0
-        return max(ex[i] for ex in self.terms)
+        return max((ex[i] for ex in self.terms), default=0)
 
     def coeff_of(self, name: str, power: int) -> "Poly":
         """Coefficient of name**power, as a Poly in the same ring."""
         i = self.vars.index(name)
-        out = {}
-        for ex, c in self.terms.items():
-            if ex[i] == power:
-                nex = list(ex)
-                nex[i] = 0
-                out[tuple(nex)] = c
-        return Poly(self.vars, out)
+        return Poly(self.vars, {ex[:i] + (0,) + ex[i + 1:]: c
+                                for ex, c in self.terms.items() if ex[i] == power})
 
     def constant_value(self) -> Fraction | None:
         """The value if this is a constant, else None."""
         if not self.terms:
             return Fraction(0)
-        if len(self.terms) == 1:
-            (ex, c), = self.terms.items()
-            if all(e == 0 for e in ex):
-                return c
-        return None
+        return self.terms.get((0,) * len(self.vars)) if len(self.terms) == 1 else None
 
     def variables_present(self) -> tuple:
-        used = set()
-        for ex in self.terms:
-            for i, e in enumerate(ex):
-                if e:
-                    used.add(self.vars[i])
-        return tuple(v for v in self.vars if v in used)
+        return tuple(v for i, v in enumerate(self.vars) if any(ex[i] for ex in self.terms))
 
     def leading_coefficient(self) -> Fraction:
         """Coefficient of the graded-lex leading monomial; 0 for the zero poly."""
@@ -204,18 +183,10 @@ class Poly:
         out = Poly.zero(self.vars)
         for ex, c in self.terms.items():
             term = Poly.const(self.vars, c)
-            for i, e in enumerate(ex):
-                if e == 0:
-                    continue
-                name = self.vars[i]
-                if name in values:
-                    v = values[name]
-                    rep = v if isinstance(v, Poly) else Poly.const(self.vars, v)
-                    if isinstance(v, Poly):
-                        self._check(v)
-                    term = term * rep ** e
-                else:
-                    term = term * Poly.var(self.vars, name, e)
+            for name, e in zip(self.vars, ex):
+                if e:
+                    term = term * (self._coerce(values[name]) ** e if name in values
+                                   else Poly.var(self.vars, name, e))
             out = out + term
         return out
 
@@ -282,10 +253,38 @@ class Poly:
 
 # -- term-dict kernel ----------------------------------------------------------
 #
-# Polynomials as dicts from exponent tuples to nonzero coefficients. Poly's
-# ring operations run _zadd, _zsub and _zmul on Fraction values; the
-# elimination path and the gcd run the same code on ints (over Z), without
-# Fraction or Poly, and _zdiv and the GCDHEU helpers are for ints only.
+# Polynomials as dicts from monomials to nonzero coefficients. Poly's ring
+# operations run _zadd, _zsub and _zmul on exponent tuples and Fraction values;
+# elimination and the gcd run on ints (over Z). Exact division runs on packed
+# monomials (Monagan and Pearce 2011): one int with the total degree in the top
+# field, then the exponents, first variable most significant, so int order is
+# graded-lex order and a monomial product is one integer addition. Each field
+# has a guard bit; b divides a when no field of a - b borrows through it.
+
+def _packing(nvars: int, maxdeg: int) -> Tuple[int, int]:
+    """(field width, guard mask) for nvars variables and total degrees <= maxdeg."""
+    width = maxdeg.bit_length() + 1
+    return width, sum(1 << (width * i + width - 1) for i in range(nvars + 1))
+
+
+def _pack(terms: dict, width: int) -> dict:
+    """Term dict with each exponent tuple packed into one int key."""
+    out = {}
+    for ex, c in terms.items():
+        key = sum(ex)
+        for e in ex:
+            key = key << width | e
+        out[key] = c
+    if min(out, default=0) < 0:  # a negative exponent makes its key negative
+        raise ValueError("cannot pack a negative exponent")
+    return out
+
+
+def _unpack(terms: dict, nvars: int, width: int) -> dict:
+    """Inverse of _pack."""
+    mask, shifts = (1 << width) - 1, range(width * (nvars - 1), -1, -width)
+    return {tuple(key >> s & mask for s in shifts): c for key, c in terms.items()}
+
 
 def _zprimitive(p: Poly) -> Tuple[dict, Fraction]:
     """(P, c) with p = c*P, P primitive over Z and c > 0; p nonzero."""
@@ -319,40 +318,51 @@ def _zsub(a: dict, b: dict) -> dict:
     return {ex: c for ex, c in out.items() if c}
 
 
-def _zdiv(a: dict, b: dict) -> dict | None:
-    """Quotient a/b over Z, or None when b (nonzero) does not divide a.
+def _zdiv(a: dict, b: dict, guard: int) -> dict | None:
+    """Quotient a/b over Z on packed monomials, or None when b (nonzero) does
+    not divide a; guard is the packing's guard mask.
 
     Leading terms come off a heap; a monomial popped once never comes back,
-    since every later term lies below it in graded-lex order.
+    since every later term lies below it in graded-lex order. No term of the
+    remainder has a higher total degree than a's leading term, so a packing
+    that holds a and b holds every intermediate monomial.
     """
     if not a:
         return {}
-    bex = max(b, key=_grlex_key)
+    bex = max(b)
     bc = b[bex]
     rest = [(ex, c) for ex, c in b.items() if ex != bex]
     rem = dict(a)
-    heap = [(-sum(ex), tuple(map(neg, ex)), ex) for ex in rem]
+    heap = [-ex for ex in rem]
     heapq.heapify(heap)
     quot = {}
     while heap:
-        ex = heapq.heappop(heap)[2]
+        ex = -heapq.heappop(heap)
         c = rem.pop(ex)
         if not c:
             continue
         f, r = divmod(c, bc)
-        dif = tuple(map(sub, ex, bex))
-        if r or min(dif, default=0) < 0:
+        if r or ((ex | guard) - bex) & guard != guard:
             return None
+        dif = ex - bex
         quot[dif] = f
         for ex2, c2 in rest:
-            tgt = tuple(map(add, dif, ex2))
+            tgt = dif + ex2
             v = rem.get(tgt)
             if v is None:
                 rem[tgt] = -f * c2
-                heapq.heappush(heap, (-sum(tgt), tuple(map(neg, tgt)), tgt))
+                heapq.heappush(heap, -tgt)
             else:
                 rem[tgt] = v - f * c2
     return quot
+
+
+def _zquotient(a: dict, b: dict) -> dict | None:
+    """_zdiv on exponent-tuple dicts (b nonzero), packed in and unpacked out."""
+    nvars = len(next(iter(b)))
+    width, guard = _packing(nvars, max(sum(ex) for ex in (*a, *b)))
+    quot = _zdiv(_pack(a, width), _pack(b, width), guard)
+    return None if quot is None else _unpack(quot, nvars, width)
 
 
 def _zevaluate(f: dict, xi: int) -> dict:
@@ -396,7 +406,7 @@ def exact_div(a: Poly, b: Poly) -> Poly:
         return Poly.zero(a.vars)
     (za, ca), (zb, cb) = _zprimitive(a), _zprimitive(b)
     # b's primitive part divides a's over Q exactly when it does over Z (Gauss)
-    quot = _zdiv(za, zb)
+    quot = _zquotient(za, zb)
     if quot is None:
         raise ValueError("not exactly divisible")
     k = ca / cb
@@ -488,7 +498,7 @@ def _heu_gcd(f: dict, g: dict) -> dict | None:
             h = _zinterpolate(h, xi)
             c = math.gcd(*h.values())
             h = {ex: v // c for ex, v in h.items()}
-            if _zdiv(f, h) is not None and _zdiv(g, h) is not None:
+            if _zquotient(f, h) is not None and _zquotient(g, h) is not None:
                 return {ex: v * cont for ex, v in h.items()}
         xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
     return None
@@ -497,14 +507,18 @@ def _heu_gcd(f: dict, g: dict) -> dict | None:
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Gcd over Q[vars], primitive with positive leading coefficient.
 
-    GCDHEU on the primitive integer multiples of a and b; the primitive PRS
-    when it gives up.
+    GCDHEU on the primitive integer multiples of a and b, less their common
+    monomial factor (the least exponent of each variable over both), which
+    would swell every evaluation; the primitive PRS when GCDHEU gives up.
     """
     if a.is_zero() or b.is_zero():
         return normal_form(b if a.is_zero() else a)
     a._check(b)
-    h = _heu_gcd(_zprimitive(a)[0], _zprimitive(b)[0])
-    return _prs_gcd(a, b) if h is None else normal_form(Poly(a.vars, h))
+    za, zb = _zprimitive(a)[0], _zprimitive(b)[0]
+    low = tuple(map(min, zip(*za, *zb)))
+    h = _heu_gcd(*({tuple(map(sub, ex, low)): c for ex, c in z.items()} for z in (za, zb)))
+    return _prs_gcd(a, b) if h is None else normal_form(
+        Poly(a.vars, {tuple(map(add, ex, low)): c for ex, c in h.items()}))
 
 
 def poly_gcd_many(polys) -> Poly:
@@ -521,7 +535,7 @@ def poly_gcd_many(polys) -> Poly:
     for p in todo[1:]:
         if out.constant_value() is not None:
             break
-        if _zdiv(_zprimitive(p)[0], _zprimitive(out)[0]) is None:
+        if _zquotient(_zprimitive(p)[0], _zprimitive(out)[0]) is None:
             out = poly_gcd(out, p)
     return out
 

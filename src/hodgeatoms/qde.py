@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Mapping, Tuple
 
-from .linalg import Matrix, left_nullspace
-from .poly import Poly, exact_div, poly_gcd_many, rational_content
+from .linalg import Matrix, _int_row, left_nullspace
+from .poly import Poly, _pack, _packing, exact_div, poly_gcd_many, rational_content
 from .series import Series
 
 
@@ -41,12 +41,8 @@ class DiffOperator:
         return max(c.degree_in("q") for c in self.coeffs)
 
     def parameters_present(self) -> Tuple[str, ...]:
-        out = []
-        for c in self.coeffs:
-            for v in c.variables_present():
-                if v != "q" and v not in out:
-                    out.append(v)
-        return tuple(out)
+        return tuple(dict.fromkeys(v for c in self.coeffs for v in c.variables_present()
+                                   if v != "q"))
 
     def substitute(self, values: Mapping[str, Fraction]) -> "DiffOperator":
         subs = {k: Fraction(v) for k, v in values.items()}
@@ -112,13 +108,8 @@ def cyclic_rows(m: Matrix, component: int, count: int) -> Matrix:
     rows = [row]
     for _ in range(count):
         prev = rows[-1]
-        nxt = []
-        for j in range(m.ncols):
-            acc = prev[j].euler_derivative()
-            for k in range(m.ncols):
-                acc = acc + prev[k] * m.rows[k][j]
-            nxt.append(acc)
-        rows.append(nxt)
+        rows.append([sum((p * m.rows[k][j] for k, p in enumerate(prev)),
+                         prev[j].euler_derivative()) for j in range(m.ncols)])
     return Matrix(rows)
 
 
@@ -138,14 +129,28 @@ def eliminate(rows: Matrix) -> DiffOperator:
 
 
 def cofactor_identity_holds(op: DiffOperator, rows: Matrix) -> bool:
-    """Check Sum c_k r_k = 0 exactly on the cyclic rows, parameters included."""
+    """Check Sum c_k r_k = 0 exactly on the cyclic rows, parameters included.
+
+    Over Z and independent of the kernel that gave op: the operator is
+    cleared of denominators by one lcm and the rows it uses by another, and
+    each column's sum goes into one integer dict on packed monomials, every
+    value of which must be zero.
+    """
+    if op.vars != rows.vars:
+        raise ValueError(f"variable sets differ: {op.vars} vs {rows.vars}")
     if op.order >= rows.nrows:
         return False
+    used = [p for r in rows.rows[:op.order + 1] for p in r]
+    width, _ = _packing(len(op.vars), max(c.total_degree() for c in op.coeffs) +
+                        max(p.total_degree() for p in used))
+    coeffs, entries = ([_pack(t, width) for t in _int_row(ps)[0]] for ps in (op.coeffs, used))
     for j in range(rows.ncols):
-        acc = Poly.zero(rows.vars)
-        for k, c in enumerate(op.coeffs):
-            acc = acc + c * rows.rows[k][j]
-        if not acc.is_zero():
+        acc: dict = {}
+        for c, x in zip(coeffs, entries[j::rows.ncols]):
+            for eb, vb in x.items():
+                for ea, va in c.items():
+                    acc[ea + eb] = acc.get(ea + eb, 0) + va * vb
+        if any(acc.values()):
             return False
     return True
 

@@ -9,7 +9,9 @@ from hodgeatoms import ansatz
 from hodgeatoms.ansatz import (DegreeRule, admissible_powers, build_ansatz,
                                classical_matrix, substitute_params)
 from hodgeatoms.cohomology import AmbientRing, coordinates, gram_matrix
+from hodgeatoms.instance import load_instance
 from hodgeatoms.linalg import Matrix, rref
+from hodgeatoms.pipeline import run_pipeline
 from hodgeatoms.poly import Poly, rational_content
 
 SYM_DEGREES = (0, 2, 4, 4, 6, 8)
@@ -240,3 +242,22 @@ def test_one_cup_matrix_per_block(basis, ring, monkeypatch):
     build_ansatz(basis.symmetric, ring, DegreeRule(SYM_DEGREES), "symmetric")
     # one reduction for all of the block's H-multiples
     assert [len(targets) for targets in calls] == [len(basis.symmetric)]
+
+
+def test_one_gram_matrix_per_block(basis, ring, sym_ansatz, anti_ansatz, monkeypatch):
+    # the ansatz carries its block's Gram matrix, also through the renaming,
+    # and the pipeline's self-adjointness check reads it instead of pairing again
+    assert sym_ansatz.gram == gram_matrix(ring, basis.symmetric)
+    assert anti_ansatz.gram == gram_matrix(ring, basis.antisymmetric)
+    calls = []
+    original = AmbientRing.pair
+
+    def counted(self, x, y):
+        calls.append((x, y))
+        return original(self, x, y)
+
+    monkeypatch.setattr(AmbientRing, "pair", counted)
+    run = run_pipeline(load_instance("verra"))
+    assert run.verdict == "IRRATIONAL_CERTIFIED"
+    # one pairing per entry of the 6 x 6 and 3 x 3 Gram matrices
+    assert len(calls) == len(basis.symmetric) ** 2 + len(basis.antisymmetric) ** 2 == 45

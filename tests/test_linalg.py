@@ -9,8 +9,9 @@ import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 from hodgeatoms.linalg import LAM, Matrix, _bareiss, _int_row, char_poly, det, left_nullspace
-from hodgeatoms.poly import Poly, exact_div, poly_gcd_many, rational_content
+from hodgeatoms.poly import Poly, _zmul, _zsub, exact_div, poly_gcd_many, rational_content
 from hodgeatoms.qde import DiffOperator
+from test_poly import zdiv_reference
 
 Q = ("q",)
 TU = ("t", "u", "q")
@@ -333,3 +334,72 @@ def test_char_poly_of_block_diagonal_is_the_product(mplus, mminus):
                 row.append(zero)
         rows.append(row)
     assert char_poly(Matrix(rows)) == char_poly(mplus) * char_poly(mminus)
+
+
+# -- packed Bareiss against the tuple-keyed elimination -------------------------
+
+def bareiss_reference(rows, ncols):
+    """The tuple-keyed row-incremental Bareiss elimination the packed one
+    replaced: same pivot rule, same exact divisions."""
+    pivots, dependent = [], []
+    for row in rows:
+        prev = None
+        for col, pv, prow in pivots:
+            e = row[col]
+            nxt = []
+            for x, y in zip(row, prow):
+                v = _zsub(_zmul(pv, x), _zmul(e, y)) if e and y else _zmul(pv, x)
+                if prev is not None:
+                    v = zdiv_reference(v, prev)
+                    assert v is not None
+                nxt.append(v)
+            row, prev = nxt, pv
+        left = row[:ncols]
+        if any(left):
+            col = min((j for j in range(ncols) if left[j]),
+                      key=lambda j: (max(map(sum, left[j])), j))
+            pivots.append((col, left[col], row))
+        else:
+            dependent.append(row)
+    return pivots, dependent
+
+
+int_entries = st.one_of(
+    st.just({}),
+    st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 2)), st.integers(-5, 5),
+                    max_size=3).map(lambda t: {ex: c for ex, c in t.items() if c}))
+
+
+@st.composite
+def integer_matrices(draw):
+    # each row is shifted by its own monomial; a row of high degree beside
+    # constant rows drives the products p_k x to twice the sum of the row
+    # degrees, the bound the packing width is derived from
+    nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    out = []
+    for _ in range(nrows):
+        shift = draw(st.one_of(st.just((0, 0)),
+                               st.tuples(st.integers(0, 70), st.integers(0, 40))))
+        out.append([{(a + shift[0], b + shift[1]): c for (a, b), c in x.items()}
+                    for x in (draw(int_entries) for _ in range(ncols))])
+    return out, ncols
+
+
+@settings(max_examples=150)
+@given(integer_matrices(), st.integers(0, 2))
+def test_packed_bareiss_matches_the_tuple_elimination(matrix, extra):
+    rows, ncols = matrix
+    # extra columns stand in for the identity block of left_nullspace
+    rows = [r + [{(0, 0): 1} if j == i else {} for j in range(extra)]
+            for i, r in enumerate(rows)]
+    assert _bareiss(rows, ncols) == bareiss_reference(rows, ncols)
+
+
+def test_packed_bareiss_at_the_width_bound():
+    # one row of total degree 64 over two constant rows: S = 64, and the
+    # product p_2 x of the third row has degree 128 = 2 S before its division
+    d = 64
+    rows = [[{(d, 0): 1}, {(d - 1, 1): 2}, {(0, d): 3}],
+            [{(0, 0): 1}, {(0, 0): 5}, {(0, 0): -2}],
+            [{(0, 0): 7}, {(0, 0): 1}, {(0, 0): 4}]]
+    assert _bareiss(rows, 3) == bareiss_reference(rows, 3)

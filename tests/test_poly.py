@@ -1,5 +1,6 @@
 """Polynomial kernel: arithmetic, normal forms, gcd, exact division."""
 
+import heapq
 import random
 from fractions import Fraction
 
@@ -171,6 +172,10 @@ def test_poly_gcd_frozen_cases():
     # sign convention: primitive with positive graded-lex lead
     assert poly_gcd(t - s, (t - s) * (t - s)) == s - t
     assert poly_gcd(Poly.const(V, 4), Poly.const(V, 6)) == 1
+    # a common monomial factor is split off before GCDHEU and multiplied back
+    t, u, q = (Poly.var(("t", "u", "q"), n) for n in ("t", "u", "q"))
+    f, g = t + u * q + 1, t * u - 2 * q + 5
+    assert poly_gcd(q ** 11 * (t - u) * f, q ** 13 * (t - u) * g) == q ** 11 * (t - u)
 
 
 def test_poly_gcd_matches_sympy():
@@ -193,11 +198,15 @@ integer_polys = st.dictionaries(
     min_size=1, max_size=4).map(P)
 
 
-@given(integer_polys, integer_polys, integer_polys)
-def test_poly_gcd_is_the_prs_gcd(a, b, g):
+monomials = st.tuples(*(st.integers(0, 4) for _ in V)).map(lambda ex: P({ex: 1}))
+
+
+@given(integer_polys, integer_polys, integer_polys, monomials, monomials)
+def test_poly_gcd_is_the_prs_gcd(a, b, g, ma, mb):
+    # random monomial factors exercise the monomial content taken before GCDHEU
     if g.is_zero():
         g = Poly.const(V, 1)
-    x, y = a * g, b * g
+    x, y = a * g * ma, b * g * mb
     h = poly_gcd(x, y)
     assert h == poly._prs_gcd(x, y)
     if x.is_zero() and y.is_zero():
@@ -247,3 +256,93 @@ def test_laurent_poly():
     assert Poly(T, {}).render() == "0"
     assert Poly(T, {(1,): 2, (0,): 2, (-1,): 2}).render() == "2*t + 2 + 2*t^-1"
     assert Poly(T, {(-1,): -1, (-3,): 3}).render() == "-t^-1 + 3*t^-3"
+
+
+# -- packed monomials and exact division ----------------------------------------
+
+def zdiv_reference(a, b):
+    """Quotient a/b over Z on exponent tuples, or None: the tuple-keyed heap
+    division the packed `_zdiv` replaced."""
+    if not a:
+        return {}
+    bex = max(b, key=lambda ex: (sum(ex), ex))
+    bc = b[bex]
+    rest = [(ex, c) for ex, c in b.items() if ex != bex]
+    rem = dict(a)
+    heap = [(-sum(ex), tuple(-e for e in ex), ex) for ex in rem]
+    heapq.heapify(heap)
+    quot = {}
+    while heap:
+        ex = heapq.heappop(heap)[2]
+        c = rem.pop(ex)
+        if not c:
+            continue
+        f, r = divmod(c, bc)
+        dif = tuple(x - y for x, y in zip(ex, bex))
+        if r or min(dif, default=0) < 0:
+            return None
+        quot[dif] = f
+        for ex2, c2 in rest:
+            tgt = tuple(x + y for x, y in zip(dif, ex2))
+            v = rem.get(tgt)
+            if v is None:
+                rem[tgt] = -f * c2
+                heapq.heappush(heap, (-sum(tgt), tuple(-e for e in tgt), tgt))
+            else:
+                rem[tgt] = v - f * c2
+    return quot
+
+
+def packed_div(a, b):
+    nvars = len(next(iter(b)))
+    width, guard = poly._packing(nvars, max(sum(ex) for ex in (*a, *b)))
+    quot = poly._zdiv(poly._pack(a, width), poly._pack(b, width), guard)
+    return None if quot is None else poly._unpack(quot, nvars, width)
+
+
+exponent_lists = st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.tuples(*(st.integers(0, 40) for _ in range(n))),
+                       min_size=1, max_size=12, unique=True))
+
+
+@given(exponent_lists)
+def test_packing_round_trips_in_graded_lex_order(exs):
+    width, _ = poly._packing(len(exs[0]), max(map(sum, exs)))
+    terms = {ex: k + 1 for k, ex in enumerate(exs)}
+    packed = poly._pack(terms, width)
+    assert poly._unpack(packed, len(exs[0]), width) == terms
+    by_key = {key: ex for ex, key in zip(terms, packed)}
+    assert [by_key[key] for key in sorted(packed)] == sorted(exs, key=lambda ex: (sum(ex), ex))
+
+
+int_terms = st.dictionaries(st.tuples(*(st.integers(0, 3) for _ in V)), st.integers(-9, 9),
+                            min_size=1, max_size=5).map(lambda t: {ex: c for ex, c in t.items() if c})
+
+
+@given(int_terms, int_terms, int_terms)
+def test_packed_division_matches_the_tuple_division(a, b, r):
+    if not b:
+        b = {(0, 0, 0): 1}
+    exact = poly._zmul(a, b)
+    assert packed_div(exact, b) == zdiv_reference(exact, b)
+    if exact:
+        assert packed_div(exact, b) == a
+    # a perturbed dividend: both say None, or both give the same quotient
+    perturbed = poly._zadd(exact, r)
+    if perturbed:
+        assert packed_div(perturbed, b) == zdiv_reference(perturbed, b)
+
+
+def test_packed_division_rejects_what_does_not_divide():
+    x2, xy = {(2, 0, 0): 1}, {(1, 1, 0): 1}
+    assert packed_div(x2, xy) is None is zdiv_reference(x2, xy)
+    # 3 x^2 / (2 x): the monomial divides, the coefficient does not
+    assert packed_div({(2, 0, 0): 3}, {(1, 0, 0): 2}) is None
+    assert packed_div({(2, 0, 0): 4}, {(1, 0, 0): 2}) == {(1, 0, 0): 2}
+
+
+def test_packing_rejects_negative_exponents():
+    with pytest.raises(ValueError, match="negative exponent"):
+        poly._pack({(1, -1): 1}, 4)
+    with pytest.raises(ValueError):
+        exact_div(Poly(("t",), {(-1,): 1}), Poly(("t",), {(0,): 2}))

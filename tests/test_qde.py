@@ -124,6 +124,48 @@ def test_cofactor_identity(parametric_op, sym_ansatz, verra):
     assert not cofactor_identity_holds(parametric_op, Matrix(rows.rows[:-1]))
 
 
+def cofactor_reference(op, rows):
+    # the Fraction Poly loop the integer check replaced
+    if op.order >= rows.nrows:
+        return False
+    for j in range(rows.ncols):
+        acc = Poly.zero(rows.vars)
+        for k, c in enumerate(op.coeffs):
+            acc = acc + c * rows.rows[k][j]
+        if not acc.is_zero():
+            return False
+    return True
+
+
+SQ = ("s", "q")
+sq_polys = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 3)),
+                           st.fractions(-5, 5, max_denominator=6),
+                           max_size=3).map(lambda t: Poly(SQ, t))
+
+
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 1), st.data())
+def test_cofactor_identity_matches_the_fraction_loop(order, ncols, unused, data):
+    # rows r_0..r_order with c_order r_order = -sum_(k < order) c_k r_k times
+    # c_order, so that the identity holds; then one used entry perturbed
+    coeffs = [data.draw(sq_polys) for _ in range(order)]
+    top = data.draw(sq_polys.filter(lambda p: not p.is_zero()))
+    base = [[data.draw(sq_polys) for _ in range(ncols)] for _ in range(order)]
+    rows = [[top * p for p in r] for r in base]
+    rows.append([-sum((c * r[j] for c, r in zip(coeffs, base)), Poly.zero(SQ))
+                 for j in range(ncols)])
+    rows += [[data.draw(sq_polys) for _ in range(ncols)] for _ in range(unused)]
+    op = DiffOperator(tuple(coeffs) + (top,))
+    assert cofactor_identity_holds(op, Matrix(rows))
+    assert cofactor_reference(op, Matrix(rows))
+    k, j = data.draw(st.integers(0, order)), data.draw(st.integers(0, ncols - 1))
+    rows[k][j] = rows[k][j] + data.draw(sq_polys)
+    assert cofactor_identity_holds(op, Matrix(rows)) == cofactor_reference(op, Matrix(rows))
+    # an operator that reaches past the rows cannot be checked on them
+    assert not cofactor_identity_holds(op, Matrix(rows[:order]))
+    with pytest.raises(ValueError, match="variable sets differ"):
+        cofactor_identity_holds(DiffOperator((Poly.const(Q, 1),)), Matrix(rows))
+
+
 def test_apply_rejects_parametric(parametric_op, period16):
     with pytest.raises(ValueError, match="unknown parameters"):
         apply(parametric_op, period16)
