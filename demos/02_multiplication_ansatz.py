@@ -31,7 +31,7 @@ slots = [(j, i, d)
          for d in admissible_powers(j, i, rule) if d >= 1]
 print(f"\ndegree rule admits {len(slots)} quantum slots in the symmetric block")
 
-raw = build_ansatz(basis.symmetric, ring, rule, "symmetric")
+raw = build_ansatz(basis.symmetric, ring, rule)
 print(f"self-adjointness leaves {len(raw.params)} free parameters:",
       ", ".join(raw.params))
 
@@ -48,7 +48,7 @@ print("M^T G - G M identically zero:",
       all(p.is_zero() for r in residual.rows for p in r))
 
 anti = build_ansatz(basis.antisymmetric, ring,
-                    DegreeRule(basis.degrees("antisymmetric")), "antisymmetric")
+                    DegreeRule(basis.degrees("antisymmetric")))
 print(f"\nantisymmetric block has {len(anti.params)} parameter; at the"
       " solved value -N/2 = 2:")
 solved = substitute_params(anti, {anti.params[0]: Fraction(2)})

@@ -16,7 +16,7 @@ ring = AmbientRing()
 basis = ring.eigenbasis()
 am = apply_param_names(
     build_ansatz(basis.symmetric, ring,
-                 DegreeRule(basis.degrees("symmetric")), "symmetric"),
+                 DegreeRule(basis.degrees("symmetric"))),
     verra.param_names)
 
 rows = cyclic_rows(am.matrix, verra.component, am.matrix.ncols)

@@ -19,7 +19,7 @@ ring = AmbientRing()
 basis = ring.eigenbasis()
 m = apply_param_names(
     build_ansatz(basis.symmetric, ring,
-                 DegreeRule(basis.degrees("symmetric")), "symmetric"),
+                 DegreeRule(basis.degrees("symmetric"))),
     verra.param_names).matrix
 op = eliminate(cyclic_rows(m, verra.component, m.ncols))
 

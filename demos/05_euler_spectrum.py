@@ -24,10 +24,10 @@ basis = ring.eigenbasis()
 
 sym = apply_param_names(
     build_ansatz(basis.symmetric, ring,
-                 DegreeRule(basis.degrees("symmetric")), "symmetric"),
+                 DegreeRule(basis.degrees("symmetric"))),
     verra.param_names)
 anti = build_ansatz(basis.antisymmetric, ring,
-                    DegreeRule(basis.degrees("antisymmetric")), "antisymmetric")
+                    DegreeRule(basis.degrees("antisymmetric")))
 
 solution = {"s": Fraction(2), "t": Fraction(6), "u": Fraction(2), "v": Fraction(16)}
 mplus = substitute_params(sym, solution)

@@ -16,7 +16,6 @@ they occupy; instance files attach conventional names by those positions.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Tuple
@@ -34,15 +33,11 @@ MULTIPLIER_DEGREE = 2
 class DegreeRule:
     degrees: Tuple[int, ...]
 
-    def max_power(self) -> int:
-        # beyond this cap the degree equation has no solutions
-        return math.ceil((max(self.degrees) + MULTIPLIER_DEGREE) / NOVIKOV_DEGREE)
-
 
 def admissible_powers(j: int, i: int, rule: DegreeRule) -> Tuple[int, ...]:
     """All d >= 0 with deg(b_j) = multiplier + deg(b_i) - novikov*d."""
-    lhs = rule.degrees[i] + MULTIPLIER_DEGREE - rule.degrees[j]
-    return tuple(d for d in range(rule.max_power() + 1) if NOVIKOV_DEGREE * d == lhs)
+    d, r = divmod(rule.degrees[i] + MULTIPLIER_DEGREE - rule.degrees[j], NOVIKOV_DEGREE)
+    return (d,) if d >= 0 and not r else ()
 
 
 def classical_matrix(basis, ring: AmbientRing) -> List[List[Fraction]]:
@@ -57,7 +52,6 @@ def classical_matrix(basis, ring: AmbientRing) -> List[List[Fraction]]:
 
 @dataclass(frozen=True)
 class AnsatzMatrix:
-    block: str
     matrix: Matrix
     params: Tuple[str, ...]
     # parameter -> positions it occupies, as (row, col, multiplier, q-power)
@@ -70,7 +64,7 @@ class AnsatzMatrix:
         return (row, col)
 
 
-def build_ansatz(basis, ring: AmbientRing, rule: DegreeRule, block: str) -> AnsatzMatrix:
+def build_ansatz(basis, ring: AmbientRing, rule: DegreeRule) -> AnsatzMatrix:
     n = len(basis)
     slots = [(j, i, d) for j in range(n) for i in range(n)  # (row, col, power), row-major
              for d in admissible_powers(j, i, rule) if d >= 1]
@@ -127,7 +121,6 @@ def build_ansatz(basis, ring: AmbientRing, rule: DegreeRule, block: str) -> Ansa
                 entries[j][i][tuple(ex)] = c
                 positions[name].append((j, i, c, d))
     return AnsatzMatrix(
-        block=block,
         matrix=Matrix([[Poly(params + ("q",), t) for t in row] for row in entries]),
         params=params,
         positions={p: tuple(v) for p, v in positions.items()},
@@ -153,7 +146,6 @@ def apply_param_names(am: AnsatzMatrix,
     new_params = tuple(name for name, _ in mapping)
     new_vars = new_params + ("q",)
     return AnsatzMatrix(
-        block=am.block,
         matrix=am.matrix.map(lambda p: p.rename_vars(new_vars, rename)),
         params=new_params,
         positions={rename[p]: v for p, v in am.positions.items()},

@@ -14,14 +14,9 @@ from fractions import Fraction
 from typing import Any, Dict, List
 
 from .linalg import LAM, Matrix
-from .poly import Poly
+from .poly import Poly, rat_str
 from .qde import DiffOperator
 from .series import Series
-
-
-def rat_str(x: Fraction) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def poly_json(p: Poly):
@@ -69,7 +64,7 @@ def chi_render(chi: Poly) -> str:
         elif p.constant_value() == 1:
             parts.append(lk)
         elif p.constant_value() is not None:
-            parts.append(f"{p.constant_value()}*{lk}")
+            parts.append(f"{rat_str(p.constant_value())}*{lk}")
         else:
             parts.append(f"({p.render()})*{lk}")
     return " + ".join(parts) or "0"

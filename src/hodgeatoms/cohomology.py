@@ -4,10 +4,11 @@ The ring is Q[H1, H2] / (H1^n, H2^n) with n the nilpotency order (3 for
 the fourfold), graded by topological degree deg(H1^a H2^b) = 2(a+b). A
 class is a Poly over (H1, H2) with every exponent below n; the ring's cup
 product drops the monomials that hit a relation. The Poincare pairing
-reads off the top monomial and multiplies by the instance's top
-intersection number. The factor-swap involution exchanges H1 and H2; x +
-swap(x) and x - swap(x) over the monomials split the ring into a
-symmetric and an antisymmetric block.
+reads off the top monomial's coefficient; the instance's top intersection
+number would scale all of G alike, changing neither M^T G = G M nor its
+row reduction, so it is not carried. The factor-swap involution exchanges
+H1 and H2; x + swap(x) and x - swap(x) over the monomials split the ring
+into a symmetric and an antisymmetric block.
 """
 
 from __future__ import annotations
@@ -23,13 +24,10 @@ VARS = ("H1", "H2")
 
 
 class AmbientRing:
-    def __init__(self, nilpotency: int = 3, pairing: Fraction = Fraction(2)):
+    def __init__(self, nilpotency: int = 3):
         if nilpotency < 1:
             raise ValueError("nilpotency must be positive")
-        if pairing <= 0:
-            raise ValueError("pairing normalization must be positive")
         self.nilpotency = nilpotency
-        self.pairing_norm = Fraction(pairing)
         self.top = (nilpotency - 1, nilpotency - 1)
 
     def monomial(self, a: int, b: int, c: Fraction = Fraction(1)) -> Poly:
@@ -55,9 +53,8 @@ class AmbientRing:
         return Poly(VARS, {ex: c for ex, c in (x * y).terms.items() if max(ex) < n})
 
     def pair(self, x: Poly, y: Poly) -> Fraction:
-        """Poincare pairing: top-monomial coefficient of the cup product,
-        times the top intersection number."""
-        return self.cup(x, y).terms.get(self.top, Fraction(0)) * self.pairing_norm
+        """Poincare pairing: top-monomial coefficient of the cup product."""
+        return self.cup(x, y).terms.get(self.top, Fraction(0))
 
     def eigenbasis(self) -> "EigenBasis":
         """Involution eigenbasis, ordered by degree then exponent spread."""

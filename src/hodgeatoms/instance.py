@@ -32,10 +32,7 @@ class InstanceError(ValueError):
 
 @dataclass(frozen=True)
 class InstanceSpec:
-    generators: int
     nilpotency: int
-    pairing: Fraction
-    swap: Tuple[str, str]
     h31: int
     middle: int
     dim_t: int
@@ -184,7 +181,6 @@ def parse_instance_text(text: str, name: str = "") -> InstanceSpec:
     m = re.fullmatch(r"(\w+):(\w+)", swap_text.strip())
     if not m or {m.group(1), m.group(2)} != {"H1", "H2"}:
         raise InstanceError(f"[involution] swap: expected H1:H2, got {swap_text!r}")
-    swap = (m.group(1), m.group(2))
 
     h31 = _parse_int(need("hodge", "h31"), where("hodge", "h31"))
     middle = _parse_int(need("hodge", "middle"), where("hodge", "middle"))
@@ -234,9 +230,8 @@ def parse_instance_text(text: str, name: str = "") -> InstanceSpec:
     metadata = {sec: dict(kv) for sec, kv in sections.items() if sec not in _KNOWN_KEYS}
 
     return InstanceSpec(
-        generators=generators, nilpotency=nilpotency, pairing=pairing, swap=swap,
-        h31=h31, middle=middle, dim_t=dim_t, tdecomp=tdecomp, simple=simple,
-        n_invariant=n_invariant, enumerative=enumerative, component=component,
+        nilpotency=nilpotency, h31=h31, middle=middle, dim_t=dim_t, tdecomp=tdecomp,
+        simple=simple, n_invariant=n_invariant, enumerative=enumerative, component=component,
         param_names=param_names, period_source=period_source, order=order,
         a0plus_override=a0plus, metadata=metadata, name=name,
         source_sha256=hashlib.sha256(text.encode("utf-8")).hexdigest())

@@ -45,20 +45,21 @@ class StageFailure(RuntimeError):
 @dataclass
 class PipelineRun:
     instance: InstanceSpec
-    through: str = "verdict"
-    order: Optional[int] = None
+    order: int
     checks: List[Dict[str, Any]] = field(default_factory=list)
     stages: List[Dict[str, str]] = field(default_factory=list)
     sections: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     notes: List[str] = field(default_factory=list)
     verdict: str = "INCONCLUSIVE"
 
-    def effective_order(self) -> int:
-        return self.order if self.order is not None else self.instance.order
-
-    def check(self, name: str, passed: bool, detail: str = "") -> bool:
+    def check(self, name: str, passed: bool, detail: str = "") -> None:
         self.checks.append({"name": name, "passed": bool(passed), "detail": detail})
-        return passed
+
+    def require(self, name: str, passed: bool, detail: str, reason: str) -> None:
+        """Record a check and abort the stage with reason when it fails."""
+        self.check(name, passed, detail)
+        if not passed:
+            raise StageFailure(reason)
 
     def note(self, text: str) -> None:
         if text not in self.notes:
@@ -69,7 +70,7 @@ def run_pipeline(instance: InstanceSpec, through: str = "verdict",
                  order: Optional[int] = None) -> PipelineRun:
     if through not in STAGES:
         raise ValueError(f"unknown stage {through!r}; stages are {', '.join(STAGES)}")
-    run = PipelineRun(instance=instance, through=through, order=order)
+    run = PipelineRun(instance, instance.order if order is None else order)
     limit = STAGES.index(through)
     state: Dict[str, Any] = {}
     failed_at: Optional[str] = None
@@ -99,34 +100,31 @@ def run_pipeline(instance: InstanceSpec, through: str = "verdict",
 
 def _stage_period(run: PipelineRun, state: Dict[str, Any]) -> None:
     inst = run.instance
-    order = run.effective_order()
+    order = run.order
     try:
         src = get_source(inst.period_source)
     except KeyError as e:
-        run.check("period.source_known", False, str(e.args[0]))
-        raise StageFailure(f"unknown period source {inst.period_source!r}") from e
+        run.require("period.source_known", False, str(e.args[0]),
+                    f"unknown period source {inst.period_source!r}")
     run.check("period.source_known", True, f"{src.name}: {src.description}")
     if src.regularized is None:
         reason = f"period source {src.name!r} publishes no regularized operator"
-        run.check("period.regularized_annihilation", False, reason)
-        raise StageFailure(reason)
+        run.require("period.regularized_annihilation", False, reason, reason)
 
     # the one period series of the run, padded for the operators applied to it
     reg_q, content = transform_even_operator(src.regularized)
     try:
         series = period_coefficients(inst.period_source, order + reg_q.q_degree())
     except ValueError as e:
-        run.check("period.initial_coefficient", False, str(e))
-        raise StageFailure(str(e)) from e
+        run.require("period.initial_coefficient", False, str(e), str(e))
     g = series.truncate(order)
     run.check("period.initial_coefficient", g.coeff(0) == 1, "a_0 = 1")
 
-    ok = apply(reg_q, regularized_coefficients(series)).is_zero()
-    run.check("period.regularized_annihilation", ok,
-              f"transformed operator (content {rat_str(content)} divided) kills the "
-              f"factorially rescaled series through q^{order}")
-    if not ok:
-        raise StageFailure("regularized operator does not annihilate the rescaled series")
+    run.require("period.regularized_annihilation",
+                apply(reg_q, regularized_coefficients(series)).is_zero(),
+                f"transformed operator (content {rat_str(content)} divided) kills the "
+                f"factorially rescaled series through q^{order}",
+                "regularized operator does not annihilate the rescaled series")
 
     # the plain-series residual's first 3 nonzero terms, from a growing prefix
     end = 0
@@ -157,23 +155,21 @@ def _stage_period(run: PipelineRun, state: Dict[str, Any]) -> None:
 
 def _stage_ansatz(run: PipelineRun, state: Dict[str, Any]) -> None:
     inst = run.instance
-    ring = AmbientRing(nilpotency=inst.nilpotency, pairing=inst.pairing)
+    ring = AmbientRing(nilpotency=inst.nilpotency)
     basis = ring.eigenbasis()
 
     sym_rule = DegreeRule(basis.degrees("symmetric"))
     anti_rule = DegreeRule(basis.degrees("antisymmetric"))
     try:
-        sym_raw = build_ansatz(basis.symmetric, ring, sym_rule, "symmetric")
-        anti = build_ansatz(basis.antisymmetric, ring, anti_rule, "antisymmetric")
+        sym_raw = build_ansatz(basis.symmetric, ring, sym_rule)
+        anti = build_ansatz(basis.antisymmetric, ring, anti_rule)
     except RuntimeError as e:
-        run.check("ansatz.construction", False, str(e))
-        raise StageFailure(f"ansatz construction failed: {e}") from e
+        run.require("ansatz.construction", False, str(e), f"ansatz construction failed: {e}")
 
     try:
         sym = apply_param_names(sym_raw, inst.param_names)
     except ValueError as e:
-        run.check("ansatz.param_mapping", False, str(e))
-        raise StageFailure("parameter name mapping failed") from e
+        run.require("ansatz.param_mapping", False, str(e), "parameter name mapping failed")
     mapping = ", ".join(f"{n}@{pos}" for n, pos in inst.param_names)
     run.check("ansatz.param_mapping",
               sym.params == inst.parameter_order(), mapping)
@@ -183,10 +179,9 @@ def _stage_ansatz(run: PipelineRun, state: Dict[str, Any]) -> None:
         gram = am.gram.map(lambda p: p.rename_vars(am.matrix.vars))
         if not (am.matrix.transpose() * gram - gram * am.matrix).is_zero():
             ok = False
-    run.check("ansatz.self_adjointness", ok,
-              "M^T G = G M identically in the parameters, both blocks")
-    if not ok:
-        raise StageFailure("ansatz is not self-adjoint")
+    run.require("ansatz.self_adjointness", ok,
+                "M^T G = G M identically in the parameters, both blocks",
+                "ansatz is not self-adjoint")
 
     support_ok = True
     for am, rule in ((sym, sym_rule), (anti, anti_rule)):
@@ -212,11 +207,10 @@ def _stage_ansatz(run: PipelineRun, state: Dict[str, Any]) -> None:
               "q = 0 recovers the cup product matrix")
 
     nval = -inst.n_invariant / 2
-    run.check("ansatz.antisymmetric_reduction", len(anti.params) == 1,
-              f"one free parameter {anti.params[0] if anti.params else '?'}; "
-              f"set to -N/2 = {rat_str(nval)} from instance data")
-    if len(anti.params) != 1:
-        raise StageFailure("antisymmetric reduction did not leave one parameter")
+    run.require("ansatz.antisymmetric_reduction", len(anti.params) == 1,
+                f"one free parameter {anti.params[0] if anti.params else '?'}; "
+                f"set to -N/2 = {rat_str(nval)} from instance data",
+                "antisymmetric reduction did not leave one parameter")
     mminus = substitute_params(anti, {anti.params[0]: nval})
 
     state.update(ring=ring, basis=basis, sym=sym, anti=anti, mminus=mminus)
@@ -246,13 +240,10 @@ def _stage_eliminate(run: PipelineRun, state: Dict[str, Any]) -> None:
     try:
         op = eliminate(rows)
     except RuntimeError as e:
-        run.check("eliminate.operator_found", False, str(e))
-        raise StageFailure(f"elimination failed: {e}") from e
-    ok = cofactor_identity_holds(op, rows)
-    run.check("eliminate.cofactor_identity", ok,
-              "sum c_k r_k = 0 symbolically, parameters included")
-    if not ok:
-        raise StageFailure("cofactor identity violated")
+        run.require("eliminate.operator_found", False, str(e), f"elimination failed: {e}")
+    run.require("eliminate.cofactor_identity", cofactor_identity_holds(op, rows),
+                "sum c_k r_k = 0 symbolically, parameters included",
+                "cofactor identity violated")
     state["operator"] = op
     run.sections["operator"] = {
         "status": "ok",
@@ -264,36 +255,30 @@ def _stage_eliminate(run: PipelineRun, state: Dict[str, Any]) -> None:
 
 def _stage_solve(run: PipelineRun, state: Dict[str, Any]) -> None:
     inst = run.instance
-    order = run.effective_order()
+    order = run.order
     op = state["operator"]
     g = state["period"]
 
-    sat = order >= SATURATION_ORDER
-    run.check("solve.saturation", sat,
-              f"truncation order {order} supports matching depth {order - 6}")
-    if not sat:
-        raise StageFailure(f"truncation order {order} < {SATURATION_ORDER} cannot "
-                           f"saturate the system")
+    run.require("solve.saturation", order >= SATURATION_ORDER,
+                f"truncation order {order} supports matching depth {order - 6}",
+                f"truncation order {order} < {SATURATION_ORDER} cannot saturate the system")
 
     eqs = match_equations(op, g, depth=order - 6)
     try:
         report = solve_parameters(eqs, inst.parameter_order(), inst.enumerative)
     except SolveError as e:
-        run.check("solve.consistent", False, str(e))
-        raise StageFailure(f"solve failed: {e}") from e
+        run.require("solve.consistent", False, str(e), f"solve failed: {e}")
     run.check("solve.consistent", True,
               f"{len(report.equations)} matched equations reduce to "
               f"{len(report.reduced)} independent ones")
     run.check("solve.verified", True,
               f"all {len(report.solutions)} solutions satisfy every matched equation")
 
-    unique = len(report.accepted) == 1
     detail = "; ".join(
         "(" + ", ".join(f"{n}={rat_str(x)}" for n, x in zip(report.params, sol)) + ")"
         for sol in report.accepted) or "none accepted"
-    run.check("solve.enumerative_unique", unique, detail)
-    if not unique:
-        raise StageFailure("enumerativity filter did not leave a unique solution")
+    run.require("solve.enumerative_unique", len(report.accepted) == 1, detail,
+                "enumerativity filter did not leave a unique solution")
 
     values = dict(zip(report.params, report.accepted[0]))
     numeric = op.substitute(values)
@@ -301,11 +286,9 @@ def _stage_solve(run: PipelineRun, state: Dict[str, Any]) -> None:
     series = state["series"]
     padded = (series.truncate(padding) if padding <= series.order
               else period_coefficients(inst.period_source, padding))
-    ann = apply(numeric, padded).is_zero()
-    run.check("solve.annihilation", ann,
-              f"solved operator annihilates the period through q^{order}")
-    if not ann:
-        raise StageFailure("solved operator does not annihilate the period")
+    run.require("solve.annihilation", apply(numeric, padded).is_zero(),
+                f"solved operator annihilates the period through q^{order}",
+                "solved operator does not annihilate the period")
 
     state.update(solution=values, numeric_op=numeric,
                  mplus=substitute_params(state["sym"], values))
@@ -334,28 +317,25 @@ def _stage_spectrum(run: PipelineRun, state: Dict[str, Any]) -> None:
         try:
             blocks[key] = block_spectrum(m, name)
         except TemplateError as e:
-            run.check(f"spectrum.template_{key}", False, str(e))
-            raise StageFailure(f"spectrum template failed: {e}") from e
+            run.require(f"spectrum.template_{key}", False, str(e),
+                        f"spectrum template failed: {e}")
         run.check(f"spectrum.template_{key}", True, blocks[key].factored_render())
 
     plus, minus = blocks["plus"], blocks["minus"]
-    dims_ok = (plus.dim == len(basis.symmetric) and minus.dim == len(basis.antisymmetric))
-    run.check("spectrum.block_dims", dims_ok,
-              f"dims {plus.dim}+{minus.dim}, zero multiplicities "
-              f"{plus.zero_multiplicity} and {minus.zero_multiplicity}")
-    if not dims_ok:
-        raise StageFailure("characteristic polynomial degree mismatch")
+    run.require("spectrum.block_dims",
+                plus.dim == len(basis.symmetric) and minus.dim == len(basis.antisymmetric),
+                f"dims {plus.dim}+{minus.dim}, zero multiplicities "
+                f"{plus.zero_multiplicity} and {minus.zero_multiplicity}",
+                "characteristic polynomial degree mismatch")
 
     try:
         rec = reciprocity_check(state["source"].regularized, plus)
     except TemplateError as e:
-        run.check("spectrum.reciprocity", False, str(e))
-        raise StageFailure(f"reciprocity check failed: {e}") from e
-    run.check("spectrum.reciprocity", rec.passed,
-              f"singular squares {{{', '.join(rat_str(x) for x in rec.singular_squares)}}} "
-              f"vs eigenvalue squares {{{', '.join(rat_str(x) for x in rec.eigen_squares)}}}")
-    if not rec.passed:
-        raise StageFailure("singular squares are not the reciprocal eigenvalue squares")
+        run.require("spectrum.reciprocity", False, str(e), f"reciprocity check failed: {e}")
+    run.require("spectrum.reciprocity", rec.passed,
+                f"singular squares {{{', '.join(rat_str(x) for x in rec.singular_squares)}}} "
+                f"vs eigenvalue squares {{{', '.join(rat_str(x) for x in rec.eigen_squares)}}}",
+                "singular squares are not the reciprocal eigenvalue squares")
 
     state["spectrum"] = blocks
     run.sections["spectrum"] = {
@@ -385,11 +365,10 @@ def _stage_atoms(run: PipelineRun, state: Dict[str, Any]) -> None:
     plus, minus = state["spectrum"]["plus"], state["spectrum"]["minus"]
 
     simple_ok = inst.simple or inst.dim_t == 0
-    run.check("atoms.transcendental_simple", simple_ok,
-              "simplicity pins rho(T) = 0" if simple_ok
-              else "T not flagged simple; rho(T) unknown")
-    if not simple_ok:
-        raise StageFailure("transcendental part not known simple")
+    run.require("atoms.transcendental_simple", simple_ok,
+                "simplicity pins rho(T) = 0" if simple_ok
+                else "T not flagged simple; rho(T) unknown",
+                "transcendental part not known simple")
 
     zero_plus = plus.zero_multiplicity
     if inst.a0plus_override is not None:
@@ -402,8 +381,7 @@ def _stage_atoms(run: PipelineRun, state: Dict[str, Any]) -> None:
         trans = transcendental_invariants(inst)
         cases = assemble_zero_atoms(inst, zero_plus, zero_minus)
     except AtomError as e:
-        run.check("atoms.invariants_valid", False, str(e))
-        raise StageFailure(f"atom assembly failed: {e}") from e
+        run.require("atoms.invariants_valid", False, str(e), f"atom assembly failed: {e}")
     run.check("atoms.invariants_valid", True,
               "rho within the (p,p) dimension and non-negative Hodge multiplicities")
 
@@ -481,7 +459,7 @@ def build_certificate(run: PipelineRun) -> Dict[str, Any]:
         "instance": {
             "name": inst.name,
             "sha256": inst.source_sha256,
-            "order": run.effective_order(),
+            "order": run.order,
             "component": inst.component,
             "period_source": inst.period_source,
             "parameters": list(inst.parameter_order()),

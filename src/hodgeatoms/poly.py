@@ -9,6 +9,7 @@ Exponents may be negative: a Hodge polynomial P(t) is a Laurent Poly over
 
 from __future__ import annotations
 
+import decimal
 import heapq
 import math
 from fractions import Fraction
@@ -38,6 +39,16 @@ def rational_content(values: Iterable[Fraction]) -> Fraction:
         num = math.gcd(num, abs(c.numerator))
         den = math.lcm(den, c.denominator)
     return Fraction(num, den) if num else Fraction(0)
+
+
+def rat_str(x: Scalar) -> str:
+    """"num" or "num/den", with no limit on the number of digits."""
+    x = Fraction(x)
+    parts = (x.numerator,) if x.denominator == 1 else (x.numerator, x.denominator)
+    try:
+        return "/".join(map(str, parts))
+    except ValueError:  # past the interpreter's digit limit for int to str
+        return "/".join(str(decimal.Decimal(n)) for n in parts)
 
 
 def signed_join(parts: Iterable[str]) -> str:
@@ -216,17 +227,6 @@ class Poly:
             out[key] = out.get(key, Fraction(0)) + c
         return Poly(variables, out)
 
-    # -- normal forms --------------------------------------------------------
-
-    def content(self) -> Fraction:
-        return rational_content(self.terms.values())
-
-    def primitive(self) -> "Poly":
-        c = self.content()
-        if c in (0, 1):
-            return self
-        return self.scale(1 / c)
-
     # -- rendering -----------------------------------------------------------
 
     def render(self, ascending: bool = False) -> str:
@@ -237,13 +237,13 @@ class Poly:
                             reverse=not ascending):
             names = [f"{v}^{e}" if e != 1 else v for v, e in zip(self.vars, ex) if e]
             mono = "*".join(names)
-            mag = abs(c)
-            if mono and mag == 1:
+            mag = rat_str(abs(c))
+            if mono and mag == "1":
                 body = mono
             elif mono:
                 body = f"{mag}*{mono}"
             else:
-                body = str(mag)
+                body = mag
             parts.append(("- " if c < 0 else "+ ") + body)
         return signed_join(parts)
 
@@ -287,8 +287,8 @@ def _unpack(terms: dict, nvars: int, width: int) -> dict:
 
 
 def _zprimitive(p: Poly) -> Tuple[dict, Fraction]:
-    """(P, c) with p = c*P, P primitive over Z and c > 0; p nonzero."""
-    c = p.content()
+    """(P, c) with p = c*P, P primitive over Z and c > 0; ({}, 0) for p = 0."""
+    c = rational_content(p.terms.values())
     num, den = c.numerator, c.denominator
     return {ex: v.numerator * (den // v.denominator) // num
             for ex, v in p.terms.items()}, c
@@ -415,10 +415,9 @@ def exact_div(a: Poly, b: Poly) -> Poly:
 
 def normal_form(p: Poly) -> Poly:
     """Primitive multiple of p with a positive graded-lex leading coefficient."""
-    out = p.primitive()
-    if out.leading_coefficient() < 0:
-        out = out.scale(-1)
-    return out
+    z = _zprimitive(p)[0]
+    sign = -1 if z and z[max(z, key=_grlex_key)] < 0 else 1
+    return Poly(p.vars, {ex: sign * c for ex, c in z.items()})
 
 
 def _univariate_parts(p: Poly, name: str) -> Tuple[Poly, Poly]:
@@ -532,10 +531,12 @@ def poly_gcd_many(polys) -> Poly:
     if not todo:
         return Poly.zero(polys[0].vars)
     out = normal_form(todo[0])
+    zout = _zprimitive(out)[0]
     for p in todo[1:]:
         if out.constant_value() is not None:
             break
-        if _zquotient(_zprimitive(p)[0], _zprimitive(out)[0]) is None:
+        if _zquotient(_zprimitive(p)[0], zout) is None:
             out = poly_gcd(out, p)
+            zout = _zprimitive(out)[0]
     return out
 

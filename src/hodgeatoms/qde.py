@@ -15,7 +15,8 @@ from fractions import Fraction
 from typing import List, Mapping, Tuple
 
 from .linalg import Matrix, _int_row, left_nullspace
-from .poly import Poly, _pack, _packing, exact_div, poly_gcd_many, rational_content
+from .poly import (Poly, _pack, _packing, exact_div, poly_gcd_many, rational_content,
+                   signed_join)
 from .series import Series
 
 
@@ -74,26 +75,16 @@ class DiffOperator:
             c = self.coeffs[k]
             if c.is_zero():
                 continue
-            dk = "" if k == 0 else ("D" if k == 1 else f"D^{k}")
-            cv = c.constant_value()
-            if not dk:
-                parts.append(f"({c.render()})" if len(c.terms) > 1 else c.render())
-            elif cv == 1:
-                parts.append(dk)
-            elif cv == -1:
-                parts.append(f"-{dk}")
-            elif cv is not None:
-                parts.append(f"{cv}*{dk}")
-            elif len(c.terms) == 1:
-                parts.append(f"{c.render()}*{dk}")
+            text = c.render()
+            if len(c.terms) > 1:
+                sign, body = "+ ", f"({text})"
             else:
-                parts.append(f"({c.render()})*{dk}")
-        if not parts:
-            return "0"
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+                sign, body = ("- ", text[1:]) if text.startswith("-") else ("+ ", text)
+            if k:
+                dk = "D" if k == 1 else f"D^{k}"
+                body = dk if body == "1" else f"{body}*{dk}"
+            parts.append(sign + body)
+        return signed_join(parts)
 
 
 def cyclic_rows(m: Matrix, component: int, count: int) -> Matrix:
@@ -226,6 +217,4 @@ def transform_even_operator(op: DiffOperator) -> Tuple[DiffOperator, Fraction]:
             out[(e // 2,)] = v * Fraction(2) ** k
         new_coeffs.append(Poly(("q",), out))
     content = rational_content(v for c in new_coeffs for v in c.terms.values()) or Fraction(1)
-    if content != 1:
-        new_coeffs = [c.scale(1 / content) for c in new_coeffs]
-    return DiffOperator(tuple(new_coeffs)), content
+    return DiffOperator(tuple(c.scale(1 / content) for c in new_coeffs)), content

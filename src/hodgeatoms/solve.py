@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from .linalg import rref
-from .poly import Poly, normal_form
+from .poly import Poly, _zprimitive
 from .spectrum import rational_roots
 
 
@@ -56,14 +56,14 @@ def solve_parameters(equations: Sequence[Tuple[int, Poly]],
             raise SolveError(f"equation at q^{order} has degree {p.total_degree()} > 2")
         raw.append((order, p))
 
-    # linearize over the occurring monomials, constants aside; the normal
-    # forms are primitive, so every row is an integer vector
-    canon = [normal_form(e) for _, e in raw]
+    # linearize over the occurring monomials, constants aside; each row is
+    # its equation's integer primitive part
+    canon = [_zprimitive(e)[0] for _, e in raw]
     zero_ex = (0,) * len(params)
-    monos = sorted({ex for e in canon for ex in e.terms if ex != zero_ex},
+    monos = sorted({ex for e in canon for ex in e if ex != zero_ex},
                    key=lambda ex: (-sum(ex), tuple(-x for x in ex)))
     cols = monos + [zero_ex]
-    rows = [[e.terms[ex].numerator if ex in e.terms else 0 for ex in cols] for e in canon]
+    rows = [[e.get(ex, 0) for ex in cols] for e in canon]
 
     # Gauss-Jordan only on the rows found independent so far. Any other row r
     # lies in their span iff d r[j] = sum_c r[p_c] (d R_c)[j] on every
@@ -142,39 +142,25 @@ def _back_substitute(reduced: List[Poly], params: Tuple[str, ...]):
             terminal.append((rules, assign))
             continue
 
-        choice = None
-        for e in eqs:  # univariate linear first
-            present, deg = _classify(e)
-            if len(present) == 1 and deg == 1:
-                choice = ("assign", e, present[0])
-                break
-        if choice is None:
-            for e in eqs:  # then a linear relation usable as a rewrite
-                present, deg = _classify(e)
-                if deg == 1 and len(present) >= 2:
-                    choice = ("rewrite", e, present[0])
-                    break
-        if choice is None:
-            for e in eqs:  # finally a univariate quadratic with rational roots
-                present, deg = _classify(e)
-                if len(present) == 1 and deg == 2:
-                    choice = ("branch", e, present[0])
-                    break
-        if choice is None:
+        # the first equation of the best kind: univariate linear (assign), then
+        # linear in several unknowns (rewrite), then univariate quadratic (branch)
+        deg, multi, n, var = min((deg, len(present) > 1, n, present[0])
+                                 for n, (present, deg) in enumerate(map(_classify, eqs)))
+        if deg == 2 and multi:
             shown = "; ".join(e.render() for e in eqs)
             raise SolveError(f"unsolved: no degree <= 2 univariate or linear step in [{shown}]")
 
-        kind, e, var = choice
+        e = eqs[n]
         rest = [x for x in eqs if x is not e]
         unit = tuple(1 if i == var else 0 for i in range(nvars))
-        if kind in ("assign", "rewrite"):
+        if deg == 1:
             c = e.terms[unit]
             rule = Poly(params, {ex: -v / c for ex, v in e.terms.items() if ex != unit})
             new_eqs = [x.substitute({params[var]: rule}) for x in rest]
-            if kind == "assign":
-                stack.append((rules, {**assign, var: rule.constant_value() or Fraction(0)}, new_eqs))
-            else:
+            if multi:
                 stack.append((rules + [(var, rule)], assign, new_eqs))
+            else:
+                stack.append((rules, {**assign, var: rule.constant_value() or Fraction(0)}, new_eqs))
         else:
             roots = rational_roots([e.terms.get(tuple(k * u for u in unit), Fraction(0))
                                     for k in range(3)])

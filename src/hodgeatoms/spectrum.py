@@ -26,7 +26,6 @@ class TemplateError(ValueError):
 
 @dataclass(frozen=True)
 class BlockSpectrum:
-    block: str
     chi: Poly                              # over (..., LAM)
     dim: int
     zero_multiplicity: int
@@ -158,7 +157,7 @@ def factor_template(chi: Poly, block: str) -> BlockSpectrum:
         rebuilt = rebuilt * (lam * lam - Poly.var(chi.vars, "q", 1, c))
     if rebuilt != chi:
         raise TemplateError(f"{block}: template product does not reproduce chi")
-    return BlockSpectrum(block=block, chi=chi, dim=dim, zero_multiplicity=a,
+    return BlockSpectrum(chi=chi, dim=dim, zero_multiplicity=a,
                          square_factors=tuple(sorted(roots, reverse=True)))
 
 

@@ -39,14 +39,14 @@ def basis(ring):
 @pytest.fixture(scope="session")
 def sym_ansatz(verra, ring, basis):
     raw = build_ansatz(basis.symmetric, ring,
-                       DegreeRule(basis.degrees("symmetric")), "symmetric")
+                       DegreeRule(basis.degrees("symmetric")))
     return apply_param_names(raw, verra.param_names)
 
 
 @pytest.fixture(scope="session")
 def anti_ansatz(ring, basis):
     return build_ansatz(basis.antisymmetric, ring,
-                        DegreeRule(basis.degrees("antisymmetric")), "antisymmetric")
+                        DegreeRule(basis.degrees("antisymmetric")))
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
 """Ansatz construction: degree slots, self-adjoint reduction, naming."""
 
+import math
 from fractions import Fraction
 from typing import List
 
@@ -18,9 +19,18 @@ SYM_DEGREES = (0, 2, 4, 4, 6, 8)
 ANTI_DEGREES = (2, 4, 6)
 
 
-def test_max_power():
-    assert DegreeRule(SYM_DEGREES).max_power() == 3
-    assert DegreeRule(ANTI_DEGREES).max_power() == 2
+@pytest.mark.parametrize("nilpotency", [2, 3, 4, 5])
+def test_admissible_powers_match_the_capped_loop(nilpotency):
+    # the search up to ceil((max degree + 2) / 4) that admissible_powers replaced
+    basis = AmbientRing(nilpotency).eigenbasis()
+    for block in ("symmetric", "antisymmetric"):
+        rule = DegreeRule(basis.degrees(block))
+        cap = math.ceil((max(rule.degrees) + 2) / 4)
+        for j in range(len(rule.degrees)):
+            for i in range(len(rule.degrees)):
+                lhs = rule.degrees[i] + 2 - rule.degrees[j]
+                capped = tuple(d for d in range(cap + 1) if 4 * d == lhs)
+                assert admissible_powers(j, i, rule) == capped
 
 
 def test_admissible_powers():
@@ -34,7 +44,7 @@ def test_admissible_powers():
 
 
 def test_canonical_parameters(basis, ring):
-    am = build_ansatz(basis.symmetric, ring, DegreeRule(SYM_DEGREES), "symmetric")
+    am = build_ansatz(basis.symmetric, ring, DegreeRule(SYM_DEGREES))
     assert am.params == ("p_0_1", "p_0_4", "p_1_2", "p_1_3")
     assert am.first_position("p_0_1") == (0, 1)
     assert am.first_position("p_0_4") == (0, 4)
@@ -127,7 +137,7 @@ def test_solved_matrices_frozen(mplus, mminus):
 
 def test_apply_param_names_errors(basis, ring, verra):
     from hodgeatoms.ansatz import apply_param_names
-    am = build_ansatz(basis.symmetric, ring, DegreeRule(SYM_DEGREES), "symmetric")
+    am = build_ansatz(basis.symmetric, ring, DegreeRule(SYM_DEGREES))
     with pytest.raises(ValueError, match="names 2 parameters, ansatz has 4"):
         apply_param_names(am, (("a", (0, 1)), ("b", (1, 2))))
     with pytest.raises(ValueError, match="no ansatz parameter starts at"):
@@ -140,16 +150,17 @@ def test_apply_param_names_errors(basis, ring, verra):
 
 def test_apply_param_names_declared_order(basis, ring):
     from hodgeatoms.ansatz import apply_param_names
-    am = build_ansatz(basis.symmetric, ring, DegreeRule(SYM_DEGREES), "symmetric")
+    am = build_ansatz(basis.symmetric, ring, DegreeRule(SYM_DEGREES))
     renamed = apply_param_names(am, (("v", (0, 4)), ("s", (0, 1)),
                                      ("t", (1, 2)), ("u", (1, 3))))
     assert renamed.params == ("v", "s", "t", "u")
     assert renamed.matrix.rows[0][1].render() == "2*s*q"
 
 
-def symbolic_ansatz(basis, ring, rule, block):
+def symbolic_ansatz(basis, ring, rule, pairing):
     """Reference construction: the unknowns as ring variables, M^T G - G M
-    expanded symbolically and its linear relations read off the coefficients."""
+    expanded symbolically, with G scaled by the top intersection number
+    pairing, and its linear relations read off the coefficients."""
     n = len(basis)
     slots = [(j, i, d) for j in range(n) for i in range(n)
              for d in admissible_powers(j, i, rule) if d >= 1]
@@ -164,7 +175,7 @@ def symbolic_ansatz(basis, ring, rule, block):
     m = cup(tmp_vars)
     for k, (j, i, d) in enumerate(slots):
         m.rows[j][i] = m.rows[j][i] + Poly.var(tmp_vars, f"x{k}") * Poly.var(tmp_vars, "q", d)
-    gram = gram_matrix(ring, basis, tmp_vars)
+    gram = gram_matrix(ring, basis, tmp_vars).map(lambda p: p.scale(pairing))
     residual = m.transpose() * gram - gram * m
     rows: List[List[Fraction]] = []
     for r in residual.rows:
@@ -209,13 +220,14 @@ def symbolic_ansatz(basis, ring, rule, block):
 @pytest.mark.parametrize("pairing", [Fraction(2), Fraction(7, 3)], ids=str)
 @pytest.mark.parametrize("nilpotency", [2, 3, 4, 5])
 def test_direct_system_matches_symbolic_construction(nilpotency, pairing):
-    ring = AmbientRing(nilpotency, pairing)
+    # a uniform scale of G changes neither M^T G = G M nor its reduction
+    ring = AmbientRing(nilpotency)
     basis = ring.eigenbasis()
     for block in ("symmetric", "antisymmetric"):
         rule = DegreeRule(basis.degrees(block))
-        am = build_ansatz(getattr(basis, block), ring, rule, block)
+        am = build_ansatz(getattr(basis, block), ring, rule)
         params, positions, matrix, classical = symbolic_ansatz(
-            getattr(basis, block), ring, rule, block)
+            getattr(basis, block), ring, rule, pairing)
         assert am.params == params
         assert am.positions == positions
         assert am.matrix == matrix
@@ -227,7 +239,7 @@ def test_classical_part_must_be_self_adjoint(basis, ring, monkeypatch):
     cup[0][1] += 1
     monkeypatch.setattr(ansatz, "classical_matrix", lambda b, r: cup)
     with pytest.raises(RuntimeError, match="classical part is not self-adjoint"):
-        build_ansatz(basis.symmetric, ring, DegreeRule(SYM_DEGREES), "symmetric")
+        build_ansatz(basis.symmetric, ring, DegreeRule(SYM_DEGREES))
 
 
 def test_one_cup_matrix_per_block(basis, ring, monkeypatch):
@@ -239,7 +251,7 @@ def test_one_cup_matrix_per_block(basis, ring, monkeypatch):
         return original(targets, b)
 
     monkeypatch.setattr(ansatz, "coordinates", counted)
-    build_ansatz(basis.symmetric, ring, DegreeRule(SYM_DEGREES), "symmetric")
+    build_ansatz(basis.symmetric, ring, DegreeRule(SYM_DEGREES))
     # one reduction for all of the block's H-multiples
     assert [len(targets) for targets in calls] == [len(basis.symmetric)]
 

@@ -68,6 +68,15 @@ def test_certify_json_at_order_400_is_pinned(capsys):
         "b2e6467111d40274e359d6fc70c4ab937561e0cb2b0363002a0d5b84db11b28b")
 
 
+def test_certify_past_the_digit_limit(capsys):
+    # a_888 is the first period coefficient with more than 4,300 digits, the
+    # interpreter's default limit for int to str; the run still certifies
+    code, out, err = run_cli(capsys, "certify", "--format", "json", "--order", "900")
+    assert code == 0
+    assert "Traceback" not in err
+    assert json.loads(out)["verdict"] == "IRRATIONAL_CERTIFIED"
+
+
 def test_one_period_series_per_certify(capsys, monkeypatch):
     calls = []
     original = pipeline.period_coefficients

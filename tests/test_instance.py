@@ -1,7 +1,5 @@
 """Instance file parsing: happy path, line-numbered errors, invariants."""
 
-from fractions import Fraction
-
 import pytest
 
 from hodgeatoms.instance import InstanceError, load_instance, parse_instance_text
@@ -17,10 +15,7 @@ GOOD = """\
 
 
 def test_bundled_verra(verra):
-    assert verra.generators == 2
     assert verra.nilpotency == 3
-    assert verra.pairing == 2
-    assert verra.swap == ("H1", "H2")
     assert verra.h31 == 1
     assert verra.middle == 24
     assert verra.dim_t == 21

@@ -1,13 +1,15 @@
 """Every top-level function and class in the package, and every method of
-its classes, is used somewhere.
+its classes, is used somewhere; every field of its dataclasses is read.
 
 A name counts as used when some code in src/ or demos/ outside its own
 definition mentions it: a call, an attribute access, an import or a
 reference (a recursive call from its own body does not count). Dunder
 methods are exempt, and so are the methods of a class with a base from
 outside the package (such as an argparse hook), which that base calls.
-Code that nothing in the package or the demos uses gets deleted, not kept
-for tests.
+A field counts as read when some code in src/ or demos/ loads an attribute
+of its name, other than as the same-named keyword of a call to its own
+class (a copy into a new instance reads nothing). Code that nothing in
+the package or the demos uses gets deleted, not kept for tests.
 """
 
 import ast
@@ -75,3 +77,28 @@ def test_every_top_level_definition_is_used():
 def test_every_method_is_used():
     trees = _trees()
     assert _unused(_methods(trees), trees) == []
+
+
+def _fields(trees):
+    """(label, class name, field name) for the annotated fields of package dataclasses."""
+    for label, node in _top_level(trees):
+        if isinstance(node, ast.ClassDef) and any(
+                "dataclass" in _mentions(d, None) for d in node.decorator_list):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield f"{label}.{item.target.id}", node.name, item.target.id
+
+
+def _reads(tree, cls, name):
+    """Whether tree loads the attribute name, copies into cls(name=...) aside."""
+    copies = {id(kw.value) for n in ast.walk(tree)
+              if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == cls
+              for kw in n.keywords if kw.arg == name}
+    return any(isinstance(n, ast.Attribute) and n.attr == name
+               and isinstance(n.ctx, ast.Load) and id(n) not in copies for n in ast.walk(tree))
+
+
+def test_every_dataclass_field_is_read():
+    trees = _trees()
+    assert [label for label, cls, name in _fields(trees)
+            if not any(_reads(tree, cls, name) for tree in trees.values())] == []

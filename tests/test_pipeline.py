@@ -3,8 +3,8 @@
 import pytest
 
 from hodgeatoms.instance import load_instance
-from hodgeatoms.pipeline import (STAGES, build_certificate, certificate_json,
-                                 certificate_text, exit_code, run_pipeline)
+from hodgeatoms.pipeline import (STAGES, PipelineRun, StageFailure, build_certificate,
+                                 certificate_json, certificate_text, exit_code, run_pipeline)
 
 CHECK_NAMES = [
     "period.source_known", "period.initial_coefficient",
@@ -25,6 +25,15 @@ CHECK_NAMES = [
 @pytest.fixture(scope="module")
 def cert(full_run):
     return build_certificate(full_run)
+
+
+def test_require_records_the_check_before_it_raises(verra):
+    run = PipelineRun(verra, verra.order)
+    run.require("x.holds", True, "fine", "not raised")
+    with pytest.raises(StageFailure, match="^why it failed$"):
+        run.require("x.fails", False, "what was seen", "why it failed")
+    assert run.checks == [{"name": "x.holds", "passed": True, "detail": "fine"},
+                          {"name": "x.fails", "passed": False, "detail": "what was seen"}]
 
 
 def test_stage_tuple():

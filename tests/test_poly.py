@@ -9,7 +9,8 @@ import sympy
 from hypothesis import given, strategies as st
 
 from hodgeatoms import poly
-from hodgeatoms.poly import Poly, exact_div, normal_form, poly_gcd, poly_gcd_many
+from hodgeatoms.poly import (Poly, exact_div, normal_form, poly_gcd, poly_gcd_many, rat_str,
+                             rational_content)
 
 V = ("s", "t", "q")
 
@@ -126,12 +127,40 @@ def test_rename_vars():
     assert swapped.terms == {(1, 1): Fraction(3)}
 
 
-def test_content_and_primitive():
-    assert P({(0, 0, 1): 4, (0, 0, 0): 6}).content() == 2
-    assert P({(0, 0, 1): Fraction(3, 2), (0, 0, 0): Fraction(9, 4)}).content() == Fraction(3, 4)
-    assert Poly.zero(V).content() == 0
-    p = P({(0, 0, 1): 4, (0, 0, 0): 6}).primitive()
-    assert p == P({(0, 0, 1): 2, (0, 0, 0): 3})
+def normal_form_reference(p):
+    """The Fraction definition normal_form replaced: p over its rational
+    content, negated when its graded-lex leading coefficient is negative."""
+    c = rational_content(p.terms.values())
+    out = p if c in (0, 1) else p.scale(1 / c)
+    return out.scale(-1) if out.leading_coefficient() < 0 else out
+
+
+rational_polys = st.dictionaries(
+    st.tuples(*(st.integers(0, 2) for _ in V)), st.fractions(-9, 9, max_denominator=12),
+    max_size=4).map(P)
+
+
+@given(rational_polys)
+def test_normal_form_matches_the_fraction_definition(p):
+    assert normal_form(p) == normal_form_reference(p)
+
+
+def test_normal_form_frozen_cases():
+    assert normal_form(P({(0, 0, 1): 4, (0, 0, 0): 6})) == P({(0, 0, 1): 2, (0, 0, 0): 3})
+    assert normal_form(P({(0, 0, 1): Fraction(-3, 2), (0, 0, 0): Fraction(-9, 4)})) == \
+        P({(0, 0, 1): 2, (0, 0, 0): 3})
+    assert normal_form(Poly.zero(V)) == Poly.zero(V)
+
+
+def test_rat_str_past_the_digit_limit():
+    # 5,000 digits: past the interpreter's default limit of 4,300 for int to str
+    n = 10 ** 4999 + 7
+    digits = "1" + "0" * 4998 + "7"
+    assert rat_str(n) == digits
+    assert rat_str(Fraction(-n, 3)) == f"-{digits}/3"
+    assert rat_str(Fraction(3, n)) == f"3/{digits}"
+    assert P({(0, 0, 1): Fraction(-n, 3), (0, 0, 0): 1}).render() == f"-{digits}/3*q + 1"
+    assert P({(0, 0, 0): n}).render() == digits
 
 
 def test_render():
@@ -238,10 +267,17 @@ def test_heuristic_gcd_without_fallback():
     assert normal_form(Poly(V, f)) == normal_form(g)
 
 
-def test_poly_gcd_many():
+def test_poly_gcd_many(monkeypatch):
     s, t, q = (Poly.var(V, n) for n in V)
     g = poly_gcd_many([(s - t) * q, (s - t) * q ** 2, (s - t) * q * t])
     assert g == (s - t) * q
+    # the divisibility test reads the running gcd as it stands: once the
+    # second polynomial brings it down to s - t, the third needs no gcd
+    calls = []
+    original = poly.poly_gcd
+    monkeypatch.setattr(poly, "poly_gcd", lambda a, b: calls.append(b) or original(a, b))
+    assert poly_gcd_many([(s - t) * s, (s - t) * t, (s - t) * q]) == s - t
+    assert calls == [(s - t) * t]
 
 
 def test_laurent_poly():

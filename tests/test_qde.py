@@ -53,6 +53,48 @@ def test_render_paths():
     assert DiffOperator((qp(), qp((1, 2)), qp((0, 1)))).render() == "D^2 + 2*q*D"
 
 
+def render_reference(op):
+    """The join DiffOperator.render replaced: each part as written, then
+    " - " for a part that starts with "-" and " + " otherwise."""
+    parts = []
+    for k in range(op.order, -1, -1):
+        c = op.coeffs[k]
+        if c.is_zero():
+            continue
+        dk = "" if k == 0 else ("D" if k == 1 else f"D^{k}")
+        cv = c.constant_value()
+        if not dk:
+            parts.append(f"({c.render()})" if len(c.terms) > 1 else c.render())
+        elif cv == 1:
+            parts.append(dk)
+        elif cv == -1:
+            parts.append(f"-{dk}")
+        elif cv is not None:
+            parts.append(f"{cv}*{dk}")
+        elif len(c.terms) == 1:
+            parts.append(f"{c.render()}*{dk}")
+        else:
+            parts.append(f"({c.render()})*{dk}")
+    if not parts:
+        return "0"
+    out = parts[0]
+    for p in parts[1:]:
+        out += " - " + p[1:] if p.startswith("-") else " + " + p
+    return out
+
+
+RENDER_COEFFS = [qp(), qp((0, 1)), qp((0, -1)), qp((0, -3)), qp((0, Fraction(-5, 2))),
+                 qp((0, Fraction(7, 3))), qp((1, 1)), qp((1, -1)), qp((2, -4)),
+                 qp((1, 1), (0, -1)), qp((2, -1), (0, 3))]
+
+
+@given(st.lists(st.sampled_from(RENDER_COEFFS), min_size=1, max_size=5),
+       st.sampled_from(RENDER_COEFFS[1:]))
+def test_render_matches_the_old_join(low, top):
+    op = DiffOperator(tuple(low) + (top,))
+    assert op.render() == render_reference(op)
+
+
 def test_normalize():
     # common polynomial content q comes out, then monic on the constant top
     op = DiffOperator((qp((2, 4)), qp((1, 6)))).normalize()

@@ -92,6 +92,28 @@ def test_quadratic_branching():
                              (Fraction(2), Fraction(0)))
 
 
+def test_assign_before_an_earlier_rewrite_and_quadratic(monkeypatch):
+    # listed first: a rewrite a + b = 3 and a quadratic b^2 = 1; the first
+    # univariate linear equation, c = 2, is still the first step taken,
+    # ahead of the later one, a = 2
+    abc = ("a", "b", "c")
+    eqs = [Poly(abc, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 0): -3}),
+           Poly(abc, {(0, 2, 0): 1, (0, 0, 0): -1}),
+           Poly(abc, {(0, 0, 1): 1, (0, 0, 0): -2}),
+           Poly(abc, {(0, 0, 1): 1, (0, 1, 0): -1, (0, 0, 0): -1}),
+           Poly(abc, {(1, 0, 0): 1, (0, 0, 0): -2})]
+    steps = []
+    original = Poly.substitute
+
+    def recorded(p, values):
+        steps.append(dict(values))
+        return original(p, values)
+
+    monkeypatch.setattr(Poly, "substitute", recorded)
+    assert solve._back_substitute(eqs, abc) == [(Fraction(2), Fraction(1), Fraction(2))]
+    assert steps[0] == {"c": Poly.const(abc, 2)}
+
+
 def test_irrational_roots():
     for const in (-2, 1):
         eqs = [(2, e2({(2, 0): 1, (0, 0): const})), (3, e2({(0, 1): 1}))]
