@@ -45,10 +45,7 @@ def rat_str(x: Scalar) -> str:
     """"num" or "num/den", with no limit on the number of digits."""
     x = Fraction(x)
     parts = (x.numerator,) if x.denominator == 1 else (x.numerator, x.denominator)
-    try:
-        return "/".join(map(str, parts))
-    except ValueError:  # past the interpreter's digit limit for int to str
-        return "/".join(str(decimal.Decimal(n)) for n in parts)
+    return "/".join(str(decimal.Decimal(n)) for n in parts)  # Decimal has no digit limit
 
 
 def signed_join(parts: Iterable[str]) -> str:

@@ -152,6 +152,12 @@ def test_normal_form_frozen_cases():
     assert normal_form(Poly.zero(V)) == Poly.zero(V)
 
 
+@given(st.fractions())
+def test_rat_str_matches_str_within_the_digit_limit(x):
+    want = str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    assert rat_str(x) == want
+
+
 def test_rat_str_past_the_digit_limit():
     # 5,000 digits: past the interpreter's default limit of 4,300 for int to str
     n = 10 ** 4999 + 7
