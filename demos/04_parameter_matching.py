@@ -25,7 +25,7 @@ op = eliminate(cyclic_rows(m, verra.component, m.ncols))
 
 for order in (12, 16):
     g = period_coefficients(verra.period_source, order)
-    eqs = match_equations(op, g, order - 6)
+    eqs = match_equations(op, g, order - 6, verra.parameter_order())
     print(f"truncation order {order}: {len(eqs)} nonzero equations, "
           f"first at q^{eqs[0][0]}")
     rep = solve_parameters(eqs, verra.parameter_order(), verra.enumerative)

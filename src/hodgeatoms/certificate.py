@@ -10,26 +10,31 @@ coefficients are emitted in a fixed order.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Tuple
 
 from .linalg import LAM, Matrix
-from .poly import Poly, rat_str
+from .poly import Poly, rat_str, render_terms
 from .qde import DiffOperator
 from .series import Series
 
 
 def poly_json(p: Poly):
     """q-polynomials become dense coefficient lists, anything else a string."""
-    present = p.variables_present()
-    if not present or present == ("q",):
-        deg = p.degree_in("q") if "q" in p.vars else 0
-        coeffs = []
-        for k in range(deg + 1):
-            c = p.coeff_of("q", k).constant_value() if "q" in p.vars else p.constant_value()
-            coeffs.append(rat_str(c if c is not None else Fraction(0)))
-        return coeffs
+    if set(p.variables_present()) <= {"q"}:
+        dense = [Fraction(0)] * (p.total_degree() + 1)
+        for ex, c in p.terms.items():
+            dense[sum(ex)] = c  # q's exponent, the only nonzero one
+        return [rat_str(c) for c in dense]
     return p.render()
+
+
+def equation_json(params: Tuple[str, ...], den: int, terms: Dict[tuple, int]):
+    """poly_json of sum terms[ex] / den * params^ex, by one gcd per term."""
+    text = render_terms(params, [(ex, v // g, den // g)
+                                 for ex, v in terms.items() for g in [math.gcd(v, den)]])
+    return text if any(map(any, terms)) else [text]
 
 
 def series_json(s: Series) -> List[str]:

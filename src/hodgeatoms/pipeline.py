@@ -16,8 +16,8 @@ from typing import Any, Dict, List, Optional
 from . import __version__
 from .ansatz import DegreeRule, admissible_powers, apply_param_names, build_ansatz, substitute_params
 from .atoms import AtomError, assemble_zero_atoms, exclusion_search, transcendental_invariants
-from .certificate import (chi_json, dump_json, dump_text, matrix_json,
-                          operator_json, poly_json, rat_str, series_json)
+from .certificate import (chi_json, dump_json, dump_text, equation_json, matrix_json,
+                          operator_json, rat_str, series_json)
 from .cohomology import AmbientRing
 from .instance import InstanceSpec
 from .periods import get_source, period_coefficients, regularized_coefficients
@@ -263,7 +263,7 @@ def _stage_solve(run: PipelineRun, state: Dict[str, Any]) -> None:
                 f"truncation order {order} supports matching depth {order - 6}",
                 f"truncation order {order} < {SATURATION_ORDER} cannot saturate the system")
 
-    eqs = match_equations(op, g, depth=order - 6)
+    eqs = match_equations(op, g, order - 6, inst.parameter_order())
     try:
         report = solve_parameters(eqs, inst.parameter_order(), inst.enumerative)
     except SolveError as e:
@@ -294,7 +294,8 @@ def _stage_solve(run: PipelineRun, state: Dict[str, Any]) -> None:
                  mplus=substitute_params(state["sym"], values))
     run.sections["solve"] = {
         "status": "ok",
-        "equations": {f"q^{m}": poly_json(e) for m, e in report.equations},
+        "equations": {f"q^{m}": equation_json(report.params, den, terms)
+                      for m, den, terms in report.equations},
         "reduced_system": [e.render() for e in report.reduced],
         "solutions": [{n: rat_str(x) for n, x in zip(report.params, sol)}
                       for sol in report.solutions],

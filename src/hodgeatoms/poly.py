@@ -43,9 +43,21 @@ def rational_content(values: Iterable[Fraction]) -> Fraction:
 
 def rat_str(x: Scalar) -> str:
     """"num" or "num/den", with no limit on the number of digits."""
-    x = Fraction(x)
-    parts = (x.numerator,) if x.denominator == 1 else (x.numerator, x.denominator)
-    return "/".join(str(decimal.Decimal(n)) for n in parts)  # Decimal has no digit limit
+    return render_terms((), [((), x.numerator, x.denominator)])
+
+
+def render_terms(variables: Tuple[str, ...], items, ascending: bool = False) -> str:
+    """The one text form of a polynomial, from its terms (exponent, numerator,
+    denominator), each in lowest terms with a positive denominator: graded-lex
+    order, leading term first unless ascending; "0" for no terms."""
+    parts = []
+    for ex, num, den in sorted(items, key=lambda t: _grlex_key(t[0]), reverse=not ascending):
+        mono = "*".join(f"{v}^{e}" if e != 1 else v for v, e in zip(variables, ex) if e)
+        digits = (abs(num),) if den == 1 else (abs(num), den)
+        mag = "/".join(str(decimal.Decimal(n)) for n in digits)  # Decimal has no digit limit
+        body = (mono if mag == "1" else f"{mag}*{mono}") if mono else mag
+        parts.append(("- " if num < 0 else "+ ") + body)
+    return signed_join(parts)
 
 
 def signed_join(parts: Iterable[str]) -> str:
@@ -212,16 +224,15 @@ class Poly:
     def rename_vars(self, variables: Iterable[str], mapping: Mapping[str, str] | None = None) -> "Poly":
         """Re-embed into another variable tuple (old names mapped by identity or `mapping`)."""
         variables = tuple(variables)
+        names = [mapping.get(v, v) for v in self.vars] if mapping else self.vars
         out = {}
         for ex, c in self.terms.items():
             nex = [0] * len(variables)
-            for i, e in enumerate(ex):
+            for name, e in zip(names, ex):
                 if e:
-                    name = self.vars[i]
-                    name = mapping.get(name, name) if mapping else name
                     nex[variables.index(name)] += e
             key = tuple(nex)
-            out[key] = out.get(key, Fraction(0)) + c
+            out[key] = out[key] + c if key in out else c
         return Poly(variables, out)
 
     # -- rendering -----------------------------------------------------------
@@ -229,20 +240,8 @@ class Poly:
     def render(self, ascending: bool = False) -> str:
         """Deterministic human-readable form, graded-lex term order (leading
         term first unless ascending)."""
-        parts = []
-        for ex, c in sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0]),
-                            reverse=not ascending):
-            names = [f"{v}^{e}" if e != 1 else v for v, e in zip(self.vars, ex) if e]
-            mono = "*".join(names)
-            mag = rat_str(abs(c))
-            if mono and mag == "1":
-                body = mono
-            elif mono:
-                body = f"{mag}*{mono}"
-            else:
-                body = mag
-            parts.append(("- " if c < 0 else "+ ") + body)
-        return signed_join(parts)
+        return render_terms(self.vars, [(ex, c.numerator, c.denominator)
+                                        for ex, c in self.terms.items()], ascending)
 
     def __repr__(self):
         return f"Poly({self.render()})"

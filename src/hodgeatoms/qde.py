@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Mapping, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .linalg import Matrix, _int_row, left_nullspace
 from .poly import (Poly, _pack, _packing, exact_div, poly_gcd_many, rational_content,
@@ -154,26 +154,26 @@ def apply(op: DiffOperator, f: Series) -> Series:
         raise ValueError(f"operator carries unknown parameters {extra}")
     if f.order < op.q_degree():
         raise ValueError("series too short for this operator")
-    return Series([c.constant_value() for c in apply_symbolic(op, f)])
+    # with no parameters, each entry's one monomial is the constant one
+    return Series([Fraction(sum(t.values()), den) for den, t in apply_symbolic(op, f)])
 
 
-def apply_symbolic(op: DiffOperator, f: Series) -> List[Poly]:
-    """Coefficients of apply(op, f) when the operator still carries parameters;
-    entry m is a polynomial in the parameters.
+def apply_symbolic(op: DiffOperator, f: Series) -> List[Tuple[int, Dict[tuple, int]]]:
+    """Coefficients of apply(op, f) when the operator still carries parameters,
+    in integers: entry m is (den, terms), the polynomial sum terms[ex] / den * x^ex
+    in the parameters x (op.vars less q), with den > 0 and no zero in terms.
 
-    Integer arithmetic throughout: the operator is cleared of denominators
-    once (lcm dv), and for each output order the few series coefficients it
-    uses are put over their lcm den, so each term of entry m is one integer
-    sum over den * dv.
-    """
+    The operator is cleared of denominators once (lcm dv), and for each
+    output order the few series coefficients it uses are put over their lcm,
+    so den is that lcm times dv and each numerator one integer sum."""
     out_order = f.order - op.q_degree()
     dv = math.lcm(*(v.denominator for c in op.coeffs for v in c.terms.values()))
-    # (j, monomial without q) -> dv times its coefficients in c_0 .. c_order at q^j
+    # (j, parameter monomial) -> dv times its coefficients in c_0 .. c_order at q^j
     qi = op.vars.index("q")
     slices: dict = {}
     for k, c in enumerate(op.coeffs):
         for ex, v in c.terms.items():
-            key = (ex[qi], ex[:qi] + (0,) + ex[qi + 1:])
+            key = (ex[qi], ex[:qi] + ex[qi + 1:])
             slices.setdefault(key, [0] * len(op.coeffs))[k] = v.numerator * (dv // v.denominator)
     js = sorted({j for j, _ in slices})
     fc = f.coeffs
@@ -189,17 +189,17 @@ def apply_symbolic(op: DiffOperator, f: Series) -> List[Poly]:
                 for v in reversed(ks):  # sum_k v_k (mo - j)^k
                     w = w * n + v
                 acc[ex] = acc.get(ex, 0) + w * scale[j]
-        den *= dv
-        out.append(Poly(op.vars, {ex: Fraction(v, den) for ex, v in acc.items() if v}))
+        out.append((den * dv, {ex: v for ex, v in acc.items() if v}))
     return out
 
 
-def match_equations(op: DiffOperator, f: Series, depth: int) -> List[Tuple[int, Poly]]:
-    """One polynomial equation in the parameters per q-order of apply(op, f),
-    zero equations omitted."""
-    residual = apply_symbolic(op, f)
-    depth = min(depth, len(residual) - 1)
-    return [(m, residual[m]) for m in range(depth + 1) if not residual[m].is_zero()]
+def match_equations(op: DiffOperator, f: Series, depth: int,
+                    params: Sequence[str]) -> List[Tuple[int, int, Dict[tuple, int]]]:
+    """The nonzero entries m <= depth of apply_symbolic as (m, den, terms), ex
+    over params; ValueError when op has a variable besides q and the params."""
+    op = DiffOperator(tuple(c.rename_vars((*params, "q")) for c in op.coeffs))
+    return [(m, den, terms) for m, (den, terms) in enumerate(apply_symbolic(op, f))
+            if m <= depth and terms]
 
 
 def transform_even_operator(op: DiffOperator) -> Tuple[DiffOperator, Fraction]:

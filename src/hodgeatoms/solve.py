@@ -13,10 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .linalg import rref
-from .poly import Poly, _zprimitive
+from .poly import Poly
 from .spectrum import rational_roots
 
 
@@ -27,7 +27,7 @@ class SolveError(ValueError):
 @dataclass(frozen=True)
 class SolveReport:
     params: Tuple[str, ...]
-    equations: Tuple[Tuple[int, Poly], ...]      # raw matched equations by q-order
+    equations: Tuple[Tuple[int, int, Dict[tuple, int]], ...]  # raw (q-order, den, terms)
     reduced: Tuple[Poly, ...]                    # de-linearized equations
     solutions: Tuple[Tuple[Fraction, ...], ...]  # full solution set, param order
     accepted: Tuple[Tuple[Fraction, ...], ...]
@@ -39,9 +39,11 @@ def _classify(e: Poly) -> Tuple[List[int], int]:
     return present, e.total_degree()
 
 
-def solve_parameters(equations: Sequence[Tuple[int, Poly]],
+def solve_parameters(equations: Sequence[Tuple[int, int, Dict[tuple, int]]],
                      params: Sequence[str],
                      enumerative: Sequence[str]) -> SolveReport:
+    """Every solution of the equations (q-order, den, terms) of match_equations,
+    each sum terms[ex] / den * params^ex = 0."""
     params = tuple(params)
     if not equations:
         raise SolveError("underdetermined: empty equation list")
@@ -49,16 +51,15 @@ def solve_parameters(equations: Sequence[Tuple[int, Poly]],
         if name not in params:
             raise SolveError(f"enumerative parameter {name!r} is not an unknown")
 
-    raw: List[Tuple[int, Poly]] = []
-    for order, e in equations:
-        p = e.rename_vars(params)
-        if p.total_degree() > 2:
-            raise SolveError(f"equation at q^{order} has degree {p.total_degree()} > 2")
-        raw.append((order, p))
+    for order, _, terms in equations:
+        degree = max(map(sum, terms), default=0)
+        if degree > 2:
+            raise SolveError(f"equation at q^{order} has degree {degree} > 2")
 
     # linearize over the occurring monomials, constants aside; each row is
-    # its equation's integer primitive part
-    canon = [_zprimitive(e)[0] for _, e in raw]
+    # its equation's integer primitive part, the numerators over their gcd
+    canon = [{ex: v // g for ex, v in terms.items()}
+             for _, _, terms in equations for g in [math.gcd(*terms.values())]]
     zero_ex = (0,) * len(params)
     monos = sorted({ex for e in canon for ex in e if ex != zero_ex},
                    key=lambda ex: (-sum(ex), tuple(-x for x in ex)))
@@ -98,7 +99,7 @@ def solve_parameters(equations: Sequence[Tuple[int, Poly]],
         vals = [math.prod(x ** k for x, k in zip(sol, ex)) for ex in cols]
         den = math.lcm(*(Fraction(v).denominator for v in vals))
         ints = [(v * den).numerator for v in vals]
-        for (order, _), row in zip(raw, rows):
+        for (order, _, _), row in zip(equations, rows):
             if sum(a * b for a, b in zip(row, ints)):
                 raise SolveError(f"candidate {dict(zip(params, sol))} fails the "
                                  f"q^{order} equation (internal error)")
@@ -116,7 +117,7 @@ def solve_parameters(equations: Sequence[Tuple[int, Poly]],
 
     return SolveReport(
         params=params,
-        equations=tuple(raw),
+        equations=tuple(equations),
         reduced=tuple(reduced),
         solutions=tuple(solutions),
         accepted=tuple(accepted),

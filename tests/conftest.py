@@ -1,5 +1,6 @@
 """Shared fixtures: everything expensive is built once per session."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from hodgeatoms.cohomology import AmbientRing
 from hodgeatoms.instance import load_instance
 from hodgeatoms.periods import period_coefficients
 from hodgeatoms.pipeline import run_pipeline
+from hodgeatoms.poly import Poly
 from hodgeatoms.qde import cyclic_rows, eliminate
 from hodgeatoms.spectrum import block_spectrum
 
@@ -19,6 +21,22 @@ settings.register_profile("tier1", derandomize=True, deadline=None, database=Non
 settings.load_profile("tier1")
 
 SOLUTION = {"s": Fraction(2), "t": Fraction(6), "u": Fraction(2), "v": Fraction(16)}
+
+
+def integer_equations(equations):
+    """(q-order, Poly) equations in the (q-order, den, terms) form that
+    match_equations returns: den the lcm of the coefficients' denominators,
+    terms the integer numerators over it."""
+    out = []
+    for m, e in equations:
+        den = math.lcm(*(c.denominator for c in e.terms.values()))
+        out.append((m, den, {ex: (c * den).numerator for ex, c in e.terms.items()}))
+    return out
+
+
+def equation_poly(variables, den, terms):
+    """The Poly sum terms[ex] / den * variables^ex."""
+    return Poly(variables, {ex: Fraction(v, den) for ex, v in terms.items()})
 
 
 @pytest.fixture(scope="session")

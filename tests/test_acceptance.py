@@ -75,7 +75,7 @@ def test_criterion_05_parameter_solving(parametric_op, verra):
     reports = []
     for order in (12, 16):
         g = period_coefficients(verra.period_source, order)
-        eqs = match_equations(parametric_op, g, order - 6)
+        eqs = match_equations(parametric_op, g, order - 6, verra.parameter_order())
         reports.append(solve_parameters(eqs, verra.parameter_order(),
                                         verra.enumerative))
     for rep in reports:

@@ -2,8 +2,10 @@
 
 from fractions import Fraction
 
+from hypothesis import given, strategies as st
+
 from hodgeatoms.certificate import (chi_json, chi_render, dump_json, dump_text,
-                                    matrix_json, operator_json,
+                                    equation_json, matrix_json, operator_json,
                                     poly_json, rat_str, series_json)
 from hodgeatoms.linalg import LAM, Matrix
 from hodgeatoms.poly import Poly
@@ -36,6 +38,58 @@ def test_poly_json_parametric_fallback():
     # a constant over non-q variables still serializes as a list
     c = Poly(("s", "q"), {(0, 0): Fraction(3)})
     assert poly_json(c) == ["3"]
+
+
+def _render_reference(p, ascending=False):
+    # Poly.render as it was before the shared term renderer: one
+    # Fraction.__str__ of each coefficient's magnitude
+    parts = []
+    for ex, c in sorted(p.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]),
+                        reverse=not ascending):
+        mono = "*".join(f"{v}^{e}" if e != 1 else v for v, e in zip(p.vars, ex) if e)
+        mag = str(abs(c))
+        body = mono if mono and mag == "1" else f"{mag}*{mono}" if mono else mag
+        parts.append(("- " if c < 0 else "+ ") + body)
+    text = " ".join(parts)
+    return "-" + text[2:] if text.startswith("- ") else (text[2:] or "0")
+
+
+STU = ("s", "t", "u")
+_EXPONENTS = [(a, b, c) for a in range(3) for b in range(3) for c in range(3) if a + b + c <= 2]
+
+
+@st.composite
+def integer_equations(draw):
+    """(den, terms) as solve reports its equations: coefficients of +-1,
+    numerators sharing part of den, large ones, and constant-only equations."""
+    den = draw(st.integers(1, 60))
+    shared = draw(st.integers(1, den))
+    values = st.one_of(st.sampled_from([den, -den]),
+                       st.integers(-40, 40).map(lambda k: k * shared),
+                       st.integers(-10 ** 40, 10 ** 40)).filter(bool)
+    terms = draw(st.one_of(
+        st.dictionaries(st.sampled_from(_EXPONENTS), values, min_size=1, max_size=7),
+        values.map(lambda v: {(0, 0, 0): v})))
+    return den, terms
+
+
+@given(integer_equations())
+def test_equation_json_is_poly_json_of_the_fraction_form(equation):
+    den, terms = equation
+    p = Poly(STU, {ex: Fraction(v, den) for ex, v in terms.items()})
+    text = _render_reference(p)
+    expected = text if p.variables_present() else [text]
+    assert equation_json(STU, den, terms) == expected
+    assert poly_json(p) == expected
+    assert p.render() == text
+    assert p.render(ascending=True) == _render_reference(p, ascending=True)
+
+
+def test_equation_json_frozen_cases():
+    assert equation_json(STU, 6, {(1, 0, 0): 6, (0, 1, 0): -6, (0, 0, 0): 4}) == "s - t + 2/3"
+    assert equation_json(STU, 4, {(0, 0, 2): -2, (1, 1, 0): 4}) == "s*t - 1/2*u^2"
+    assert equation_json(STU, 3, {(0, 0, 0): -9}) == ["-3"]
+    assert equation_json(STU, 10, {(0, 0, 0): 4}) == ["2/5"]
 
 
 def test_series_json():

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from hodgeatoms import linalg, periods, pipeline, poly, qde
+from hodgeatoms import linalg, periods, pipeline, poly, qde, solve
 from hodgeatoms.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -89,6 +89,38 @@ def test_one_period_series_per_certify(capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "certify")
     assert code == 0
     assert len(calls) == 1
+
+
+def test_solve_at_order_200_builds_no_polynomial_per_equation(capsys, monkeypatch):
+    # the matched equations reach solve as integers: no re-embedding into the
+    # parameters and no rational normal form, per equation or at all
+    calls, solving = [], []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            if solving:
+                calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(poly.Poly, "rename_vars", counted("rename_vars", poly.Poly.rename_vars))
+    original = poly._zprimitive
+    for module in (poly, solve):
+        if getattr(module, "_zprimitive", None) is original:
+            monkeypatch.setattr(module, "_zprimitive", counted("_zprimitive", original))
+    solve_parameters = pipeline.solve_parameters
+
+    def flagged(*args):
+        solving.append(True)
+        try:
+            return solve_parameters(*args)
+        finally:
+            solving.pop()
+
+    monkeypatch.setattr(pipeline, "solve_parameters", flagged)
+    code, _, _ = run_cli(capsys, "certify", "--format", "json", "--order", "200")
+    assert code == 0
+    assert calls == []
 
 
 @pytest.mark.parametrize("target, stage, check, reason", [

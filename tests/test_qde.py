@@ -13,6 +13,7 @@ from hodgeatoms.qde import (DiffOperator, apply, apply_symbolic,
                             cofactor_identity_holds, cyclic_rows, eliminate,
                             match_equations, transform_even_operator)
 from hodgeatoms.series import Series
+from conftest import equation_poly
 
 Q = ("q",)
 
@@ -245,15 +246,24 @@ def test_solved_operator_annihilates_period(solved_op, period16):
     assert out.is_zero()
 
 
+def _parameters(op):
+    return tuple(v for v in op.vars if v != "q")
+
+
+def _symbolic_polys(op, f):
+    """apply_symbolic(op, f) as Polys over the operator's parameters."""
+    return [equation_poly(_parameters(op), den, terms) for den, terms in apply_symbolic(op, f)]
+
+
 def test_apply_symbolic_consistency(parametric_op, period16, solution):
-    sym = apply_symbolic(parametric_op, period16)
+    sym = _symbolic_polys(parametric_op, period16)
     num = apply(parametric_op.substitute(solution), period16)
     for m, p in enumerate(sym):
         assert p.evaluate(solution) == num.coeff(m)
 
 
 def test_apply_symbolic_equals_apply_without_parameters(solved_op, period16):
-    sym = apply_symbolic(solved_op, period16)
+    sym = _symbolic_polys(solved_op, period16)
     num = apply(solved_op, period16)
     assert [p.constant_value() for p in sym] == num.coeffs
 
@@ -298,35 +308,63 @@ def parametric_operators(draw):
     return DiffOperator(tuple(coeffs))
 
 
+def _reference_in(params, reference):
+    # the reference's q exponents are 0, so re-embedding drops q
+    return [p.rename_vars(params) for p in reference]
+
+
 @given(parametric_operators(), st.lists(_RATIONALS, min_size=3, max_size=12))
 def test_apply_symbolic_matches_the_per_term_fraction_loop(op, values):
     f = Series(values)
-    assert apply_symbolic(op, f) == _apply_symbolic_reference(op, f)
+    entries = apply_symbolic(op, f)
+    assert all(den > 0 and all(terms.values()) for den, terms in entries)
+    assert _symbolic_polys(op, f) == _reference_in(_parameters(op),
+                                                   _apply_symbolic_reference(op, f))
 
 
 def test_apply_symbolic_at_depth_matches_the_per_term_fraction_loop(parametric_op, verra):
     f = Series(get_source(verra.period_source).coefficients(60))
-    assert apply_symbolic(parametric_op, f) == _apply_symbolic_reference(parametric_op, f)
+    assert _symbolic_polys(parametric_op, f) == _reference_in(
+        _parameters(parametric_op), _apply_symbolic_reference(parametric_op, f))
+
+
+@given(parametric_operators(), st.lists(_RATIONALS, min_size=3, max_size=12),
+       st.integers(-1, 12), st.data())
+def test_match_equations_in_any_parameter_order(op, values, depth, data):
+    # the parameters in another order than op.vars, and one more, unused
+    params = data.draw(st.permutations(_parameters(op) + ("w",)))
+    f = Series(values)
+    expected = [(m, p) for m, p in enumerate(_reference_in(
+        params, _apply_symbolic_reference(op, f))) if m <= depth and not p.is_zero()]
+    got = match_equations(op, f, depth, params)
+    assert [(m, equation_poly(params, den, terms)) for m, den, terms in got] == expected
+
+
+def test_match_equations_reject_a_variable_outside_the_parameters(parametric_op, period16):
+    with pytest.raises(ValueError):
+        match_equations(parametric_op, period16, 10, ("s", "t", "u"))
 
 
 def test_match_equations_vanish_at_the_solution(parametric_op, period16, solution):
     # every matched equation through the pipeline's depth order - 6 = 10
-    eqs = match_equations(parametric_op, period16, 10)
+    params = tuple(solution)
+    eqs = match_equations(parametric_op, period16, 10, params)
     assert eqs
-    assert all(e.evaluate(solution) == 0 for _, e in eqs)
+    assert all(equation_poly(params, den, e).evaluate(solution) == 0 for _, den, e in eqs)
 
 
 def test_match_equations(parametric_op, period16):
     # the pipeline matches through depth order - 6 = 10
-    eqs = match_equations(parametric_op, period16, 10)
+    params = ("s", "t", "u", "v")
+    eqs = match_equations(parametric_op, period16, 10, params)
     # orders 0 and 1 vanish identically; the first constraint sits at q^2
     assert eqs[0][0] == 2
-    assert eqs[0][1].render() == (
+    assert equation_poly(params, *eqs[0][1:]).render() == (
         "4*s^2 + 4*s*t + 8*s*u - 72*s - 24*t - 48*u - 12*v + 480")
     assert len(eqs) == 9
-    assert [m for m, _ in eqs] == list(range(2, 11))
+    assert [m for m, _, _ in eqs] == list(range(2, 11))
     # the depth argument clamps to what the series supports
-    assert len(match_equations(parametric_op, period16, 99)) == 13
+    assert len(match_equations(parametric_op, period16, 99, params)) == 13
 
 
 def test_transform_even_operator(verra):

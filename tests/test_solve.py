@@ -9,9 +9,10 @@ from hypothesis import given, strategies as st
 from hodgeatoms import solve
 from hodgeatoms.linalg import rref
 from hodgeatoms.periods import period_coefficients
-from hodgeatoms.poly import Poly, normal_form
+from hodgeatoms.poly import Poly, _zprimitive, normal_form
 from hodgeatoms.qde import match_equations
 from hodgeatoms.solve import SolveError, solve_parameters
+from conftest import equation_poly, integer_equations
 
 XY = ("x", "y")
 
@@ -22,7 +23,7 @@ def e2(terms):
 
 @pytest.fixture(scope="module")
 def report(parametric_op, period16, verra):
-    eqs = match_equations(parametric_op, period16, verra.order - 6)
+    eqs = match_equations(parametric_op, period16, verra.order - 6, verra.parameter_order())
     return solve_parameters(eqs, verra.parameter_order(), verra.enumerative)
 
 
@@ -51,7 +52,7 @@ def test_stability_across_truncation_orders(parametric_op, verra):
     sets = []
     for order in (12, 16):
         g = period_coefficients(verra.period_source, order)
-        eqs = match_equations(parametric_op, g, order - 6)
+        eqs = match_equations(parametric_op, g, order - 6, verra.parameter_order())
         rep = solve_parameters(eqs, verra.parameter_order(), verra.enumerative)
         sets.append((rep.solutions, rep.accepted))
     assert sets[0] == sets[1]
@@ -64,30 +65,30 @@ def test_empty_equations():
 
 def test_unknown_enumerative():
     with pytest.raises(SolveError, match="'z' is not an unknown"):
-        solve_parameters([(2, e2({(1, 0): 1}))], XY, ("z",))
+        solve_parameters(integer_equations([(2, e2({(1, 0): 1}))]), XY, ("z",))
 
 
 def test_degree_cap():
     with pytest.raises(SolveError, match="degree 3 > 2"):
-        solve_parameters([(2, e2({(3, 0): 1}))], XY, ())
+        solve_parameters(integer_equations([(2, e2({(3, 0): 1}))]), XY, ())
 
 
 def test_inconsistent():
     eqs = [(2, e2({(1, 0): 1, (0, 0): -1})),
            (3, e2({(1, 0): 1, (0, 0): -2}))]
     with pytest.raises(SolveError, match="inconsistent linearized system"):
-        solve_parameters(eqs, XY, ())
+        solve_parameters(integer_equations(eqs), XY, ())
 
 
 def test_underdetermined():
     eqs = [(2, e2({(1, 0): 1, (0, 1): 1, (0, 0): -1}))]
     with pytest.raises(SolveError, match=r"no constraint fixes \['y'\]"):
-        solve_parameters(eqs, XY, ())
+        solve_parameters(integer_equations(eqs), XY, ())
 
 
 def test_quadratic_branching():
     eqs = [(2, e2({(2, 0): 1, (0, 0): -4})), (3, e2({(0, 1): 1}))]
-    rep = solve_parameters(eqs, XY, ())
+    rep = solve_parameters(integer_equations(eqs), XY, ())
     assert rep.solutions == ((Fraction(-2), Fraction(0)),
                              (Fraction(2), Fraction(0)))
 
@@ -118,19 +119,19 @@ def test_irrational_roots():
     for const in (-2, 1):
         eqs = [(2, e2({(2, 0): 1, (0, 0): const})), (3, e2({(0, 1): 1}))]
         with pytest.raises(SolveError, match="irrational roots"):
-            solve_parameters(eqs, XY, ())
+            solve_parameters(integer_equations(eqs), XY, ())
 
 
 def test_bilinear_unsolved():
     eqs = [(2, e2({(1, 1): 1, (0, 0): -1}))]
     with pytest.raises(SolveError, match="no degree <= 2"):
-        solve_parameters(eqs, XY, ())
+        solve_parameters(integer_equations(eqs), XY, ())
 
 
 def test_enumerative_filter_rejects_negatives():
     # x = -1 is an integer but not a count
     eqs = [(2, e2({(1, 0): 1, (0, 0): 1})), (3, e2({(0, 1): 1, (0, 0): -2}))]
-    rep = solve_parameters(eqs, XY, ("x",))
+    rep = solve_parameters(integer_equations(eqs), XY, ("x",))
     assert rep.accepted == ()
     assert rep.rejected[0][1] == "not a non-negative integer: x = -1"
 
@@ -197,7 +198,7 @@ def test_reduced_system_matches_a_full_rref(system):
     eqs, _ = system
     # back-substitution left out: the reduced system is compared as reduced
     with mock.patch.object(solve, "_back_substitute", lambda reduced, params: []):
-        report = solve_parameters(eqs, XYZ, ())
+        report = solve_parameters(integer_equations(eqs), XYZ, ())
     assert list(report.reduced) == _full_rref_reference(eqs, XYZ)
 
 
@@ -211,14 +212,16 @@ def test_inconsistent_systems_still_raise(system, data):
         _full_rref_reference(eqs, XYZ)
     with mock.patch.object(solve, "_back_substitute", lambda reduced, params: []), \
             pytest.raises(SolveError, match="inconsistent linearized system"):
-        solve_parameters(eqs, XYZ, ())
+        solve_parameters(integer_equations(eqs), XYZ, ())
 
 
 def test_reduced_system_at_depth_matches_a_full_rref(parametric_op, verra):
     g = period_coefficients(verra.period_source, 120)
-    eqs = match_equations(parametric_op, g, 114)
-    report = solve_parameters(eqs, verra.parameter_order(), verra.enumerative)
-    assert list(report.reduced) == _full_rref_reference(eqs, verra.parameter_order())
+    params = verra.parameter_order()
+    eqs = match_equations(parametric_op, g, 114, params)
+    report = solve_parameters(eqs, params, verra.enumerative)
+    polys = [(m, equation_poly(params, den, terms)) for m, den, terms in eqs]
+    assert list(report.reduced) == _full_rref_reference(polys, params)
 
 
 def test_wrong_candidate_is_an_internal_error(monkeypatch):
@@ -228,4 +231,28 @@ def test_wrong_candidate_is_an_internal_error(monkeypatch):
                         lambda reduced, params: [(Fraction(2), Fraction(0)),
                                                  (Fraction(2), Fraction(1, 3))])
     with pytest.raises(SolveError, match=r"fails the q\^3 equation \(internal error\)"):
-        solve_parameters(eqs, XY, ())
+        solve_parameters(integer_equations(eqs), XY, ())
+
+
+@given(consistent_systems())
+def test_rows_are_the_primitive_parts_of_the_fraction_form(system):
+    # the integer row of each equation is _zprimitive of its Fraction form,
+    # sign included; solve row-reduces the independent rows as they come
+    eqs, _ = system
+    taken = []
+
+    def recording_rref(rows, ncols):
+        taken.append(list(rows[-1]))  # the row just taken in, not yet reduced
+        return rref(rows, ncols)
+
+    with mock.patch.object(solve, "rref", recording_rref), \
+            mock.patch.object(solve, "_back_substitute", lambda reduced, params: []):
+        solve_parameters(integer_equations(eqs), XYZ, ())
+    zero_ex = (0, 0, 0)
+    canon = [_zprimitive(e)[0] for _, e in eqs]
+    monos = sorted({ex for z in canon for ex in z if ex != zero_ex},
+                   key=lambda ex: (-sum(ex), tuple(-x for x in ex)))
+    expected = [[z.get(ex, 0) for ex in monos + [zero_ex]] for z in canon]
+    assert taken[0] == expected[0]
+    rest = iter(expected)
+    assert all(any(row == e for e in rest) for row in taken)
