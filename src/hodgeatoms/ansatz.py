@@ -70,14 +70,9 @@ def build_ansatz(basis, ring: AmbientRing, rule: DegreeRule) -> AnsatzMatrix:
              for d in admissible_powers(j, i, rule) if d >= 1]
     nun = len(slots)
     cup = classical_matrix(basis, ring)
-    gram_q = gram_matrix(ring, basis)
+    classical, gram_q = Matrix.from_scalars(("q",), cup), gram_matrix(ring, basis)
     gram = [[p.constant_value() for p in row] for row in gram_q.rows]
-    # C^T G = G C on scalars; the cup matrix is sparse, so its zeros are skipped
-    ctg = [[sum(cup[j][r] * gram[j][c] for j in range(n) if cup[j][r]) for c in range(n)]
-           for r in range(n)]
-    gc = [[sum(gram[r][j] * cup[j][c] for j in range(n) if cup[j][c]) for c in range(n)]
-          for r in range(n)]
-    if ctg != gc:
+    if classical.transpose() * gram_q != gram_q * classical:
         raise RuntimeError("classical part is not self-adjoint (pairing or degree bug)")
 
     # M^T G - G M, one linear relation per entry (r, c) per q-power d
@@ -124,7 +119,7 @@ def build_ansatz(basis, ring: AmbientRing, rule: DegreeRule) -> AnsatzMatrix:
         matrix=Matrix([[Poly(params + ("q",), t) for t in row] for row in entries]),
         params=params,
         positions={p: tuple(v) for p, v in positions.items()},
-        classical=Matrix.from_scalars(("q",), cup),
+        classical=classical,
         gram=gram_q)
 
 

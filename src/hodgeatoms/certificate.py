@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from .linalg import LAM, Matrix
 from .poly import Poly, rat_str, render_terms
@@ -30,23 +30,32 @@ def poly_json(p: Poly):
     return p.render()
 
 
-def equation_json(params: Tuple[str, ...], den: int, terms: Dict[tuple, int]):
-    """poly_json of sum terms[ex] / den * params^ex, by one gcd per term."""
-    text = render_terms(params, [(ex, v // g, den // g)
-                                 for ex, v in terms.items() for g in [math.gcd(v, den)]])
-    return text if any(map(any, terms)) else [text]
+def equations_json(params: Tuple[str, ...],
+                   equations: Sequence[Tuple[int, int, Dict[tuple, int]]]) -> Dict[str, Any]:
+    """solve.equations: poly_json of sum terms[ex] / den * params^ex under "q^m" for
+    each (m, den, terms), by one gcd per term; each monomial's text is built once."""
+    monos: dict = {}
+    out = {}
+    for m, den, terms in equations:
+        text = render_terms(params, [(ex, v // g, den // g) for ex, v in terms.items()
+                                     for g in [math.gcd(v, den)]], monos=monos)
+        out[f"q^{m}"] = text if any(map(any, terms)) else [text]
+    return out
 
 
 def series_json(s: Series) -> List[str]:
     return [rat_str(c) for c in s.coeffs]
 
 
+def rendered(polys: Sequence[Poly], forms: Sequence[Any]) -> List[str]:
+    """Each polynomial's render, reused from its poly_json form if that is a string."""
+    return [x if isinstance(x, str) else p.render() for p, x in zip(polys, forms)]
+
+
 def operator_json(op: DiffOperator) -> Dict[str, Any]:
-    return {
-        "order": op.order,
-        "coefficients": [poly_json(c) for c in op.coeffs],
-        "display": op.render(),
-    }
+    coeffs = [poly_json(c) for c in op.coeffs]
+    return {"order": op.order, "coefficients": coeffs,
+            "display": op.render(rendered(op.coeffs, coeffs))}
 
 
 def matrix_json(m: Matrix) -> List[List[Any]]:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import List, Tuple
 
 from .linalg import Matrix, rref
-from .poly import Poly
+from .poly import Poly, _zdot
 
 VARS = ("H1", "H2")
 
@@ -53,8 +53,11 @@ class AmbientRing:
         return Poly(VARS, {ex: c for ex, c in (x * y).terms.items() if max(ex) < n})
 
     def pair(self, x: Poly, y: Poly) -> Fraction:
-        """Poincare pairing: top-monomial coefficient of the cup product."""
-        return self.cup(x, y).terms.get(self.top, Fraction(0))
+        """Poincare pairing: top-monomial coefficient of the cup product, read
+        as the sum over complementary monomials of x's and y's coefficients."""
+        x._check(y)
+        return sum((c * y.terms[m] for (a, b), c in x.terms.items()
+                    for m in [(self.top[0] - a, self.top[1] - b)] if m in y.terms), Fraction(0))
 
     def eigenbasis(self) -> "EigenBasis":
         """Involution eigenbasis, ordered by degree then exponent spread."""
@@ -120,10 +123,9 @@ def coordinates(targets, basis) -> List[List[Fraction]]:
     for row, c in zip(aug, pivots):
         for t, sol in enumerate(sols):
             sol[c] = row[ncols + t]
-    # consistency: residual must vanish, which also rejects an inconsistent system
+    # the residual, over nonzero coordinates only, must vanish (also rejects inconsistency)
     for x, sol in zip(targets, sols):
-        for mono in monos:
-            got = sum(s * b.terms.get(mono, zero) for s, b in zip(sol, basis))
-            if got != x.terms.get(mono, zero):
-                raise ValueError("class does not lie in the span of the basis")
+        one = (0,) * len(x.vars)
+        if _zdot(({one: s}, b.terms) for s, b in zip(sol, basis) if s) != x.terms:
+            raise ValueError("class does not lie in the span of the basis")
     return sols

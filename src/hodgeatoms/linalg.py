@@ -19,7 +19,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, List, Mapping, Tuple
 
-from .poly import Poly, _pack, _packing, _unpack, _zdiv
+from .poly import Poly, _pack, _packing, _unpack, _zdiv, _zdot
 
 
 class Matrix:
@@ -52,10 +52,13 @@ class Matrix:
                        for j in range(self.ncols)])
 
     def __mul__(self, other: "Matrix") -> "Matrix":
+        """Product; each entry sums only its nonzero pairs, into one term dict."""
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        return Matrix([[sum((a * other.rows[k][j] for k, a in enumerate(r)), Poly.zero(self.vars))
-                        for j in range(other.ncols)] for r in self.rows])
+        self.rows[0][0]._check(other.rows[0][0])
+        cols = [[(k, p.terms) for k, p in enumerate(col) if p] for col in zip(*other.rows)]
+        return Matrix([[Poly(self.vars, _zdot((r[k].terms, b) for k, b in col if r[k]))
+                        for col in cols] for r in self.rows])
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
@@ -94,7 +97,7 @@ def rref(rows: List[List[Fraction]], ncols: int) -> List[int]:
 
     Rows past the pivot rows are kept. Columns past ncols (an augmented
     right-hand side) are reduced along, so a caller can check consistency
-    on those rows.
+    on those rows. Zero entries of the pivot row are skipped.
     """
     pivots = []
     r = 0
@@ -104,11 +107,11 @@ def rref(rows: List[List[Fraction]], ncols: int) -> List[int]:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
+        rows[r] = [x / pv if x else x for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c] != 0:
                 f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
         if r == len(rows):

@@ -16,8 +16,8 @@ from typing import Any, Dict, List, Optional
 from . import __version__
 from .ansatz import DegreeRule, admissible_powers, apply_param_names, build_ansatz, substitute_params
 from .atoms import AtomError, assemble_zero_atoms, exclusion_search, transcendental_invariants
-from .certificate import (chi_json, dump_json, dump_text, equation_json, matrix_json,
-                          operator_json, rat_str, series_json)
+from .certificate import (chi_json, dump_json, dump_text, equations_json, matrix_json,
+                          operator_json, rat_str, rendered, series_json)
 from .cohomology import AmbientRing
 from .instance import InstanceSpec
 from .periods import get_source, period_coefficients, regularized_coefficients
@@ -188,13 +188,9 @@ def _stage_ansatz(run: PipelineRun, state: Dict[str, Any]) -> None:
         n = len(rule.degrees)
         for j in range(n):
             for i in range(n):
-                entry = am.matrix.entry(j, i)
                 allowed = set(admissible_powers(j, i, rule))
-                got = {k for k in range(entry.degree_in("q") + 1)
-                       if not entry.coeff_of("q", k).is_zero()}
-                if not got <= allowed:
-                    support_ok = False
-                if not {d for d in allowed if d >= 1} <= got:
+                got = {ex[-1] for ex in am.matrix.entry(j, i).terms}  # q is the last variable
+                if not got <= allowed or not {d for d in allowed if d >= 1} <= got:
                     support_ok = False
     run.check("ansatz.support", support_ok,
               "entries live exactly on the admissible q-powers")
@@ -214,6 +210,7 @@ def _stage_ansatz(run: PipelineRun, state: Dict[str, Any]) -> None:
     mminus = substitute_params(anti, {anti.params[0]: nval})
 
     state.update(ring=ring, basis=basis, sym=sym, anti=anti, mminus=mminus)
+    sym_json, anti_json = matrix_json(sym.matrix), matrix_json(mminus)
     run.sections["ansatz"] = {
         "status": "ok",
         "symmetric_parameters": list(sym.params),
@@ -221,12 +218,12 @@ def _stage_ansatz(run: PipelineRun, state: Dict[str, Any]) -> None:
         "parameter_positions": {
             p: [[r, c, rat_str(m), d] for (r, c, m, d) in sym.positions[p]]
             for p in sym.params},
-        "symmetric_matrix": matrix_json(sym.matrix),
-        "symmetric_display": [[p.render() for p in r] for r in sym.matrix.rows],
+        "symmetric_matrix": sym_json,
+        "symmetric_display": [rendered(r, x) for r, x in zip(sym.matrix.rows, sym_json)],
         "antisymmetric_parameter": anti.params[0],
         "antisymmetric_value": rat_str(nval),
-        "antisymmetric_matrix": matrix_json(mminus),
-        "antisymmetric_display": [[p.render() for p in r] for r in mminus.rows],
+        "antisymmetric_matrix": anti_json,
+        "antisymmetric_display": [rendered(r, x) for r, x in zip(mminus.rows, anti_json)],
         "annotation": f"the antisymmetric parameter is -N/2 with N = "
                       f"{rat_str(inst.n_invariant)} taken from the instance, "
                       f"not computed",
@@ -294,8 +291,7 @@ def _stage_solve(run: PipelineRun, state: Dict[str, Any]) -> None:
                  mplus=substitute_params(state["sym"], values))
     run.sections["solve"] = {
         "status": "ok",
-        "equations": {f"q^{m}": equation_json(report.params, den, terms)
-                      for m, den, terms in report.equations},
+        "equations": equations_json(report.params, report.equations),
         "reduced_system": [e.render() for e in report.reduced],
         "solutions": [{n: rat_str(x) for n, x in zip(report.params, sol)}
                       for sol in report.solutions],

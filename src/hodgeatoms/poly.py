@@ -46,13 +46,18 @@ def rat_str(x: Scalar) -> str:
     return render_terms((), [((), x.numerator, x.denominator)])
 
 
-def render_terms(variables: Tuple[str, ...], items, ascending: bool = False) -> str:
+def render_terms(variables: Tuple[str, ...], items, ascending: bool = False,
+                 monos: dict | None = None) -> str:
     """The one text form of a polynomial, from its terms (exponent, numerator,
     denominator), each in lowest terms with a positive denominator: graded-lex
-    order, leading term first unless ascending; "0" for no terms."""
+    order, leading term first unless ascending; "0" for no terms. monos, when
+    given, keeps each monomial's text (exponent -> text) for later calls."""
+    monos = {} if monos is None else monos
     parts = []
     for ex, num, den in sorted(items, key=lambda t: _grlex_key(t[0]), reverse=not ascending):
-        mono = "*".join(f"{v}^{e}" if e != 1 else v for v, e in zip(variables, ex) if e)
+        if ex not in monos:
+            monos[ex] = "*".join(f"{v}^{e}" if e != 1 else v for v, e in zip(variables, ex) if e)
+        mono = monos[ex]
         digits = (abs(num),) if den == 1 else (abs(num), den)
         mag = "/".join(str(decimal.Decimal(n)) for n in digits)  # Decimal has no digit limit
         body = (mono if mag == "1" else f"{mag}*{mono}") if mono else mag
@@ -199,16 +204,20 @@ class Poly:
         return Poly(self.vars, {ex: c * ex[i] for ex, c in self.terms.items() if ex[i]})
 
     def substitute(self, values: Mapping[str, Union["Poly", Scalar]]) -> "Poly":
-        """Substitute polynomials or scalars for variables, exactly."""
-        out = Poly.zero(self.vars)
+        """Substitute polynomials or scalars for variables, exactly, in one pass
+        over the terms into one term dict; each power of a value is formed once."""
+        subs = [i for i, v in enumerate(self.vars) if v in values]
+        powers: dict = {}  # (i, e) -> values[vars[i]] ** e as a term dict
+        out: dict = {}
         for ex, c in self.terms.items():
-            term = Poly.const(self.vars, c)
-            for name, e in zip(self.vars, ex):
-                if e:
-                    term = term * (self._coerce(values[name]) ** e if name in values
-                                   else Poly.var(self.vars, name, e))
-            out = out + term
-        return out
+            term = {tuple(0 if i in subs else e for i, e in enumerate(ex)): c}
+            for i, e in [(i, ex[i]) for i in subs if ex[i]]:
+                if (i, e) not in powers:
+                    powers[i, e] = (self._coerce(values[self.vars[i]]) ** e).terms
+                term = _zmul(term, powers[i, e])
+            for k, v in term.items():
+                out[k] = out.get(k, 0) + v
+        return Poly(self.vars, {k: v for k, v in out.items() if v})
 
     def evaluate(self, values: Mapping[str, Scalar]) -> Fraction:
         """Full evaluation; every present variable must have a value."""
@@ -290,14 +299,20 @@ def _zprimitive(p: Poly) -> Tuple[dict, Fraction]:
             for ex, v in p.terms.items()}, c
 
 
-def _zmul(a: dict, b: dict) -> dict:
+def _zdot(pairs: Iterable[Tuple[dict, dict]]) -> dict:
+    """Sum of the products a*b over the pairs, into one term dict."""
     out: dict = {}
     get = out.get
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            ex = tuple(map(add, ea, eb))
-            out[ex] = get(ex, 0) + ca * cb
+    for a, b in pairs:
+        for ea, ca in a.items():
+            for eb, cb in b.items():
+                ex = tuple(map(add, ea, eb))
+                out[ex] = get(ex, 0) + ca * cb
     return {ex: c for ex, c in out.items() if c}
+
+
+def _zmul(a: dict, b: dict) -> dict:
+    return _zdot([(a, b)])
 
 
 def _zadd(a: dict, b: dict) -> dict:

@@ -69,13 +69,14 @@ class DiffOperator:
             coeffs = [c.scale(-1) for c in coeffs]
         return DiffOperator(tuple(coeffs))
 
-    def render(self) -> str:
+    def render(self, texts: Sequence[str] = ()) -> str:
+        """Highest order first; texts, when given, are the coefficients' renders."""
         parts = []
         for k in range(self.order, -1, -1):
             c = self.coeffs[k]
             if c.is_zero():
                 continue
-            text = c.render()
+            text = texts[k] if texts else c.render()
             if len(c.terms) > 1:
                 sign, body = "+ ", f"({text})"
             else:
@@ -94,13 +95,11 @@ def cyclic_rows(m: Matrix, component: int, count: int) -> Matrix:
         raise ValueError("system matrix must be square")
     if not (0 <= component < m.ncols):
         raise ValueError(f"component {component} out of range")
-    variables = m.vars
-    row = [Poly.const(variables, 1 if j == component else 0) for j in range(m.ncols)]
-    rows = [row]
-    for _ in range(count):
+    rows = [[Poly.const(m.vars, 1 if j == component else 0) for j in range(m.ncols)]]
+    for _ in range(count):  # r_k M by the matrix product, over nonzero pairs only
         prev = rows[-1]
-        rows.append([sum((p * m.rows[k][j] for k, p in enumerate(prev)),
-                         prev[j].euler_derivative()) for j in range(m.ncols)])
+        rows.append([p.euler_derivative() + x
+                     for p, x in zip(prev, (Matrix([prev]) * m).rows[0])])
     return Matrix(rows)
 
 

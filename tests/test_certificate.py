@@ -5,8 +5,8 @@ from fractions import Fraction
 from hypothesis import given, strategies as st
 
 from hodgeatoms.certificate import (chi_json, chi_render, dump_json, dump_text,
-                                    equation_json, matrix_json, operator_json,
-                                    poly_json, rat_str, series_json)
+                                    equations_json, matrix_json, operator_json,
+                                    poly_json, rat_str, rendered, series_json)
 from hodgeatoms.linalg import LAM, Matrix
 from hodgeatoms.poly import Poly
 from hodgeatoms.qde import DiffOperator
@@ -73,23 +73,31 @@ def integer_equations(draw):
     return den, terms
 
 
-@given(integer_equations())
-def test_equation_json_is_poly_json_of_the_fraction_form(equation):
-    den, terms = equation
-    p = Poly(STU, {ex: Fraction(v, den) for ex, v in terms.items()})
-    text = _render_reference(p)
-    expected = text if p.variables_present() else [text]
-    assert equation_json(STU, den, terms) == expected
-    assert poly_json(p) == expected
-    assert p.render() == text
-    assert p.render(ascending=True) == _render_reference(p, ascending=True)
+@given(st.lists(integer_equations(), min_size=1, max_size=4))
+def test_equation_json_is_poly_json_of_the_fraction_form(equations):
+    # one section of several equations shares its monomial texts
+    section = equations_json(STU, [(m, den, terms) for m, (den, terms) in enumerate(equations)])
+    assert list(section) == [f"q^{m}" for m in range(len(equations))]
+    for m, (den, terms) in enumerate(equations):
+        p = Poly(STU, {ex: Fraction(v, den) for ex, v in terms.items()})
+        text = _render_reference(p)
+        expected = text if p.variables_present() else [text]
+        assert section[f"q^{m}"] == expected
+        assert poly_json(p) == expected
+        assert p.render() == text
+        assert p.render(ascending=True) == _render_reference(p, ascending=True)
 
 
 def test_equation_json_frozen_cases():
-    assert equation_json(STU, 6, {(1, 0, 0): 6, (0, 1, 0): -6, (0, 0, 0): 4}) == "s - t + 2/3"
-    assert equation_json(STU, 4, {(0, 0, 2): -2, (1, 1, 0): 4}) == "s*t - 1/2*u^2"
-    assert equation_json(STU, 3, {(0, 0, 0): -9}) == ["-3"]
-    assert equation_json(STU, 10, {(0, 0, 0): 4}) == ["2/5"]
+    assert equations_json(STU, [
+        (3, 6, {(1, 0, 0): 6, (0, 1, 0): -6, (0, 0, 0): 4}),
+        (4, 4, {(0, 0, 2): -2, (1, 1, 0): 4}),
+        (5, 3, {(0, 0, 0): -9}),
+        (7, 10, {(0, 0, 0): 4}),
+        (8, 2, {(1, 1, 0): 2, (1, 0, 0): -1})]) == {
+        "q^3": "s - t + 2/3", "q^4": "s*t - 1/2*u^2", "q^5": ["-3"], "q^7": ["2/5"],
+        "q^8": "s*t - 1/2*s"}
+    assert equations_json(STU, []) == {}
 
 
 def test_series_json():
@@ -110,6 +118,14 @@ def test_operator_json():
 def test_matrix_json():
     m = Matrix([[qp((1, 2)), qp()], [qp((0, 1)), qp((2, -1))]])
     assert matrix_json(m) == [[["0", "2"], ["0"]], [["1"], ["0", "0", "-1"]]]
+
+
+def test_rendered_reuses_the_json_text():
+    s = Poly(("s", "q"), {(1, 1): Fraction(2)})
+    polys = [s, Poly(("s", "q"), {(0, 2): Fraction(-1, 2)}), Poly.zero(("s", "q"))]
+    assert rendered(polys, [poly_json(p) for p in polys]) == ["2*s*q", "-1/2*q^2", "0"]
+    # a string form is taken as the text; a list form is rendered
+    assert rendered(polys, ["as given", ["-1/2"], ["0"]]) == ["as given", "-1/2*q^2", "0"]
 
 
 def test_chi_json():

@@ -239,6 +239,25 @@ def test_one_content_gcd_per_elimination(capsys, monkeypatch, tmp_path):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("component", [0, 5])
+def test_each_polynomial_is_rendered_once(capsys, monkeypatch, tmp_path, component):
+    # the matrix and operator displays reuse the texts made for their JSON forms
+    seen = []
+    original = poly.Poly.render
+
+    def counted(self, *args):
+        seen.append(self)  # kept alive, so no id is reused
+        return original(self, *args)
+
+    monkeypatch.setattr(poly.Poly, "render", counted)
+    text = (ROOT / "src" / "hodgeatoms" / "data" / "verra.instance").read_text()
+    path = tmp_path / "verra.instance"
+    path.write_text(text.replace("component=5", f"component={component}"))
+    code, out, _ = run_cli(capsys, "certify", "--format", "json", "--instance", str(path))
+    assert code in (0, 2) and json.loads(out)["operator"]["status"] == "ok"
+    assert seen and len({id(p) for p in seen}) == len(seen)
+
+
 def test_one_cyclic_row_stack_per_derive_operator(capsys, monkeypatch):
     # elimination and the cofactor identity read the same rows r_0..r_n
     calls = []

@@ -123,6 +123,29 @@ def test_coordinates_roundtrip(ring, basis):
         coordinates([x, ring.H1], basis.symmetric)
 
 
+@pytest.mark.parametrize("outside", [(2, 0), (0, 2), (2, 1), (1, 0)])
+def test_coordinates_reject_a_monomial_outside_the_symmetric_span(ring, basis, outside):
+    # H1^2 is not swap-invariant: its antisymmetric part has no symmetric
+    # coordinates, so the residual check must reject it, alone or beside a class
+    # that does lie in the span
+    x = ring.monomial(*outside)
+    for targets in ([x], [basis.symmetric[1], x]):
+        with pytest.raises(ValueError, match="span"):
+            coordinates(targets, basis.symmetric)
+    assert coordinates([x], basis.symmetric + basis.antisymmetric)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_pair_is_the_top_coefficient_of_the_cup(n):
+    ring = AmbientRing(n)
+    eigen = ring.eigenbasis()
+    classes = (list(eigen.symmetric + eigen.antisymmetric) +
+               [ring.monomial(a, b) for a in range(n) for b in range(n)])
+    for x in classes:
+        for y in classes:
+            assert ring.pair(x, y) == ring.cup(x, y).terms.get(ring.top, 0)
+
+
 # -- reference: ring classes as dicts (a, b) -> coefficient ---------------------
 
 class AmbientClass:

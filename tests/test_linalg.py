@@ -227,6 +227,27 @@ nonzero_entries = st.dictionaries(exponents, coefficients.filter(bool), min_size
                                   max_size=2).map(lambda t: Poly(QX, t))
 
 
+def dense_product(a, b):
+    """Matrix.__mul__ as it was: every pair of entries multiplied, zeros included."""
+    return Matrix([[sum((x * b.rows[k][j] for k, x in enumerate(r)), Poly.zero(a.vars))
+                    for j in range(b.ncols)] for r in a.rows])
+
+
+@st.composite
+def product_pairs(draw):
+    n, k, m = (draw(st.integers(1, 4)) for _ in range(3))
+    return tuple(Matrix([[draw(sparse_entries) for _ in range(cols)] for _ in range(rows)])
+                 for rows, cols in ((n, k), (k, m)))
+
+
+@given(product_pairs())
+def test_matrix_product_matches_the_dense_product(pair):
+    a, b = pair
+    assert a * b == dense_product(a, b)
+    with pytest.raises(ValueError, match="variable sets differ"):
+        a * Matrix.from_scalars(TU, [[0] * b.ncols] * b.nrows)
+
+
 @st.composite
 def square_matrices(draw, max_size):
     n = draw(st.integers(1, max_size))

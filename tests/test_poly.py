@@ -118,6 +118,48 @@ def test_substitute_and_evaluate():
     assert p.evaluate({"s": 1, "t": 2, "q": Fraction(1, 2)}) == Fraction(7, 2)
 
 
+def substitute_reference(p, values):
+    """Poly.substitute as it was: one Poly per term, each power of a value by
+    repeated Poly products."""
+    out = Poly.zero(p.vars)
+    for ex, c in p.terms.items():
+        term = Poly.const(p.vars, c)
+        for name, e in zip(p.vars, ex):
+            if e:
+                term = term * (p._coerce(values[name]) ** e if name in values
+                               else Poly.var(p.vars, name, e))
+        out = out + term
+    return out
+
+
+def polys_over_v(max_exp, max_terms):
+    return st.dictionaries(st.tuples(*[st.integers(0, max_exp)] * len(V)),
+                           st.fractions(-5, 5, max_denominator=4), max_size=max_terms).map(P)
+
+
+# scalars (zero included) and polynomials; "x" is not a variable of V
+substitution_values = st.dictionaries(
+    st.sampled_from(V + ("x",)),
+    st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=3), polys_over_v(2, 3)),
+    max_size=4)
+
+
+@given(polys_over_v(3, 6), substitution_values)
+def test_substitute_matches_expand_by_products(p, values):
+    assert p.substitute(values) == substitute_reference(p, values)
+
+
+def test_substitute_rejects_a_negative_power():
+    # a Laurent term: the negative power of a substituted variable is an error,
+    # not an empty product; a variable left alone keeps its negative exponent
+    p = P({(-1, 0, 0): 1, (0, 0, 1): 2})
+    for value in (2, Fraction(1, 2), Poly.var(V, "q")):
+        with pytest.raises(ValueError, match="negative power"):
+            p.substitute({"s": value})
+    assert p.substitute({"q": 3}) == P({(-1, 0, 0): 1, (0, 0, 0): 6})
+    assert p.substitute({"q": 3}) == substitute_reference(p, {"q": 3})
+
+
 def test_rename_vars():
     p = P({(1, 0, 1): 3})
     wide = p.rename_vars(("a", "s", "t", "q"))

@@ -14,6 +14,7 @@ from hodgeatoms.qde import (DiffOperator, apply, apply_symbolic,
                             match_equations, transform_even_operator)
 from hodgeatoms.series import Series
 from conftest import equation_poly
+from test_linalg import square_matrices
 
 Q = ("q",)
 
@@ -129,6 +130,27 @@ def test_cyclic_rows_first_two(sym_ansatz, verra):
     rows = cyclic_rows(sym_ansatz.matrix, verra.component, 2)
     assert [p.render() for p in rows.rows[0]] == ["0", "0", "0", "0", "0", "1"]
     assert [p.render() for p in rows.rows[1]] == ["0", "0", "0", "0", "2", "0"]
+
+
+def cyclic_rows_reference(m, component, count):
+    """cyclic_rows as it was: every product r_k[i] M[i][j] formed, zeros included."""
+    rows = [[Poly.const(m.vars, 1 if j == component else 0) for j in range(m.ncols)]]
+    for _ in range(count):
+        prev = rows[-1]
+        rows.append([sum((p * m.rows[k][j] for k, p in enumerate(prev)),
+                         prev[j].euler_derivative()) for j in range(m.ncols)])
+    return Matrix(rows)
+
+
+@given(square_matrices(4), st.data())
+def test_cyclic_rows_match_the_dense_loop(m, data):
+    component = data.draw(st.integers(0, m.ncols - 1))
+    assert cyclic_rows(m, component, 3) == cyclic_rows_reference(m, component, 3)
+
+
+def test_verra_cyclic_rows_match_the_dense_loop(sym_ansatz, verra):
+    m = sym_ansatz.matrix
+    assert cyclic_rows(m, verra.component, 6) == cyclic_rows_reference(m, verra.component, 6)
 
 
 def test_cyclic_rows_errors(sym_ansatz):
