@@ -9,9 +9,8 @@
 
 from fractions import Fraction
 
-from hodgeatoms.ansatz import (DegreeRule, admissible_powers,
-                               apply_param_names, build_ansatz,
-                               substitute_params)
+from hodgeatoms.ansatz import (admissible_powers, apply_param_names,
+                               build_ansatz, substitute_params)
 from hodgeatoms.cohomology import AmbientRing, degree, gram_matrix, render
 from hodgeatoms.instance import load_instance
 
@@ -25,13 +24,13 @@ print("antisymmetric eigenbasis:")
 for b in basis.antisymmetric:
     print(f"  deg {degree(b)}: {render(b)}")
 
-rule = DegreeRule(basis.degrees("symmetric"))
+degrees = basis.degrees("symmetric")
 slots = [(j, i, d)
          for j in range(6) for i in range(6)
-         for d in admissible_powers(j, i, rule) if d >= 1]
+         for d in admissible_powers(j, i, degrees) if d >= 1]
 print(f"\ndegree rule admits {len(slots)} quantum slots in the symmetric block")
 
-raw = build_ansatz(basis.symmetric, ring, rule)
+raw = build_ansatz(basis.symmetric, ring, degrees)
 print(f"self-adjointness leaves {len(raw.params)} free parameters:",
       ", ".join(raw.params))
 
@@ -48,7 +47,7 @@ print("M^T G - G M identically zero:",
       all(p.is_zero() for r in residual.rows for p in r))
 
 anti = build_ansatz(basis.antisymmetric, ring,
-                    DegreeRule(basis.degrees("antisymmetric")))
+                    basis.degrees("antisymmetric"))
 print(f"\nantisymmetric block has {len(anti.params)} parameter; at the"
       " solved value -N/2 = 2:")
 solved = substitute_params(anti, {anti.params[0]: Fraction(2)})

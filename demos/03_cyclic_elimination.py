@@ -6,7 +6,7 @@
 # parametric coefficient ring yields the operator. Everything stays
 # exact, including the four ansatz unknowns.
 
-from hodgeatoms.ansatz import DegreeRule, apply_param_names, build_ansatz
+from hodgeatoms.ansatz import apply_param_names, build_ansatz
 from hodgeatoms.cohomology import AmbientRing
 from hodgeatoms.instance import load_instance
 from hodgeatoms.qde import cofactor_identity_holds, cyclic_rows, eliminate
@@ -16,7 +16,7 @@ ring = AmbientRing()
 basis = ring.eigenbasis()
 am = apply_param_names(
     build_ansatz(basis.symmetric, ring,
-                 DegreeRule(basis.degrees("symmetric"))),
+                 basis.degrees("symmetric")),
     verra.param_names)
 
 rows = cyclic_rows(am.matrix, verra.component, am.matrix.ncols)

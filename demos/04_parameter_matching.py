@@ -7,7 +7,7 @@
 # gives the full solution set; the enumerativity filter then keeps the
 # solutions where the designated parameters are non-negative integers.
 
-from hodgeatoms.ansatz import DegreeRule, apply_param_names, build_ansatz
+from hodgeatoms.ansatz import apply_param_names, build_ansatz
 from hodgeatoms.cohomology import AmbientRing
 from hodgeatoms.instance import load_instance
 from hodgeatoms.periods import period_coefficients
@@ -19,7 +19,7 @@ ring = AmbientRing()
 basis = ring.eigenbasis()
 m = apply_param_names(
     build_ansatz(basis.symmetric, ring,
-                 DegreeRule(basis.degrees("symmetric"))),
+                 basis.degrees("symmetric")),
     verra.param_names).matrix
 op = eliminate(cyclic_rows(m, verra.component, m.ncols))
 

@@ -9,8 +9,7 @@
 
 from fractions import Fraction
 
-from hodgeatoms.ansatz import (DegreeRule, apply_param_names, build_ansatz,
-                               substitute_params)
+from hodgeatoms.ansatz import apply_param_names, build_ansatz, substitute_params
 from hodgeatoms.certificate import chi_render
 from hodgeatoms.cohomology import AmbientRing
 from hodgeatoms.instance import load_instance
@@ -24,10 +23,10 @@ basis = ring.eigenbasis()
 
 sym = apply_param_names(
     build_ansatz(basis.symmetric, ring,
-                 DegreeRule(basis.degrees("symmetric"))),
+                 basis.degrees("symmetric")),
     verra.param_names)
 anti = build_ansatz(basis.antisymmetric, ring,
-                    DegreeRule(basis.degrees("antisymmetric")))
+                    basis.degrees("antisymmetric"))
 
 solution = {"s": Fraction(2), "t": Fraction(6), "u": Fraction(2), "v": Fraction(16)}
 mplus = substitute_params(sym, solution)

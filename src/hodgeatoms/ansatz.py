@@ -29,14 +29,9 @@ NOVIKOV_DEGREE = 4
 MULTIPLIER_DEGREE = 2
 
 
-@dataclass(frozen=True)
-class DegreeRule:
-    degrees: Tuple[int, ...]
-
-
-def admissible_powers(j: int, i: int, rule: DegreeRule) -> Tuple[int, ...]:
+def admissible_powers(j: int, i: int, degrees: Tuple[int, ...]) -> Tuple[int, ...]:
     """All d >= 0 with deg(b_j) = multiplier + deg(b_i) - novikov*d."""
-    d, r = divmod(rule.degrees[i] + MULTIPLIER_DEGREE - rule.degrees[j], NOVIKOV_DEGREE)
+    d, r = divmod(degrees[i] + MULTIPLIER_DEGREE - degrees[j], NOVIKOV_DEGREE)
     return (d,) if d >= 0 and not r else ()
 
 
@@ -59,15 +54,11 @@ class AnsatzMatrix:
     classical: Matrix
     gram: Matrix  # the block's pairing matrix, over ("q",)
 
-    def first_position(self, param: str) -> Tuple[int, int]:
-        row, col, _, _ = self.positions[param][0]
-        return (row, col)
 
-
-def build_ansatz(basis, ring: AmbientRing, rule: DegreeRule) -> AnsatzMatrix:
+def build_ansatz(basis, ring: AmbientRing, degrees: Tuple[int, ...]) -> AnsatzMatrix:
     n = len(basis)
     slots = [(j, i, d) for j in range(n) for i in range(n)  # (row, col, power), row-major
-             for d in admissible_powers(j, i, rule) if d >= 1]
+             for d in admissible_powers(j, i, degrees) if d >= 1]
     nun = len(slots)
     cup = classical_matrix(basis, ring)
     classical, gram_q = Matrix.from_scalars(("q",), cup), gram_matrix(ring, basis)
@@ -126,7 +117,7 @@ def build_ansatz(basis, ring: AmbientRing, rule: DegreeRule) -> AnsatzMatrix:
 def apply_param_names(am: AnsatzMatrix,
                       mapping: Tuple[Tuple[str, Tuple[int, int]], ...]) -> AnsatzMatrix:
     """Rename canonical parameters to conventional names by first position."""
-    by_first = {am.first_position(p): p for p in am.params}
+    by_first = {am.positions[p][0][:2]: p for p in am.params}
     if len(mapping) != len(am.params):
         raise ValueError(
             f"instance names {len(mapping)} parameters, ansatz has {len(am.params)}")

@@ -161,15 +161,14 @@ def exclusion_search(target: AtomInvariants, max_centres: int = 3,
     kinds = [point_centre()]
     kinds += [curve_centre(g) for g in range(max_genus + 1)]
     kinds += [surface_centre(h20, 0, 1) for h20 in range(t2 + 1)]
+    kinds = [(c.t2_coefficient(), c.rho, c.label) for c in kinds]  # read once per call
     hits = []
     for count in range(1, max_centres + 1):
         for combo in combinations_with_replacement(kinds, count):
-            rho = sum(c.rho for c in combo)
-            tt = sum(c.t2_coefficient() for c in combo)
-            if tt == t2 and rho <= target.rho:
+            if sum(k[0] for k in combo) == t2 and sum(k[1] for k in combo) <= target.rho:
                 weighted: dict = {}
-                for c in combo:
-                    weighted[c.label] = weighted.get(c.label, 0) + 1
+                for _, _, label in combo:
+                    weighted[label] = weighted.get(label, 0) + 1
                 hit = tuple(sorted(weighted.items()))
                 if hit not in hits:
                     hits.append(hit)

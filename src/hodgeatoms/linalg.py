@@ -19,7 +19,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, List, Mapping, Tuple
 
-from .poly import Poly, _pack, _packing, _unpack, _zdiv, _zdot
+from .poly import Poly, _pack, _packing, _pdot, _unpack, _zdiv, _zdot
 
 
 class Matrix:
@@ -126,18 +126,6 @@ def _int_row(row: List[Poly]) -> Tuple[List[dict], int]:
             for p in row], den
 
 
-def _cross(a: dict, x: dict, b: dict, y: dict) -> dict:
-    """a x - b y on packed term dicts: poly._zmul's loop with ea + eb."""
-    out: dict = {}
-    get = out.get
-    for u, v in ((a, x), ({k: -c for k, c in b.items()}, y)):
-        for eu, cu in u.items():
-            for ev, cv in v.items():
-                k = eu + ev
-                out[k] = get(k, 0) + cu * cv
-    return {k: c for k, c in out.items() if c}
-
-
 def _bareiss(rows: Iterable[List[dict]], ncols: int) -> Tuple[list, list]:
     """Row-incremental Bareiss elimination over Z on the first ncols entries.
 
@@ -165,10 +153,10 @@ def _bareiss(rows: Iterable[List[dict]], ncols: int) -> Tuple[list, list]:
         row = [_pack(x, width) for x in row]
         prev = None
         for col, pv, prow in pivots:
-            e = row[col]
+            ne = {k: -c for k, c in row[col].items()}
             nxt = []
             for x, y in zip(row, prow):
-                v = _cross(pv, x, e, y)
+                v = _pdot(((pv, x), (ne, y)))
                 if prev is not None:
                     v = _zdiv(v, prev, guard)
                     if v is None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from . import __version__
-from .ansatz import DegreeRule, admissible_powers, apply_param_names, build_ansatz, substitute_params
+from .ansatz import admissible_powers, apply_param_names, build_ansatz, substitute_params
 from .atoms import AtomError, assemble_zero_atoms, exclusion_search, transcendental_invariants
 from .certificate import (chi_json, dump_json, dump_text, equations_json, matrix_json,
                           operator_json, rat_str, rendered, series_json)
@@ -61,10 +61,6 @@ class PipelineRun:
         if not passed:
             raise StageFailure(reason)
 
-    def note(self, text: str) -> None:
-        if text not in self.notes:
-            self.notes.append(text)
-
 
 def run_pipeline(instance: InstanceSpec, through: str = "verdict",
                  order: Optional[int] = None) -> PipelineRun:
@@ -75,24 +71,21 @@ def run_pipeline(instance: InstanceSpec, through: str = "verdict",
     state: Dict[str, Any] = {}
     failed_at: Optional[str] = None
     for idx, stage in enumerate(STAGES):
-        section = _SECTION_OF.get(stage, stage)
-        skip = (f"run limited through {through}" if idx > limit else
-                f"upstream failure in {failed_at}" if failed_at is not None else None)
-        if skip is not None:
-            run.stages.append({"name": stage, "status": "not run", "reason": skip})
-            run.sections.setdefault(section, {"status": "not run", "reason": skip})
-            continue
-        runner = _STAGE_RUNNERS[stage]
-        try:
-            runner(run, state)
-            run.stages.append({"name": stage, "status": "ok"})
-        except StageFailure as e:
-            run.stages.append({"name": stage, "status": "failed", "reason": str(e)})
-            run.sections.setdefault(section, {"status": "failed", "reason": str(e)})
-            failed_at = stage
+        status = "not run"
+        reason = (f"run limited through {through}" if idx > limit else
+                  f"upstream failure in {failed_at}" if failed_at is not None else None)
+        if reason is None:
+            try:
+                _STAGE_RUNNERS[stage](run, state)
+                run.stages.append({"name": stage, "status": "ok"})
+                continue
+            except StageFailure as e:
+                status, reason, failed_at = "failed", str(e), stage
+        run.stages.append({"name": stage, "status": status, "reason": reason})
+        run.sections.setdefault(_SECTION_OF.get(stage, stage), {"status": status, "reason": reason})
     if through != "verdict":
-        run.note(f"partial run through {through}; the verdict reflects only the "
-                 f"executed stages")
+        run.notes.append(f"partial run through {through}; the verdict reflects only "
+                         f"the executed stages")
     return run
 
 
@@ -135,9 +128,9 @@ def _stage_period(run: PipelineRun, state: Dict[str, Any]) -> None:
         if len(first) == 3 or end == order:
             break
     if first:
-        run.note("the transformed regularized operator annihilates the factorially "
-                 "rescaled series, not the plain period series; residual on the "
-                 "plain series starts " + " + ".join(first))
+        run.notes.append("the transformed regularized operator annihilates the "
+                         "factorially rescaled series, not the plain period series; "
+                         "residual on the plain series starts " + " + ".join(first))
 
     state.update(period=g, series=series, source=src, reg_q=reg_q,
                  content=content)
@@ -158,11 +151,10 @@ def _stage_ansatz(run: PipelineRun, state: Dict[str, Any]) -> None:
     ring = AmbientRing(nilpotency=inst.nilpotency)
     basis = ring.eigenbasis()
 
-    sym_rule = DegreeRule(basis.degrees("symmetric"))
-    anti_rule = DegreeRule(basis.degrees("antisymmetric"))
+    sym_degrees, anti_degrees = basis.degrees("symmetric"), basis.degrees("antisymmetric")
     try:
-        sym_raw = build_ansatz(basis.symmetric, ring, sym_rule)
-        anti = build_ansatz(basis.antisymmetric, ring, anti_rule)
+        sym_raw = build_ansatz(basis.symmetric, ring, sym_degrees)
+        anti = build_ansatz(basis.antisymmetric, ring, anti_degrees)
     except RuntimeError as e:
         run.require("ansatz.construction", False, str(e), f"ansatz construction failed: {e}")
 
@@ -184,11 +176,11 @@ def _stage_ansatz(run: PipelineRun, state: Dict[str, Any]) -> None:
                 "ansatz is not self-adjoint")
 
     support_ok = True
-    for am, rule in ((sym, sym_rule), (anti, anti_rule)):
-        n = len(rule.degrees)
+    for am, degrees in ((sym, sym_degrees), (anti, anti_degrees)):
+        n = len(degrees)
         for j in range(n):
             for i in range(n):
-                allowed = set(admissible_powers(j, i, rule))
+                allowed = set(admissible_powers(j, i, degrees))
                 got = {ex[-1] for ex in am.matrix.entry(j, i).terms}  # q is the last variable
                 if not got <= allowed or not {d for d in allowed if d >= 1} <= got:
                     support_ok = False
@@ -370,8 +362,8 @@ def _stage_atoms(run: PipelineRun, state: Dict[str, Any]) -> None:
     zero_plus = plus.zero_multiplicity
     if inst.a0plus_override is not None:
         zero_plus = inst.a0plus_override
-        run.note(f"dim E_0^+ overridden to {zero_plus} by the instance file "
-                 f"(computed value {plus.zero_multiplicity})")
+        run.notes.append(f"dim E_0^+ overridden to {zero_plus} by the instance file "
+                         f"(computed value {plus.zero_multiplicity})")
     zero_minus = minus.zero_multiplicity
 
     try:
@@ -469,8 +461,7 @@ def build_certificate(run: PipelineRun) -> Dict[str, Any]:
         "notes": run.notes,
     }
     for section in ("period", "ansatz", "operator", "solve", "spectrum", "atoms"):
-        cert[section] = run.sections.get(
-            section, {"status": "not run", "reason": "no result recorded"})
+        cert[section] = run.sections[section]
     return cert
 
 

@@ -41,9 +41,16 @@ def rational_content(values: Iterable[Fraction]) -> Fraction:
     return Fraction(num, den) if num else Fraction(0)
 
 
+def _digits(num: int, den: int) -> str:
+    """"|num|" or "|num|/den" in decimal; Decimal has no digit limit."""
+    digits = (abs(num),) if den == 1 else (abs(num), den)
+    return "/".join(str(decimal.Decimal(n)) for n in digits)
+
+
 def rat_str(x: Scalar) -> str:
     """"num" or "num/den", with no limit on the number of digits."""
-    return render_terms((), [((), x.numerator, x.denominator)])
+    text = _digits(x.numerator, x.denominator)
+    return "-" + text if x < 0 else text
 
 
 def render_terms(variables: Tuple[str, ...], items, ascending: bool = False,
@@ -58,8 +65,7 @@ def render_terms(variables: Tuple[str, ...], items, ascending: bool = False,
         if ex not in monos:
             monos[ex] = "*".join(f"{v}^{e}" if e != 1 else v for v, e in zip(variables, ex) if e)
         mono = monos[ex]
-        digits = (abs(num),) if den == 1 else (abs(num), den)
-        mag = "/".join(str(decimal.Decimal(n)) for n in digits)  # Decimal has no digit limit
+        mag = _digits(num, den)
         body = (mono if mag == "1" else f"{mag}*{mono}") if mono else mag
         parts.append(("- " if num < 0 else "+ ") + body)
     return signed_join(parts)
@@ -127,10 +133,10 @@ class Poly:
         return Poly(self.vars, {ex: -c for ex, c in self.terms.items()})
 
     def __sub__(self, other) -> "Poly":
-        return Poly(self.vars, _zsub(self.terms, self._coerce(other).terms))
+        return self + -self._coerce(other)
 
     def __rsub__(self, other) -> "Poly":
-        return Poly(self.vars, _zsub(self._coerce(other).terms, self.terms))
+        return self._coerce(other) + -self
 
     def __mul__(self, other) -> "Poly":
         return Poly(self.vars, _zmul(self.terms, self._coerce(other).terms))
@@ -219,17 +225,6 @@ class Poly:
                 out[k] = out.get(k, 0) + v
         return Poly(self.vars, {k: v for k, v in out.items() if v})
 
-    def evaluate(self, values: Mapping[str, Scalar]) -> Fraction:
-        """Full evaluation; every present variable must have a value."""
-        total = Fraction(0)
-        for ex, c in self.terms.items():
-            t = c
-            for i, e in enumerate(ex):
-                if e:
-                    t *= _as_fraction(values[self.vars[i]]) ** e
-            total += t
-        return total
-
     def rename_vars(self, variables: Iterable[str], mapping: Mapping[str, str] | None = None) -> "Poly":
         """Re-embed into another variable tuple (old names mapped by identity or `mapping`)."""
         variables = tuple(variables)
@@ -259,12 +254,12 @@ class Poly:
 # -- term-dict kernel ----------------------------------------------------------
 #
 # Polynomials as dicts from monomials to nonzero coefficients. Poly's ring
-# operations run _zadd, _zsub and _zmul on exponent tuples and Fraction values;
-# elimination and the gcd run on ints (over Z). Exact division runs on packed
-# monomials (Monagan and Pearce 2011): one int with the total degree in the top
-# field, then the exponents, first variable most significant, so int order is
-# graded-lex order and a monomial product is one integer addition. Each field
-# has a guard bit; b divides a when no field of a - b borrows through it.
+# operations run _zadd and _zmul on exponent tuples and Fraction values;
+# elimination and the gcd run on ints (over Z). Exact division and _pdot run
+# on packed monomials (Monagan and Pearce 2011): one int with the total degree
+# in the top field, then the exponents, first variable most significant, so int
+# order is graded-lex order and a monomial product is one integer addition.
+# Each field has a guard bit; b divides a when no field of a - b borrows through it.
 
 def _packing(nvars: int, maxdeg: int) -> Tuple[int, int]:
     """(field width, guard mask) for nvars variables and total degrees <= maxdeg."""
@@ -311,6 +306,18 @@ def _zdot(pairs: Iterable[Tuple[dict, dict]]) -> dict:
     return {ex: c for ex, c in out.items() if c}
 
 
+def _pdot(pairs: Iterable[Tuple[dict, dict]]) -> dict:
+    """_zdot on packed term dicts, where a monomial product is one int sum."""
+    out: dict = {}
+    get = out.get
+    for a, b in pairs:
+        for ea, ca in a.items():
+            for eb, cb in b.items():
+                ex = ea + eb
+                out[ex] = get(ex, 0) + ca * cb
+    return {ex: c for ex, c in out.items() if c}
+
+
 def _zmul(a: dict, b: dict) -> dict:
     return _zdot([(a, b)])
 
@@ -319,13 +326,6 @@ def _zadd(a: dict, b: dict) -> dict:
     out = dict(a)
     for ex, c in b.items():
         out[ex] = out.get(ex, 0) + c
-    return {ex: c for ex, c in out.items() if c}
-
-
-def _zsub(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for ex, c in b.items():
-        out[ex] = out.get(ex, 0) - c
     return {ex: c for ex, c in out.items() if c}
 
 

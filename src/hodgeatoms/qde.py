@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .linalg import Matrix, _int_row, left_nullspace
-from .poly import (Poly, _pack, _packing, exact_div, poly_gcd_many, rational_content,
+from .poly import (Poly, _pack, _packing, _pdot, exact_div, poly_gcd_many, rational_content,
                    signed_join)
 from .series import Series
 
@@ -51,23 +51,21 @@ class DiffOperator:
         return DiffOperator(tuple(coeffs)).normalize()
 
     def normalize(self) -> "DiffOperator":
-        """Content-free form; monic when the top coefficient is a rational
-        constant, otherwise positive leading coefficient."""
-        nonzero = [c for c in self.coeffs if not c.is_zero()]
-        if not nonzero:
+        """The coefficients over their gcd, scaled once: monic when the top
+        coefficient is a rational constant, otherwise content-free with a
+        positive leading coefficient."""
+        g = poly_gcd_many(self.coeffs)
+        if g.is_zero():
             return self
-        g = poly_gcd_many(nonzero)
         coeffs = list(self.coeffs)
         if g.constant_value() != 1:
             coeffs = [exact_div(c, g) for c in coeffs]
-        content = rational_content(v for c in coeffs for v in c.terms.values())
-        coeffs = [c.scale(1 / content) for c in coeffs]
-        top = coeffs[-1].constant_value()
-        if top is not None and top != 0:
-            coeffs = [c.scale(1 / top) for c in coeffs]
-        elif coeffs[-1].leading_coefficient() < 0:
-            coeffs = [c.scale(-1) for c in coeffs]
-        return DiffOperator(tuple(coeffs))
+        k = coeffs[-1].constant_value()
+        if not k:
+            k = rational_content(v for c in coeffs for v in c.terms.values())
+            if coeffs[-1].leading_coefficient() < 0:
+                k = -k
+        return DiffOperator(tuple(c.scale(1 / k) for c in coeffs))
 
     def render(self, texts: Sequence[str] = ()) -> str:
         """Highest order first; texts, when given, are the coefficients' renders."""
@@ -134,15 +132,7 @@ def cofactor_identity_holds(op: DiffOperator, rows: Matrix) -> bool:
     width, _ = _packing(len(op.vars), max(c.total_degree() for c in op.coeffs) +
                         max(p.total_degree() for p in used))
     coeffs, entries = ([_pack(t, width) for t in _int_row(ps)[0]] for ps in (op.coeffs, used))
-    for j in range(rows.ncols):
-        acc: dict = {}
-        for c, x in zip(coeffs, entries[j::rows.ncols]):
-            for eb, vb in x.items():
-                for ea, va in c.items():
-                    acc[ea + eb] = acc.get(ea + eb, 0) + va * vb
-        if any(acc.values()):
-            return False
-    return True
+    return not any(_pdot(zip(coeffs, entries[j::rows.ncols])) for j in range(rows.ncols))
 
 
 def apply(op: DiffOperator, f: Series) -> Series:

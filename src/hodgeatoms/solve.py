@@ -177,11 +177,10 @@ def _back_substitute(reduced: List[Poly], params: Tuple[str, ...]):
         if len(known) != nvars:
             missing = [params[i] for i in range(nvars) if i not in known]
             raise SolveError(f"underdetermined: no constraint fixes {missing}")
-        values = dict(assign)
+        values = {params[i]: v for i, v in assign.items()}
         # a rule's right side only mentions variables eliminated later, so
         # newest-first resolution always has what it needs
         for var, rule in reversed(rules):
-            values[var] = rule.evaluate(
-                {params[i]: v for i, v in values.items()})
-        solutions.add(tuple(values[i] for i in range(nvars)))
+            values[params[var]] = rule.substitute(values).constant_value()
+        solutions.add(tuple(values[p] for p in params))
     return sorted(solutions)

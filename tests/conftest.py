@@ -6,8 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import settings
 
-from hodgeatoms.ansatz import (DegreeRule, apply_param_names, build_ansatz,
-                               substitute_params)
+from hodgeatoms.ansatz import apply_param_names, build_ansatz, substitute_params
 from hodgeatoms.cohomology import AmbientRing
 from hodgeatoms.instance import load_instance
 from hodgeatoms.periods import period_coefficients
@@ -57,14 +56,14 @@ def basis(ring):
 @pytest.fixture(scope="session")
 def sym_ansatz(verra, ring, basis):
     raw = build_ansatz(basis.symmetric, ring,
-                       DegreeRule(basis.degrees("symmetric")))
+                       basis.degrees("symmetric"))
     return apply_param_names(raw, verra.param_names)
 
 
 @pytest.fixture(scope="session")
 def anti_ansatz(ring, basis):
     return build_ansatz(basis.antisymmetric, ring,
-                        DegreeRule(basis.degrees("antisymmetric")))
+                        basis.degrees("antisymmetric"))
 
 
 @pytest.fixture(scope="session")

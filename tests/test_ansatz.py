@@ -7,8 +7,8 @@ from typing import List
 import pytest
 
 from hodgeatoms import ansatz
-from hodgeatoms.ansatz import (DegreeRule, admissible_powers, build_ansatz,
-                               classical_matrix, substitute_params)
+from hodgeatoms.ansatz import (admissible_powers, build_ansatz, classical_matrix,
+                               substitute_params)
 from hodgeatoms.cohomology import AmbientRing, coordinates, gram_matrix
 from hodgeatoms.instance import load_instance
 from hodgeatoms.linalg import Matrix, rref
@@ -24,30 +24,30 @@ def test_admissible_powers_match_the_capped_loop(nilpotency):
     # the search up to ceil((max degree + 2) / 4) that admissible_powers replaced
     basis = AmbientRing(nilpotency).eigenbasis()
     for block in ("symmetric", "antisymmetric"):
-        rule = DegreeRule(basis.degrees(block))
-        cap = math.ceil((max(rule.degrees) + 2) / 4)
-        for j in range(len(rule.degrees)):
-            for i in range(len(rule.degrees)):
-                lhs = rule.degrees[i] + 2 - rule.degrees[j]
+        degrees = basis.degrees(block)
+        cap = math.ceil((max(degrees) + 2) / 4)
+        for j in range(len(degrees)):
+            for i in range(len(degrees)):
+                lhs = degrees[i] + 2 - degrees[j]
                 capped = tuple(d for d in range(cap + 1) if 4 * d == lhs)
-                assert admissible_powers(j, i, rule) == capped
+                assert admissible_powers(j, i, degrees) == capped
 
 
 def test_admissible_powers():
-    rule = DegreeRule(SYM_DEGREES)
-    assert admissible_powers(0, 1, rule) == (1,)
-    assert admissible_powers(1, 0, rule) == (0,)
-    assert admissible_powers(0, 4, rule) == (2,)
-    assert admissible_powers(5, 4, rule) == (0,)
-    assert admissible_powers(0, 0, rule) == ()
-    assert admissible_powers(5, 0, rule) == ()
+    degrees = SYM_DEGREES
+    assert admissible_powers(0, 1, degrees) == (1,)
+    assert admissible_powers(1, 0, degrees) == (0,)
+    assert admissible_powers(0, 4, degrees) == (2,)
+    assert admissible_powers(5, 4, degrees) == (0,)
+    assert admissible_powers(0, 0, degrees) == ()
+    assert admissible_powers(5, 0, degrees) == ()
 
 
 def test_canonical_parameters(basis, ring):
-    am = build_ansatz(basis.symmetric, ring, DegreeRule(SYM_DEGREES))
+    am = build_ansatz(basis.symmetric, ring, SYM_DEGREES)
     assert am.params == ("p_0_1", "p_0_4", "p_1_2", "p_1_3")
-    assert am.first_position("p_0_1") == (0, 1)
-    assert am.first_position("p_0_4") == (0, 4)
+    assert am.positions["p_0_1"][0][:2] == (0, 1)
+    assert am.positions["p_0_4"][0][:2] == (0, 4)
 
 
 def test_named_positions(sym_ansatz):
@@ -101,7 +101,7 @@ def test_classical_limit(sym_ansatz, basis, ring):
 
 
 def test_support_respects_degree_rule(sym_ansatz, basis, ring):
-    rule = DegreeRule(SYM_DEGREES)
+    degrees = SYM_DEGREES
     classical = Matrix.from_scalars(("q",), classical_matrix(basis.symmetric, ring))
     for j in range(6):
         for i in range(6):
@@ -109,7 +109,7 @@ def test_support_respects_degree_rule(sym_ansatz, basis, ring):
                 sym_ansatz, {"s": Fraction(1), "t": Fraction(1),
                              "u": Fraction(1), "v": Fraction(1)}
             ).rows[j][i] - classical.rows[j][i]
-            allowed = {d for d in admissible_powers(j, i, rule) if d >= 1}
+            allowed = {d for d in admissible_powers(j, i, degrees) if d >= 1}
             for ex in quantum.terms:
                 assert ex[0] in allowed
 
@@ -137,7 +137,7 @@ def test_solved_matrices_frozen(mplus, mminus):
 
 def test_apply_param_names_errors(basis, ring, verra):
     from hodgeatoms.ansatz import apply_param_names
-    am = build_ansatz(basis.symmetric, ring, DegreeRule(SYM_DEGREES))
+    am = build_ansatz(basis.symmetric, ring, SYM_DEGREES)
     with pytest.raises(ValueError, match="names 2 parameters, ansatz has 4"):
         apply_param_names(am, (("a", (0, 1)), ("b", (1, 2))))
     with pytest.raises(ValueError, match="no ansatz parameter starts at"):
@@ -150,20 +150,20 @@ def test_apply_param_names_errors(basis, ring, verra):
 
 def test_apply_param_names_declared_order(basis, ring):
     from hodgeatoms.ansatz import apply_param_names
-    am = build_ansatz(basis.symmetric, ring, DegreeRule(SYM_DEGREES))
+    am = build_ansatz(basis.symmetric, ring, SYM_DEGREES)
     renamed = apply_param_names(am, (("v", (0, 4)), ("s", (0, 1)),
                                      ("t", (1, 2)), ("u", (1, 3))))
     assert renamed.params == ("v", "s", "t", "u")
     assert renamed.matrix.rows[0][1].render() == "2*s*q"
 
 
-def symbolic_ansatz(basis, ring, rule, pairing):
+def symbolic_ansatz(basis, ring, degrees, pairing):
     """Reference construction: the unknowns as ring variables, M^T G - G M
     expanded symbolically, with G scaled by the top intersection number
     pairing, and its linear relations read off the coefficients."""
     n = len(basis)
     slots = [(j, i, d) for j in range(n) for i in range(n)
-             for d in admissible_powers(j, i, rule) if d >= 1]
+             for d in admissible_powers(j, i, degrees) if d >= 1]
     nun = len(slots)
     cols = coordinates([ring.cup(ring.H, b) for b in basis], basis)
 
@@ -224,10 +224,10 @@ def test_direct_system_matches_symbolic_construction(nilpotency, pairing):
     ring = AmbientRing(nilpotency)
     basis = ring.eigenbasis()
     for block in ("symmetric", "antisymmetric"):
-        rule = DegreeRule(basis.degrees(block))
-        am = build_ansatz(getattr(basis, block), ring, rule)
+        degrees = basis.degrees(block)
+        am = build_ansatz(getattr(basis, block), ring, degrees)
         params, positions, matrix, classical = symbolic_ansatz(
-            getattr(basis, block), ring, rule, pairing)
+            getattr(basis, block), ring, degrees, pairing)
         assert am.params == params
         assert am.positions == positions
         assert am.matrix == matrix
@@ -239,7 +239,7 @@ def test_classical_part_must_be_self_adjoint(basis, ring, monkeypatch):
     cup[0][1] += 1
     monkeypatch.setattr(ansatz, "classical_matrix", lambda b, r: cup)
     with pytest.raises(RuntimeError, match="classical part is not self-adjoint"):
-        build_ansatz(basis.symmetric, ring, DegreeRule(SYM_DEGREES))
+        build_ansatz(basis.symmetric, ring, SYM_DEGREES)
 
 
 def test_one_cup_matrix_per_block(basis, ring, monkeypatch):
@@ -251,7 +251,7 @@ def test_one_cup_matrix_per_block(basis, ring, monkeypatch):
         return original(targets, b)
 
     monkeypatch.setattr(ansatz, "coordinates", counted)
-    build_ansatz(basis.symmetric, ring, DegreeRule(SYM_DEGREES))
+    build_ansatz(basis.symmetric, ring, SYM_DEGREES)
     # one reduction for all of the block's H-multiples
     assert [len(targets) for targets in calls] == [len(basis.symmetric)]
 

@@ -1,5 +1,7 @@
 """Atom invariants, centre models, blowup bookkeeping, exclusion search."""
 
+from itertools import combinations_with_replacement
+
 import pytest
 
 from hodgeatoms.atoms import (AtomError, AtomInvariants, assemble_zero_atoms,
@@ -99,6 +101,50 @@ def test_exclusion_finds_assemblies():
     s = surface_centre(1, 0, 1)
     assert exclusion_search(s) == [(("surface(h20=1,h10=0,h11=1)", 1),)]
     assert exclusion_search(point_centre()) == [(("point", 1),)]
+
+
+def exclusion_reference(target, max_centres, max_genus):
+    """exclusion_search as it was: every combination re-sums rho and re-reads
+    each centre's t^2 coefficient."""
+    t2 = target.t2_coefficient()
+    kinds = [point_centre()]
+    kinds += [curve_centre(g) for g in range(max_genus + 1)]
+    kinds += [surface_centre(h20, 0, 1) for h20 in range(t2 + 1)]
+    hits = []
+    for count in range(1, max_centres + 1):
+        for combo in combinations_with_replacement(kinds, count):
+            rho = sum(c.rho for c in combo)
+            tt = sum(c.t2_coefficient() for c in combo)
+            if tt == t2 and rho <= target.rho:
+                weighted = {}
+                for c in combo:
+                    weighted[c.label] = weighted.get(c.label, 0) + 1
+                hit = tuple(sorted(weighted.items()))
+                if hit not in hits:
+                    hits.append(hit)
+    return sorted(hits)
+
+
+# (target, whether some bound up to 4 centres and genus 4 finds a hit)
+EXCLUSION_TARGETS = [
+    (point_centre(), True), (curve_centre(2), True), (surface_centre(1, 0, 1), True),
+    (surface_centre(2, 1, 3), True),
+    (AtomInvariants(6, hodge_poly({2: 2, 0: 9, -2: 2}), "two surfaces and a point"), True),
+    (AtomInvariants(1, hodge_poly({2: 1, 0: 4, -2: 1}), "obstructed"), False),
+    (AtomInvariants(0, hodge_poly({}), "empty"), False),
+]
+
+
+@pytest.mark.parametrize("target, has_hits", EXCLUSION_TARGETS,
+                         ids=[t.label for t, _ in EXCLUSION_TARGETS])
+def test_exclusion_search_matches_the_per_combination_loop(target, has_hits):
+    found = []
+    for max_centres in range(5):
+        for max_genus in range(5):
+            got = exclusion_search(target, max_centres, max_genus)
+            assert got == exclusion_reference(target, max_centres, max_genus)
+            found += got
+    assert bool(found) == has_hits
 
 
 def test_exclusion_bound_errors():

@@ -9,7 +9,7 @@ import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 from hodgeatoms.linalg import LAM, Matrix, _bareiss, _int_row, char_poly, det, left_nullspace
-from hodgeatoms.poly import Poly, _zmul, _zsub, exact_div, poly_gcd_many, rational_content
+from hodgeatoms.poly import Poly, _zadd, _zmul, exact_div, poly_gcd_many, rational_content
 from hodgeatoms.qde import DiffOperator
 from test_poly import zdiv_reference
 
@@ -369,7 +369,8 @@ def bareiss_reference(rows, ncols):
             e = row[col]
             nxt = []
             for x, y in zip(row, prow):
-                v = _zsub(_zmul(pv, x), _zmul(e, y)) if e and y else _zmul(pv, x)
+                v = (_zadd(_zmul(pv, x), {ex: -c for ex, c in _zmul(e, y).items()})
+                     if e and y else _zmul(pv, x))
                 if prev is not None:
                     v = zdiv_reference(v, prev)
                     assert v is not None

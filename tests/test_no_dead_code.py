@@ -1,5 +1,6 @@
 """Every top-level function and class in the package, and every method of
-its classes, is used somewhere; every field of its dataclasses is read.
+its classes, is used somewhere; every field of its dataclasses is read,
+both by name in the source and at run time through an instance of its class.
 
 A name counts as used when some code in src/ or demos/ outside its own
 definition mentions it: a call, an attribute access, an import or a
@@ -13,6 +14,10 @@ the package or the demos uses gets deleted, not kept for tests.
 """
 
 import ast
+import dataclasses
+import importlib
+import runpy
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -102,3 +107,43 @@ def test_every_dataclass_field_is_read():
     trees = _trees()
     assert [label for label, cls, name in _fields(trees)
             if not any(_reads(tree, cls, name) for tree in trees.values())] == []
+
+
+def _package_dataclasses():
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"hodgeatoms.{path.stem}")
+        out += [c for c in vars(module).values() if isinstance(c, type)
+                and dataclasses.is_dataclass(c) and c.__module__ == module.__name__]
+    return out
+
+
+def test_every_dataclass_field_is_read_at_run_time(monkeypatch, capsys):
+    # the static test above matches attribute names only, so a field stays
+    # "read" whenever any object has an attribute of its name; here each
+    # dataclass records the fields read through its own instances, outside
+    # their dunder methods (validation, comparison, repr), while certify runs
+    # on three instances and the six demos run in this process
+    from hodgeatoms.cli import main
+    classes = _package_dataclasses()
+    reads = set()
+    for cls in classes:
+        names = {f.name for f in dataclasses.fields(cls)}
+
+        def spy(self, name, cls=cls, names=names, get=cls.__getattribute__):
+            if name in names and type(self) is cls:
+                caller = sys._getframe(1).f_code.co_name
+                if not (caller.startswith("__") and caller.endswith("__")):
+                    reads.add((cls, name))
+            return get(self, name)
+
+        monkeypatch.setattr(cls, "__getattribute__", spy)
+    for instance in ("verra", "broken-nonsimple", "broken-a0plus"):
+        main(["certify", "--instance", instance, "--format", "json"])
+    monkeypatch.syspath_prepend(str(ROOT / "demos"))
+    for demo in sorted((ROOT / "demos").glob("*.py")):
+        runpy.run_path(str(demo), run_name="__main__")
+    capsys.readouterr()
+    assert {cls.__name__ for cls in classes} == {c for _, c, _ in _fields(_trees())}
+    assert [f"{cls.__name__}.{f.name}" for cls in classes for f in dataclasses.fields(cls)
+            if (cls, f.name) not in reads] == []

@@ -146,3 +146,37 @@ def test_broken_a0plus():
     assert status["atoms"] == "ok"
     cert = build_certificate(run)
     assert any("overridden to 3" in n for n in cert["notes"])
+
+
+def _records(reason_of):
+    """Stage entries and section placeholders for stages that did not finish,
+    from stage -> (status, reason); every other stage is "ok"."""
+    stages = [{"name": s, "status": "ok"} if s not in reason_of else
+              {"name": s, "status": reason_of[s][0], "reason": reason_of[s][1]}
+              for s in STAGES]
+    sections = {("operator" if s == "eliminate" else s): {"status": st, "reason": why}
+                for s, (st, why) in reason_of.items()}
+    return stages, sections
+
+
+@pytest.mark.parametrize("name, kwargs, reason_of", [
+    ("verra", {"through": "ansatz"},
+     {s: ("not run", "run limited through ansatz")
+      for s in ("eliminate", "solve", "spectrum", "atoms", "verdict")}),
+    ("verra", {"order": 8},
+     {"solve": ("failed", "truncation order 8 < 10 cannot saturate the system"),
+      **{s: ("not run", "upstream failure in solve") for s in ("spectrum", "atoms", "verdict")}}),
+    ("broken-nonsimple", {},
+     {"atoms": ("failed", "transcendental part not known simple"),
+      "verdict": ("not run", "upstream failure in atoms")}),
+], ids=["through-ansatz", "solve-fails", "atoms-fails"])
+def test_stage_and_section_records_of_unfinished_stages(name, kwargs, reason_of):
+    run = run_pipeline(load_instance(name), **kwargs)
+    stages, sections = _records(reason_of)
+    assert run.stages == stages
+    assert list(run.sections) == ["period", "ansatz", "operator", "solve", "spectrum",
+                                  "atoms", "verdict"]
+    assert {k: v for k, v in run.sections.items() if v["status"] != "ok"} == sections
+    cert = build_certificate(run)
+    for section in ("period", "ansatz", "operator", "solve", "spectrum", "atoms"):
+        assert cert[section] is run.sections[section]

@@ -109,13 +109,41 @@ def test_euler_derivative_is_a_derivation():
         assert lhs == rhs
 
 
+def termwise_difference(a, b):
+    """a - b term by term, with either side a scalar."""
+    vs = a.vars if isinstance(a, Poly) else b.vars
+    a, b = (x if isinstance(x, Poly) else Poly.const(vs, x) for x in (a, b))
+    out = dict(a.terms)
+    for ex, c in b.terms.items():
+        out[ex] = out.get(ex, 0) - c
+    return Poly(vs, out)
+
+
+sub_operands = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4),
+                         st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3),
+                                         st.fractions(-3, 3, max_denominator=4),
+                                         max_size=4).map(P))
+
+
+@given(sub_operands, sub_operands)
+def test_sub_and_rsub_match_the_termwise_difference(a, b):
+    # through __sub__ when a is a Poly, through __rsub__ when only b is;
+    # x - x cancels to the zero polynomial
+    if isinstance(a, Poly) or isinstance(b, Poly):
+        want = termwise_difference(a, b)
+        assert a - b == want
+        assert list((a - b).terms) == list(want.terms)
+    if isinstance(a, Poly):
+        assert (a - a).is_zero()
+
+
 def test_substitute_and_evaluate():
     p = P({(2, 0, 0): 1, (1, 1, 0): 1, (0, 0, 1): 1})   # s^2 + s t + q
     at = p.substitute({"s": 2})
     assert at == P({(0, 1, 0): 2, (0, 0, 1): 1, (0, 0, 0): 4})
     rule = Poly.var(V, "t") + 1
-    assert p.substitute({"s": rule}).evaluate({"t": 1, "q": 0}) == 6
-    assert p.evaluate({"s": 1, "t": 2, "q": Fraction(1, 2)}) == Fraction(7, 2)
+    assert p.substitute({"s": rule}).substitute({"t": 1, "q": 0}).constant_value() == 6
+    assert p.substitute({"s": 1, "t": 2, "q": Fraction(1, 2)}).constant_value() == Fraction(7, 2)
 
 
 def substitute_reference(p, values):
@@ -194,10 +222,11 @@ def test_normal_form_frozen_cases():
     assert normal_form(Poly.zero(V)) == Poly.zero(V)
 
 
-@given(st.fractions())
+# ints and Fractions alike, small and of up to 90 digits, zero included
+@given(st.one_of(st.fractions(), st.integers(-10 ** 90, 10 ** 90),
+                 st.builds(Fraction, st.integers(-10 ** 90, 10 ** 90), st.integers(1, 10 ** 90))))
 def test_rat_str_matches_str_within_the_digit_limit(x):
-    want = str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-    assert rat_str(x) == want
+    assert rat_str(x) == str(Fraction(x))
 
 
 def test_rat_str_past_the_digit_limit():
@@ -423,6 +452,20 @@ def test_packed_division_rejects_what_does_not_divide():
     # 3 x^2 / (2 x): the monomial divides, the coefficient does not
     assert packed_div({(2, 0, 0): 3}, {(1, 0, 0): 2}) is None
     assert packed_div({(2, 0, 0): 4}, {(1, 0, 0): 2}) == {(1, 0, 0): 2}
+
+
+# pairs of term dicts over V; with cancel, each pair comes back with its
+# first factor negated, so the products sum to zero
+@given(st.lists(st.tuples(int_terms, int_terms), max_size=4), st.booleans())
+def test_packed_products_match_the_tuple_products(pairs, cancel):
+    if cancel:
+        pairs = pairs + [({ex: -c for ex, c in a.items()}, b) for a, b in pairs]
+    width, _ = poly._packing(len(V), 2 * max((sum(ex) for a, b in pairs for ex in (*a, *b)),
+                                             default=0))
+    packed = poly._pdot((poly._pack(a, width), poly._pack(b, width)) for a, b in pairs)
+    assert poly._unpack(packed, len(V), width) == poly._zdot(pairs)
+    if cancel:
+        assert packed == {}
 
 
 def test_packing_rejects_negative_exponents():

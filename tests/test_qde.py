@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from hodgeatoms.linalg import Matrix, left_nullspace
 from hodgeatoms.periods import get_source, regularized_coefficients
-from hodgeatoms.poly import Poly
+from hodgeatoms.poly import Poly, exact_div, poly_gcd_many, rational_content
 from hodgeatoms.qde import (DiffOperator, apply, apply_symbolic,
                             cofactor_identity_holds, cyclic_rows, eliminate,
                             match_equations, transform_even_operator)
@@ -231,6 +231,47 @@ def test_cofactor_identity_matches_the_fraction_loop(order, ncols, unused, data)
         cofactor_identity_holds(DiffOperator((Poly.const(Q, 1),)), Matrix(rows))
 
 
+def normalize_reference(op):
+    """DiffOperator.normalize as it was: the nonzero coefficients' gcd divided
+    out, then the rational content, then the constant top or the sign."""
+    nonzero = [c for c in op.coeffs if not c.is_zero()]
+    if not nonzero:
+        return op
+    g = poly_gcd_many(nonzero)
+    coeffs = list(op.coeffs)
+    if g.constant_value() != 1:
+        coeffs = [exact_div(c, g) for c in coeffs]
+    content = rational_content(v for c in coeffs for v in c.terms.values())
+    coeffs = [c.scale(1 / content) for c in coeffs]
+    top = coeffs[-1].constant_value()
+    if top is not None and top != 0:
+        coeffs = [c.scale(1 / top) for c in coeffs]
+    elif coeffs[-1].leading_coefficient() < 0:
+        coeffs = [c.scale(-1) for c in coeffs]
+    return DiffOperator(tuple(coeffs))
+
+
+@given(st.lists(sq_polys, max_size=3), sq_polys.filter(bool), sq_polys.filter(bool),
+       st.sampled_from(["constant top", "common factor", "plain"]))
+def test_normalize_matches_the_three_step_definition(low, top, factor, shape):
+    # zero coefficients come from sq_polys, negative leading coefficients
+    # from the signs it draws
+    if shape == "constant top":
+        top = Poly.const(SQ, top.leading_coefficient())
+    coeffs = (*low, top)
+    if shape == "common factor":
+        coeffs = tuple(c * factor for c in coeffs)
+    op = DiffOperator(coeffs)
+    got, want = op.normalize(), normalize_reference(op)
+    assert got == want
+    assert [list(c.terms) for c in got.coeffs] == [list(c.terms) for c in want.coeffs]
+
+
+def test_normalize_leaves_the_zero_operator():
+    zero = DiffOperator((Poly.zero(SQ),))
+    assert zero.normalize() == zero == normalize_reference(zero)
+
+
 def test_apply_rejects_parametric(parametric_op, period16):
     with pytest.raises(ValueError, match="unknown parameters"):
         apply(parametric_op, period16)
@@ -281,7 +322,7 @@ def test_apply_symbolic_consistency(parametric_op, period16, solution):
     sym = _symbolic_polys(parametric_op, period16)
     num = apply(parametric_op.substitute(solution), period16)
     for m, p in enumerate(sym):
-        assert p.evaluate(solution) == num.coeff(m)
+        assert p.substitute(solution).constant_value() == num.coeff(m)
 
 
 def test_apply_symbolic_equals_apply_without_parameters(solved_op, period16):
@@ -372,7 +413,8 @@ def test_match_equations_vanish_at_the_solution(parametric_op, period16, solutio
     params = tuple(solution)
     eqs = match_equations(parametric_op, period16, 10, params)
     assert eqs
-    assert all(equation_poly(params, den, e).evaluate(solution) == 0 for _, den, e in eqs)
+    assert all(equation_poly(params, den, e).substitute(solution).constant_value() == 0
+               for _, den, e in eqs)
 
 
 def test_match_equations(parametric_op, period16):
