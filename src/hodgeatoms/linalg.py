@@ -1,14 +1,15 @@
 """Exact linear algebra over polynomial rings.
 
 Kernels come from Bareiss's fraction-free elimination on integer
-polynomials: every division is exact, so entries grow like minors instead
-of like nested cross-products, and no rational-function entry appears. It
-runs on packed monomials (one int per exponent tuple, see `poly`) in
-fields wide enough for every minor and every product of two. Kernel
-vectors are returned unnormalised; the one normal form of an operator
-vector is `qde.DiffOperator.normalize`. The same elimination gives
-determinants: its last pivot, signed by the order of the pivot columns, is
-the determinant of the rows scaled to integers.
+polynomials, followed by fraction-free back substitution: every division
+is exact, so entries grow like minors instead of like nested
+cross-products, and no rational-function entry appears. Both run on packed
+monomials (one int per exponent tuple, see `poly`) in fields wide enough
+for every minor and every product of two. Kernel vectors are returned
+unnormalised; the one normal form of an operator vector is
+`qde.DiffOperator.normalize`. The same elimination gives determinants: its
+last pivot, signed by the order of the pivot rows, is the determinant of
+the rows scaled to integers.
 `rref` is Gauss-Jordan over Q for the small numeric systems of the
 ansatz, the solver and the cohomology coordinates.
 """
@@ -126,53 +127,49 @@ def _int_row(row: List[Poly]) -> Tuple[List[dict], int]:
             for p in row], den
 
 
-def _bareiss(rows: Iterable[List[dict]], ncols: int) -> Tuple[list, list]:
-    """Row-incremental Bareiss elimination over Z on the first ncols entries.
+def _bareiss(rows: List[List[dict]], nvars: int) -> Tuple[list, int, int]:
+    """Column-ordered fraction-free (Bareiss) elimination over Z.
 
-    A new row r is reduced against the pivot rows P_1..P_k found so far by
-    r <- (p_k r - r[c_k] P_k) / p_(k-1), with c_k the pivot column of P_k,
-    p_k = P_k[c_k] and p_0 = 1. By Sylvester's identity every division is
-    exact and entry j of the reduced row is the minor of the rows so far on
-    the columns c_1..c_k, j. A row whose first ncols entries vanish is
-    dependent; any other row becomes a pivot row at its nonzero entry of
-    least total degree. Returns the pivots (column, pivot, row) and the
-    dependent rows, each in the order the rows came in.
+    At each column c in turn, the pivot is the remaining row whose entry at
+    c has the least total degree (the first such row on a tie), and every
+    other remaining row r becomes (p_k r - r[c] P_k) / p_(k-1) past c, with
+    P_k the pivot row, p_k = P_k[c] and p_0 = 1; a column where no remaining
+    row is nonzero has no pivot. By Sylvester's identity every division is
+    exact, and after k pivots entry j of a remaining row i is the minor on
+    the pivot rows and i against the pivot columns and j. Returns the
+    pivots (column, row index, row as it was when chosen) in column order,
+    on packed monomials over nvars variables, and the packing width and guard.
 
-    Rows are packed on entry and unpacked on exit. Every entry is a minor of
-    the rows, of total degree at most S, the sum of the rows' largest total
-    degrees, so a product p_k x has degree at most 2 S: fields of 2 S's bit
-    length plus a guard bit hold every monomial the elimination makes.
+    Every entry is a minor of the rows, of total degree at most S, the sum
+    of the rows' largest total degrees, so a product of two has degree at
+    most 2 S: fields of 2 S's bit length plus a guard bit hold every
+    monomial the elimination and a back substitution make.
     """
-    rows = list(rows)
-    nvars = next((len(ex) for r in rows for x in r for ex in x), 0)
     width, guard = _packing(nvars, 2 * sum(max((sum(ex) for x in r for ex in x), default=0)
                                             for r in rows))
     shift = width * nvars
-    pivots, dependent = [], []
-    for row in rows:
-        row = [_pack(x, width) for x in row]
-        prev = None
-        for col, pv, prow in pivots:
-            ne = {k: -c for k, c in row[col].items()}
-            nxt = []
-            for x, y in zip(row, prow):
+    rest = [(i, [_pack(x, width) for x in r]) for i, r in enumerate(rows)]
+    pivots, prev = [], None
+    for col in range(len(rows[0])):
+        nonzero = [n for n, (_, r) in enumerate(rest) if r[col]]
+        if not nonzero:
+            continue
+        i, prow = rest.pop(min(nonzero, key=lambda n: max(rest[n][1][col]) >> shift))
+        pv = prow[col]
+        for n, (k, row) in enumerate(rest):
+            ne = {key: -c for key, c in row[col].items()}
+            nxt = [{}] * (col + 1)
+            for x, y in zip(row[col + 1:], prow[col + 1:]):
                 v = _pdot(((pv, x), (ne, y)))
                 if prev is not None:
                     v = _zdiv(v, prev, guard)
                     if v is None:
                         raise RuntimeError("inexact Bareiss division")
                 nxt.append(v)
-            row, prev = nxt, pv
-        left = row[:ncols]
-        if any(left):
-            col = min((j for j in range(ncols) if left[j]),
-                      key=lambda j: (max(left[j]) >> shift, j))
-            pivots.append((col, left[col], row))
-        else:
-            dependent.append(row)
-    return ([(col, _unpack(pv, nvars, width), [_unpack(x, nvars, width) for x in row])
-             for col, pv, row in pivots],
-            [[_unpack(x, nvars, width) for x in row] for row in dependent])
+            rest[n] = (k, nxt)
+        pivots.append((col, i, prow))
+        prev = pv
+    return pivots, width, guard
 
 
 def left_nullspace(m: Matrix) -> List[List[Poly]]:
@@ -182,16 +179,34 @@ def left_nullspace(m: Matrix) -> List[List[Poly]]:
     coefficients, neither content-free nor sign-normalised (callers that
     need a normal form take it, as `DiffOperator.normalize` does).
 
-    Bareiss elimination on [m | I], each row first scaled to integer
-    coefficients; a dependent row's right part is a kernel vector.
+    Each row i of m is scaled to integers by den_i, and the transpose of the
+    result, whose rows are the columns of m, is eliminated. A column f of it
+    without a pivot gives the vector x with x_f the last pivot p_k before f
+    (1 if none), zero past f and at the other columns without a pivot, and,
+    from the last pivot back, p_t x_(c_t) = -(the pivot row's entries . x)
+    at each pivot column c_t < f: the Cramer numerators, so every division
+    is exact (fraction-free back substitution). Then v_i = den_i x_i.
     """
-    one = (0,) * len(m.vars)
-    rows = []
-    for i, src in enumerate(m.rows):
-        row, den = _int_row(src)
-        rows.append(row + [{one: den} if j == i else {} for j in range(m.nrows)])
-    _, dependent = _bareiss(rows, m.ncols)
-    return [[Poly(m.vars, x) for x in row[m.ncols:]] for row in dependent]
+    scaled = [_int_row(r) for r in m.rows]
+    nvars = len(m.vars)
+    pivots, width, guard = _bareiss([list(c) for c in zip(*(r for r, _ in scaled))], nvars)
+    kernel = []
+    for f in sorted(set(range(m.nrows)).difference(col for col, _, _ in pivots)):
+        before = [p for p in pivots if p[0] < f]
+        if not before:
+            x = {f: {0: 1}}  # the packed constant one
+        else:  # the last pivot row gives p_k x_(c_k) = -p_k row[f]
+            col, _, row = before.pop()
+            x = {f: row[col], col: {key: -c for key, c in row[f].items()}}
+        for col, _, row in reversed(before):
+            neg = {key: -c for key, c in row[col].items()}
+            x[col] = _zdiv(_pdot((row[j], v) for j, v in x.items()), neg, guard)
+            if x[col] is None:
+                raise RuntimeError("inexact back-substitution division")
+        kernel.append([Poly(m.vars, {ex: c * den for ex, c in
+                                     _unpack(x.get(i, {}), nvars, width).items()})
+                       for i, (_, den) in enumerate(scaled)])
+    return kernel
 
 
 # -- determinants and characteristic polynomials -----------------------------
@@ -200,19 +215,21 @@ def det(m: Matrix) -> Poly:
     """Determinant from the last Bareiss pivot.
 
     With each row i scaled to integers by den_i, the last pivot is the
-    determinant of the scaled rows on the pivot columns c_1..c_n, so
-    det m = sign(c) * p_n / (den_1 ... den_n); a dependent row makes it 0.
+    determinant of the scaled rows taken in the order of the pivot rows
+    r_1..r_n, so det m = sign(r) * p_n / (den_1 ... den_n); fewer than n
+    pivots make it 0.
     """
     if m.nrows != m.ncols:
         raise ValueError("determinant of a non-square matrix")
     scaled = [_int_row(r) for r in m.rows]
-    pivots, dependent = _bareiss((row for row, _ in scaled), m.ncols)
-    if dependent:
+    pivots, width, _ = _bareiss([row for row, _ in scaled], len(m.vars))
+    if len(pivots) < m.nrows:
         return Poly.zero(m.vars)
-    cols = [col for col, _, _ in pivots]
-    inversions = sum(a > b for i, a in enumerate(cols) for b in cols[i + 1:])
+    order = [i for _, i, _ in pivots]
+    inversions = sum(a > b for k, a in enumerate(order) for b in order[k + 1:])
     scale = Fraction((-1) ** inversions, math.prod(den for _, den in scaled))
-    return Poly(m.vars, {ex: c * scale for ex, c in pivots[-1][1].items()})
+    col, _, row = pivots[-1]
+    return Poly(m.vars, {ex: c * scale for ex, c in _unpack(row[col], len(m.vars), width).items()})
 
 
 # the outer variable of characteristic polynomials

@@ -105,8 +105,10 @@ def eliminate(rows: Matrix) -> DiffOperator:
     """Least-order scalar operator from the cyclic rows r_0..r_n.
 
     The first kernel vector of the rows ends at the least k with r_k
-    dependent on r_0..r_(k-1); that kernel is one-dimensional, so the
-    vector is the operator up to normalisation.
+    dependent on r_0..r_(k-1), the first column without a pivot when the
+    transposed rows are eliminated; that kernel is one-dimensional, so the
+    vector, back-substituted from that column, is the operator up to
+    normalisation.
     """
     kernel = left_nullspace(rows)
     if not kernel:

@@ -143,6 +143,28 @@ def test_internal_error_fails_the_stage(capsys, monkeypatch, target, stage, chec
     assert {"name": check, "passed": False, "detail": "invariant broken"} in cert["checks"]
 
 
+def test_inexact_back_substitution_fails_the_eliminate_stage(capsys, monkeypatch):
+    # every division of the kernel's back substitution is refused; those of
+    # the forward elimination go through
+    exact = linalg._zdiv
+
+    def refused_in_back_substitution(a, b, guard):
+        if sys._getframe(1).f_code.co_name == "left_nullspace":
+            return None
+        return exact(a, b, guard)
+
+    monkeypatch.setattr(linalg, "_zdiv", refused_in_back_substitution)
+    code, out, err = run_cli(capsys, "certify", "--format", "json")
+    assert code == 2
+    assert "Traceback" not in err
+    cert = json.loads(out)
+    detail = "inexact back-substitution division"
+    assert {"name": "eliminate", "status": "failed",
+            "reason": f"elimination failed: {detail}"} in cert["stages"]
+    assert {"name": "eliminate.operator_found", "passed": False,
+            "detail": detail} in cert["checks"]
+
+
 def test_period_source_not_starting_at_one_fails_the_stage(capsys, monkeypatch, tmp_path):
     verra = periods.get_source("verra-eq3")
     monkeypatch.setitem(periods.REGISTRY, "doubled", periods.PeriodSource(

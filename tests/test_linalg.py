@@ -8,9 +8,11 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
+from hodgeatoms import linalg
 from hodgeatoms.linalg import LAM, Matrix, _bareiss, _int_row, char_poly, det, left_nullspace
-from hodgeatoms.poly import Poly, _zadd, _zmul, exact_div, poly_gcd_many, rational_content
-from hodgeatoms.qde import DiffOperator
+from hodgeatoms.poly import (Poly, _unpack, _zadd, _zmul, exact_div, poly_gcd_many,
+                             rational_content)
+from hodgeatoms.qde import DiffOperator, cyclic_rows
 from test_poly import zdiv_reference
 
 Q = ("q",)
@@ -281,19 +283,19 @@ def test_det_of_singular_matrices(m, data):
 @settings(max_examples=60)
 @given(st.data())
 def test_det_with_odd_pivot_permutation(data):
-    # a lower-triangular matrix with its columns permuted: every reduced row
-    # has one nonzero entry, so the pivot columns are forced to be the
+    # an upper-triangular matrix with its rows permuted: at each column one
+    # remaining row is nonzero, so the pivot rows are forced to be the
     # permutation, taken odd; the determinant is minus the diagonal product
     n = data.draw(st.integers(2, 5))
     perm = data.draw(st.permutations(range(n)))
     if sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:]) % 2 == 0:
         perm[0], perm[1] = perm[1], perm[0]
     diag = [data.draw(nonzero_entries) for _ in range(n)]
-    tri = [[diag[i] if k == i else data.draw(sparse_entries) if k < i else Poly.zero(QX)
+    tri = [[diag[i] if k == i else data.draw(sparse_entries) if k > i else Poly.zero(QX)
             for k in range(n)] for i in range(n)]
-    m = Matrix([[tri[i][perm.index(j)] for j in range(n)] for i in range(n)])
-    pivots, _ = _bareiss([_int_row(r)[0] for r in m.rows], n)
-    assert [col for col, _, _ in pivots] == perm
+    m = Matrix([tri[perm.index(i)] for i in range(n)])
+    pivots, _, _ = _bareiss([_int_row(r)[0] for r in m.rows], len(QX))
+    assert [i for _, i, _ in pivots] == perm
     product = Poly.const(QX, 1)
     for d in diag:
         product = product * d
@@ -357,11 +359,45 @@ def test_char_poly_of_block_diagonal_is_the_product(mplus, mminus):
     assert char_poly(Matrix(rows)) == char_poly(mplus) * char_poly(mminus)
 
 
-# -- packed Bareiss against the tuple-keyed elimination -------------------------
+# -- packed Bareiss and back substitution against tuple-keyed references -------
 
-def bareiss_reference(rows, ncols):
-    """The tuple-keyed row-incremental Bareiss elimination the packed one
-    replaced: same pivot rule, same exact divisions."""
+def column_bareiss_reference(rows):
+    """A tuple-keyed copy of the column-ordered elimination: same pivot rule,
+    same exact divisions."""
+    rest, pivots, prev = list(enumerate(rows)), [], None
+    for col in range(len(rows[0])):
+        nonzero = [n for n, (_, r) in enumerate(rest) if r[col]]
+        if not nonzero:
+            continue
+        i, prow = rest.pop(min(nonzero, key=lambda n: max(map(sum, rest[n][1][col]))))
+        pv = prow[col]
+        for n, (k, row) in enumerate(rest):
+            e = row[col]
+            nxt = [{}] * (col + 1)
+            for x, y in zip(row[col + 1:], prow[col + 1:]):
+                v = (_zadd(_zmul(pv, x), {ex: -c for ex, c in _zmul(e, y).items()})
+                     if e and y else _zmul(pv, x))
+                if prev is not None:
+                    v = zdiv_reference(v, prev)
+                    assert v is not None
+                nxt.append(v)
+            rest[n] = (k, nxt)
+        pivots.append((col, i, prow))
+        prev = pv
+    return pivots
+
+
+def unpacked_bareiss(rows, nvars):
+    pivots, width, _ = _bareiss(rows, nvars)
+    return [(col, i, [_unpack(x, nvars, width) for x in row]) for col, i, row in pivots]
+
+
+def row_incremental_bareiss(rows, ncols):
+    """Tuple-keyed row-incremental Bareiss on the first ncols entries, an
+    elimination independent of the column-ordered one: each new row is
+    reduced against the pivot rows so far and becomes a pivot row at its
+    entry of least total degree, or is dependent. Returns the pivots and
+    the dependent rows."""
     pivots, dependent = [], []
     for row in rows:
         prev = None
@@ -386,6 +422,68 @@ def bareiss_reference(rows, ncols):
     return pivots, dependent
 
 
+def augmented_left_nullspace_reference(m):
+    """The kernel by elimination on [m | I], each row first scaled to
+    integers: a dependent row's right part is a kernel vector."""
+    one = (0,) * len(m.vars)
+    rows = []
+    for i, src in enumerate(m.rows):
+        row, den = _int_row(src)
+        rows.append(row + [{one: den} if j == i else {} for j in range(m.nrows)])
+    _, dependent = row_incremental_bareiss(rows, m.ncols)
+    return [[Poly(m.vars, x) for x in row[m.ncols:]] for row in dependent]
+
+
+@st.composite
+def kernel_matrices(draw):
+    # ncols + d rows with d = 0, 1 or 2, so kernels of dimension 0, 1 and 2
+    # come up; a row or a column may be zeroed, and a row replaced by a
+    # polynomial combination of the others
+    ncols = draw(st.integers(1, 3))
+    nrows = ncols + draw(st.integers(0, 2))
+    mostly_nonzero = st.one_of(nonzero_entries, nonzero_entries, sparse_entries)
+    rows = [[draw(mostly_nonzero) for _ in range(ncols)] for _ in range(nrows)]
+    zero = Poly.zero(QX)
+    if draw(st.integers(0, 3)) == 0:
+        rows[draw(st.integers(0, nrows - 1))] = [zero] * ncols
+    if draw(st.integers(0, 3)) == 0:
+        j = draw(st.integers(0, ncols - 1))
+        rows = [r[:j] + [zero] + r[j + 1:] for r in rows]
+    if nrows > 1 and draw(st.integers(0, 2)) == 0:
+        i = draw(st.integers(0, nrows - 1))
+        coeffs = [draw(sparse_entries) for _ in range(nrows)]
+        rows[i] = [sum((c * r[j] for k, (c, r) in enumerate(zip(coeffs, rows)) if k != i), zero)
+                   for j in range(ncols)]
+    return Matrix(rows)
+
+
+@settings(max_examples=150)
+@given(kernel_matrices())
+def test_left_nullspace_matches_the_augmented_reference(m):
+    kernel, reference = left_nullspace(m), augmented_left_nullspace_reference(m)
+    assert len(kernel) == len(reference)
+    assert [normalize_vector(v) for v in kernel] == [normalize_vector(v) for v in reference]
+    # both are the same Cramer numerators, so they agree before normalising too
+    assert kernel == reference
+    for vec in kernel:
+        assert annihilates(vec, m)
+
+
+@pytest.mark.parametrize("component", range(6))
+def test_verra_component_kernels_equal_the_augmented_reference(sym_ansatz, component):
+    m = sym_ansatz.matrix
+    rows = cyclic_rows(m, component, m.ncols)
+    assert left_nullspace(rows) == augmented_left_nullspace_reference(rows)
+
+
+def test_inexact_back_substitution_raises(monkeypatch):
+    # two pivots before the free column: the forward pass makes no division
+    # and the back substitution one, which is refused here
+    monkeypatch.setattr(linalg, "_zdiv", lambda a, b, guard: None)
+    with pytest.raises(RuntimeError, match="inexact back-substitution division"):
+        left_nullspace(M([[1, 0], [0, 1], [1, 1]]))
+
+
 int_entries = st.one_of(
     st.just({}),
     st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 2)), st.integers(-5, 5),
@@ -395,8 +493,8 @@ int_entries = st.one_of(
 @st.composite
 def integer_matrices(draw):
     # each row is shifted by its own monomial; a row of high degree beside
-    # constant rows drives the products p_k x to twice the sum of the row
-    # degrees, the bound the packing width is derived from
+    # constant rows drives the products p_k x towards twice the sum of the
+    # row degrees, the bound the packing width is derived from
     nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     out = []
     for _ in range(nrows):
@@ -404,24 +502,38 @@ def integer_matrices(draw):
                                st.tuples(st.integers(0, 70), st.integers(0, 40))))
         out.append([{(a + shift[0], b + shift[1]): c for (a, b), c in x.items()}
                     for x in (draw(int_entries) for _ in range(ncols))])
-    return out, ncols
+    return out
 
 
 @settings(max_examples=150)
-@given(integer_matrices(), st.integers(0, 2))
-def test_packed_bareiss_matches_the_tuple_elimination(matrix, extra):
-    rows, ncols = matrix
-    # extra columns stand in for the identity block of left_nullspace
-    rows = [r + [{(0, 0): 1} if j == i else {} for j in range(extra)]
-            for i, r in enumerate(rows)]
-    assert _bareiss(rows, ncols) == bareiss_reference(rows, ncols)
+@given(integer_matrices())
+def test_packed_bareiss_matches_the_tuple_elimination(rows):
+    assert unpacked_bareiss(rows, 2) == column_bareiss_reference(rows)
 
 
 def test_packed_bareiss_at_the_width_bound():
-    # one row of total degree 64 over two constant rows: S = 64, and the
+    # one row of total degree 64 over two constant rows: S = 64. The high row
+    # is the only one nonzero at column 0, so it is the first pivot, and the
     # product p_2 x of the third row has degree 128 = 2 S before its division
     d = 64
-    rows = [[{(d, 0): 1}, {(d - 1, 1): 2}, {(0, d): 3}],
-            [{(0, 0): 1}, {(0, 0): 5}, {(0, 0): -2}],
-            [{(0, 0): 7}, {(0, 0): 1}, {(0, 0): 4}]]
-    assert _bareiss(rows, 3) == bareiss_reference(rows, 3)
+    rows = [[{}, {(0, 0): 5}, {(0, 0): -2}],
+            [{(d, 0): 1}, {(d - 1, 1): 2}, {(0, d): 3}],
+            [{}, {(0, 0): 1}, {(0, 0): 4}]]
+    pivots = unpacked_bareiss(rows, 2)
+    assert [(col, i) for col, i, _ in pivots] == [(0, 1), (1, 0), (2, 2)]
+    assert pivots == column_bareiss_reference(rows)
+
+
+def test_back_substitution_at_the_width_bound():
+    # the transpose of m is [[x^64, 2 x^63 y, 3 y^64], [0, 5, -2]]: S = 64,
+    # and the back substitution forms 3 y^64 * p_2 = 3 y^64 * 5 x^64, of
+    # degree 128 = 2 S, before its division by p_1 = x^64
+    d = 64
+    xy = ("x", "y")
+    m = Matrix([[Poly(xy, {(d, 0): 1}), Poly.zero(xy)],
+                [Poly(xy, {(d - 1, 1): 2}), Poly.const(xy, 5)],
+                [Poly(xy, {(0, d): 3}), Poly.const(xy, -2)]])
+    [vec] = left_nullspace(m)
+    assert vec == augmented_left_nullspace_reference(m)[0]
+    assert vec == [Poly(xy, {(d - 1, 1): -4, (0, d): -15}), Poly(xy, {(d, 0): 2}),
+                   Poly(xy, {(d, 0): 5})]
