@@ -2,10 +2,11 @@
 #
 # The characteristic polynomials are matched exactly against the
 # template lam^a prod(lam^2 - c q), so the eigenvalue data is the
-# multiset of squares {c}; no radical is ever needed. The squares must
-# be the reciprocals of the singular t^2 values of the regularized
-# operator's leading coefficient; that cross-check ties the local solver
-# data to the global series.
+# multiset of squares {c}, found in closed form as the rational roots of
+# a polynomial of degree at most 2; no radical is ever needed. The
+# squares must be the reciprocals of the singular points q = t^2 of the
+# regularized operator's leading coefficient, read from the operator in
+# q; that cross-check ties the local solver data to the global series.
 
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from hodgeatoms.cohomology import AmbientRing
 from hodgeatoms.instance import load_instance
 from hodgeatoms.linalg import char_poly
 from hodgeatoms.periods import get_source
+from hodgeatoms.qde import transform_even_operator
 from hodgeatoms.spectrum import block_spectrum, reciprocity_check
 
 verra = load_instance("verra")
@@ -42,7 +44,8 @@ print("  chi(2M_+) =", plus.factored_render())
 print("  chi(2M_-) =", minus.factored_render())
 print("zero multiplicities:", plus.zero_multiplicity, "and", minus.zero_multiplicity)
 
-rec = reciprocity_check(get_source(verra.period_source).regularized, plus)
+reg_q = transform_even_operator(get_source(verra.period_source).regularized)[0]
+rec = reciprocity_check(reg_q, plus)
 print("\nsingular squares of the regularized leading coefficient:",
       [str(c) for c in rec.singular_squares])
 print("nonzero eigenvalue squares:", [str(c) for c in rec.eigen_squares])

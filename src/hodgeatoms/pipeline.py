@@ -132,8 +132,7 @@ def _stage_period(run: PipelineRun, state: Dict[str, Any]) -> None:
                          "factorially rescaled series, not the plain period series; "
                          "residual on the plain series starts " + " + ".join(first))
 
-    state.update(period=g, series=series, source=src, reg_q=reg_q,
-                 content=content)
+    state.update(period=g, series=series, reg_q=reg_q, content=content)
     run.sections["period"] = {
         "status": "ok",
         "source": src.name,
@@ -318,7 +317,7 @@ def _stage_spectrum(run: PipelineRun, state: Dict[str, Any]) -> None:
                 "characteristic polynomial degree mismatch")
 
     try:
-        rec = reciprocity_check(state["source"].regularized, plus)
+        rec = reciprocity_check(state["reg_q"], plus)
     except TemplateError as e:
         run.require("spectrum.reciprocity", False, str(e), f"reciprocity check failed: {e}")
     run.require("spectrum.reciprocity", rec.passed,

@@ -127,24 +127,25 @@ def solve_parameters(equations: Sequence[Tuple[int, int, Dict[tuple, int]]],
 def _back_substitute(reduced: List[Poly], params: Tuple[str, ...]):
     nvars = len(params)
     zero_ex = (0,) * nvars
-    # state: pending rewrite rules, fixed assignments, remaining equations
-    stack = [([], {}, list(reduced))]
+    # state: rewrite rules (var, value) in the order taken, remaining equations
+    stack = [([], list(reduced))]
     terminal = []
     steps = 0
     while stack:
         steps += 1
         if steps > 10000:
             raise SolveError("unsolved: branching did not terminate")
-        rules, assign, eqs = stack.pop()
+        rules, eqs = stack.pop()
         eqs = [e for e in eqs if not e.is_zero()]
         if any(set(e.terms) == {zero_ex} for e in eqs):
             continue  # contradictory branch
         if not eqs:
-            terminal.append((rules, assign))
+            terminal.append(rules)
             continue
 
-        # the first equation of the best kind: univariate linear (assign), then
-        # linear in several unknowns (rewrite), then univariate quadratic (branch)
+        # the first equation of the best kind: univariate linear, then linear
+        # in several unknowns (one rewrite each), then univariate quadratic
+        # (one constant rewrite per root)
         deg, multi, n, var = min((deg, len(present) > 1, n, present[0])
                                  for n, (present, deg) in enumerate(map(_classify, eqs)))
         if deg == 2 and multi:
@@ -156,30 +157,26 @@ def _back_substitute(reduced: List[Poly], params: Tuple[str, ...]):
         unit = tuple(1 if i == var else 0 for i in range(nvars))
         if deg == 1:
             c = e.terms[unit]
-            rule = Poly(params, {ex: -v / c for ex, v in e.terms.items() if ex != unit})
-            new_eqs = [x.substitute({params[var]: rule}) for x in rest]
-            if multi:
-                stack.append((rules + [(var, rule)], assign, new_eqs))
-            else:
-                stack.append((rules, {**assign, var: rule.constant_value() or Fraction(0)}, new_eqs))
+            choices = [Poly(params, {ex: -v / c for ex, v in e.terms.items() if ex != unit})]
         else:
             roots = rational_roots([e.terms.get(tuple(k * u for u in unit), Fraction(0))
                                     for k in range(3)])
             if len(roots) < 2:
                 raise SolveError(f"unsolved: irrational roots of {e.render()} = 0")
-            for r in sorted(set(roots)):
-                new_eqs = [x.substitute({params[var]: r}) for x in rest]
-                stack.append((rules, {**assign, var: r}, new_eqs))
+            choices = [Poly.const(params, r) for r in sorted(set(roots))]
+        for rule in choices:
+            new_eqs = [x.substitute({params[var]: rule}) for x in rest]
+            stack.append((rules + [(var, rule)], new_eqs))
 
     solutions = set()
-    for rules, assign in terminal:
-        known = set(assign) | {var for var, _ in rules}
+    for rules in terminal:
+        known = {var for var, _ in rules}
         if len(known) != nvars:
             missing = [params[i] for i in range(nvars) if i not in known]
             raise SolveError(f"underdetermined: no constraint fixes {missing}")
-        values = {params[i]: v for i, v in assign.items()}
         # a rule's right side only mentions variables eliminated later, so
         # newest-first resolution always has what it needs
+        values: Dict[str, Fraction] = {}
         for var, rule in reversed(rules):
             values[params[var]] = rule.substitute(values).constant_value()
         solutions.add(tuple(values[p] for p in params))

@@ -3,9 +3,10 @@
 Everything is kept inside rational arithmetic: the characteristic
 polynomial is factored against the template lam^a * prod(lam^2 - c q)
 by exact division, so the eigenvalue data is the multiset of squares
-{c} and no radical is ever materialized. Reciprocity compares those
-squares with the singular squares t^2 of the regularized operator's
-leading coefficient.
+{c} and no radical is ever materialized. The squares are rational roots
+in closed form, up to degree 2. Reciprocity compares them with the
+singular points q = t^2 of the q-form regularized operator's leading
+coefficient.
 """
 
 from __future__ import annotations
@@ -56,9 +57,9 @@ def rational_roots(coeffs: List[Fraction]) -> List[Fraction]:
     """All rational roots with multiplicity; coeffs[k] is the y^k coefficient.
 
     Zero roots come off first. A linear factor's root is taken directly and a
-    quadratic's from its discriminant; only degree 3 and up searches the
-    divisor candidates. The callers demand a full split over Q and raise when
-    the returned count falls short of the degree.
+    quadratic's from its discriminant; past degree 2 there is no closed form
+    and TemplateError names the degree. The callers demand a full split over
+    Q and raise when the returned count falls short of the degree.
     """
     work = list(coeffs)
     while work and work[-1] == 0:
@@ -69,13 +70,9 @@ def rational_roots(coeffs: List[Fraction]) -> List[Fraction]:
     while work[0] == 0:
         roots.append(Fraction(0))
         work = work[1:]
-    while len(work) > 3:
-        found = next((cand for cand in _root_candidates(work)
-                      if _eval_poly(work, cand) == 0), None)
-        if found is None:
-            return roots
-        roots.append(found)
-        work = _synthetic_div(work, found)
+    if len(work) > 3:
+        raise TemplateError(f"degree {len(work) - 1} factor past the closed-form "
+                            "rational roots of degree <= 2")
     if len(work) == 2:
         return roots + [-work[0] / work[1]]
     if len(work) == 3:
@@ -87,41 +84,6 @@ def rational_roots(coeffs: List[Fraction]) -> List[Fraction]:
                 root = Fraction(rn, rd)
                 roots += [(-b - root) / (2 * a), (-b + root) / (2 * a)]
     return roots
-
-
-def _root_candidates(coeffs: List[Fraction]):
-    den = math.lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * den) for c in coeffs]
-    dens = _divisors(ints[-1])
-    for p in _divisors(ints[0]):
-        for qd in dens:
-            yield Fraction(p, qd)
-            yield Fraction(-p, qd)
-
-
-def _divisors(n: int) -> List[int]:
-    """Positive divisors of n in ascending order, each d <= sqrt|n| paired
-    with |n| / d."""
-    n = abs(n)
-    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
-    return small + [n // d for d in reversed(small) if d * d != n]
-
-
-def _eval_poly(coeffs: List[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _synthetic_div(coeffs: List[Fraction], root: Fraction) -> List[Fraction]:
-    n = len(coeffs) - 1
-    out = [Fraction(0)] * n
-    carry = coeffs[n]
-    for k in range(n - 1, -1, -1):
-        out[k] = carry
-        carry = coeffs[k] + root * carry
-    return out
 
 
 def factor_template(chi: Poly, block: str) -> BlockSpectrum:
@@ -169,26 +131,18 @@ def block_spectrum(m: Matrix, block: str) -> BlockSpectrum:
     return factor_template(char_poly(m.map(lambda p: p.scale(2))), block)
 
 
-def reciprocity_check(regularized: DiffOperator, plus: BlockSpectrum) -> ReciprocityResult:
-    """Singular squares of the regularized operator vs eigenvalue squares.
+def reciprocity_check(reg_q: DiffOperator, plus: BlockSpectrum) -> ReciprocityResult:
+    """Singular points of the regularized operator vs eigenvalue squares.
 
-    The regularized operator's leading coefficient is a polynomial in
-    t^2; its roots in the square variable must be exactly the
-    reciprocals of the symmetric block's nonzero eigenvalue squares.
+    reg_q is the regularized operator after q = t^2, over ("q",); the
+    q-roots of its leading coefficient must be exactly the reciprocals of
+    the symmetric block's nonzero eigenvalue squares.
     """
-    lead = regularized.coeffs[-1]
-    if any(not lead.coeff_of("t", k).is_zero()
-           for k in range(1, lead.degree_in("t") + 1, 2)):
-        raise TemplateError("leading coefficient has odd powers of t")
-    ycoeffs = []
-    for k in range(0, lead.degree_in("t") + 1, 2):
-        c = lead.coeff_of("t", k).constant_value()
-        if c is None:
-            raise TemplateError("leading coefficient is not constant in the parameters")
-        ycoeffs.append(c)
-    roots = rational_roots(ycoeffs)
-    if len(roots) != (len(ycoeffs) - 1):
-        raise TemplateError("leading coefficient does not split into linear factors in t^2")
+    lead = reg_q.coeffs[-1]
+    qcoeffs = [lead.coeff_of("q", k).constant_value() for k in range(lead.degree_in("q") + 1)]
+    roots = rational_roots(qcoeffs)
+    if len(roots) != (len(qcoeffs) - 1):
+        raise TemplateError("leading coefficient does not split into linear factors in q")
     singular = tuple(sorted(set(roots)))
     eigen = tuple(sorted({c for c in plus.square_factors if c != 0}))
     recip = tuple(sorted({Fraction(1, 1) / c for c in eigen}))

@@ -347,6 +347,17 @@ def test_spectrum(capsys):
     assert "-> pass" in out
 
 
+def test_spectrum_after_a_failed_solve(capsys, tmp_path):
+    # with only s enumerative both solutions pass the filter, so solve fails
+    # and the spectrum stage never runs
+    path = tmp_path / "mutated.instance"
+    text = (ROOT / "src" / "hodgeatoms" / "data" / "verra.instance").read_text()
+    path.write_text(text.replace("enumerative=t,u", "enumerative=s"))
+    code, out, _ = run_cli(capsys, "spectrum", "--instance", str(path))
+    assert code == 2
+    assert "spectrum: not run (upstream failure in solve)" in out
+
+
 def test_through_truncates_certificate(capsys, tmp_path):
     path = tmp_path / "cert.json"
     code, out, _ = run_cli(capsys, "certify", "--through", "solve",

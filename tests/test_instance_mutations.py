@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from hodgeatoms import solve, spectrum
 from hodgeatoms.cli import main
 
 VERRA = (Path(__file__).resolve().parents[1] / "src" / "hodgeatoms" / "data"
@@ -22,6 +23,8 @@ MUTATIONS = [
     ("nilpotency=3", "nilpotency=4", 1),      # the middle dimension no longer fits
     ("order=16", "order=3", 1),
     ("middle=24", "middle=25", 1),
+    ("h31=1", "h31=x", 1),                    # not an integer
+    ("simple=true", "simple=yes", 1),         # not a boolean
     ("N=-4/1", "N=0/1", 2),
     ("enumerative=t,u", "enumerative=s", 2),
     ("order=16", "order=10", 2),
@@ -37,6 +40,7 @@ MUTATIONS = [
     ("s@(0,1),t@(1,2)", "s@(1,2),t@(0,1)", 0),
     ("N=-4/1", "N=-4000000000002/1", 0),
     ("h31=1", "h31=2", 0),
+    ("[run] order=16", "[run]\norder=16", 0),  # a header on its own line
 ]
 
 
@@ -64,3 +68,26 @@ def test_mutated_instance_ends_cleanly(tmp_path, capsys, old, new, code):
         signal.signal(signal.SIGALRM, previous)
     assert "Traceback" not in capsys.readouterr().err
     assert got == code
+
+
+def test_roots_are_only_ever_asked_of_quadratics(tmp_path, capsys, monkeypatch):
+    # every instance that reaches the spectrum has chi_+ = lam^2 (lam^2 - 128 q)
+    # (lam^2 + 16 q), and solve only branches on quadratics: no run hands
+    # rational_roots more than 3 coefficients
+    lengths = []
+    original = spectrum.rational_roots
+
+    def recorded(coeffs):
+        lengths.append(len(coeffs))
+        return original(coeffs)
+
+    monkeypatch.setattr(spectrum, "rational_roots", recorded)
+    monkeypatch.setattr(solve, "rational_roots", recorded)
+    for name in ("verra", "broken-a0plus", "broken-nonsimple"):
+        main(["certify", "--instance", name])
+    for k, (old, new, _) in enumerate(MUTATIONS):
+        path = tmp_path / f"mutated-{k}.instance"
+        path.write_text(VERRA.replace(old, new), encoding="utf-8")
+        main(["certify", "--instance", str(path)])
+    capsys.readouterr()
+    assert lengths and max(lengths) <= 3

@@ -50,6 +50,11 @@ def test_exponent_arity_checked():
         Poly(V, {(1, 0): 1})
 
 
+def test_float_coefficient_rejected():
+    with pytest.raises(TypeError, match="not an exact scalar: 0.5"):
+        P({(1, 0, 0): 0.5})
+
+
 def test_mixed_variable_sets_rejected():
     with pytest.raises(ValueError):
         P({(1, 0, 0): 1}) + Poly(("q",), {(1,): 1})

@@ -11,7 +11,8 @@ from hodgeatoms.linalg import rref
 from hodgeatoms.periods import period_coefficients
 from hodgeatoms.poly import Poly, _zprimitive, normal_form
 from hodgeatoms.qde import match_equations
-from hodgeatoms.solve import SolveError, solve_parameters
+from hodgeatoms.solve import SolveError, _classify, solve_parameters
+from hodgeatoms.spectrum import rational_roots
 from conftest import equation_poly, integer_equations
 
 XY = ("x", "y")
@@ -256,3 +257,126 @@ def test_rows_are_the_primitive_parts_of_the_fraction_form(system):
     assert taken[0] == expected[0]
     rest = iter(expected)
     assert all(any(row == e for e in rest) for row in taken)
+
+
+# -- back-substitution against the two-binding reference -----------------------
+
+def back_substitute_reference(reduced, params):
+    """Back-substitution with two binding kinds: univariate linear equations
+    and quadratic roots become fixed assignments, multivariate linear ones
+    become rewrite rules, resolved newest-first once every variable is bound."""
+    nvars = len(params)
+    zero_ex = (0,) * nvars
+    stack = [([], {}, list(reduced))]
+    terminal = []
+    steps = 0
+    while stack:
+        steps += 1
+        if steps > 10000:
+            raise SolveError("unsolved: branching did not terminate")
+        rules, assign, eqs = stack.pop()
+        eqs = [e for e in eqs if not e.is_zero()]
+        if any(set(e.terms) == {zero_ex} for e in eqs):
+            continue
+        if not eqs:
+            terminal.append((rules, assign))
+            continue
+        deg, multi, n, var = min((deg, len(present) > 1, n, present[0])
+                                 for n, (present, deg) in enumerate(map(_classify, eqs)))
+        if deg == 2 and multi:
+            shown = "; ".join(e.render() for e in eqs)
+            raise SolveError(f"unsolved: no degree <= 2 univariate or linear step in [{shown}]")
+        e = eqs[n]
+        rest = [x for x in eqs if x is not e]
+        unit = tuple(1 if i == var else 0 for i in range(nvars))
+        if deg == 1:
+            c = e.terms[unit]
+            rule = Poly(params, {ex: -v / c for ex, v in e.terms.items() if ex != unit})
+            new_eqs = [x.substitute({params[var]: rule}) for x in rest]
+            if multi:
+                stack.append((rules + [(var, rule)], assign, new_eqs))
+            else:
+                stack.append((rules, {**assign, var: rule.constant_value() or Fraction(0)},
+                              new_eqs))
+        else:
+            roots = rational_roots([e.terms.get(tuple(k * u for u in unit), Fraction(0))
+                                    for k in range(3)])
+            if len(roots) < 2:
+                raise SolveError(f"unsolved: irrational roots of {e.render()} = 0")
+            for r in sorted(set(roots)):
+                new_eqs = [x.substitute({params[var]: r}) for x in rest]
+                stack.append((rules, {**assign, var: r}, new_eqs))
+
+    solutions = set()
+    for rules, assign in terminal:
+        known = set(assign) | {var for var, _ in rules}
+        if len(known) != nvars:
+            missing = [params[i] for i in range(nvars) if i not in known]
+            raise SolveError(f"underdetermined: no constraint fixes {missing}")
+        values = {params[i]: v for i, v in assign.items()}
+        for var, rule in reversed(rules):
+            values[params[var]] = rule.substitute(values).constant_value()
+        solutions.add(tuple(values[p] for p in params))
+    return sorted(solutions)
+
+
+def _outcome(back_substitute, reduced, params):
+    try:
+        return back_substitute(reduced, params)
+    except SolveError as e:
+        return str(e)
+
+
+def test_contradictory_branch_is_dropped():
+    # x^2 = 1 branches on x = -1 and x = 1; the second equation turns the
+    # x = -1 branch into the contradiction -2 = 0
+    x = ("x",)
+    eqs = [Poly(x, {(2,): 1, (0,): -1}), Poly(x, {(2,): 1, (1,): 1, (0,): -2})]
+    assert solve._back_substitute(eqs, x) == [(Fraction(1),)]
+    assert back_substitute_reference(eqs, x) == [(Fraction(1),)]
+
+
+def test_chain_of_multivariate_rules_resolves_newest_first():
+    # a = 3 - b, then b = 5 - c, then c = 3: each rule's right side is fixed
+    # only by the rules taken after it
+    abc = ("a", "b", "c")
+    eqs = [Poly(abc, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 0): -3}),
+           Poly(abc, {(0, 1, 0): 1, (0, 0, 1): 1, (0, 0, 0): -5}),
+           Poly(abc, {(1, 0, 0): 1, (0, 0, 1): 1, (0, 0, 0): -4})]
+    resolved = []
+    original = Poly.substitute
+
+    def recorded(p, values):
+        out = original(p, values)
+        if out.variables_present() == ():
+            resolved.append(sorted(values))
+        return out
+
+    with mock.patch.object(Poly, "substitute", recorded):
+        got = solve._back_substitute(eqs, abc)
+    assert got == [(Fraction(1), Fraction(2), Fraction(3))]
+    assert got == back_substitute_reference(eqs, abc)
+    # the last three substitutions resolve c, then b from c, then a from b, c
+    assert resolved[-3:] == [[], ["c"], ["b", "c"]]
+
+
+def test_free_variable_names_what_no_constraint_fixes():
+    # x^2 = 4 fixes x on both branches; nothing fixes y
+    eqs = [e2({(2, 0): 1, (0, 0): -4})]
+    with pytest.raises(SolveError, match=r"no constraint fixes \['y'\]"):
+        solve._back_substitute(eqs, XY)
+
+
+def test_back_substitution_matches_the_reference_on_verra(report):
+    reduced = list(report.reduced)
+    got = solve._back_substitute(reduced, report.params)
+    assert got == back_substitute_reference(reduced, report.params)
+    assert tuple(got) == report.solutions
+
+
+@given(consistent_systems())
+def test_back_substitution_matches_the_reference(system):
+    eqs, _ = system
+    reduced = _full_rref_reference(eqs, XYZ)
+    assert (_outcome(solve._back_substitute, reduced, XYZ)
+            == _outcome(back_substitute_reference, reduced, XYZ))
