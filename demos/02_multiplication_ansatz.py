@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from hodgeatoms.ansatz import (admissible_powers, apply_param_names,
                                build_ansatz, substitute_params)
-from hodgeatoms.cohomology import AmbientRing, degree, gram_matrix, render
+from hodgeatoms.cohomology import AmbientRing, degree, gram_matrix
 from hodgeatoms.instance import load_instance
 
 ring = AmbientRing()
@@ -19,10 +19,10 @@ basis = ring.eigenbasis()
 
 print("symmetric eigenbasis (degree order):")
 for b in basis.symmetric:
-    print(f"  deg {degree(b)}: {render(b)}")
+    print(f"  deg {degree(b)}: {b.render(ascending=True)}")
 print("antisymmetric eigenbasis:")
 for b in basis.antisymmetric:
-    print(f"  deg {degree(b)}: {render(b)}")
+    print(f"  deg {degree(b)}: {b.render(ascending=True)}")
 
 degrees = basis.degrees("symmetric")
 slots = [(j, i, d)
@@ -42,9 +42,8 @@ for row in am.matrix.rows:
     print("  [" + ", ".join(p.render() for p in row) + "]")
 
 gram = gram_matrix(ring, basis.symmetric, am.matrix.rows[0][0].vars)
-residual = am.matrix.transpose() * gram - gram * am.matrix
 print("M^T G - G M identically zero:",
-      all(p.is_zero() for r in residual.rows for p in r))
+      am.matrix.transpose() * gram == gram * am.matrix)
 
 anti = build_ansatz(basis.antisymmetric, ring,
                     basis.degrees("antisymmetric"))

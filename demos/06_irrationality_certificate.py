@@ -12,9 +12,9 @@ import json
 
 from hodgeatoms.atoms import (assemble_zero_atoms, exclusion_search,
                               transcendental_invariants)
+from hodgeatoms.certificate import dump_json
 from hodgeatoms.instance import load_instance
-from hodgeatoms.pipeline import (build_certificate, certificate_json,
-                                 exit_code, run_pipeline)
+from hodgeatoms.pipeline import build_certificate, exit_code, run_pipeline
 
 verra = load_instance("verra")
 
@@ -39,6 +39,6 @@ print(f"{sum(c['passed'] for c in run.checks)}/{len(run.checks)} checks passed")
 cert = build_certificate(run)
 out = "certificate.json"
 with open(out, "w", encoding="utf-8") as fh:
-    fh.write(certificate_json(run))
+    fh.write(dump_json(cert))
 print(f"\nwrote {out} ({len(json.dumps(cert))} bytes of payload);"
       " reruns are byte-identical")

@@ -145,4 +145,4 @@ def substitute_params(am: AnsatzMatrix, values: Mapping[str, Fraction]) -> Matri
     if missing:
         raise ValueError(f"missing parameter values: {missing}")
     subs = {p: Fraction(values[p]) for p in am.params}
-    return am.matrix.substitute(subs).map(lambda p: p.rename_vars(("q",)))
+    return am.matrix.map(lambda p: p.substitute(subs).rename_vars(("q",)))

@@ -61,31 +61,6 @@ def obstruction_applies(atom: AtomInvariants) -> bool:
     return atom.t2_coefficient() != 0 and atom.rho < 3
 
 
-# -- centre contribution models ----------------------------------------------
-
-def point_centre() -> AtomInvariants:
-    return AtomInvariants(1, hodge_poly({0: 1}), "point")
-
-
-def curve_centre(genus: int) -> AtomInvariants:
-    # classes in degrees 0 and 2 are always rational; the genus part has
-    # |p - q| = 1
-    if genus < 0:
-        raise AtomError("negative genus")
-    return AtomInvariants(2, hodge_poly({1: genus, 0: 2, -1: genus}),
-                          f"curve(g={genus})")
-
-
-def surface_centre(h20: int, h10: int, h11: int) -> AtomInvariants:
-    """Conservative surface model: H^0, H^4 and one (1,1) class are rational."""
-    if h20 < 0 or h10 < 0:
-        raise AtomError("negative Hodge number")
-    if h11 < 1:
-        raise AtomError("a surface has at least one (1,1) class")
-    hodge = hodge_poly({2: h20, 1: 2 * h10, 0: 2 + h11, -1: 2 * h10, -2: h20})
-    return AtomInvariants(3, hodge, f"surface(h20={h20},h10={h10},h11={h11})")
-
-
 # -- the zero eigenspace of the Verra-type instance ---------------------------
 
 def transcendental_invariants(instance: InstanceSpec) -> AtomInvariants:
@@ -144,24 +119,25 @@ def assemble_zero_atoms(instance: InstanceSpec, zero_plus: int,
 
 # -- exhaustive exclusion over centre multisets --------------------------------
 
-def exclusion_search(target: AtomInvariants, max_centres: int = 3,
-                     max_genus: int = 3) -> List[Tuple[Tuple[str, int], ...]]:
+def exclusion_search(target: AtomInvariants, max_centres: int,
+                     max_genus: int) -> List[Tuple[Tuple[str, int], ...]]:
     """Centre multisets that could assemble the target atom.
 
     Enumerates every multiset of at most max_centres weighted centre
     contributions (weight = multiplicity r - 1 >= 1) whose total t^2
     coefficient matches the target's without the total rho exceeding the
-    target's. An empty result excludes the target from every blowup of
-    the bounded shape; when obstruction_applies(target) the result is
-    empty for all bounds.
+    target's. A centre contributes (t^2 coefficient, rho): a point (0, 1),
+    a curve of any genus (0, 2), and a surface (h20, 3), since its H^0, H^4
+    and one (1,1) class are rational. An empty result excludes the target
+    from every blowup of the bounded shape; when obstruction_applies(target)
+    the result is empty for all bounds.
     """
     if max_centres < 0 or max_genus < 0:
         raise AtomError("bounds must be non-negative")
     t2 = target.t2_coefficient()
-    kinds = [point_centre()]
-    kinds += [curve_centre(g) for g in range(max_genus + 1)]
-    kinds += [surface_centre(h20, 0, 1) for h20 in range(t2 + 1)]
-    kinds = [(c.t2_coefficient(), c.rho, c.label) for c in kinds]  # read once per call
+    kinds = [(0, 1, "point")]
+    kinds += [(0, 2, f"curve(g={g})") for g in range(max_genus + 1)]
+    kinds += [(h20, 3, f"surface(h20={h20},h10=0,h11=1)") for h20 in range(t2 + 1)]
     hits = []
     for count in range(1, max_centres + 1):
         for combo in combinations_with_replacement(kinds, count):

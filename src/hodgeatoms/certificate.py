@@ -17,7 +17,6 @@ from typing import Any, Dict, List, Sequence, Tuple
 from .linalg import LAM, Matrix
 from .poly import Poly, rat_str, render_terms
 from .qde import DiffOperator
-from .series import Series
 
 
 def poly_json(p: Poly):
@@ -41,10 +40,6 @@ def equations_json(params: Tuple[str, ...],
                                      for g in [math.gcd(v, den)]], monos=monos)
         out[f"q^{m}"] = text if any(map(any, terms)) else [text]
     return out
-
-
-def series_json(s: Series) -> List[str]:
-    return [rat_str(c) for c in s.coeffs]
 
 
 def rendered(polys: Sequence[Poly], forms: Sequence[Any]) -> List[str]:

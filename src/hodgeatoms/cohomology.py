@@ -30,10 +30,10 @@ class AmbientRing:
         self.nilpotency = nilpotency
         self.top = (nilpotency - 1, nilpotency - 1)
 
-    def monomial(self, a: int, b: int, c: Fraction = Fraction(1)) -> Poly:
+    def monomial(self, a: int, b: int) -> Poly:
         if not (0 <= a < self.nilpotency and 0 <= b < self.nilpotency):
             raise ValueError(f"monomial H1^{a} H2^{b} outside the ring")
-        return Poly(VARS, {(a, b): c})
+        return Poly(VARS, {(a, b): 1})
 
     @property
     def H1(self) -> Poly:
@@ -88,11 +88,6 @@ def degree(x: Poly) -> int:
     if len(degs) > 1:
         raise ValueError(f"inhomogeneous class with degrees {sorted(degs)}")
     return degs.pop() if degs else 0
-
-
-def render(x: Poly) -> str:
-    """Lowest degree first: "H2 + H1", "-H1*H2^2 + H1^2*H2"."""
-    return x.render(ascending=True)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ certificates; unknown keys inside known sections are rejected.
 
 from __future__ import annotations
 
+import decimal
 import hashlib
 import os
 import re
@@ -53,13 +54,18 @@ class InstanceSpec:
         return tuple(name for name, _ in self.param_names)
 
 
+def _int(digits: str) -> int:
+    """int(digits) through Decimal, which has no limit on the number of digits."""
+    return int(decimal.Decimal(digits))
+
+
 def _parse_fraction(text: str, where: str) -> Fraction:
     text = text.strip()
     m = re.fullmatch(r"(-?\d+)(?:/(\d+))?", text)
     if not m:
         raise InstanceError(f"{where}: not a rational: {text!r}")
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) else 1
+    num = _int(m.group(1))
+    den = _int(m.group(2)) if m.group(2) else 1
     if den == 0:
         raise InstanceError(f"{where}: zero denominator in {text!r}")
     return Fraction(num, den)
@@ -68,7 +74,7 @@ def _parse_fraction(text: str, where: str) -> Fraction:
 def _parse_int(text: str, where: str) -> int:
     if not re.fullmatch(r"-?\d+", text.strip()):
         raise InstanceError(f"{where}: not an integer: {text!r}")
-    return int(text)
+    return _int(text)
 
 
 def _parse_bool(text: str, where: str) -> bool:
@@ -100,7 +106,7 @@ def _parse_param_names(text: str, where: str) -> Tuple[Tuple[str, Tuple[int, int
         m = re.fullmatch(r"(\w+)@\((\d+)\s*,\s*(\d+)\)", item)
         if not m:
             raise InstanceError(f"{where}: bad parameter tag {item!r}, expected name@(row,col)")
-        out.append((m.group(1), (int(m.group(2)), int(m.group(3)))))
+        out.append((m.group(1), (_int(m.group(2)), _int(m.group(3)))))
     names = [n for n, _ in out]
     positions = [p for _, p in out]
     if len(set(names)) != len(names):
@@ -240,8 +246,11 @@ def parse_instance_text(text: str, name: str = "") -> InstanceSpec:
 def load_instance(path: str) -> InstanceSpec:
     """Load an instance from a file path or a bundled instance name."""
     if os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as e:
+            raise InstanceError(f"cannot read {path!r}: {e}") from e
         name = os.path.splitext(os.path.basename(path))[0]
         return parse_instance_text(text, name=name)
     bundled = resources.files("hodgeatoms").joinpath("data", f"{path}.instance")

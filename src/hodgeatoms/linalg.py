@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, List, Mapping, Tuple
+from typing import Callable, Iterable, List, Tuple
 
 from .poly import Poly, _pack, _packing, _pdot, _unpack, _zdiv, _zdot
 
@@ -45,9 +45,6 @@ class Matrix:
         variables = tuple(variables)
         return cls([[Poly.const(variables, c) for c in r] for r in rows])
 
-    def entry(self, i: int, j: int) -> Poly:
-        return self.rows[i][j]
-
     def transpose(self) -> "Matrix":
         return Matrix([[self.rows[i][j] for i in range(self.nrows)]
                        for j in range(self.ncols)])
@@ -61,29 +58,14 @@ class Matrix:
         return Matrix([[Poly(self.vars, _zdot((r[k].terms, b) for k, b in col if r[k]))
                         for col in cols] for r in self.rows])
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
-        return Matrix([[a + b for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self.rows, other.rows)])
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + other.map(lambda p: -p)
-
     def map(self, fn: Callable[[Poly], Poly]) -> "Matrix":
         return Matrix([[fn(p) for p in r] for r in self.rows])
-
-    def substitute(self, values: Mapping) -> "Matrix":
-        return self.map(lambda p: p.substitute(values))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
         return (self.nrows, self.ncols) == (other.nrows, other.ncols) and \
             all(a == b for ra, rb in zip(self.rows, other.rows) for a, b in zip(ra, rb))
-
-    def is_zero(self) -> bool:
-        return all(p.is_zero() for r in self.rows for p in r)
 
     def __repr__(self):
         body = "; ".join("[" + ", ".join(p.render() for p in r) + "]" for r in self.rows)

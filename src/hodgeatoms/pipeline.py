@@ -16,8 +16,8 @@ from typing import Any, Dict, List, Optional
 from . import __version__
 from .ansatz import admissible_powers, apply_param_names, build_ansatz, substitute_params
 from .atoms import AtomError, assemble_zero_atoms, exclusion_search, transcendental_invariants
-from .certificate import (chi_json, dump_json, dump_text, equations_json, matrix_json,
-                          operator_json, rat_str, rendered, series_json)
+from .certificate import (chi_json, dump_text, equations_json, matrix_json, operator_json,
+                          rat_str, rendered)
 from .cohomology import AmbientRing
 from .instance import InstanceSpec
 from .periods import get_source, period_coefficients, regularized_coefficients
@@ -132,13 +132,13 @@ def _stage_period(run: PipelineRun, state: Dict[str, Any]) -> None:
                          "factorially rescaled series, not the plain period series; "
                          "residual on the plain series starts " + " + ".join(first))
 
-    state.update(period=g, series=series, reg_q=reg_q, content=content)
+    state.update(period=g, series=series, reg_q=reg_q)
     run.sections["period"] = {
         "status": "ok",
         "source": src.name,
         "description": src.description,
         "order": order,
-        "coefficients": series_json(g),
+        "coefficients": [rat_str(c) for c in g.coeffs],
         "regularized_operator_t": operator_json(src.regularized),
         "transformed_operator_q": operator_json(reg_q),
         "transform_content": rat_str(content),
@@ -165,11 +165,8 @@ def _stage_ansatz(run: PipelineRun, state: Dict[str, Any]) -> None:
     run.check("ansatz.param_mapping",
               sym.params == inst.parameter_order(), mapping)
 
-    ok = True
-    for am in (sym, anti):
-        gram = am.gram.map(lambda p: p.rename_vars(am.matrix.vars))
-        if not (am.matrix.transpose() * gram - gram * am.matrix).is_zero():
-            ok = False
+    ok = all(am.matrix.transpose() * g == g * am.matrix for am in (sym, anti)
+             for g in [am.gram.map(lambda p: p.rename_vars(am.matrix.vars))])
     run.require("ansatz.self_adjointness", ok,
                 "M^T G = G M identically in the parameters, both blocks",
                 "ansatz is not self-adjoint")
@@ -180,7 +177,7 @@ def _stage_ansatz(run: PipelineRun, state: Dict[str, Any]) -> None:
         for j in range(n):
             for i in range(n):
                 allowed = set(admissible_powers(j, i, degrees))
-                got = {ex[-1] for ex in am.matrix.entry(j, i).terms}  # q is the last variable
+                got = {ex[-1] for ex in am.matrix.rows[j][i].terms}  # q is the last variable
                 if not got <= allowed or not {d for d in allowed if d >= 1} <= got:
                     support_ok = False
     run.check("ansatz.support", support_ok,
@@ -188,7 +185,7 @@ def _stage_ansatz(run: PipelineRun, state: Dict[str, Any]) -> None:
 
     classical_ok = all(
         am.matrix.map(lambda p: p.coeff_of("q", 0)) ==
-        am.classical.map(lambda p: p.rename_vars(am.matrix.entry(0, 0).vars))
+        am.classical.map(lambda p: p.rename_vars(am.matrix.vars))
         for am in (sym, anti))
     run.check("ansatz.classical_limit", classical_ok,
               "q = 0 recovers the cup product matrix")
@@ -200,7 +197,7 @@ def _stage_ansatz(run: PipelineRun, state: Dict[str, Any]) -> None:
                 "antisymmetric reduction did not leave one parameter")
     mminus = substitute_params(anti, {anti.params[0]: nval})
 
-    state.update(ring=ring, basis=basis, sym=sym, anti=anti, mminus=mminus)
+    state.update(basis=basis, sym=sym, mminus=mminus)
     sym_json, anti_json = matrix_json(sym.matrix), matrix_json(mminus)
     run.sections["ansatz"] = {
         "status": "ok",
@@ -278,8 +275,7 @@ def _stage_solve(run: PipelineRun, state: Dict[str, Any]) -> None:
                 f"solved operator annihilates the period through q^{order}",
                 "solved operator does not annihilate the period")
 
-    state.update(solution=values, numeric_op=numeric,
-                 mplus=substitute_params(state["sym"], values))
+    state["mplus"] = substitute_params(state["sym"], values)
     run.sections["solve"] = {
         "status": "ok",
         "equations": equations_json(report.params, report.equations),
@@ -462,10 +458,6 @@ def build_certificate(run: PipelineRun) -> Dict[str, Any]:
     for section in ("period", "ansatz", "operator", "solve", "spectrum", "atoms"):
         cert[section] = run.sections[section]
     return cert
-
-
-def certificate_json(run: PipelineRun) -> str:
-    return dump_json(build_certificate(run))
 
 
 def certificate_text(run: PipelineRun) -> str:

@@ -41,10 +41,6 @@ class DiffOperator:
     def q_degree(self) -> int:
         return max(c.degree_in("q") for c in self.coeffs)
 
-    def parameters_present(self) -> Tuple[str, ...]:
-        return tuple(dict.fromkeys(v for c in self.coeffs for v in c.variables_present()
-                                   if v != "q"))
-
     def substitute(self, values: Mapping[str, Fraction]) -> "DiffOperator":
         subs = {k: Fraction(v) for k, v in values.items()}
         coeffs = [c.substitute(subs).rename_vars(("q",)) for c in self.coeffs]
@@ -140,7 +136,7 @@ def cofactor_identity_holds(op: DiffOperator, rows: Matrix) -> bool:
 def apply(op: DiffOperator, f: Series) -> Series:
     """Apply a parameter-free operator; the result is exact through
     f.order minus the operator's q-degree."""
-    extra = op.parameters_present()
+    extra = tuple(dict.fromkeys(v for c in op.coeffs for v in c.variables_present() if v != "q"))
     if extra:
         raise ValueError(f"operator carries unknown parameters {extra}")
     if f.order < op.q_degree():

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from .linalg import rref
-from .poly import Poly
+from .poly import Poly, rat_str
 from .spectrum import rational_roots
 
 
@@ -110,7 +110,7 @@ def solve_parameters(equations: Sequence[Tuple[int, int, Dict[tuple, int]]],
         bad = [n for n in enumerative
                if values[n].denominator != 1 or values[n] < 0]
         if bad:
-            detail = ", ".join(f"{n} = {values[n]}" for n in bad)
+            detail = ", ".join(f"{n} = {rat_str(values[n])}" for n in bad)
             rejected.append((sol, f"not a non-negative integer: {detail}"))
         else:
             accepted.append(sol)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import List, Tuple
 
 from .linalg import LAM, Matrix, char_poly
-from .poly import Poly
+from .poly import Poly, rat_str
 from .qde import DiffOperator
 
 
@@ -39,10 +39,8 @@ class BlockSpectrum:
         elif self.zero_multiplicity > 1:
             parts.append(f"{LAM}^{self.zero_multiplicity}")
         for c in self.square_factors:
-            if c > 0:
-                parts.append(f"({LAM}^2 - {c}*q)")
-            else:
-                parts.append(f"({LAM}^2 + {-c}*q)")
+            parts.append(f"({LAM}^2 - {rat_str(c)}*q)" if c > 0 else
+                         f"({LAM}^2 + {rat_str(-c)}*q)")
         return "*".join(parts) if parts else "1"
 
 

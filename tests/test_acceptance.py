@@ -7,20 +7,20 @@ rendered strings; there are no tolerances anywhere.
 
 from fractions import Fraction
 
-from hodgeatoms.atoms import (assemble_zero_atoms, atom_sum, curve_centre,
-                              exclusion_search, point_centre)
-from hodgeatoms.certificate import chi_render
+from hodgeatoms.atoms import assemble_zero_atoms, atom_sum, exclusion_search
+from hodgeatoms.certificate import chi_render, dump_json
 from hodgeatoms.cohomology import gram_matrix, swap
 from hodgeatoms.instance import load_instance
 from hodgeatoms.linalg import char_poly
 from hodgeatoms.periods import (get_source, period_coefficients,
                                 regularized_coefficients)
-from hodgeatoms.pipeline import certificate_json, exit_code, run_pipeline
+from hodgeatoms.pipeline import build_certificate, exit_code, run_pipeline
 from hodgeatoms.poly import Poly
 from hodgeatoms.qde import (apply, cofactor_identity_holds, cyclic_rows,
                             match_equations, transform_even_operator)
 from hodgeatoms.solve import solve_parameters
 from hodgeatoms.spectrum import reciprocity_check
+from test_atoms import curve_centre, point_centre
 
 
 def test_criterion_01_period_reproduction(period16):
@@ -130,8 +130,7 @@ def test_criterion_09_property_suites(ring, basis, sym_ansatz, anti_ansatz,
     for am, block in ((sym_ansatz, basis.symmetric),
                       (anti_ansatz, basis.antisymmetric)):
         gram = gram_matrix(ring, block, am.matrix.rows[0][0].vars)
-        residual = am.matrix.transpose() * gram - gram * am.matrix
-        assert all(p.is_zero() for r in residual.rows for p in r)
+        assert am.matrix.transpose() * gram == gram * am.matrix
 
     # the eliminated operator satisfies its defining symbolic identity
     rows = cyclic_rows(sym_ansatz.matrix, verra.component, parametric_op.order)
@@ -153,8 +152,8 @@ def test_criterion_09_property_suites(ring, basis, sym_ansatz, anti_ansatz,
     assert split.hodge == base.hodge + c.hodge + Poly(("t",), {(0,): 3})
 
     # byte-identical certificates from two independent runs
-    j1 = certificate_json(run_pipeline(verra))
-    j2 = certificate_json(run_pipeline(load_instance("verra")))
+    j1 = dump_json(build_certificate(run_pipeline(verra)))
+    j2 = dump_json(build_certificate(run_pipeline(load_instance("verra"))))
     assert j1 == j2
 
 

@@ -1,15 +1,39 @@
-"""Atom invariants, centre models, blowup bookkeeping, exclusion search."""
+"""Atom invariants, blowup bookkeeping, exclusion search, and the centre
+models that serve as the exclusion search's reference."""
 
 from itertools import combinations_with_replacement
 
 import pytest
 
 from hodgeatoms.atoms import (AtomError, AtomInvariants, assemble_zero_atoms,
-                              atom_sum, curve_centre, exclusion_search,
-                              hodge_poly, obstruction_applies,
-                              point_centre, surface_centre,
-                              transcendental_invariants)
+                              atom_sum, exclusion_search, hodge_poly,
+                              obstruction_applies, transcendental_invariants)
 from hodgeatoms.instance import load_instance
+
+
+# -- centre contribution models ------------------------------------------------
+
+def point_centre() -> AtomInvariants:
+    return AtomInvariants(1, hodge_poly({0: 1}), "point")
+
+
+def curve_centre(genus: int) -> AtomInvariants:
+    # classes in degrees 0 and 2 are always rational; the genus part has
+    # |p - q| = 1
+    if genus < 0:
+        raise AtomError("negative genus")
+    return AtomInvariants(2, hodge_poly({1: genus, 0: 2, -1: genus}),
+                          f"curve(g={genus})")
+
+
+def surface_centre(h20: int, h10: int, h11: int) -> AtomInvariants:
+    """Conservative surface model: H^0, H^4 and one (1,1) class are rational."""
+    if h20 < 0 or h10 < 0:
+        raise AtomError("negative Hodge number")
+    if h11 < 1:
+        raise AtomError("a surface has at least one (1,1) class")
+    hodge = hodge_poly({2: h20, 1: 2 * h10, 0: 2 + h11, -1: 2 * h10, -2: h20})
+    return AtomInvariants(3, hodge, f"surface(h20={h20},h10={h10},h11={h11})")
 
 
 def test_invariant_validation():
@@ -99,13 +123,13 @@ def test_exclusion_empty_for_obstructed(verra):
 
 def test_exclusion_finds_assemblies():
     s = surface_centre(1, 0, 1)
-    assert exclusion_search(s) == [(("surface(h20=1,h10=0,h11=1)", 1),)]
-    assert exclusion_search(point_centre()) == [(("point", 1),)]
+    assert exclusion_search(s, 3, 3) == [(("surface(h20=1,h10=0,h11=1)", 1),)]
+    assert exclusion_search(point_centre(), 3, 3) == [(("point", 1),)]
 
 
 def exclusion_reference(target, max_centres, max_genus):
-    """exclusion_search as it was: every combination re-sums rho and re-reads
-    each centre's t^2 coefficient."""
+    """exclusion_search from the centre models: every combination re-sums rho
+    and re-reads each centre's t^2 coefficient."""
     t2 = target.t2_coefficient()
     kinds = [point_centre()]
     kinds += [curve_centre(g) for g in range(max_genus + 1)]

@@ -6,11 +6,10 @@ from hypothesis import given, strategies as st
 
 from hodgeatoms.certificate import (chi_json, chi_render, dump_json, dump_text,
                                     equations_json, matrix_json, operator_json,
-                                    poly_json, rat_str, rendered, series_json)
+                                    poly_json, rat_str, rendered)
 from hodgeatoms.linalg import LAM, Matrix
 from hodgeatoms.poly import Poly
 from hodgeatoms.qde import DiffOperator
-from hodgeatoms.series import Series
 
 Q = ("q",)
 
@@ -100,9 +99,8 @@ def test_equation_json_frozen_cases():
     assert equations_json(STU, []) == {}
 
 
-def test_series_json():
-    s = Series([Fraction(1), Fraction(4), Fraction(280, 9)])
-    assert series_json(s) == ["1", "4", "280/9"]
+def test_period_coefficients_json(full_run):
+    assert full_run.sections["period"]["coefficients"][:4] == ["1", "4", "15", "280/9"]
 
 
 def test_operator_json():

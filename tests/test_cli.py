@@ -407,6 +407,20 @@ def test_unknown_instance(capsys):
     assert "no such instance" in err
 
 
+def test_instance_directory_is_a_configuration_error(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "certify", "--instance", str(tmp_path))
+    assert code == 1
+    assert err.startswith("hodgeatoms: cannot read") and "Traceback" not in err
+
+
+def test_instance_not_utf8_is_a_configuration_error(capsys, tmp_path):
+    path = tmp_path / "latin1.instance"
+    path.write_bytes("[meta] author=Ren\xe9".encode("latin-1"))
+    code, _, err = run_cli(capsys, "certify", "--instance", str(path))
+    assert code == 1
+    assert err.startswith("hodgeatoms: cannot read") and "Traceback" not in err
+
+
 def test_low_order_refused(capsys):
     code, _, err = run_cli(capsys, "solve", "--order", "8")
     assert code == 1

@@ -12,6 +12,7 @@ import pytest
 
 from hodgeatoms import solve, spectrum
 from hodgeatoms.cli import main
+from hodgeatoms.instance import parse_instance_text
 
 VERRA = (Path(__file__).resolve().parents[1] / "src" / "hodgeatoms" / "data"
          / "verra.instance").read_text(encoding="utf-8")
@@ -39,6 +40,7 @@ MUTATIONS = [
     ("pairing=2/1", "pairing=1/1", 0),
     ("s@(0,1),t@(1,2)", "s@(1,2),t@(0,1)", 0),
     ("N=-4/1", "N=-4000000000002/1", 0),
+    ("N=-4/1", "N=-" + "4" * 5000 + "/1", 0),  # past Python's 4,300-digit int limit
     ("h31=1", "h31=2", 0),
     ("[run] order=16", "[run]\norder=16", 0),  # a header on its own line
 ]
@@ -52,7 +54,7 @@ def _on_alarm(signum, frame):
     raise CaseTimeout()
 
 
-@pytest.mark.parametrize("old, new, code", MUTATIONS, ids=[m[1] for m in MUTATIONS])
+@pytest.mark.parametrize("old, new, code", MUTATIONS, ids=[m[1][:40] for m in MUTATIONS])
 def test_mutated_instance_ends_cleanly(tmp_path, capsys, old, new, code):
     assert VERRA.count(old) == 1
     path = tmp_path / "mutated.instance"
@@ -68,6 +70,11 @@ def test_mutated_instance_ends_cleanly(tmp_path, capsys, old, new, code):
         signal.signal(signal.SIGALRM, previous)
     assert "Traceback" not in capsys.readouterr().err
     assert got == code
+
+
+def test_an_order_of_5000_digits_parses():
+    spec = parse_instance_text(VERRA.replace("order=16", "order=" + "1" * 5000))
+    assert spec.order == (10 ** 5000 - 1) // 9
 
 
 def test_roots_are_only_ever_asked_of_quadratics(tmp_path, capsys, monkeypatch):

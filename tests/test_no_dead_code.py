@@ -147,3 +147,26 @@ def test_every_dataclass_field_is_read_at_run_time(monkeypatch, capsys):
     assert {cls.__name__ for cls in classes} == {c for _, c, _ in _fields(_trees())}
     assert [f"{cls.__name__}.{f.name}" for cls in classes for f in dataclasses.fields(cls)
             if (cls, f.name) not in reads] == []
+
+
+def _state_keys(tree):
+    """(written, read) keys of the run state in tree: writes by state.update(k=...)
+    and state["k"] = ..., reads by state["k"] and state.get("k")."""
+    written, read = set(), set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Subscript) and isinstance(n.value, ast.Name) \
+                and n.value.id == "state" and isinstance(n.slice, ast.Constant):
+            (written if isinstance(n.ctx, ast.Store) else read).add(n.slice.value)
+        elif isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) \
+                and isinstance(n.func.value, ast.Name) and n.func.value.id == "state":
+            if n.func.attr == "update":
+                written |= {kw.arg for kw in n.keywords}
+            elif n.func.attr == "get":
+                read |= {a.value for a in n.args[:1] if isinstance(a, ast.Constant)}
+    return written, read
+
+
+def test_every_run_state_key_is_read():
+    written, read = _state_keys(ast.parse((PACKAGE / "pipeline.py").read_text(encoding="utf-8")))
+    unread = sorted(written - read)
+    assert written and not unread, f"run state keys written but never read: {unread}"

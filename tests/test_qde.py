@@ -39,7 +39,6 @@ def test_operator_basics():
     op = DiffOperator((qp((1, -2)), qp((0, 1))))
     assert op.order == 1
     assert op.q_degree() == 1
-    assert op.parameters_present() == ()
     assert op.render() == "D - 2*q"
     with pytest.raises(ValueError, match="leading coefficient"):
         DiffOperator((qp((0, 1)), qp()))

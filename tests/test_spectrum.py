@@ -53,7 +53,7 @@ def test_kappa_char_rejects_parameters(sym_ansatz):
 
 
 def test_classical_limit_is_nilpotent(mplus):
-    at_q0 = mplus.substitute({"q": Fraction(0)})
+    at_q0 = mplus.map(lambda p: p.substitute({"q": Fraction(0)}))
     spec = factor_template(char_poly(at_q0), "symmetric")
     assert spec.zero_multiplicity == 6
     assert spec.square_factors == ()
