@@ -9,6 +9,7 @@ coefficients are emitted in a fixed order.
 
 from __future__ import annotations
 
+import decimal
 import json
 import math
 from fractions import Fraction
@@ -29,15 +30,21 @@ def poly_json(p: Poly):
     return p.render()
 
 
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)  # exact for any length
+
+
 def equations_json(params: Tuple[str, ...],
                    equations: Sequence[Tuple[int, int, Dict[tuple, int]]]) -> Dict[str, Any]:
     """solve.equations: poly_json of sum terms[ex] / den * params^ex under "q^m" for
-    each (m, den, terms), by one gcd per term; each monomial's text is built once."""
+    each (m, den, terms); den goes to decimal once, each term's den / gcd(v, den) is
+    a decimal division, and each monomial's text is built once."""
     monos: dict = {}
     out = {}
     for m, den, terms in equations:
-        text = render_terms(params, [(ex, v // g, den // g) for ex, v in terms.items()
-                                     for g in [math.gcd(v, den)]], monos=monos)
+        dec = decimal.Decimal(den)
+        text = render_terms(params, [(ex, v // g, _EXACT.divide_int(dec, g))
+                                     for ex, v in terms.items() for g in [math.gcd(v, den)]],
+                            monos=monos)
         out[f"q^{m}"] = text if any(map(any, terms)) else [text]
     return out
 

@@ -88,8 +88,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.out:
         payload = dump_json(build_certificate(run)) if args.format == "json" \
             else certificate_text(run)
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as e:
+            print(f"hodgeatoms: cannot write {args.out!r}: {e}", file=sys.stderr)
+            return 1
         if args.command == "certify":
             print(f"verdict: {run.verdict}")
         else:

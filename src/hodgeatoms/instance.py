@@ -26,6 +26,8 @@ from fractions import Fraction
 from importlib import resources
 from typing import Dict, List, Optional, Tuple
 
+from .poly import rat_str
+
 
 class InstanceError(ValueError):
     pass
@@ -203,14 +205,16 @@ def parse_instance_text(text: str, name: str = "") -> InstanceSpec:
         raise InstanceError("[hodge]: dimensions must be non-negative")
     if sum(tdecomp) != dim_t:
         raise InstanceError(
-            f"[hodge] tdecomp: decomposition sums to {sum(tdecomp)}, dimT is {dim_t}")
+            f"[hodge] tdecomp: decomposition sums to {rat_str(sum(tdecomp))}, "
+            f"dimT is {rat_str(dim_t)}")
     if tdecomp != tuple(reversed(tdecomp)):
         raise InstanceError("[hodge] tdecomp: decomposition must be Hodge-symmetric")
     ambient_middle = nilpotency  # monomials H1^a H2^b with a+b = nilpotency-1
     if dim_t + ambient_middle != middle:
         raise InstanceError(
-            f"[hodge] middle: dimT {dim_t} plus ambient middle rank {ambient_middle} "
-            f"is {dim_t + ambient_middle}, middle is {middle}")
+            f"[hodge] middle: dimT {rat_str(dim_t)} plus ambient middle rank "
+            f"{rat_str(ambient_middle)} is {rat_str(dim_t + ambient_middle)}, "
+            f"middle is {rat_str(middle)}")
 
     n_invariant = _parse_fraction(need("quantum", "N"), where("quantum", "N"))
     enumerative = tuple(x.strip() for x in need("quantum", "enumerative").split(",") if x.strip())
@@ -223,7 +227,8 @@ def parse_instance_text(text: str, name: str = "") -> InstanceSpec:
     sym_dim = nilpotency * (nilpotency + 1) // 2
     if not (0 <= component < sym_dim):
         raise InstanceError(
-            f"[quantum] component: {component} outside the symmetric block (dimension {sym_dim})")
+            f"[quantum] component: {rat_str(component)} outside the symmetric block "
+            f"(dimension {rat_str(sym_dim)})")
 
     period_source = need("period", "source")
 

@@ -28,17 +28,18 @@ class PeriodSource:
 
 def _verra_coefficients(order: int) -> List[Fraction]:
     # closed two-point sum for the double cover of P2 x P2 in the
-    # anticanonical Novikov slice, a_m = (2m)! f_m / m!^4, with f_m =
-    # Sum_l C(m,l)^3 the Franel numbers from their recurrence
-    # (n+1)^2 f_(n+1) = (7n^2 + 7n + 2) f_n + 8n^2 f_(n-1)
-    out, prev, franel, top, bottom = [], 0, 1, 1, 1
+    # anticanonical Novikov slice, a_m = (2m)! f_m / m!^4 = C(2m,m) f_m / m!^2,
+    # with f_m = Sum_l C(m,l)^3 the Franel numbers from their recurrence
+    # (n+1)^2 f_(n+1) = (7n^2 + 7n + 2) f_n + 8n^2 f_(n-1), and the central
+    # binomials from C(2m,m) = C(2m-2,m-1) (2m-1) 2 / m
+    out, prev, franel, central, bottom = [], 0, 1, 1, 1
     for m in range(order + 1):
         if m:
             n = m - 1
             prev, franel = franel, ((7 * n * n + 7 * n + 2) * franel + 8 * n * n * prev) // (m * m)
-            top *= (2 * m - 1) * 2 * m
-            bottom *= m ** 4
-        out.append(Fraction(top * franel, bottom))
+            central = central * (2 * m - 1) * 2 // m
+            bottom *= m * m
+        out.append(Fraction(central * franel, bottom))
     return out
 
 

@@ -41,10 +41,10 @@ def rational_content(values: Iterable[Fraction]) -> Fraction:
     return Fraction(num, den) if num else Fraction(0)
 
 
-def _digits(num: int, den: int) -> str:
-    """"|num|" or "|num|/den" in decimal; Decimal has no digit limit."""
-    digits = (abs(num),) if den == 1 else (abs(num), den)
-    return "/".join(str(decimal.Decimal(n)) for n in digits)
+def _digits(num: int, den) -> str:
+    """"|num|" or "|num|/den" in decimal, den an int or a Decimal; no digit limit."""
+    text = str(decimal.Decimal(abs(num)))
+    return text if den == 1 else text + "/" + str(decimal.Decimal(den))
 
 
 def rat_str(x: Scalar) -> str:
@@ -56,9 +56,9 @@ def rat_str(x: Scalar) -> str:
 def render_terms(variables: Tuple[str, ...], items, ascending: bool = False,
                  monos: dict | None = None) -> str:
     """The one text form of a polynomial, from its terms (exponent, numerator,
-    denominator), each in lowest terms with a positive denominator: graded-lex
-    order, leading term first unless ascending; "0" for no terms. monos, when
-    given, keeps each monomial's text (exponent -> text) for later calls."""
+    denominator), each in lowest terms with a positive int or Decimal denominator:
+    graded-lex order, leading term first unless ascending; "0" for no terms. monos,
+    when given, keeps each monomial's text (exponent -> text) for later calls."""
     monos = {} if monos is None else monos
     parts = []
     for ex, num, den in sorted(items, key=lambda t: _grlex_key(t[0]), reverse=not ascending):

@@ -16,7 +16,7 @@ class Series:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar]):
-        self.coeffs = [Fraction(c) for c in coeffs]
+        self.coeffs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
         if not self.coeffs:
             raise ValueError("series needs at least the constant coefficient")
 

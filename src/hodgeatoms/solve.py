@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Dict, List, Sequence, Tuple
 
 from .linalg import rref
@@ -67,16 +68,15 @@ def solve_parameters(equations: Sequence[Tuple[int, int, Dict[tuple, int]]],
     rows = [[e.get(ex, 0) for ex in cols] for e in canon]
 
     # Gauss-Jordan only on the rows found independent so far. Any other row r
-    # lies in their span iff d r[j] = sum_c r[p_c] (d R_c)[j] on every
-    # non-pivot column j, with R the reduced rows, p_c their pivots and d
-    # their common denominator; the right-hand side must follow.
+    # lies in their span iff d r[j] = sum_c r[p_c] (d R_c)[j] on every non-pivot
+    # column j (R the reduced rows, p_c their pivots, d their common denominator;
+    # free pairs each such j with column j of d R); the right-hand side must follow.
     basis: List[List[Fraction]] = []
     pivots: List[int] = []
-    scaled: List[List[int]] = []
-    d, free = 1, list(range(len(cols)))
+    d, free = 1, [(j, []) for j in range(len(cols))]
     for row in rows:
-        excess = [d * row[j] - sum(row[p] * s[j] for p, s in zip(pivots, scaled))
-                  for j in free]
+        at = [row[p] for p in pivots]
+        excess = [d * row[j] - sum(map(mul, at, col)) for j, col in free]
         if not any(excess[:-1]):
             if excess[-1]:
                 raise SolveError("inconsistent linearized system")
@@ -84,8 +84,8 @@ def solve_parameters(equations: Sequence[Tuple[int, int, Dict[tuple, int]]],
         basis.append([Fraction(x) for x in row])
         pivots = rref(basis, len(monos))
         d = math.lcm(*(x.denominator for r in basis for x in r))
-        scaled = [[(x * d).numerator for x in r] for r in basis]
-        free = [j for j in range(len(cols)) if j not in pivots]
+        free = [(j, [(r[j] * d).numerator for r in basis])
+                for j in range(len(cols)) if j not in pivots]
 
     # de-linearize the reduced rows back into polynomial equations
     reduced = [Poly(params, dict(zip(cols, r))) for r in basis]
@@ -100,7 +100,7 @@ def solve_parameters(equations: Sequence[Tuple[int, int, Dict[tuple, int]]],
         den = math.lcm(*(Fraction(v).denominator for v in vals))
         ints = [(v * den).numerator for v in vals]
         for (order, _, _), row in zip(equations, rows):
-            if sum(a * b for a, b in zip(row, ints)):
+            if sum(map(mul, row, ints)):
                 raise SolveError(f"candidate {dict(zip(params, sol))} fails the "
                                  f"q^{order} equation (internal error)")
 

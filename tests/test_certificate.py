@@ -1,5 +1,6 @@
 """Canonical serialization of exact objects."""
 
+import math
 from fractions import Fraction
 
 from hypothesis import given, strategies as st
@@ -8,7 +9,7 @@ from hodgeatoms.certificate import (chi_json, chi_render, dump_json, dump_text,
                                     equations_json, matrix_json, operator_json,
                                     poly_json, rat_str, rendered)
 from hodgeatoms.linalg import LAM, Matrix
-from hodgeatoms.poly import Poly
+from hodgeatoms.poly import Poly, render_terms
 from hodgeatoms.qde import DiffOperator
 
 Q = ("q",)
@@ -60,11 +61,19 @@ _EXPONENTS = [(a, b, c) for a in range(3) for b in range(3) for c in range(3) if
 @st.composite
 def integer_equations(draw):
     """(den, terms) as solve reports its equations: coefficients of +-1,
-    numerators sharing part of den, large ones, and constant-only equations."""
-    den = draw(st.integers(1, 60))
-    shared = draw(st.integers(1, den))
+    numerators sharing part of den, large ones, and constant-only equations;
+    small denominators, or the shape at depth: denominators of up to 2,400
+    bits and numerators of up to 460 bits sharing a 16-64-bit factor."""
+    if draw(st.booleans()):
+        den = draw(st.integers(1, 60))
+        shared = draw(st.integers(1, den))
+        multiples = st.integers(-40, 40)
+    else:
+        shared = draw(st.integers(2 ** 15, 2 ** 64))
+        den = shared * draw(st.integers(1, 2 ** 2400 // shared))
+        multiples = st.integers(-2 ** 400, 2 ** 400)
     values = st.one_of(st.sampled_from([den, -den]),
-                       st.integers(-40, 40).map(lambda k: k * shared),
+                       multiples.map(lambda k: k * shared),
                        st.integers(-10 ** 40, 10 ** 40)).filter(bool)
     terms = draw(st.one_of(
         st.dictionaries(st.sampled_from(_EXPONENTS), values, min_size=1, max_size=7),
@@ -72,10 +81,24 @@ def integer_equations(draw):
     return den, terms
 
 
+def _equations_reference(params, equations):
+    # equations_json as it was before the decimal denominator per equation:
+    # den // g as an int for every term
+    monos: dict = {}
+    out = {}
+    for m, den, terms in equations:
+        text = render_terms(params, [(ex, v // g, den // g) for ex, v in terms.items()
+                                     for g in [math.gcd(v, den)]], monos=monos)
+        out[f"q^{m}"] = text if any(map(any, terms)) else [text]
+    return out
+
+
 @given(st.lists(integer_equations(), min_size=1, max_size=4))
 def test_equation_json_is_poly_json_of_the_fraction_form(equations):
     # one section of several equations shares its monomial texts
-    section = equations_json(STU, [(m, den, terms) for m, (den, terms) in enumerate(equations)])
+    numbered = [(m, den, terms) for m, (den, terms) in enumerate(equations)]
+    section = equations_json(STU, numbered)
+    assert section == _equations_reference(STU, numbered)
     assert list(section) == [f"q^{m}" for m in range(len(equations))]
     for m, (den, terms) in enumerate(equations):
         p = Poly(STU, {ex: Fraction(v, den) for ex, v in terms.items()})
@@ -85,6 +108,19 @@ def test_equation_json_is_poly_json_of_the_fraction_form(equations):
         assert poly_json(p) == expected
         assert p.render() == text
         assert p.render(ascending=True) == _render_reference(p, ascending=True)
+
+
+def test_equation_json_past_the_digit_limit():
+    # a 5,000-digit denominator and numerators sharing a 64-bit factor with it
+    shared = 2 ** 64 - 59
+    den = shared * (10 ** 5000 // shared + 7)
+    terms = {(1, 0, 0): 3 * shared, (0, 1, 0): -(10 ** 4500 + 1) * shared,
+             (0, 0, 0): den - 1, (0, 0, 2): den}
+    section = equations_json(STU, [(9, den, terms)])
+    assert section == _equations_reference(STU, [(9, den, terms)])
+    parts = section["q^9"].split(" ")
+    assert parts[0] == "u^2"
+    assert len(parts[-1]) > 10000 and parts[-1] == rat_str(Fraction(den - 1, den))
 
 
 def test_equation_json_frozen_cases():

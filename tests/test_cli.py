@@ -70,11 +70,14 @@ def test_certify_json_at_order_400_is_pinned(capsys):
 
 def test_certify_past_the_digit_limit(capsys):
     # a_888 is the first period coefficient with more than 4,300 digits, the
-    # interpreter's default limit for int to str; the run still certifies
+    # interpreter's default limit for int to str; the run still certifies,
+    # and its bytes are pinned
     code, out, err = run_cli(capsys, "certify", "--format", "json", "--order", "900")
     assert code == 0
     assert "Traceback" not in err
     assert json.loads(out)["verdict"] == "IRRATIONAL_CERTIFIED"
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "02f0c156f331c4584d1a426e8d757c89d4657c7742525c8c78fce6199bd381f9")
 
 
 def test_one_period_series_per_certify(capsys, monkeypatch):
@@ -378,6 +381,14 @@ def test_out_text(capsys, tmp_path):
     body = path.read_text()
     assert body.startswith("verdict")
     assert "not run" in body
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "a-directory"])
+def test_out_path_that_cannot_be_written_is_a_configuration_error(capsys, tmp_path, where):
+    path = tmp_path / "no" / "such" / "c.json" if where == "missing-dir" else tmp_path
+    code, _, err = run_cli(capsys, "certify", "--format", "json", "--out", str(path))
+    assert code == 1
+    assert err.startswith("hodgeatoms: cannot write") and "Traceback" not in err
 
 
 def test_broken_fixture(capsys):

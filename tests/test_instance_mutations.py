@@ -41,6 +41,9 @@ MUTATIONS = [
     ("s@(0,1),t@(1,2)", "s@(1,2),t@(0,1)", 0),
     ("N=-4/1", "N=-4000000000002/1", 0),
     ("N=-4/1", "N=-" + "4" * 5000 + "/1", 0),  # past Python's 4,300-digit int limit
+    ("component=5", "component=" + "5" * 5000, 1),  # messages past the digit limit
+    ("middle=24", "middle=" + "2" * 5000, 1),
+    ("tdecomp=1,19,1", "tdecomp=" + "1" * 5000 + ",19," + "1" * 5000, 1),
     ("h31=1", "h31=2", 0),
     ("[run] order=16", "[run]\norder=16", 0),  # a header on its own line
 ]

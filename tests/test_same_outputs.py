@@ -33,4 +33,6 @@ def test_a_changed_certificate_is_reported(tmp_path):
     assert proc.returncode == 1, proc.stderr
     lines = proc.stdout.splitlines()
     assert [line.split(":")[0] for line in lines[:-1]] == ["verra/c5/o11", "broken-a0plus/c5/o12"]
+    # the certificate sections that differ are named
+    assert [line.split("; sections ")[1] for line in lines[:-1]] == ["engine_version"] * 2
     assert lines[-1] == "2 cases, 2 differ in status, exit code or sha256"

@@ -25,3 +25,15 @@ def test_coeff_bounds():
 def test_is_zero():
     assert Series([0, 0]).is_zero()
     assert not Series([0, 1]).is_zero()
+
+
+def test_fractions_are_kept_and_the_rest_converted():
+    half = Fraction(1, 2)
+    s = Series([half, 3])
+    assert s.coeffs[0] is half
+    assert type(s.coeffs[1]) is Fraction and s.coeffs[1] == 3
+    assert s.truncate(0).coeffs[0] is half
+    with pytest.raises(TypeError):
+        Series([1, object()])
+    with pytest.raises(TypeError):
+        Series([None])

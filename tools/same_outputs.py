@@ -13,7 +13,8 @@ turn through ``cases.run_case`` under the largest per-case budget of the
 workloads that hold it, with the instance files both trees read written once.
 
 One line is printed for each case whose status, exit code or output sha256
-differs between the trees, then a summary line. The exit code is 1 if any
+differs between the trees, naming the top-level certificate keys whose JSON
+differs, then a summary line. The exit code is 1 if any
 case differs, else 0.
 """
 
@@ -43,9 +44,19 @@ def pool() -> dict:
     return out
 
 
+def sections(output: str) -> dict:
+    """Top-level certificate key -> sha256 of its canonical JSON; {} when the
+    run printed no certificate, as on a configuration error."""
+    try:
+        cert = json.loads(output)
+    except ValueError:
+        return {}
+    return {k: digest(json.dumps(v, sort_keys=True)) for k, v in cert.items()}
+
+
 def outcomes(src: str, work: str, keys) -> dict:
-    """key -> [status, exit code, output sha256] with the engine under src;
-    meant for a fresh process, which imports that engine."""
+    """key -> [status, exit code, output sha256, section sha256s] with the
+    engine under src; meant for a fresh process, which imports that engine."""
     sys.path.insert(0, os.path.abspath(src))
     from hodgeatoms.cli import main
     engine = sys.modules["hodgeatoms"].__file__
@@ -56,7 +67,9 @@ def outcomes(src: str, work: str, keys) -> dict:
     for key in keys:
         case, budget = cases[key]
         o = run_case(main, case_argv(work, case), key, budget)
-        result[key] = [o.status, o.exit_code, digest(o.output) if o.status == "done" else None]
+        done = o.status == "done"
+        result[key] = [o.status, o.exit_code, digest(o.output) if done else None,
+                       sections(o.output) if done else {}]
     return result
 
 
@@ -91,7 +104,9 @@ def main(argv=None) -> int:
         change = run_tree(args.change_src, work, keys)
     differ = [k for k in keys if parent[k] != change[k]]
     for k in differ:
-        print(f"{k}: parent {parent[k]} change {change[k]}")
+        (*was, old), (*now, new) = parent[k], change[k]
+        moved = sorted(n for n in old.keys() | new.keys() if old.get(n) != new.get(n))
+        print(f"{k}: parent {was} change {now}; sections {', '.join(moved) or 'none'}")
     print(f"{len(keys)} cases, {len(differ)} differ in status, exit code or sha256")
     return 1 if differ else 0
 
