@@ -21,7 +21,7 @@ verra = load_instance("verra")
 trans = transcendental_invariants(verra)
 print("transcendental atom:", trans.render())
 
-case_plus, case_minus = assemble_zero_atoms(verra, 2, 1)
+case_plus, case_minus = assemble_zero_atoms(trans, 2, 1)
 for case in (case_plus, case_minus):
     print(f"\nplacement {case.name}:")
     print("  ", case.plus.render())

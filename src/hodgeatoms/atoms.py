@@ -95,7 +95,7 @@ class PlacementCase:
         return None
 
 
-def assemble_zero_atoms(instance: InstanceSpec, zero_plus: int,
+def assemble_zero_atoms(trans: AtomInvariants, zero_plus: int,
                         zero_minus: int) -> Tuple[PlacementCase, PlacementCase]:
     """Both placements of T against the ambient zero eigenspaces.
 
@@ -103,7 +103,6 @@ def assemble_zero_atoms(instance: InstanceSpec, zero_plus: int,
     entirely in one of the two involution eigenspaces, and which one is
     not known, so both cases are returned.
     """
-    trans = transcendental_invariants(instance)
     ambient_plus = AtomInvariants(zero_plus, hodge_poly({0: zero_plus}), "E_0^+")
     ambient_minus = AtomInvariants(zero_minus, hodge_poly({0: zero_minus}), "E_0^-")
     case_plus = PlacementCase(
@@ -137,7 +136,8 @@ def exclusion_search(target: AtomInvariants, max_centres: int,
     t2 = target.t2_coefficient()
     kinds = [(0, 1, "point")]
     kinds += [(0, 2, f"curve(g={g})") for g in range(max_genus + 1)]
-    kinds += [(h20, 3, f"surface(h20={h20},h10=0,h11=1)") for h20 in range(t2 + 1)]
+    if target.rho >= 3:  # a surface's rho; below it no surface fits
+        kinds += [(h20, 3, f"surface(h20={h20},h10=0,h11=1)") for h20 in range(t2 + 1)]
     hits = []
     for count in range(1, max_centres + 1):
         for combo in combinations_with_replacement(kinds, count):

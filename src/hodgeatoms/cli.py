@@ -13,27 +13,19 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .certificate import dump_json
+from .certificate import dump_json, dump_text
 from .instance import InstanceError, load_instance
-from .pipeline import (SATURATION_ORDER, STAGES, PipelineRun, build_certificate,
-                       certificate_text, exit_code, run_pipeline)
+from .pipeline import (SATURATION_ORDER, STAGES, PipelineRun, build_certificate, exit_code,
+                       run_pipeline)
 
-_THROUGH_OF = {
-    "period": "period",
-    "ansatz": "ansatz",
-    "derive-operator": "eliminate",
-    "solve": "solve",
-    "spectrum": "spectrum",
-    "certify": "verdict",
-}
-
-_HELP = {
-    "period": "quantum period coefficients",
-    "ansatz": "quantum multiplication matrices from degree and self-adjointness",
-    "derive-operator": "scalar operator by cyclic-vector elimination",
-    "solve": "unknown parameters by coefficient matching",
-    "spectrum": "characteristic polynomials and eigenvalue squares",
-    "certify": "full pipeline and irrationality certificate",
+# subcommand -> (the stage it runs through, its help line)
+_COMMANDS = {
+    "period": ("period", "quantum period coefficients"),
+    "ansatz": ("ansatz", "quantum multiplication matrices from degree and self-adjointness"),
+    "derive-operator": ("eliminate", "scalar operator by cyclic-vector elimination"),
+    "solve": ("solve", "unknown parameters by coefficient matching"),
+    "spectrum": ("spectrum", "characteristic polynomials and eigenvalue squares"),
+    "certify": ("verdict", "full pipeline and irrationality certificate"),
 }
 
 
@@ -48,8 +40,8 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="hodgeatoms",
                      description="exact irrationality certificates from quantum periods")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name in _THROUGH_OF:
-        p = sub.add_parser(name, help=_HELP[name])
+    for name, (_, help_line) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
         p.add_argument("--instance", default="verra",
                        help="instance file path or bundled name (default: verra)")
         p.add_argument("--order", type=int, default=None,
@@ -63,9 +55,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
+_PARSER = _build_parser()  # one per process; parse_args leaves it unchanged
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
-    through = args.through or _THROUGH_OF[args.command]
+    args = _PARSER.parse_args(argv)
+    through = args.through or _COMMANDS[args.command][0]
 
     try:
         instance = load_instance(args.instance)
@@ -83,27 +78,35 @@ def main(argv: Optional[List[str]] = None) -> int:
               file=sys.stderr)
         return 1
 
-    run = run_pipeline(instance, through=through, order=args.order)
+    # the parser reads integers of any length (through Decimal); lift the
+    # interpreter's int-to-str digit limit for the run, so that they print too
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        run = run_pipeline(instance, through=through, order=args.order)
 
-    if args.out:
-        payload = dump_json(build_certificate(run)) if args.format == "json" \
-            else certificate_text(run)
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-        except OSError as e:
-            print(f"hodgeatoms: cannot write {args.out!r}: {e}", file=sys.stderr)
-            return 1
-        if args.command == "certify":
-            print(f"verdict: {run.verdict}")
+        if args.out:
+            payload = (dump_json if args.format == "json" else dump_text)(build_certificate(run))
+            try:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(payload)
+            except OSError as e:
+                print(f"hodgeatoms: cannot write {args.out!r}: {e}", file=sys.stderr)
+                return 1
+            if args.command == "certify":
+                print(f"verdict: {run.verdict}")
+            else:
+                print(_focal_text(args.command, run))
+            print(f"certificate written to {args.out}")
+        elif args.format == "json":
+            sys.stdout.write(dump_json(build_certificate(run)))
         else:
             print(_focal_text(args.command, run))
-        print(f"certificate written to {args.out}")
-    elif args.format == "json":
-        sys.stdout.write(dump_json(build_certificate(run)))
-    else:
-        print(_focal_text(args.command, run))
-    return exit_code(run)
+        return exit_code(run)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def _tuple_str(sol: dict, params: List[str]) -> str:
@@ -112,7 +115,7 @@ def _tuple_str(sol: dict, params: List[str]) -> str:
 
 def _focal_text(command: str, run: PipelineRun) -> str:
     if command == "certify":
-        return certificate_text(run).rstrip("\n")
+        return dump_text(build_certificate(run)).rstrip("\n")
     section_name = {"derive-operator": "operator"}.get(command, command)
     sec = run.sections.get(section_name, {})
     lines: List[str] = []

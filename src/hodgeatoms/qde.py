@@ -98,7 +98,7 @@ def cyclic_rows(m: Matrix, component: int, count: int) -> Matrix:
 
 
 def eliminate(rows: Matrix) -> DiffOperator:
-    """Least-order scalar operator from the cyclic rows r_0..r_n.
+    """Least-order scalar operator from the cyclic rows r_0..r_n, n + 1 rows of length n.
 
     The first kernel vector of the rows ends at the least k with r_k
     dependent on r_0..r_(k-1), the first column without a pivot when the
@@ -106,10 +106,7 @@ def eliminate(rows: Matrix) -> DiffOperator:
     vector, back-substituted from that column, is the operator up to
     normalisation.
     """
-    kernel = left_nullspace(rows)
-    if not kernel:
-        raise RuntimeError("no dependence found through order n (cannot happen)")
-    vec = kernel[0]
+    vec = left_nullspace(rows)[0]
     top = max(k for k, c in enumerate(vec) if not c.is_zero())
     return DiffOperator(tuple(vec[:top + 1])).normalize()
 

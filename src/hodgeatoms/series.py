@@ -38,11 +38,6 @@ class Series:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Series):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
     def __repr__(self):
         shown = ", ".join(str(c) for c in self.coeffs[:6])
         tail = ", ..." if self.order > 5 else ""

@@ -27,8 +27,6 @@ class SolveError(ValueError):
 
 @dataclass(frozen=True)
 class SolveReport:
-    params: Tuple[str, ...]
-    equations: Tuple[Tuple[int, int, Dict[tuple, int]], ...]  # raw (q-order, den, terms)
     reduced: Tuple[Poly, ...]                    # de-linearized equations
     solutions: Tuple[Tuple[Fraction, ...], ...]  # full solution set, param order
     accepted: Tuple[Tuple[Fraction, ...], ...]
@@ -116,8 +114,6 @@ def solve_parameters(equations: Sequence[Tuple[int, int, Dict[tuple, int]]],
             accepted.append(sol)
 
     return SolveReport(
-        params=params,
-        equations=tuple(equations),
         reduced=tuple(reduced),
         solutions=tuple(solutions),
         accepted=tuple(accepted),

@@ -7,7 +7,8 @@ rendered strings; there are no tolerances anywhere.
 
 from fractions import Fraction
 
-from hodgeatoms.atoms import assemble_zero_atoms, atom_sum, exclusion_search
+from hodgeatoms.atoms import (assemble_zero_atoms, atom_sum, exclusion_search,
+                              transcendental_invariants)
 from hodgeatoms.certificate import chi_render, dump_json
 from hodgeatoms.cohomology import gram_matrix, swap
 from hodgeatoms.instance import load_instance
@@ -102,7 +103,8 @@ def test_criterion_07_reciprocity(plus_spectrum, verra):
 
 
 def test_criterion_08_obstruction(verra, plus_spectrum, minus_spectrum, full_run):
-    cases = assemble_zero_atoms(verra, plus_spectrum.zero_multiplicity,
+    cases = assemble_zero_atoms(transcendental_invariants(verra),
+                                plus_spectrum.zero_multiplicity,
                                 minus_spectrum.zero_multiplicity)
     for case in cases:
         assert case.plus.rho == 2

@@ -232,14 +232,6 @@ def test_direct_system_matches_symbolic_construction(nilpotency, pairing):
         assert am.classical == classical
 
 
-def test_classical_part_must_be_self_adjoint(basis, ring, monkeypatch):
-    cup = classical_matrix(basis.symmetric, ring)
-    cup[0][1] += 1
-    monkeypatch.setattr(ansatz, "classical_matrix", lambda b, r: cup)
-    with pytest.raises(RuntimeError, match="classical part is not self-adjoint"):
-        build_ansatz(basis.symmetric, ring, SYM_DEGREES)
-
-
 def test_one_cup_matrix_per_block(basis, ring, monkeypatch):
     calls = []
     original = ansatz.coordinates

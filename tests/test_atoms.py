@@ -1,6 +1,7 @@
 """Atom invariants, blowup bookkeeping, exclusion search, and the centre
 models that serve as the exclusion search's reference."""
 
+import time
 from itertools import combinations_with_replacement
 
 import pytest
@@ -102,7 +103,7 @@ def test_atom_sum():
 
 
 def test_assemble_zero_atoms(verra):
-    case_plus, case_minus = assemble_zero_atoms(verra, 2, 1)
+    case_plus, case_minus = assemble_zero_atoms(transcendental_invariants(verra), 2, 1)
     assert case_plus.name == "T_in_plus"
     assert case_plus.plus.render() == "E_0^+: rho = 2, P = t^2 + 21 + t^-2"
     assert case_plus.minus.render() == "E_0^-: rho = 1, P = 1"
@@ -114,7 +115,7 @@ def test_assemble_zero_atoms(verra):
 
 
 def test_exclusion_empty_for_obstructed(verra):
-    case_plus, case_minus = assemble_zero_atoms(verra, 2, 1)
+    case_plus, case_minus = assemble_zero_atoms(transcendental_invariants(verra), 2, 1)
     for case in (case_plus, case_minus):
         target = case.obstructed()
         assert exclusion_search(target, 3, 3) == []
@@ -169,6 +170,14 @@ def test_exclusion_search_matches_the_per_combination_loop(target, has_hits):
             assert got == exclusion_reference(target, max_centres, max_genus)
             found += got
     assert bool(found) == has_hits
+
+
+def test_a_large_t2_coefficient_under_a_surface_rho_is_excluded_at_once():
+    # a surface has rho 3, so none fits under rho 2, however large the t^2 coefficient
+    target = AtomInvariants(2, hodge_poly({2: 200, 0: 2, -2: 200}), "t^2 = 200")
+    start = time.perf_counter()
+    assert exclusion_search(target, 4, 4) == []
+    assert time.perf_counter() - start < 1
 
 
 def test_exclusion_bound_errors():

@@ -450,6 +450,19 @@ def test_low_order_fine_for_early_stages(capsys):
     assert "1, 4, 15" in out
 
 
+def test_help_is_pinned(capsys, monkeypatch):
+    # the top-level help, then each subcommand's, at 80 columns
+    monkeypatch.setenv("COLUMNS", "80")
+    texts = []
+    for command in ("", "period", "ansatz", "derive-operator", "solve", "spectrum", "certify"):
+        with pytest.raises(SystemExit) as e:
+            main([command, "--help"] if command else ["--help"])
+        assert e.value.code == 0
+        texts.append(capsys.readouterr().out)
+    assert hashlib.sha256("".join(texts).encode("utf-8")).hexdigest() == (
+        "65a92499680a0f9d3d6bd92aabfd189b8fa673fafd8975d67ac2663f4da21290")
+
+
 def test_bad_subcommand(capsys):
     with pytest.raises(SystemExit) as e:
         main(["frobnicate"])

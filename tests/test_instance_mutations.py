@@ -6,6 +6,7 @@ Each case pins the exit code it ends in.
 """
 
 import signal
+import sys
 from pathlib import Path
 
 import pytest
@@ -44,6 +45,12 @@ MUTATIONS = [
     ("component=5", "component=" + "5" * 5000, 1),  # messages past the digit limit
     ("middle=24", "middle=" + "2" * 5000, 1),
     ("tdecomp=1,19,1", "tdecomp=" + "1" * 5000 + ",19," + "1" * 5000, 1),
+    ("h31=1", "h31=" + "1" * 5000, 0),          # printed past the digit limit
+    ("simple=true", "simple=true, a0plus=" + "2" * 5000, 2),
+    ("middle=24, dimT=21, tdecomp=1,19,1",      # consistent: dimT = 2*1...1 + 19
+     "middle=" + "2" * 4998 + "44, dimT=" + "2" * 4998 + "41, tdecomp="
+     + "1" * 5000 + ",19," + "1" * 5000, 0),
+    ("middle=24, dimT=21, tdecomp=1,19,1", "middle=422, dimT=419, tdecomp=200,19,200", 0),
     ("h31=1", "h31=2", 0),
     ("[run] order=16", "[run]\norder=16", 0),  # a header on its own line
 ]
@@ -57,22 +64,40 @@ def _on_alarm(signum, frame):
     raise CaseTimeout()
 
 
-@pytest.mark.parametrize("old, new, code", MUTATIONS, ids=[m[1][:40] for m in MUTATIONS])
-def test_mutated_instance_ends_cleanly(tmp_path, capsys, old, new, code):
+def _certify_mutated(tmp_path, capsys, old, new, *options):
+    """Exit code of certify on the mutated file, within CASE_SECONDS and
+    without a traceback."""
     assert VERRA.count(old) == 1
     path = tmp_path / "mutated.instance"
     path.write_text(VERRA.replace(old, new), encoding="utf-8")
     previous = signal.signal(signal.SIGALRM, _on_alarm)
     signal.setitimer(signal.ITIMER_REAL, CASE_SECONDS)
     try:
-        got = main(["certify", "--instance", str(path)])
+        got = main(["certify", "--instance", str(path), *options])
     except CaseTimeout:
         pytest.fail(f"no exit within {CASE_SECONDS} s")
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
     assert "Traceback" not in capsys.readouterr().err
-    assert got == code
+    return got
+
+
+@pytest.mark.parametrize("old, new, code", MUTATIONS, ids=[m[1][:40] for m in MUTATIONS])
+def test_mutated_instance_ends_cleanly(tmp_path, capsys, old, new, code):
+    assert _certify_mutated(tmp_path, capsys, old, new) == code
+
+
+LONG_INTEGERS = [m for m in MUTATIONS if len(m[1]) > 4300]
+
+
+@pytest.mark.parametrize("old, new, code", LONG_INTEGERS,
+                         ids=[m[1][:40] for m in LONG_INTEGERS])
+def test_integers_past_the_digit_limit_print_as_json(tmp_path, capsys, old, new, code):
+    # main lifts the interpreter's int-to-str digit limit for its run only
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    assert _certify_mutated(tmp_path, capsys, old, new, "--format", "json") == code
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 def test_an_order_of_5000_digits_parses():

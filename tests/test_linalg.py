@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from hodgeatoms import linalg
 from hodgeatoms.linalg import LAM, Matrix, _bareiss, _int_row, char_poly, det, left_nullspace
-from hodgeatoms.poly import (Poly, _unpack, _zadd, _zmul, exact_div, poly_gcd_many,
+from hodgeatoms.poly import (Poly, _unpack, _zadd, _zdot, exact_div, poly_gcd_many,
                              rational_content)
 from hodgeatoms.qde import DiffOperator, cyclic_rows
 from test_poly import zdiv_reference
@@ -374,8 +374,8 @@ def column_bareiss_reference(rows):
             e = row[col]
             nxt = [{}] * (col + 1)
             for x, y in zip(row[col + 1:], prow[col + 1:]):
-                v = (_zadd(_zmul(pv, x), {ex: -c for ex, c in _zmul(e, y).items()})
-                     if e and y else _zmul(pv, x))
+                v = (_zadd(_zdot([(pv, x)]), {ex: -c for ex, c in _zdot([(e, y)]).items()})
+                     if e and y else _zdot([(pv, x)]))
                 if prev is not None:
                     v = zdiv_reference(v, prev)
                     assert v is not None
@@ -404,8 +404,8 @@ def row_incremental_bareiss(rows, ncols):
             e = row[col]
             nxt = []
             for x, y in zip(row, prow):
-                v = (_zadd(_zmul(pv, x), {ex: -c for ex, c in _zmul(e, y).items()})
-                     if e and y else _zmul(pv, x))
+                v = (_zadd(_zdot([(pv, x)]), {ex: -c for ex, c in _zdot([(e, y)]).items()})
+                     if e and y else _zdot([(pv, x)]))
                 if prev is not None:
                     v = zdiv_reference(v, prev)
                     assert v is not None

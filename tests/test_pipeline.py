@@ -2,10 +2,12 @@
 
 import pytest
 
-from hodgeatoms.certificate import dump_json
+from hodgeatoms import ansatz
+from hodgeatoms.certificate import dump_json, dump_text
+from hodgeatoms.cli import main
 from hodgeatoms.instance import load_instance
 from hodgeatoms.pipeline import (STAGES, PipelineRun, StageFailure, build_certificate,
-                                 certificate_text, exit_code, run_pipeline)
+                                 exit_code, run_pipeline)
 
 CHECK_NAMES = [
     "period.source_known", "period.initial_coefficient",
@@ -53,6 +55,42 @@ def test_check_inventory(full_run):
     assert all(s["status"] == "ok" for s in full_run.stages)
 
 
+@pytest.mark.parametrize("flipped", [None] + CHECK_NAMES)
+def test_the_verdict_is_certified_iff_every_check_passed(verra, monkeypatch, flipped):
+    # record one check as failed without aborting its stage: every stage still
+    # runs ok, and the verdict alone must turn on the recorded checks
+    recorded = PipelineRun.check
+
+    def check(self, name, passed, detail=""):
+        recorded(self, name, passed and name != flipped, detail)
+
+    monkeypatch.setattr(PipelineRun, "check", check)
+    run = run_pipeline(verra)
+    assert all(s["status"] == "ok" for s in run.stages)
+    failed = [c["name"] for c in run.checks if not c["passed"]]
+    assert failed == ([] if flipped is None else [flipped])
+    assert run.verdict == ("IRRATIONAL_CERTIFIED" if flipped is None else "INCONCLUSIVE")
+    assert exit_code(run) == (0 if flipped is None else 2)
+
+
+def test_a_cup_matrix_that_is_not_self_adjoint_fails_the_ansatz_stage(verra, monkeypatch,
+                                                                      capsys):
+    cup_of = ansatz.classical_matrix
+
+    def perturbed(basis, ring):
+        cup = cup_of(basis, ring)
+        cup[0][1] += 1
+        return cup
+
+    monkeypatch.setattr(ansatz, "classical_matrix", perturbed)
+    run = run_pipeline(verra)
+    assert [c["name"] for c in run.checks if not c["passed"]] == ["ansatz.self_adjointness"]
+    assert run.stages[1] == {"name": "ansatz", "status": "failed",
+                             "reason": "ansatz is not self-adjoint"}
+    assert main(["certify"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_certificate_top_level(cert):
     for key in ("engine_version", "verdict", "checks", "stages", "instance", "notes"):
         assert key in cert
@@ -92,7 +130,7 @@ def test_certificate_determinism(verra):
 
 
 def test_certificate_text(full_run):
-    txt = certificate_text(full_run)
+    txt = dump_text(build_certificate(full_run))
     assert "IRRATIONAL_CERTIFIED" in txt
     assert "[PASS] atoms.exclusion_empty" in txt
 
