@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import decimal
 import json
-import math
 from fractions import Fraction
 from typing import Any, Dict, List, Sequence, Tuple
 
@@ -33,18 +32,16 @@ def poly_json(p: Poly):
 _EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)  # exact for any length
 
 
-def equations_json(params: Tuple[str, ...],
-                   equations: Sequence[Tuple[int, int, Dict[tuple, int]]]) -> Dict[str, Any]:
+def equations_json(params: Tuple[str, ...], equations: Sequence[tuple]) -> Dict[str, Any]:
     """solve.equations: poly_json of sum terms[ex] / den * params^ex under "q^m" for
-    each (m, den, terms); den goes to decimal once, each term's den / gcd(v, den) is
-    a decimal division, and each monomial's text is built once."""
+    each (m, den, terms, gcds) of match_equations; den goes to decimal once, each
+    term's den / gcds[ex] is a decimal division, and each monomial's text is built once."""
     monos: dict = {}
     out = {}
-    for m, den, terms in equations:
+    for m, den, terms, gcds in equations:
         dec = decimal.Decimal(den)
-        text = render_terms(params, [(ex, v // g, _EXACT.divide_int(dec, g))
-                                     for ex, v in terms.items() for g in [math.gcd(v, den)]],
-                            monos=monos)
+        text = render_terms(params, [(ex, v // gcds[ex], _EXACT.divide_int(dec, gcds[ex]))
+                                     for ex, v in terms.items()], monos=monos)
         out[f"q^{m}"] = text if any(map(any, terms)) else [text]
     return out
 

@@ -256,12 +256,14 @@ def _stage_solve(run: PipelineRun, state: Dict[str, Any]) -> None:
     run.check("solve.consistent", True,
               f"{len(eqs)} matched equations reduce to "
               f"{len(report.reduced)} independent ones")
-    run.check("solve.verified", True,
-              f"all {len(report.solutions)} solutions satisfy every matched equation")
+    points = {sol: "(" + ", ".join(f"{n}={rat_str(x)}" for n, x in zip(params, sol)) + ")"
+              for sol in report.solutions}
+    failed = "; ".join(f"{points[sol]} fails the q^{m} equation" for sol, m in report.unverified)
+    run.require("solve.verified", not failed,
+                failed or f"all {len(report.solutions)} solutions satisfy every matched equation",
+                "a solution fails a matched equation (internal error)")
 
-    detail = "; ".join(
-        "(" + ", ".join(f"{n}={rat_str(x)}" for n, x in zip(params, sol)) + ")"
-        for sol in report.accepted) or "none accepted"
+    detail = "; ".join(points[sol] for sol in report.accepted) or "none accepted"
     run.require("solve.enumerative_unique", len(report.accepted) == 1, detail,
                 "enumerativity filter did not leave a unique solution")
 

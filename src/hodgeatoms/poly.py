@@ -43,8 +43,11 @@ def rational_content(values: Iterable[Fraction]) -> Fraction:
 
 def _digits(num: int, den) -> str:
     """"|num|" or "|num|/den" in decimal, den an int or a Decimal; no digit limit."""
-    text = str(decimal.Decimal(abs(num)))
-    return text if den == 1 else text + "/" + str(decimal.Decimal(den))
+    try:
+        text = str(num).lstrip("-")
+        return text if den == 1 else text + "/" + str(den)
+    except ValueError:  # an int past the interpreter's int-to-str limit
+        return _digits(decimal.Decimal(num), decimal.Decimal(den))
 
 
 def rat_str(x: Scalar) -> str:

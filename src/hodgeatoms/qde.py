@@ -177,13 +177,34 @@ def apply_symbolic(op: DiffOperator, f: Series) -> List[Tuple[int, Dict[tuple, i
     return out
 
 
-def match_equations(op: DiffOperator, f: Series, depth: int,
-                    params: Sequence[str]) -> List[Tuple[int, int, Dict[tuple, int]]]:
-    """The nonzero entries m <= depth of apply_symbolic as (m, den, terms), ex
-    over params; ValueError when op has a variable besides q and the params."""
+def match_equations(op: DiffOperator, f: Series, depth: int, params: Sequence[str]) -> list:
+    """The nonzero entries m <= depth of apply_symbolic as (m, den, terms, gcds),
+    ex over params and gcds[ex] = gcd(terms[ex], den); ValueError when op has a
+    variable besides q and the params. A monomial at one q-power j (every one, if op
+    is derived) has terms[ex] = w * N * s, where N / d = f_(m-j) in lowest terms,
+    s = den / (dv * d) and w = dv * sum_k c_k (m-j)^k is small; its gcd is then
+    s * g * gcd(w / g * N, dv) with g = gcd(d, w). Other monomials take gcd(v, den)."""
     op = DiffOperator(tuple(c.rename_vars((*params, "q")) for c in op.coeffs))
-    return [(m, den, terms) for m, (den, terms) in enumerate(apply_symbolic(op, f))
-            if m <= depth and terms]
+    dv = math.lcm(*(v.denominator for c in op.coeffs for v in c.terms.values()))
+    grade: dict = {}  # parameter monomial -> its q-power, None at several
+    for ex in (ex for c in op.coeffs for ex in c.terms):
+        grade[ex[:-1]] = ex[-1] if grade.get(ex[:-1], ex[-1]) == ex[-1] else None
+    out = []
+    for m, (den, terms) in zip(range(depth + 1), apply_symbolic(op, f)):
+        parts = {j: (a.denominator, a.numerator % dv, s, a.numerator * s)
+                 for j in set(map(grade.get, terms)) - {None}
+                 for a in [f.coeffs[m - j]] for s in [den // (dv * a.denominator)]}
+        gcds = {}
+        for ex, v in terms.items():
+            if (j := grade[ex]) is None:
+                gcds[ex] = math.gcd(v, den)
+                continue
+            d, r, s, scale = parts[j]
+            g = math.gcd(d, w := v // scale)
+            gcds[ex] = s * g * math.gcd(w // g * r, dv)
+        if terms:
+            out.append((m, den, terms, gcds))
+    return out
 
 
 def transform_even_operator(op: DiffOperator) -> Tuple[DiffOperator, Fraction]:

@@ -31,6 +31,7 @@ class SolveReport:
     solutions: Tuple[Tuple[Fraction, ...], ...]  # full solution set, param order
     accepted: Tuple[Tuple[Fraction, ...], ...]
     rejected: Tuple[Tuple[Tuple[Fraction, ...], str], ...]
+    unverified: Tuple[Tuple[Tuple[Fraction, ...], int], ...]  # and the q^m they fail first
 
 
 def _classify(e: Poly) -> Tuple[List[int], int]:
@@ -38,11 +39,11 @@ def _classify(e: Poly) -> Tuple[List[int], int]:
     return present, e.total_degree()
 
 
-def solve_parameters(equations: Sequence[Tuple[int, int, Dict[tuple, int]]],
+def solve_parameters(equations: Sequence[Tuple[int, int, Dict[tuple, int], Dict[tuple, int]]],
                      params: Sequence[str],
                      enumerative: Sequence[str]) -> SolveReport:
-    """Every solution of the equations (q-order, den, terms) of match_equations,
-    each sum terms[ex] / den * params^ex = 0."""
+    """Every solution of the equations (q-order, den, terms, gcds) of
+    match_equations, each sum terms[ex] / den * params^ex = 0."""
     params = tuple(params)
     if not equations:
         raise SolveError("underdetermined: empty equation list")
@@ -50,25 +51,25 @@ def solve_parameters(equations: Sequence[Tuple[int, int, Dict[tuple, int]]],
         if name not in params:
             raise SolveError(f"enumerative parameter {name!r} is not an unknown")
 
-    for order, _, terms in equations:
+    for order, _, terms, _ in equations:
         degree = max(map(sum, terms), default=0)
         if degree > 2:
             raise SolveError(f"equation at q^{order} has degree {degree} > 2")
 
     # linearize over the occurring monomials, constants aside; each row is
-    # its equation's integer primitive part, the numerators over their gcd
-    canon = [{ex: v // g for ex, v in terms.items()}
-             for _, _, terms in equations for g in [math.gcd(*terms.values())]]
+    # its equation's numerators, since the span test and the candidate check
+    # below do not change when a row is scaled
     zero_ex = (0,) * len(params)
-    monos = sorted({ex for e in canon for ex in e if ex != zero_ex},
+    monos = sorted({ex for _, _, terms, _ in equations for ex in terms if ex != zero_ex},
                    key=lambda ex: (-sum(ex), tuple(-x for x in ex)))
     cols = monos + [zero_ex]
-    rows = [[e.get(ex, 0) for ex in cols] for e in canon]
+    rows = [[terms.get(ex, 0) for ex in cols] for _, _, terms, _ in equations]
 
     # Gauss-Jordan only on the rows found independent so far. Any other row r
     # lies in their span iff d r[j] = sum_c r[p_c] (d R_c)[j] on every non-pivot
     # column j (R the reduced rows, p_c their pivots, d their common denominator;
     # free pairs each such j with column j of d R); the right-hand side must follow.
+    # A row taken in is its integer primitive part, the numerators over their gcd.
     basis: List[List[Fraction]] = []
     pivots: List[int] = []
     d, free = 1, [(j, []) for j in range(len(cols))]
@@ -79,7 +80,7 @@ def solve_parameters(equations: Sequence[Tuple[int, int, Dict[tuple, int]]],
             if excess[-1]:
                 raise SolveError("inconsistent linearized system")
             continue
-        basis.append([Fraction(x) for x in row])
+        basis.append([Fraction(x // g) for g in [math.gcd(*row)] for x in row])
         pivots = rref(basis, len(monos))
         d = math.lcm(*(x.denominator for r in basis for x in r))
         free = [(j, [(r[j] * d).numerator for r in basis])
@@ -93,14 +94,13 @@ def solve_parameters(equations: Sequence[Tuple[int, int, Dict[tuple, int]]],
     # every candidate must satisfy every raw equation exactly: over one
     # denominator of its monomial values, equation i vanishes iff rows[i]
     # dotted with the scaled values does
+    unverified = []
     for sol in solutions:
         vals = [math.prod(x ** k for x, k in zip(sol, ex)) for ex in cols]
         den = math.lcm(*(Fraction(v).denominator for v in vals))
         ints = [(v * den).numerator for v in vals]
-        for (order, _, _), row in zip(equations, rows):
-            if sum(map(mul, row, ints)):
-                raise SolveError(f"candidate {dict(zip(params, sol))} fails the "
-                                 f"q^{order} equation (internal error)")
+        unverified += [(sol, order) for (order, *_), row in zip(equations, rows)
+                       if sum(map(mul, row, ints))][:1]
 
     accepted, rejected = [], []
     for sol in solutions:
@@ -117,7 +117,8 @@ def solve_parameters(equations: Sequence[Tuple[int, int, Dict[tuple, int]]],
         reduced=tuple(reduced),
         solutions=tuple(solutions),
         accepted=tuple(accepted),
-        rejected=tuple(rejected))
+        rejected=tuple(rejected),
+        unverified=tuple(unverified))
 
 
 def _back_substitute(reduced: List[Poly], params: Tuple[str, ...]):

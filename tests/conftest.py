@@ -23,13 +23,15 @@ SOLUTION = {"s": Fraction(2), "t": Fraction(6), "u": Fraction(2), "v": Fraction(
 
 
 def integer_equations(equations):
-    """(q-order, Poly) equations in the (q-order, den, terms) form that
+    """(q-order, Poly) equations in the (q-order, den, terms, gcds) form that
     match_equations returns: den the lcm of the coefficients' denominators,
-    terms the integer numerators over it."""
+    terms the integer numerators over it and gcds[ex] = gcd(terms[ex], den),
+    each term's factor in common with den."""
     out = []
     for m, e in equations:
         den = math.lcm(*(c.denominator for c in e.terms.values()))
-        out.append((m, den, {ex: (c * den).numerator for ex, c in e.terms.items()}))
+        terms = {ex: (c * den).numerator for ex, c in e.terms.items()}
+        out.append((m, den, terms, {ex: math.gcd(v, den) for ex, v in terms.items()}))
     return out
 
 

@@ -93,11 +93,17 @@ def _equations_reference(params, equations):
     return out
 
 
+def _handed_on(equations):
+    """(m, den, terms) with the gcds match_equations hands on, gcd(v, den) per term."""
+    return [(m, den, terms, {ex: math.gcd(v, den) for ex, v in terms.items()})
+            for m, den, terms in equations]
+
+
 @given(st.lists(integer_equations(), min_size=1, max_size=4))
 def test_equation_json_is_poly_json_of_the_fraction_form(equations):
     # one section of several equations shares its monomial texts
     numbered = [(m, den, terms) for m, (den, terms) in enumerate(equations)]
-    section = equations_json(STU, numbered)
+    section = equations_json(STU, _handed_on(numbered))
     assert section == _equations_reference(STU, numbered)
     assert list(section) == [f"q^{m}" for m in range(len(equations))]
     for m, (den, terms) in enumerate(equations):
@@ -116,7 +122,7 @@ def test_equation_json_past_the_digit_limit():
     den = shared * (10 ** 5000 // shared + 7)
     terms = {(1, 0, 0): 3 * shared, (0, 1, 0): -(10 ** 4500 + 1) * shared,
              (0, 0, 0): den - 1, (0, 0, 2): den}
-    section = equations_json(STU, [(9, den, terms)])
+    section = equations_json(STU, _handed_on([(9, den, terms)]))
     assert section == _equations_reference(STU, [(9, den, terms)])
     parts = section["q^9"].split(" ")
     assert parts[0] == "u^2"
@@ -124,12 +130,12 @@ def test_equation_json_past_the_digit_limit():
 
 
 def test_equation_json_frozen_cases():
-    assert equations_json(STU, [
+    assert equations_json(STU, _handed_on([
         (3, 6, {(1, 0, 0): 6, (0, 1, 0): -6, (0, 0, 0): 4}),
         (4, 4, {(0, 0, 2): -2, (1, 1, 0): 4}),
         (5, 3, {(0, 0, 0): -9}),
         (7, 10, {(0, 0, 0): 4}),
-        (8, 2, {(1, 1, 0): 2, (1, 0, 0): -1})]) == {
+        (8, 2, {(1, 1, 0): 2, (1, 0, 0): -1})])) == {
         "q^3": "s - t + 2/3", "q^4": "s*t - 1/2*u^2", "q^5": ["-3"], "q^7": ["2/5"],
         "q^8": "s*t - 1/2*s"}
     assert equations_json(STU, []) == {}

@@ -1,8 +1,10 @@
 """Pipeline orchestration and certificate assembly, end to end."""
 
+from fractions import Fraction
+
 import pytest
 
-from hodgeatoms import ansatz
+from hodgeatoms import ansatz, solve
 from hodgeatoms.certificate import dump_json, dump_text
 from hodgeatoms.cli import main
 from hodgeatoms.instance import load_instance
@@ -87,6 +89,25 @@ def test_a_cup_matrix_that_is_not_self_adjoint_fails_the_ansatz_stage(verra, mon
     assert [c["name"] for c in run.checks if not c["passed"]] == ["ansatz.self_adjointness"]
     assert run.stages[1] == {"name": "ansatz", "status": "failed",
                              "reason": "ansatz is not self-adjoint"}
+    assert main(["certify"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_a_solution_that_fails_a_matched_equation_fails_solve_verified(verra, monkeypatch,
+                                                                      capsys):
+    # back-substitution made to add v = 17 to the one solution: the q^2
+    # equation 4s^2 + 4st + 8su - 72s - 24t - 48u - 12v + 480 gives -12 there
+    found = solve._back_substitute
+    wrong = tuple(map(Fraction, (2, 6, 2, 17)))
+    monkeypatch.setattr(solve, "_back_substitute",
+                        lambda reduced, params: found(reduced, params) + [wrong])
+    run = run_pipeline(verra)
+    assert [c for c in run.checks if not c["passed"]] == [
+        {"name": "solve.verified", "passed": False,
+         "detail": "(s=2, t=6, u=2, v=17) fails the q^2 equation"}]
+    assert run.stages[3] == {"name": "solve", "status": "failed",
+                             "reason": "a solution fails a matched equation (internal error)"}
+    assert run.verdict == "INCONCLUSIVE"
     assert main(["certify"]) == 2
     assert "Traceback" not in capsys.readouterr().err
 

@@ -1,17 +1,21 @@
 """Scalar operators, cyclic-vector elimination, matching, regularization."""
 
+import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from hodgeatoms import pipeline, qde
 from hodgeatoms.linalg import Matrix, left_nullspace
-from hodgeatoms.periods import get_source, regularized_coefficients
+from hodgeatoms.periods import get_source, period_coefficients, regularized_coefficients
 from hodgeatoms.poly import Poly, exact_div, poly_gcd_many, rational_content
 from hodgeatoms.qde import (DiffOperator, apply, apply_symbolic,
                             cofactor_identity_holds, cyclic_rows, eliminate,
                             match_equations, transform_even_operator)
+from hodgeatoms.pipeline import run_pipeline
 from hodgeatoms.series import Series
 from conftest import equation_poly
 from test_linalg import square_matrices
@@ -399,7 +403,7 @@ def test_match_equations_in_any_parameter_order(op, values, depth, data):
     expected = [(m, p) for m, p in enumerate(_reference_in(
         params, _apply_symbolic_reference(op, f))) if m <= depth and not p.is_zero()]
     got = match_equations(op, f, depth, params)
-    assert [(m, equation_poly(params, den, terms)) for m, den, terms in got] == expected
+    assert [(m, equation_poly(params, den, terms)) for m, den, terms, _ in got] == expected
 
 
 def test_match_equations_reject_a_variable_outside_the_parameters(parametric_op, period16):
@@ -413,7 +417,7 @@ def test_match_equations_vanish_at_the_solution(parametric_op, period16, solutio
     eqs = match_equations(parametric_op, period16, 10, params)
     assert eqs
     assert all(equation_poly(params, den, e).substitute(solution).constant_value() == 0
-               for _, den, e in eqs)
+               for _, den, e, _ in eqs)
 
 
 def test_match_equations(parametric_op, period16):
@@ -422,12 +426,110 @@ def test_match_equations(parametric_op, period16):
     eqs = match_equations(parametric_op, period16, 10, params)
     # orders 0 and 1 vanish identically; the first constraint sits at q^2
     assert eqs[0][0] == 2
-    assert equation_poly(params, *eqs[0][1:]).render() == (
+    assert equation_poly(params, *eqs[0][1:3]).render() == (
         "4*s^2 + 4*s*t + 8*s*u - 72*s - 24*t - 48*u - 12*v + 480")
     assert len(eqs) == 9
-    assert [m for m, _, _ in eqs] == list(range(2, 11))
+    assert [m for m, *_ in eqs] == list(range(2, 11))
     # the depth argument clamps to what the series supports
     assert len(match_equations(parametric_op, period16, 99, params)) == 13
+
+
+def _parameter_monomial_powers(op):
+    """Each parameter monomial of op (q dropped) -> the q-powers it appears at."""
+    qi = op.vars.index("q")
+    powers: dict = {}
+    for c in op.coeffs:
+        for ex in c.terms:
+            powers.setdefault(ex[:qi] + ex[qi + 1:], set()).add(ex[qi])
+    return powers
+
+
+@pytest.mark.parametrize("component", range(6))
+def test_derived_operators_are_graded(sym_ansatz, component):
+    # the ansatz puts each parameter at one q-power, and the derived operator
+    # keeps that grading: each parameter monomial sits at exactly one q-power,
+    # which is what lets match_equations hand on each term's gcd cheaply
+    m = sym_ansatz.matrix
+    powers = _parameter_monomial_powers(eliminate(cyclic_rows(m, component, m.ncols)))
+    assert len(powers) > 1
+    assert all(len(js) == 1 for js in powers.values())
+
+
+_ST = ("s", "t", "q")
+# s at q^0 and q^1 in c_0, so it falls back to gcd(v, den), with dv = 6
+TWO_POWERS = DiffOperator((Poly(_ST, {(1, 0, 0): Fraction(1, 2), (1, 0, 1): Fraction(-5, 3),
+                                      (0, 1, 2): Fraction(7, 3)}),
+                           Poly(_ST, {(0, 0, 0): Fraction(1), (0, 2, 1): Fraction(3)})))
+# every parameter monomial at one q-power, with dv = 10
+GRADED = DiffOperator((Poly(_ST, {(1, 0, 1): Fraction(3, 5), (0, 0, 0): Fraction(-1)}),
+                       Poly(_ST, {(1, 0, 1): Fraction(1, 2), (1, 1, 2): Fraction(9, 10)}),
+                       Poly(_ST, {(0, 0, 0): Fraction(1)})))
+# large enough that no small gcd's arguments equal a term and its den
+_SERIES = [Fraction((-3) ** (k + 40) + k, (k + 2) ** 30) for k in range(8)]
+
+
+@given(parametric_operators(), st.lists(_RATIONALS, min_size=3, max_size=12))
+@example(TWO_POWERS, _SERIES)
+@example(GRADED, _SERIES)
+def test_match_equations_hand_on_each_terms_gcd_with_den(op, values):
+    for _, den, terms, gcds in match_equations(op, Series(values), 99, _parameters(op)):
+        assert gcds == {ex: math.gcd(v, den) for ex, v in terms.items()}
+
+
+def test_match_equations_hand_on_the_gcds_at_order_200(parametric_op, verra):
+    f = period_coefficients(verra.period_source, 200)
+    eqs = match_equations(parametric_op, f, 194, verra.parameter_order())
+    assert len(eqs) == 193
+    for _, den, terms, gcds in eqs:
+        assert gcds == {ex: math.gcd(v, den) for ex, v in terms.items()}
+
+
+def _counted_gcds(monkeypatch):
+    """The argument tuples of every math.gcd call that qde makes from now on."""
+    calls = []
+
+    def gcd(*args):
+        calls.append(args)
+        return math.gcd(*args)
+
+    monkeypatch.setattr(qde, "math", SimpleNamespace(**{**vars(math), "gcd": gcd}))
+    return calls
+
+
+def _fallbacks(calls, eqs):
+    """How many of the calls were gcd(v, den) of a term v of an equation over den.
+
+    Every such call is counted; a call for the small gcds could only be
+    mistaken for one if its arguments happened to equal a term and its den."""
+    pairs = {(v, den) for _, den, terms, _ in eqs for v in terms.values()}
+    return sum(args in pairs for args in calls)
+
+
+def test_only_a_monomial_at_several_q_powers_takes_the_full_gcd(monkeypatch):
+    calls = _counted_gcds(monkeypatch)
+    eqs = match_equations(TWO_POWERS, Series(_SERIES), 99, ("s", "t"))
+    assert _fallbacks(calls, eqs) == sum((1, 0) in terms for _, _, terms, _ in eqs) > 0
+    calls.clear()
+    eqs = match_equations(GRADED, Series(_SERIES), 99, ("s", "t"))
+    assert eqs and calls and _fallbacks(calls, eqs) == 0
+
+
+@pytest.mark.parametrize("order", [16, 200])
+def test_the_pipeline_matches_with_no_full_gcd(verra, monkeypatch, order):
+    # every term of the pipeline's matched equations is reduced by its small gcds
+    matched = []
+
+    def recorded(*args):
+        eqs = match_equations(*args)
+        matched.extend(eqs)
+        return eqs
+
+    monkeypatch.setattr(pipeline, "match_equations", recorded)
+    calls = _counted_gcds(monkeypatch)
+    run = run_pipeline(verra, through="solve", order=order)
+    assert run.stages[3] == {"name": "solve", "status": "ok"}
+    assert len(matched) == order - 7 and calls
+    assert _fallbacks(calls, matched) == 0
 
 
 def test_transform_even_operator(verra):

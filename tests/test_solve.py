@@ -38,6 +38,7 @@ def test_solution_set(report):
         (F(2), F(2, 3), F(14, 3), F(16)),
         (F(2), F(6), F(2), F(16)))
     assert report.accepted == ((F(2), F(6), F(2), F(16)),)
+    assert report.unverified == ()
     assert report.rejected == (
         ((F(2), F(2, 3), F(14, 3), F(16)),
          "not a non-negative integer: t = 2/3, u = 14/3"),)
@@ -224,24 +225,26 @@ def test_reduced_system_at_depth_matches_a_full_rref(parametric_op, verra):
     params = verra.parameter_order()
     eqs = match_equations(parametric_op, g, 114, params)
     report = solve_parameters(eqs, params, verra.enumerative)
-    polys = [(m, equation_poly(params, den, terms)) for m, den, terms in eqs]
+    polys = [(m, equation_poly(params, den, terms)) for m, den, terms, _ in eqs]
     assert list(report.reduced) == _full_rref_reference(polys, params)
 
 
 def test_wrong_candidate_is_an_internal_error(monkeypatch):
-    # x = 2 satisfies the q^2 equation x^2 = 4 but not the q^3 one, y = 0
+    # x = 2 satisfies the q^2 equation x^2 = 4 but not the q^3 one, y = 0:
+    # the report names the candidate and the first equation it fails
     eqs = [(2, e2({(2, 0): 1, (0, 0): -4})), (3, e2({(0, 1): 1}))]
     monkeypatch.setattr(solve, "_back_substitute",
                         lambda reduced, params: [(Fraction(2), Fraction(0)),
                                                  (Fraction(2), Fraction(1, 3))])
-    with pytest.raises(SolveError, match=r"fails the q\^3 equation \(internal error\)"):
-        solve_parameters(integer_equations(eqs), XY, ())
+    report = solve_parameters(integer_equations(eqs), XY, ())
+    assert report.unverified == (((Fraction(2), Fraction(1, 3)), 3),)
+    assert report.solutions == ((Fraction(2), Fraction(0)), (Fraction(2), Fraction(1, 3)))
 
 
 @given(consistent_systems())
 def test_rows_are_the_primitive_parts_of_the_fraction_form(system):
-    # the integer row of each equation is _zprimitive of its Fraction form,
-    # sign included; solve row-reduces the independent rows as they come
+    # each row taken in is _zprimitive of its equation's Fraction form, sign
+    # included; solve row-reduces the independent rows as they come
     eqs, _ = system
     taken = []
 
