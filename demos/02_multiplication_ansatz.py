@@ -4,8 +4,8 @@
 # The ambient ring Q[H1,H2]/(H1^3,H2^3) splits under the cover involution
 # into a 6-dimensional symmetric and a 3-dimensional antisymmetric block.
 # Multiplication by H preserves each block, lands one quantum unknown at
-# every degree-admissible matrix slot, and self-adjointness cuts the
-# symmetric unknowns from eleven down to four.
+# every degree-admissible matrix slot, and self-adjointness ties the
+# symmetric block's eight slots in four pairs, one parameter each.
 
 from fractions import Fraction
 

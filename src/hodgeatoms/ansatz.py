@@ -1,17 +1,20 @@
 """Quantum multiplication ansatz from degree and self-adjointness constraints.
 
 The entry (j, i) of the multiplication matrix can receive a q^d
-contribution only when deg(b_j) = 2 + deg(b_i) - 4d. We place one fresh
-unknown at every admissible position with d >= 1 on top of the classical
-cup matrix C. Self-adjointness M^T G = G M for the block's pairing matrix
-G is linear in the unknowns, so it is written down directly on scalars:
-the unknown at (j, i, d) adds [r = i] G[j][c] - G[r][j] [c = i] to the
-relation of entry (r, c) at q^d (its q^0 part, C^T G = G C, the pipeline
-checks with the rest). Exact elimination reduces the unknowns. The cup
-matrix is computed once per block and serves both the parametric matrix
-and its classical limit; the Gram matrix is carried for that check.
-Surviving parameters are named canonically by the first matrix position
-they occupy; instance files attach conventional names by those positions.
+contribution only when deg(b_j) = 2 + deg(b_i) - 4d. Unknowns sit at
+every admissible position with d >= 1, on top of the classical cup matrix
+C, which is read off the basis: each eigenbasis class has a leading
+(largest) monomial, with coefficient 1, that no other class of its block
+holds. The block's pairing matrix G pairs each b_j with exactly one class
+b_s(j), so the q^d part of M^T G = G M reads
+G[j][s(j)] x(j, i) = G[i][s(i)] x(s(i), s(j)): each slot is tied to one
+partner slot, or to itself, and each pair is one parameter with entries
+(G[i][s(i)], G[j][s(j)]), primitive and positive on its first slot. The
+q^0 part, C^T G = G C, the pipeline checks with the rest; the Gram matrix
+is carried for that check. The cup matrix is computed once per block and
+serves both the parametric matrix and its classical limit. Parameters are
+named canonically by the first matrix position they occupy; instance
+files attach conventional names by those positions.
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Tuple
 
-from .cohomology import AmbientRing, coordinates, gram_matrix
-from .linalg import Matrix, rref
-from .poly import Poly, rational_content
+from .cohomology import AmbientRing, gram_matrix
+from .linalg import Matrix
+from .poly import Poly, _zdot, rational_content
 
 # degree of the Novikov variable q, and of the multiplier H
 NOVIKOV_DEGREE = 4
@@ -37,11 +40,16 @@ def admissible_powers(j: int, i: int, degrees: Tuple[int, ...]) -> Tuple[int, ..
 
 def classical_matrix(basis, ring: AmbientRing) -> List[List[Fraction]]:
     """Cup multiplication by H in the given block basis, column convention:
-    entry [j][i] is the b_j coordinate of H b_i."""
-    try:
-        cols = coordinates([ring.cup(ring.H, b) for b in basis], basis)
-    except ValueError as e:
-        raise RuntimeError(f"H-multiple leaves the block span: {e}") from e
+    entry [j][i] is the b_j coordinate of H b_i, its coefficient at b_j's
+    leading monomial."""
+    leads = [max(b.terms) for b in basis]
+    cols = []
+    for b in basis:
+        hb = ring.cup(ring.H, b).terms
+        cols.append([hb.get(m, Fraction(0)) for m in leads])
+        # the classes summed back over the nonzero coordinates must give H b
+        if _zdot(({(0, 0): s}, x.terms) for s, x in zip(cols[-1], basis) if s) != hb:
+            raise RuntimeError("H-multiple leaves the block span")
     return [list(row) for row in zip(*cols)]
 
 
@@ -57,57 +65,40 @@ class AnsatzMatrix:
 
 def build_ansatz(basis, ring: AmbientRing, degrees: Tuple[int, ...]) -> AnsatzMatrix:
     n = len(basis)
-    slots = [(j, i, d) for j in range(n) for i in range(n)  # (row, col, power), row-major
-             for d in admissible_powers(j, i, degrees) if d >= 1]
-    nun = len(slots)
     cup = classical_matrix(basis, ring)
     classical, gram_q = Matrix.from_scalars(("q",), cup), gram_matrix(ring, basis)
-    gram = [[p.constant_value() for p in row] for row in gram_q.rows]
+    partner = []  # s(j), the one class that b_j pairs with
+    for row in gram_q.rows:
+        nonzero = [k for k, p in enumerate(row) if not p.is_zero()]
+        if len(nonzero) != 1:
+            raise RuntimeError(f"Gram row pairs with {len(nonzero)} classes, not one")
+        partner += nonzero
+    g = [gram_q.rows[j][k].constant_value() for j, k in enumerate(partner)]  # G[j][s(j)]
 
-    # M^T G - G M, one linear relation per entry (r, c) per q-power d
-    relations: Dict[Tuple[int, int, int], List[Fraction]] = {}
-    for k, (j, i, d) in enumerate(slots):
-        for c in range(n):
-            relations.setdefault((i, c, d), [Fraction(0)] * nun)[k] += gram[j][c]
-        for r in range(n):
-            relations.setdefault((r, i, d), [Fraction(0)] * nun)[k] -= gram[r][j]
-    rows = [row for row in relations.values() if any(row)]
-    pivots = rref(rows, nun)
-
-    # nullspace basis vector per free unknown, primitive integers, named
-    # canonically by the first row-major slot it hits
-    named: List[Tuple[Tuple[int, int], str, List[Fraction]]] = []
-    for f in (k for k in range(nun) if k not in pivots):
-        vec = [Fraction(0)] * nun
-        vec[f] = Fraction(1)
-        for row, pcol in zip(rows, pivots):
-            vec[pcol] = -row[f]
-        content = rational_content(vec)
-        vec = [c / content for c in vec]
-        if next(c for c in vec if c) < 0:
-            vec = [-c for c in vec]
-        j, i, _ = slots[next(k for k, c in enumerate(vec) if c)]
-        named.append(((j, i), f"p_{j}_{i}", vec))
-    named.sort(key=lambda item: item[0])
-    params = tuple(name for _, name, _ in named)
-    if len(set(params)) != len(params):
-        raise RuntimeError("parameter naming collision between reduction vectors")
+    # one parameter per slot pair (j, i, d) ~ (s(i), s(j), d), row-major by first slot
+    pairs: List[Tuple[Tuple[int, int, Fraction, int], ...]] = []
+    for j, i, d in ((j, i, d) for j in range(n) for i in range(n)
+                    for d in admissible_powers(j, i, degrees) if d >= 1):
+        other = (partner[i], partner[j])
+        if other == (j, i):
+            pairs.append(((j, i, Fraction(1), d),))
+        elif other > (j, i):
+            content = rational_content((g[i], g[j]))
+            scale = content if g[i] > 0 else -content
+            pairs.append(((j, i, g[i] / scale, d), (*other, g[j] / scale, d)))
+    params = tuple(f"p_{pos[0][0]}_{pos[0][1]}" for pos in pairs)
 
     # term dicts over (params..., q): the cup entry, then each parameter's slots
     entries = [[{(0,) * (len(params) + 1): c} for c in row] for row in cup]
-    positions: Dict[str, List[Tuple[int, int, Fraction, int]]] = {p: [] for p in params}
-    for idx, (_, name, vec) in enumerate(named):
-        for k, c in enumerate(vec):
-            if c:
-                j, i, d = slots[k]
-                ex = [0] * (len(params) + 1)
-                ex[idx], ex[-1] = 1, d
-                entries[j][i][tuple(ex)] = c
-                positions[name].append((j, i, c, d))
+    for idx, pos in enumerate(pairs):
+        for j, i, c, d in pos:
+            ex = [0] * (len(params) + 1)
+            ex[idx], ex[-1] = 1, d
+            entries[j][i][tuple(ex)] = c
     return AnsatzMatrix(
         matrix=Matrix([[Poly(params + ("q",), t) for t in row] for row in entries]),
         params=params,
-        positions={p: tuple(v) for p, v in positions.items()},
+        positions=dict(zip(params, pairs)),
         classical=classical,
         gram=gram_q)
 

@@ -5,20 +5,21 @@ the fourfold), graded by topological degree deg(H1^a H2^b) = 2(a+b). A
 class is a Poly over (H1, H2) with every exponent below n; the ring's cup
 product drops the monomials that hit a relation. The Poincare pairing
 reads off the top monomial's coefficient; the instance's top intersection
-number would scale all of G alike, changing neither M^T G = G M nor its
-row reduction, so it is not carried. The factor-swap involution exchanges
-H1 and H2; x + swap(x) and x - swap(x) over the monomials split the ring
-into a symmetric and an antisymmetric block.
+number would scale all of G alike, changing neither M^T G = G M nor the
+ratios G[i][s(i)] : G[j][s(j)] that pair the ansatz's slots, so it is not
+carried. The factor-swap involution exchanges H1 and H2; x + swap(x) and
+x - swap(x) over the monomials split the ring into a symmetric and an
+antisymmetric block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from typing import Tuple
 
-from .linalg import Matrix, rref
-from .poly import Poly, _zdot
+from .linalg import Matrix
+from .poly import Poly
 
 VARS = ("H1", "H2")
 
@@ -104,23 +105,3 @@ def gram_matrix(ring: AmbientRing, basis, variables=("q",)) -> Matrix:
     return Matrix.from_scalars(
         tuple(variables), [[ring.pair(x, y) for y in basis] for x in basis])
 
-
-def coordinates(targets, basis) -> List[List[Fraction]]:
-    """Exact coordinates of each target in the given basis, from one reduction
-    of the basis columns augmented by every target; error if a target is
-    outside the span."""
-    monos = sorted({ex for x in (*basis, *targets) for ex in x.terms})
-    ncols = len(basis)
-    zero = Fraction(0)
-    aug = [[x.terms.get(mono, zero) for x in (*basis, *targets)] for mono in monos]
-    pivots = rref(aug, ncols)
-    sols = [[zero] * ncols for _ in targets]
-    for row, c in zip(aug, pivots):
-        for t, sol in enumerate(sols):
-            sol[c] = row[ncols + t]
-    # the residual, over nonzero coordinates only, must vanish (also rejects inconsistency)
-    for x, sol in zip(targets, sols):
-        one = (0,) * len(x.vars)
-        if _zdot(({one: s}, b.terms) for s, b in zip(sol, basis) if s) != x.terms:
-            raise ValueError("class does not lie in the span of the basis")
-    return sols

@@ -10,8 +10,7 @@ unnormalised; the one normal form of an operator vector is
 `qde.DiffOperator.normalize`. The same elimination gives determinants: its
 last pivot, signed by the order of the pivot rows, is the determinant of
 the rows scaled to integers.
-`rref` is Gauss-Jordan over Q for the small numeric systems of the
-ansatz, the solver and the cohomology coordinates.
+`rref` is Gauss-Jordan over Q for the solver's linear systems.
 """
 
 from __future__ import annotations

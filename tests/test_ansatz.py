@@ -9,11 +9,13 @@ import pytest
 from hodgeatoms import ansatz
 from hodgeatoms.ansatz import (admissible_powers, build_ansatz, classical_matrix,
                                substitute_params)
-from hodgeatoms.cohomology import AmbientRing, coordinates, gram_matrix
+from hodgeatoms.cli import main
+from hodgeatoms.cohomology import AmbientRing, gram_matrix
 from hodgeatoms.instance import load_instance
 from hodgeatoms.linalg import Matrix, rref
-from hodgeatoms.pipeline import run_pipeline
+from hodgeatoms.pipeline import exit_code, run_pipeline
 from hodgeatoms.poly import Poly, rational_content
+from test_cohomology import AmbientClass, ref, ref_coordinates
 
 SYM_DEGREES = (0, 2, 4, 4, 6, 8)
 ANTI_DEGREES = (2, 4, 6)
@@ -164,7 +166,9 @@ def symbolic_ansatz(basis, ring, degrees, pairing):
     slots = [(j, i, d) for j in range(n) for i in range(n)
              for d in admissible_powers(j, i, degrees) if d >= 1]
     nun = len(slots)
-    cols = coordinates([ring.cup(ring.H, b) for b in basis], basis)
+    ref_basis = [ref(ring, b) for b in basis]
+    ref_h = AmbientClass(ring, {(1, 0): 1, (0, 1): 1})
+    cols = ref_coordinates([ref_h.cup(b) for b in ref_basis], ref_basis)
 
     def cup(variables):
         return Matrix([[Poly.const(variables, cols[i][j]) for i in range(n)]
@@ -234,16 +238,64 @@ def test_direct_system_matches_symbolic_construction(nilpotency, pairing):
 
 def test_one_cup_matrix_per_block(basis, ring, monkeypatch):
     calls = []
-    original = ansatz.coordinates
+    original = ansatz.classical_matrix
 
-    def counted(targets, b):
-        calls.append(targets)
-        return original(targets, b)
+    def counted(b, r):
+        calls.append(b)
+        return original(b, r)
 
-    monkeypatch.setattr(ansatz, "coordinates", counted)
+    monkeypatch.setattr(ansatz, "classical_matrix", counted)
     build_ansatz(basis.symmetric, ring, SYM_DEGREES)
-    # one reduction for all of the block's H-multiples
-    assert [len(targets) for targets in calls] == [len(basis.symmetric)]
+    build_ansatz(basis.antisymmetric, ring, ANTI_DEGREES)
+    assert calls == [basis.symmetric, basis.antisymmetric]
+
+
+def test_classical_matrix_rejects_a_basis_without_its_own_leading_monomials(basis, ring):
+    # H * H1 has no H1 term, and x + swap(x), x - swap(x) share their leading
+    # monomial, so the coordinates read off leave a residual
+    for b in ([ring.H1], basis.symmetric + basis.antisymmetric):
+        with pytest.raises(RuntimeError, match="H-multiple leaves the block span"):
+            classical_matrix(b, ring)
+
+
+def test_the_pairing_matches_each_class_with_one_other():
+    # the facts the slot pairing rests on, for nilpotency 2-12: one nonzero
+    # per Gram row, an involution s, and the partner (s(i), s(j), d) of
+    # every admissible slot (j, i, d) admissible too
+    for nilpotency in range(2, 13):
+        ring = AmbientRing(nilpotency)
+        basis = ring.eigenbasis()
+        for block in ("symmetric", "antisymmetric"):
+            classes, degrees = getattr(basis, block), basis.degrees(block)
+            gram = [[ring.pair(x, y) for y in classes] for x in classes]
+            assert all(sum(1 for g in row if g) == 1 for row in gram)
+            partner = [next(k for k, g in enumerate(row) if g) for row in gram]
+            assert [partner[k] for k in partner] == list(range(len(classes)))
+            for j in range(len(classes)):
+                for i in range(len(classes)):
+                    assert (admissible_powers(partner[i], partner[j], degrees)
+                            == admissible_powers(j, i, degrees))
+
+
+def test_a_gram_row_with_two_entries_fails_the_construction(verra, monkeypatch, capsys):
+    gram_of = ansatz.gram_matrix
+
+    def coupled(ring, basis):
+        gram = gram_of(ring, basis)
+        for j, i in ((0, 1), (1, 0)):
+            gram.rows[j][i] = gram.rows[j][i] + Poly.const(gram.vars, 1)
+        return gram
+
+    monkeypatch.setattr(ansatz, "gram_matrix", coupled)
+    run = run_pipeline(verra)
+    message = "Gram row pairs with 2 classes, not one"
+    assert [(c["name"], c["detail"]) for c in run.checks if not c["passed"]] == [
+        ("ansatz.construction", message)]
+    assert run.stages[1] == {"name": "ansatz", "status": "failed",
+                             "reason": f"ansatz construction failed: {message}"}
+    assert exit_code(run) == 2
+    assert main(["certify"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_one_gram_matrix_per_block(basis, ring, sym_ansatz, anti_ansatz, monkeypatch):

@@ -53,6 +53,9 @@ MUTATIONS = [
     ("middle=24, dimT=21, tdecomp=1,19,1", "middle=422, dimT=419, tdecomp=200,19,200", 0),
     ("h31=1", "h31=2", 0),
     ("[run] order=16", "[run]\norder=16", 0),  # a header on its own line
+    ("nilpotency=3, pairing=2/1\n[involution] swap=H1:H2\n[hodge] h31=1, middle=24",
+     "nilpotency=12, pairing=2/1\n[involution] swap=H1:H2\n[hodge] h31=1, middle=33",
+     2),                                        # 756 ansatz parameters against 4 named
 ]
 
 
