@@ -88,7 +88,7 @@ def rref(rows: List[List[Fraction]], ncols: int) -> List[int]:
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
+        pv = Fraction(rows[r][c])
         rows[r] = [x / pv if x else x for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c] != 0:

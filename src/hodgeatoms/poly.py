@@ -1,10 +1,12 @@
 """Sparse multivariate polynomials over exact rationals.
 
-A Poly is a map from exponent vectors to nonzero Fraction coefficients,
-over a variable set fixed at construction. Exponent vectors are tuples
-aligned with the variable tuple. Zero coefficients are never stored.
-Exponents may be negative: a Hodge polynomial P(t) is a Laurent Poly over
-(t,).
+A Poly is a map from exponent vectors to nonzero coefficients, over a
+variable set fixed at construction. An integral coefficient is stored as an
+int and only one with a denominator as a Fraction, so integer arithmetic
+runs on ints; constant_value and leading_coefficient return Fractions.
+Exponent vectors are tuples aligned with the variable tuple. Zero
+coefficients are never stored. Exponents may be negative: a Hodge
+polynomial P(t) is a Laurent Poly over (t,).
 """
 
 from __future__ import annotations
@@ -19,11 +21,14 @@ from typing import Iterable, Mapping, Tuple, Union
 Scalar = Union[int, Fraction]
 
 
-def _as_fraction(c: Scalar) -> Fraction:
-    if isinstance(c, Fraction):
+def _as_scalar(c: Scalar) -> Scalar:
+    """c as an int when integral, else as its Fraction; TypeError when inexact."""
+    if type(c) is int:
         return c
-    if isinstance(c, int):
-        return Fraction(c)
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    if isinstance(c, int):  # a bool
+        return int(c)
     raise TypeError(f"not an exact scalar: {c!r}")
 
 
@@ -92,7 +97,7 @@ class Poly:
                 ex = tuple(ex)
                 if len(ex) != len(self.vars):
                     raise ValueError(f"exponent {ex} does not fit variables {self.vars}")
-                c = _as_fraction(c)
+                c = _as_scalar(c)
                 if c:
                     clean[ex] = c
         self.terms = clean
@@ -151,7 +156,7 @@ class Poly:
         return out
 
     def scale(self, c: Scalar) -> "Poly":
-        c = _as_fraction(c)
+        c = _as_scalar(c)
         return Poly(self.vars, {ex: cc * c for ex, cc in self.terms.items()})
 
     def __eq__(self, other) -> bool:
@@ -186,7 +191,8 @@ class Poly:
         """The value if this is a constant, else None."""
         if not self.terms:
             return Fraction(0)
-        return self.terms.get((0,) * len(self.vars)) if len(self.terms) == 1 else None
+        c = self.terms.get((0,) * len(self.vars)) if len(self.terms) == 1 else None
+        return None if c is None else Fraction(c)
 
     def variables_present(self) -> tuple:
         return tuple(v for i, v in enumerate(self.vars) if any(ex[i] for ex in self.terms))
@@ -195,8 +201,7 @@ class Poly:
         """Coefficient of the graded-lex leading monomial; 0 for the zero poly."""
         if not self.terms:
             return Fraction(0)
-        lead = max(self.terms, key=_grlex_key)
-        return self.terms[lead]
+        return Fraction(self.terms[max(self.terms, key=_grlex_key)])
 
     # -- calculus and substitution ------------------------------------------
 
@@ -250,7 +255,7 @@ class Poly:
 # -- term-dict kernel ----------------------------------------------------------
 #
 # Polynomials as dicts from monomials to nonzero coefficients. Poly's ring
-# operations run _zadd and _zdot on exponent tuples and Fraction values;
+# operations run _zadd and _zdot on exponent tuples and int or Fraction values;
 # elimination and the gcd run on ints (over Z). Exact division and _pdot run
 # on packed monomials (Monagan and Pearce 2011): one int with the total degree
 # in the top field, then the exponents, first variable most significant, so int

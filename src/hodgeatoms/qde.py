@@ -61,7 +61,7 @@ class DiffOperator:
             k = rational_content(v for c in coeffs for v in c.terms.values())
             if coeffs[-1].leading_coefficient() < 0:
                 k = -k
-        return DiffOperator(tuple(c.scale(1 / k) for c in coeffs))
+        return DiffOperator(tuple(c.scale(Fraction(1) / k) for c in coeffs))
 
     def render(self, texts: Sequence[str] = ()) -> str:
         """Highest order first; texts, when given, are the coefficients' renders."""
@@ -222,4 +222,4 @@ def transform_even_operator(op: DiffOperator) -> Tuple[DiffOperator, Fraction]:
             out[(e // 2,)] = v * Fraction(2) ** k
         new_coeffs.append(Poly(("q",), out))
     content = rational_content(v for c in new_coeffs for v in c.terms.values()) or Fraction(1)
-    return DiffOperator(tuple(c.scale(1 / content) for c in new_coeffs)), content
+    return DiffOperator(tuple(c.scale(Fraction(1) / content) for c in new_coeffs)), content

@@ -153,7 +153,7 @@ def _back_substitute(reduced: List[Poly], params: Tuple[str, ...]):
         rest = [x for x in eqs if x is not e]
         unit = tuple(1 if i == var else 0 for i in range(nvars))
         if deg == 1:
-            c = e.terms[unit]
+            c = Fraction(e.terms[unit])
             choices = [Poly(params, {ex: -v / c for ex, v in e.terms.items() if ex != unit})]
         else:
             roots = rational_roots([e.terms.get(tuple(k * u for u in unit), Fraction(0))

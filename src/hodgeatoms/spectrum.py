@@ -59,7 +59,7 @@ def rational_roots(coeffs: List[Fraction]) -> List[Fraction]:
     and TemplateError names the degree. The callers demand a full split over
     Q and raise when the returned count falls short of the degree.
     """
-    work = list(coeffs)
+    work = [Fraction(c) for c in coeffs]
     while work and work[-1] == 0:
         work.pop()
     if len(work) <= 1:

@@ -1,5 +1,6 @@
 """Polynomial kernel: arithmetic, normal forms, gcd, exact division."""
 
+import decimal
 import heapq
 import random
 from fractions import Fraction
@@ -200,6 +201,100 @@ def test_rename_vars():
     assert wide.terms == {(0, 1, 0, 1): Fraction(3)}
     swapped = p.rename_vars(("u", "q"), {"s": "u"})
     assert swapped.terms == {(1, 1): Fraction(3)}
+
+
+def test_inexact_scalars_rejected_by_the_constructor_and_scale():
+    for c in (0.5, decimal.Decimal("0.5"), "1/2"):
+        with pytest.raises(TypeError, match="not an exact scalar"):
+            Poly(("x",), {(1,): c})
+        with pytest.raises(TypeError, match="not an exact scalar"):
+            Poly.const(("x",), 1).scale(c)
+
+
+# the reference model: term dicts whose every value is a Fraction
+def fraction_terms(terms):
+    return {ex: Fraction(c) for ex, c in terms.items() if c}
+
+
+def ref_add(a, b, sign=1):
+    out = dict(a)
+    for ex, c in b.items():
+        out[ex] = out.get(ex, Fraction(0)) + sign * c
+    return {ex: c for ex, c in out.items() if c}
+
+
+def ref_mul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            ex = tuple(x + y for x, y in zip(ea, eb))
+            out[ex] = out.get(ex, Fraction(0)) + ca * cb
+    return {ex: c for ex, c in out.items() if c}
+
+
+def ref_map(a, key, factor):
+    """Each term moved to key(ex) and scaled by factor(ex), summed."""
+    out = {}
+    for ex, c in a.items():
+        out = ref_add(out, {key(ex): c * factor(ex)})
+    return out
+
+
+def ref_substitute(a, values):
+    """values: variable index -> Fraction term dict."""
+    out = {}
+    for ex, c in a.items():
+        term = {tuple(0 if i in values else e for i, e in enumerate(ex)): c}
+        for i, v in values.items():
+            for _ in range(ex[i]):
+                term = ref_mul(term, v)
+        out = ref_add(out, term)
+    return out
+
+
+def assert_holds_as_scalars(p, want):
+    """p has want's terms, each integral value stored as an int and every
+    other one as a Fraction; its scalar accessors return Fractions."""
+    assert p.terms == want
+    for c in p.terms.values():
+        assert type(c) in (int, Fraction)
+        assert type(c) is (int if c.denominator == 1 else Fraction)
+    assert type(p.leading_coefficient()) is Fraction
+    assert p.constant_value() is None or type(p.constant_value()) is Fraction
+
+
+scalars = st.one_of(st.integers(-5, 5), st.fractions(-5, 5, max_denominator=4))
+mixed_terms = st.dictionaries(st.tuples(*[st.integers(0, 2)] * len(V)), scalars, max_size=5)
+
+
+@given(mixed_terms, mixed_terms, st.integers(-4, 4), st.fractions(-4, 4, max_denominator=5),
+       st.dictionaries(st.integers(0, len(V) - 1), st.one_of(scalars, mixed_terms), max_size=2),
+       st.integers(0, 2))
+def test_integral_coefficients_are_stored_as_ints(a, b, k, f, values, power):
+    pa, pb = P(a), P(b)
+    ra, rb = fraction_terms(a), fraction_terms(b)
+    assert_holds_as_scalars(pa, ra)
+    assert_holds_as_scalars(pa + pb, ref_add(ra, rb))
+    assert_holds_as_scalars(pa - pb, ref_add(ra, rb, -1))
+    assert_holds_as_scalars(pa * pb, ref_mul(ra, rb))
+    for c in (k, f):
+        assert_holds_as_scalars(pa.scale(c), ref_map(ra, lambda ex: ex, lambda ex: Fraction(c)))
+    subs = {i: fraction_terms(v) if isinstance(v, dict) else fraction_terms({(0,) * len(V): v})
+            for i, v in values.items()}
+    assert_holds_as_scalars(
+        pa.substitute({V[i]: P(v) if isinstance(v, dict) else v for i, v in values.items()}),
+        ref_substitute(ra, subs))
+    qi = V.index("q")
+    assert_holds_as_scalars(pa.euler_derivative(), ref_map(ra, lambda ex: ex, lambda ex: ex[qi]))
+    assert_holds_as_scalars(pa.coeff_of("q", power), {
+        ex[:qi] + (0,) + ex[qi + 1:]: c for ex, c in ra.items() if ex[qi] == power})
+    # s and t both go to t, so their terms merge
+    merged = pa.rename_vars(("q", "t", "a"), {"s": "t"})
+    assert merged.vars == ("q", "t", "a")
+    assert_holds_as_scalars(merged, ref_map(ra, lambda ex: (ex[2], ex[0] + ex[1], 0),
+                                            lambda ex: 1))
+    if rb:
+        assert_holds_as_scalars(exact_div(pa * pb, pb), ra)
 
 
 def normal_form_reference(p):

@@ -560,3 +560,9 @@ def test_regularized_annihilation(verra, period16):
     # the unrescaled period is NOT annihilated; the residual is fixed
     plain = apply(op, period16)
     assert [plain.coeff(m) for m in range(4)] == [0, 4, 3216, 178680]
+
+
+def test_normalize_divides_int_constants_exactly():
+    op = DiffOperator((Poly.const(Q, 1), Poly.const(Q, 3))).normalize()
+    assert [c.constant_value() for c in op.coeffs] == [Fraction(1, 3), 1]
+    assert all(type(v) in (int, Fraction) for c in op.coeffs for v in c.terms.values())

@@ -297,7 +297,7 @@ def back_substitute_reference(reduced, params):
         unit = tuple(1 if i == var else 0 for i in range(nvars))
         if deg == 1:
             c = e.terms[unit]
-            rule = Poly(params, {ex: -v / c for ex, v in e.terms.items() if ex != unit})
+            rule = Poly(params, {ex: -Fraction(v) / c for ex, v in e.terms.items() if ex != unit})
             new_eqs = [x.substitute({params[var]: rule}) for x in rest]
             if multi:
                 stack.append((rules + [(var, rule)], assign, new_eqs))
@@ -386,3 +386,11 @@ def test_back_substitution_matches_the_reference(system):
     reduced = _full_rref_reference(eqs, XYZ)
     assert (_outcome(solve._back_substitute, reduced, XYZ)
             == _outcome(back_substitute_reference, reduced, XYZ))
+
+
+def test_int_pivots_solve_exactly():
+    # 2x + 1 = 0 and y - 1 = 0: the rewrite x = -1/2 divides by an int pivot
+    eqs = [(2, e2({(1, 0): 2, (0, 0): 1})), (3, e2({(0, 1): 1, (0, 0): -1}))]
+    rep = solve_parameters(integer_equations(eqs), XY, ())
+    assert rep.solutions == ((Fraction(-1, 2), Fraction(1)),)
+    assert all(type(v) is Fraction for sol in rep.solutions for v in sol)

@@ -204,3 +204,10 @@ def test_rational_roots_return_the_multiset_they_were_built_from(lead, roots, ze
     for r in roots:
         coeffs = [a - r * b for a, b in zip([Fraction(0)] + coeffs, coeffs + [Fraction(0)])]
     assert sorted(rational_roots(coeffs)) == sorted([Fraction(0)] * zeros + roots)
+
+
+def test_rational_roots_of_int_coefficients_are_fractions():
+    linear, quadratic = rational_roots([1, 2]), rational_roots([-1, 0, 4])
+    assert linear == [Fraction(-1, 2)]
+    assert sorted(quadratic) == [Fraction(-1, 2), Fraction(1, 2)]
+    assert all(type(r) is Fraction for r in linear + quadratic)
