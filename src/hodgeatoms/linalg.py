@@ -10,7 +10,6 @@ unnormalised; the one normal form of an operator vector is
 `qde.DiffOperator.normalize`. The same elimination gives determinants: its
 last pivot, signed by the order of the pivot rows, is the determinant of
 the rows scaled to integers.
-`rref` is Gauss-Jordan over Q for the solver's linear systems.
 """
 
 from __future__ import annotations
@@ -71,35 +70,7 @@ class Matrix:
         return f"Matrix({body})"
 
 
-# -- elimination over Q and kernel computation -------------------------------
-
-def rref(rows: List[List[Fraction]], ncols: int) -> List[int]:
-    """In-place reduced row echelon form over the first ncols columns;
-    returns the pivot columns.
-
-    Rows past the pivot rows are kept. Columns past ncols (an augmented
-    right-hand side) are reduced along, so a caller can check consistency
-    on those rows. Zero entries of the pivot row are skipped.
-    """
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = Fraction(rows[r][c])
-        rows[r] = [x / pv if x else x for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return pivots
-
+# -- kernel computation ------------------------------------------------------
 
 def _int_row(row: List[Poly]) -> Tuple[List[dict], int]:
     """(den * row as integer term dicts, den), den the lcm of its denominators."""

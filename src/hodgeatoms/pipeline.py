@@ -33,8 +33,8 @@ _SECTION_OF = {"eliminate": "operator"}
 EXCLUSION_CENTRES = 4
 EXCLUSION_GENUS = 4
 
-# least truncation order at which solve attempts to saturate the matching system
-SATURATION_ORDER = 10
+# least truncation order whose matching system saturates (order 10 leaves it unsolved)
+SATURATION_ORDER = 11
 
 
 class StageFailure(RuntimeError):

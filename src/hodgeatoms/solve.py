@@ -16,7 +16,6 @@ from fractions import Fraction
 from operator import mul
 from typing import Dict, List, Sequence, Tuple
 
-from .linalg import rref
 from .poly import Poly, rat_str
 from .spectrum import rational_roots
 
@@ -65,29 +64,32 @@ def solve_parameters(equations: Sequence[Tuple[int, int, Dict[tuple, int], Dict[
     cols = monos + [zero_ex]
     rows = [[terms.get(ex, 0) for ex in cols] for _, _, terms, _ in equations]
 
-    # Gauss-Jordan only on the rows found independent so far. Any other row r
-    # lies in their span iff d r[j] = sum_c r[p_c] (d R_c)[j] on every non-pivot
-    # column j (R the reduced rows, p_c their pivots, d their common denominator;
-    # free pairs each such j with column j of d R); the right-hand side must follow.
-    # A row taken in is its integer primitive part, the numerators over their gcd.
-    basis: List[List[Fraction]] = []
+    # Gauss-Jordan over Z on the rows found independent so far, kept as
+    # basis = d R (R their reduced echelon form, p_c its pivots, |d| its least
+    # common denominator). A row r reduces to e = d r - sum_c r[p_c] basis_c;
+    # r lies in the span iff e is zero on the monomials, and then its constant
+    # must be too. Otherwise e joins at its first nonzero column p: the rows
+    # e[p] basis_c - basis_c[p] e and d e are (d e[p]) R', cut by their gcd.
+    basis: List[List[int]] = []
     pivots: List[int] = []
-    d, free = 1, [(j, []) for j in range(len(cols))]
+    d, columns = 1, [()] * len(cols)
     for row in rows:
         at = [row[p] for p in pivots]
-        excess = [d * row[j] - sum(map(mul, at, col)) for j, col in free]
-        if not any(excess[:-1]):
-            if excess[-1]:
+        e = [d * x - sum(map(mul, at, col)) for x, col in zip(row, columns)]
+        p = next((j for j, x in enumerate(e[:-1]) if x), None)
+        if p is None:
+            if e[-1]:
                 raise SolveError("inconsistent linearized system")
             continue
-        basis.append([Fraction(x // g) for g in [math.gcd(*row)] for x in row])
-        pivots = rref(basis, len(monos))
-        d = math.lcm(*(x.denominator for r in basis for x in r))
-        free = [(j, [(r[j] * d).numerator for r in basis])
-                for j in range(len(cols)) if j not in pivots]
+        basis = [[e[p] * x - b[p] * y for x, y in zip(b, e)] for b in basis] + [[d * y for y in e]]
+        pivots.append(p)
+        g = math.gcd(*(x for b in basis for x in b))
+        basis, d = [[x // g for x in b] for b in basis], d * e[p] // g
+        columns = list(zip(*basis))
 
-    # de-linearize the reduced rows back into polynomial equations
-    reduced = [Poly(params, dict(zip(cols, r))) for r in basis]
+    # de-linearize the reduced rows, in pivot order, back into polynomial equations
+    reduced = [Poly(params, {ex: Fraction(x, d) for ex, x in zip(cols, b)})
+               for _, b in sorted(zip(pivots, basis))]
 
     solutions = _back_substitute(reduced, params)
 

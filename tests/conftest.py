@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import settings
 
 from hodgeatoms.ansatz import apply_param_names, build_ansatz, substitute_params
@@ -33,6 +34,15 @@ def integer_equations(equations):
         terms = {ex: (c * den).numerator for ex, c in e.terms.items()}
         out.append((m, den, terms, {ex: math.gcd(v, den) for ex, v in terms.items()}))
     return out
+
+
+def sympy_rref(rows):
+    """The nonzero rows of the reduced row echelon form of rows over Q, as
+    Fraction lists, and their pivot columns, by sympy. Where the last
+    columns are right-hand sides, a pivot on one of them means the system
+    is inconsistent."""
+    m, pivots = sympy.Matrix(rows).rref()
+    return [[Fraction(int(x.p), int(x.q)) for x in m.row(i)] for i in range(len(pivots))], pivots
 
 
 def equation_poly(variables, den, terms):

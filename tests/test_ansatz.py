@@ -12,9 +12,10 @@ from hodgeatoms.ansatz import (admissible_powers, build_ansatz, classical_matrix
 from hodgeatoms.cli import main
 from hodgeatoms.cohomology import AmbientRing, gram_matrix
 from hodgeatoms.instance import load_instance
-from hodgeatoms.linalg import Matrix, rref
+from hodgeatoms.linalg import Matrix
 from hodgeatoms.pipeline import exit_code, run_pipeline
 from hodgeatoms.poly import Poly, rational_content
+from conftest import sympy_rref
 from test_cohomology import AmbientClass, ref, ref_coordinates
 
 SYM_DEGREES = (0, 2, 4, 4, 6, 8)
@@ -191,7 +192,7 @@ def symbolic_ansatz(basis, ring, degrees, pairing):
                     row[active[0]] += c
                 if any(row):
                     rows.append(row)
-    pivots = rref(rows, nun)
+    rows, pivots = sympy_rref(rows)
     named = []
     for f in (k for k in range(nun) if k not in pivots):
         vec = [Fraction(0)] * nun

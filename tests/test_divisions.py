@@ -16,7 +16,6 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hodgeatoms"
 AUDITED = {
     ("ansatz.py", "g[i] / scale"): "scale is a rational_content",
     ("ansatz.py", "g[j] / scale"): "scale is a rational_content",
-    ("linalg.py", "x / pv"): "rref takes the pivot as a Fraction",
     ("pipeline.py", "-inst.n_invariant / 2"): "Instance.n_invariant is a Fraction",
     ("poly.py", "ca / cb"): "both are rational_contents",
     ("qde.py", "Fraction(1) / k"): "a Fraction numerator",

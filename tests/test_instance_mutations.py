@@ -29,7 +29,8 @@ MUTATIONS = [
     ("simple=true", "simple=yes", 1),         # not a boolean
     ("N=-4/1", "N=0/1", 2),
     ("enumerative=t,u", "enumerative=s", 2),
-    ("order=16", "order=10", 2),
+    ("order=16", "order=10", 1),              # refused by the CLI guard
+    ("order=16", "order=11", 0),
     ("tdecomp=1,19,1", "tdecomp=0,21,0", 2),
     ("simple=true", "simple=false", 2),
     ("v@(0,4)", "v@(0,5)", 2),

@@ -536,11 +536,3 @@ def test_back_substitution_at_the_width_bound():
     assert vec == augmented_left_nullspace_reference(m)[0]
     assert vec == [Poly(xy, {(d - 1, 1): -4, (0, d): -15}), Poly(xy, {(d, 0): 2}),
                    Poly(xy, {(d, 0): 5})]
-
-
-def test_rref_of_integer_rows_is_exact():
-    # an int pivot divides as a Fraction, so no entry becomes a float
-    rows = [[2, 1, 1], [4, 3, 1]]
-    assert linalg.rref(rows, 2) == [0, 1]
-    assert rows == [[1, 0, 1], [0, 1, -1]]
-    assert all(type(x) is Fraction for r in rows for x in r)

@@ -224,7 +224,7 @@ def _records(reason_of):
      {s: ("not run", "run limited through ansatz")
       for s in ("eliminate", "solve", "spectrum", "atoms", "verdict")}),
     ("verra", {"order": 8},
-     {"solve": ("failed", "truncation order 8 < 10 cannot saturate the system"),
+     {"solve": ("failed", "truncation order 8 < 11 cannot saturate the system"),
       **{s: ("not run", "upstream failure in solve") for s in ("spectrum", "atoms", "verdict")}}),
     ("broken-nonsimple", {},
      {"atoms": ("failed", "transcendental part not known simple"),

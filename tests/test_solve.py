@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hodgeatoms import solve
-from hodgeatoms.linalg import rref
 from hodgeatoms.periods import period_coefficients
-from hodgeatoms.poly import Poly, _zprimitive, normal_form
+from hodgeatoms.poly import Poly, normal_form
 from hodgeatoms.qde import match_equations
 from hodgeatoms.solve import SolveError, _classify, solve_parameters
 from hodgeatoms.spectrum import rational_roots
-from conftest import equation_poly, integer_equations
+from conftest import equation_poly, integer_equations, sympy_rref
 
 XY = ("x", "y")
 
@@ -149,12 +148,11 @@ def _full_rref_reference(equations, params):
                    key=lambda ex: (-sum(ex), tuple(-x for x in ex)))
     rows = [[e.terms.get(ex, Fraction(0)) for ex in monos]
             + [e.terms.get(zero_ex, Fraction(0))] for e in canon]
-    pivots = rref(rows, len(monos))
-    for row in rows[len(pivots):]:
-        if row[-1] != 0:
-            raise SolveError("inconsistent linearized system")
+    rows, pivots = sympy_rref(rows)
+    if pivots[-1] == len(monos):
+        raise SolveError("inconsistent linearized system")
     reduced = []
-    for row in rows[: len(pivots)]:
+    for row in rows:
         terms = {ex: c for ex, c in zip(monos, row[:-1]) if c != 0}
         if row[-1] != 0:
             terms[zero_ex] = row[-1]
@@ -239,30 +237,6 @@ def test_wrong_candidate_is_an_internal_error(monkeypatch):
     report = solve_parameters(integer_equations(eqs), XY, ())
     assert report.unverified == (((Fraction(2), Fraction(1, 3)), 3),)
     assert report.solutions == ((Fraction(2), Fraction(0)), (Fraction(2), Fraction(1, 3)))
-
-
-@given(consistent_systems())
-def test_rows_are_the_primitive_parts_of_the_fraction_form(system):
-    # each row taken in is _zprimitive of its equation's Fraction form, sign
-    # included; solve row-reduces the independent rows as they come
-    eqs, _ = system
-    taken = []
-
-    def recording_rref(rows, ncols):
-        taken.append(list(rows[-1]))  # the row just taken in, not yet reduced
-        return rref(rows, ncols)
-
-    with mock.patch.object(solve, "rref", recording_rref), \
-            mock.patch.object(solve, "_back_substitute", lambda reduced, params: []):
-        solve_parameters(integer_equations(eqs), XYZ, ())
-    zero_ex = (0, 0, 0)
-    canon = [_zprimitive(e)[0] for _, e in eqs]
-    monos = sorted({ex for z in canon for ex in z if ex != zero_ex},
-                   key=lambda ex: (-sum(ex), tuple(-x for x in ex)))
-    expected = [[z.get(ex, 0) for ex in monos + [zero_ex]] for z in canon]
-    assert taken[0] == expected[0]
-    rest = iter(expected)
-    assert all(any(row == e for e in rest) for row in taken)
 
 
 # -- back-substitution against the two-binding reference -----------------------
@@ -394,3 +368,16 @@ def test_int_pivots_solve_exactly():
     rep = solve_parameters(integer_equations(eqs), XY, ())
     assert rep.solutions == ((Fraction(-1, 2), Fraction(1)),)
     assert all(type(v) is Fraction for sol in rep.solutions for v in sol)
+
+
+def test_reduced_rows_come_in_pivot_order():
+    # y's row arrives first, yet x's reduced row leads; the third row is
+    # 2 times the second plus the first, so it adds nothing
+    eqs = [(2, e2({(0, 1): 2, (0, 0): -1})), (3, e2({(1, 0): 3, (0, 1): 1})),
+           (4, e2({(1, 0): 6, (0, 1): 4, (0, 0): -1}))]
+    report = solve_parameters(integer_equations(eqs), XY, ())
+    assert [e.render() for e in report.reduced] == ["x + 1/6", "y - 1/2"]
+    assert report.solutions == ((Fraction(-1, 6), Fraction(1, 2)),)
+    eqs[2] = (4, e2({(1, 0): 6, (0, 1): 4, (0, 0): -2}))
+    with pytest.raises(SolveError, match="inconsistent linearized system"):
+        solve_parameters(integer_equations(eqs), XY, ())
