@@ -229,6 +229,8 @@ class Poly:
     def rename_vars(self, variables: Iterable[str], mapping: Mapping[str, str] | None = None) -> "Poly":
         """Re-embed into another variable tuple (old names mapped by identity or `mapping`)."""
         variables = tuple(variables)
+        if variables == self.vars and not mapping:
+            return self  # no Poly's terms are ever mutated, so self can be shared
         names = [mapping.get(v, v) for v in self.vars] if mapping else self.vars
         out = {}
         for ex, c in self.terms.items():
@@ -339,6 +341,10 @@ def _zdiv(a: dict, b: dict, guard: int) -> dict | None:
         return {}
     bex = max(b)
     bc = b[bex]
+    if len(b) == 1:  # a monomial divides term by term, in a's term order
+        if any(c % bc or ((ex | guard) - bex) & guard != guard for ex, c in a.items()):
+            return None
+        return {ex - bex: c // bc for ex, c in a.items()}
     rest = [(ex, c) for ex, c in b.items() if ex != bex]
     rem = dict(a)
     heap = [-ex for ex in rem]
@@ -417,7 +423,7 @@ def exact_div(a: Poly, b: Poly) -> Poly:
     quot = _zquotient(za, zb)
     if quot is None:
         raise ValueError("not exactly divisible")
-    k = ca / cb
+    k = _as_scalar(ca / cb)
     return Poly(a.vars, {ex: c * k for ex, c in quot.items()})
 
 
@@ -528,23 +534,25 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         Poly(a.vars, {tuple(map(add, ex, low)): c for ex, c in h.items()}))
 
 
-def poly_gcd_many(polys) -> Poly:
-    """Gcd of the nonzero polynomials in polys (0 when there are none).
+def poly_gcd_many(polys) -> Tuple[Poly, list]:
+    """(g, quotients): the gcd g of the nonzero polynomials in polys (0 when
+    there are none) and each polynomial over g, a zero one staying zero.
 
     Fewest terms first; the running gcd is kept while it divides the next
-    polynomial, and the scan stops once it is constant.
+    polynomial, and the scan stops once it is constant. Each test division
+    gives its quotient; only the first polynomial and those tested before
+    the gcd last shrank are divided again, and none when the gcd is 1.
     """
     polys = list(polys)
-    todo = sorted((p for p in polys if not p.is_zero()), key=lambda p: len(p.terms))
-    if not todo:
-        return Poly.zero(polys[0].vars)
-    out = normal_form(todo[0])
-    zout = _zprimitive(out)[0]
-    for p in todo[1:]:
-        if out.constant_value() is not None:
+    todo = sorted((i for i, p in enumerate(polys) if p), key=lambda i: len(polys[i].terms)) or [0]
+    g, quots = normal_form(polys[todo[0]]), {}
+    for i in todo[1:]:
+        if g.constant_value() is not None:
             break
-        if _zquotient(_zprimitive(p)[0], zout) is None:
-            out = poly_gcd(out, p)
-            zout = _zprimitive(out)[0]
-    return out
-
+        try:
+            quots[i] = exact_div(polys[i], g)
+        except ValueError:
+            g, quots = poly_gcd(g, polys[i]), {}
+    if g.constant_value() is not None:  # 1, or 0 when every polynomial is
+        return g, polys
+    return g, [quots[i] if i in quots else exact_div(p, g) if p else p for i, p in enumerate(polys)]

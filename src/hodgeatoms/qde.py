@@ -12,11 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Sequence, Tuple
+from operator import sub
+from typing import Dict, Iterator, Mapping, Sequence, Tuple
 
 from .linalg import Matrix, _int_row, left_nullspace
-from .poly import (Poly, _pack, _packing, _pdot, exact_div, poly_gcd_many, rational_content,
-                   signed_join)
+from .poly import Poly, _pack, _packing, _pdot, poly_gcd_many, rational_content, signed_join
 from .series import Series
 
 
@@ -49,18 +49,24 @@ class DiffOperator:
     def normalize(self) -> "DiffOperator":
         """The coefficients over their gcd, scaled once: monic when the top
         coefficient is a rational constant, otherwise content-free with a
-        positive leading coefficient."""
-        g = poly_gcd_many(self.coeffs)
-        if g.is_zero():
+        positive leading coefficient. The gcd's monomial factor (the least
+        exponent of each variable) comes off by a shift, the rest by the gcd
+        scan's quotients, and an integer scale divides integers as ints."""
+        low = tuple(map(min, zip(*(ex for c in self.coeffs for ex in c.terms))))
+        if not low:
             return self
-        coeffs = list(self.coeffs)
-        if g.constant_value() != 1:
-            coeffs = [exact_div(c, g) for c in coeffs]
+        coeffs = [Poly(self.vars, {tuple(map(sub, ex, low)): v for ex, v in c.terms.items()})
+                  for c in self.coeffs] if any(low) else self.coeffs
+        coeffs = poly_gcd_many(coeffs)[1]
         k = coeffs[-1].constant_value()
         if not k:
             k = rational_content(v for c in coeffs for v in c.terms.values())
             if coeffs[-1].leading_coefficient() < 0:
                 k = -k
+        n = k.numerator if k.denominator == 1 else 0
+        if n and all(type(v) is int and not v % n for c in coeffs for v in c.terms.values()):
+            return DiffOperator(tuple(Poly(self.vars, {ex: v // n for ex, v in c.terms.items()})
+                                      for c in coeffs))
         return DiffOperator(tuple(c.scale(Fraction(1) / k) for c in coeffs))
 
     def render(self, texts: Sequence[str] = ()) -> str:
@@ -142,10 +148,11 @@ def apply(op: DiffOperator, f: Series) -> Series:
     return Series([Fraction(sum(t.values()), den) for den, t in apply_symbolic(op, f)])
 
 
-def apply_symbolic(op: DiffOperator, f: Series) -> List[Tuple[int, Dict[tuple, int]]]:
+def apply_symbolic(op: DiffOperator, f: Series) -> Iterator[Tuple[int, Dict[tuple, int]]]:
     """Coefficients of apply(op, f) when the operator still carries parameters,
-    in integers: entry m is (den, terms), the polynomial sum terms[ex] / den * x^ex
-    in the parameters x (op.vars less q), with den > 0 and no zero in terms.
+    in integers, yielded in order as they are made: entry m is (den, terms), the
+    polynomial sum terms[ex] / den * x^ex in the parameters x (op.vars less q),
+    with den > 0 and no zero in terms.
 
     The operator is cleared of denominators once (lcm dv), and for each
     output order the few series coefficients it uses are put over their lcm,
@@ -161,7 +168,6 @@ def apply_symbolic(op: DiffOperator, f: Series) -> List[Tuple[int, Dict[tuple, i
             slices.setdefault(key, [0] * len(op.coeffs))[k] = v.numerator * (dv // v.denominator)
     js = sorted({j for j, _ in slices})
     fc = f.coeffs
-    out = []
     for mo in range(out_order + 1):
         used = {j: fc[mo - j] for j in js if j <= mo}
         den = math.lcm(*(x.denominator for x in used.values()))
@@ -173,14 +179,14 @@ def apply_symbolic(op: DiffOperator, f: Series) -> List[Tuple[int, Dict[tuple, i
                 for v in reversed(ks):  # sum_k v_k (mo - j)^k
                     w = w * n + v
                 acc[ex] = acc.get(ex, 0) + w * scale[j]
-        out.append((den * dv, {ex: v for ex, v in acc.items() if v}))
-    return out
+        yield den * dv, {ex: v for ex, v in acc.items() if v}
 
 
 def match_equations(op: DiffOperator, f: Series, depth: int, params: Sequence[str]) -> list:
     """The nonzero entries m <= depth of apply_symbolic as (m, den, terms, gcds),
-    ex over params and gcds[ex] = gcd(terms[ex], den); ValueError when op has a
-    variable besides q and the params. A monomial at one q-power j (every one, if op
+    ex over params and gcds[ex] = gcd(terms[ex], den), through the first of
+    parameter degree > 2, at which solve_parameters stops; ValueError when op
+    has a variable besides q and the params. A monomial at one q-power j (every one, if op
     is derived) has terms[ex] = w * N * s, where N / d = f_(m-j) in lowest terms,
     s = den / (dv * d) and w = dv * sum_k c_k (m-j)^k is small; its gcd is then
     s * g * gcd(w / g * N, dv) with g = gcd(d, w). Other monomials take gcd(v, den)."""
@@ -189,6 +195,7 @@ def match_equations(op: DiffOperator, f: Series, depth: int, params: Sequence[st
     grade: dict = {}  # parameter monomial -> its q-power, None at several
     for ex in (ex for c in op.coeffs for ex in c.terms):
         grade[ex[:-1]] = ex[-1] if grade.get(ex[:-1], ex[-1]) == ex[-1] else None
+    high = {ex for ex in grade if sum(ex) > 2}  # monomials that solve_parameters rejects
     out = []
     for m, (den, terms) in zip(range(depth + 1), apply_symbolic(op, f)):
         parts = {j: (a.denominator, a.numerator % dv, s, a.numerator * s)
@@ -204,6 +211,8 @@ def match_equations(op: DiffOperator, f: Series, depth: int, params: Sequence[st
             gcds[ex] = s * g * math.gcd(w // g * r, dv)
         if terms:
             out.append((m, den, terms, gcds))
+            if not high.isdisjoint(terms):
+                break
     return out
 
 

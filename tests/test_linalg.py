@@ -53,7 +53,7 @@ def normalize_vector(vec):
     """Kernel vector normal form for comparisons: divided by its polynomial
     and rational content, first nonzero entry with a positive leading
     coefficient."""
-    g = poly_gcd_many([p for p in vec if not p.is_zero()] or [vec[0]])
+    g = poly_gcd_many([p for p in vec if not p.is_zero()] or [vec[0]])[0]
     if not g.is_zero() and g.constant_value() != 1:
         vec = [exact_div(p, g) for p in vec]
     c = rational_content(v for p in vec for v in p.terms.values())

@@ -446,15 +446,63 @@ def test_heuristic_gcd_without_fallback():
 
 def test_poly_gcd_many(monkeypatch):
     s, t, q = (Poly.var(V, n) for n in V)
-    g = poly_gcd_many([(s - t) * q, (s - t) * q ** 2, (s - t) * q * t])
+    polys = [(s - t) * q, (s - t) * q ** 2, (s - t) * q * t]
+    g, quotients = poly_gcd_many(polys)
     assert g == (s - t) * q
+    assert quotients == [Poly.const(V, 1), q, t]
     # the divisibility test reads the running gcd as it stands: once the
     # second polynomial brings it down to s - t, the third needs no gcd
     calls = []
     original = poly.poly_gcd
     monkeypatch.setattr(poly, "poly_gcd", lambda a, b: calls.append(b) or original(a, b))
-    assert poly_gcd_many([(s - t) * s, (s - t) * t, (s - t) * q]) == s - t
+    assert poly_gcd_many([(s - t) * s, (s - t) * t, (s - t) * q])[0] == s - t
     assert calls == [(s - t) * t]
+
+
+def _same_terms(got, want):
+    return got == want and [list(p.terms) for p in got] == [list(p.terms) for p in want]
+
+
+def test_poly_gcd_many_divides_again_only_after_the_gcd_shrinks(monkeypatch):
+    s, t, q = (Poly.var(V, n) for n in V)
+    f = (s - t) * q
+    # fewest terms first (polys 2, 0, 3, 4): the running gcd starts at f,
+    # divides poly 0, shrinks to s - t at poly 3 and then divides poly 4
+    polys = [f * (t + 1) * Fraction(3, 2), Poly.zero(V), f.scale(-4),
+             (s - t) * (q + 1), f * (s + t * 3) * (q + 2)]
+    divided = []
+    original = poly.exact_div
+    monkeypatch.setattr(poly, "exact_div", lambda a, b: divided.append(a) or original(a, b))
+    g, quotients = poly_gcd_many(polys)
+    assert g == s - t
+    assert _same_terms(quotients, [p if p.is_zero() else exact_div(p, g) for p in polys])
+    assert quotients[1] is polys[1]
+    # the test divisions of polys 0, 3 (which fails) and 4, then the
+    # quotients of the first polynomial and of those taken over f or failed
+    assert divided == [polys[0], polys[3], polys[4], polys[0], polys[2], polys[3]]
+
+
+def test_poly_gcd_many_over_a_constant_gcd_keeps_the_polynomials():
+    s, t, q = (Poly.var(V, n) for n in V)
+    polys = [s * 2 + 1, Poly.zero(V), t * q - 3]
+    g, quotients = poly_gcd_many(polys)
+    assert g == 1 and all(a is b for a, b in zip(quotients, polys))
+    assert poly_gcd_many([Poly.zero(V)]) == (Poly.zero(V), [Poly.zero(V)])
+
+
+@given(st.lists(integer_polys, min_size=1, max_size=4), integer_polys, monomials)
+def test_poly_gcd_many_quotients_are_exact_divs(polys, g, m):
+    polys = [p * g * m for p in polys]
+    got, quotients = poly_gcd_many(polys)
+    nonzero = [p for p in polys if p]
+    if not nonzero:
+        assert got.is_zero() and quotients == polys
+        return
+    want = nonzero[0]
+    for p in nonzero[1:]:
+        want = poly_gcd(want, p)
+    assert got == normal_form(want)
+    assert _same_terms(quotients, [exact_div(p, got) if p else p for p in polys])
 
 
 def test_laurent_poly():

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -17,6 +18,7 @@ from hodgeatoms.qde import (DiffOperator, apply, apply_symbolic,
                             match_equations, transform_even_operator)
 from hodgeatoms.pipeline import run_pipeline
 from hodgeatoms.series import Series
+from hodgeatoms.solve import SolveError, solve_parameters
 from conftest import equation_poly
 from test_linalg import square_matrices
 
@@ -240,7 +242,7 @@ def normalize_reference(op):
     nonzero = [c for c in op.coeffs if not c.is_zero()]
     if not nonzero:
         return op
-    g = poly_gcd_many(nonzero)
+    g = poly_gcd_many(nonzero)[0]
     coeffs = list(op.coeffs)
     if g.constant_value() != 1:
         coeffs = [exact_div(c, g) for c in coeffs]
@@ -254,9 +256,14 @@ def normalize_reference(op):
     return DiffOperator(tuple(coeffs))
 
 
+# q^k and q^k s, the shapes of the monomial factors the shift takes off
+sq_monomials = st.builds(lambda k, s: Poly(SQ, {(s, k): 1}), st.integers(1, 4), st.integers(0, 1))
+
+
 @given(st.lists(sq_polys, max_size=3), sq_polys.filter(bool), sq_polys.filter(bool),
-       st.sampled_from(["constant top", "common factor", "plain"]))
-def test_normalize_matches_the_three_step_definition(low, top, factor, shape):
+       st.sampled_from(["constant top", "common factor", "monomial factor",
+                        "monomial times binomial", "plain"]), sq_monomials)
+def test_normalize_matches_the_three_step_definition(low, top, factor, shape, monomial):
     # zero coefficients come from sq_polys, negative leading coefficients
     # from the signs it draws
     if shape == "constant top":
@@ -264,6 +271,11 @@ def test_normalize_matches_the_three_step_definition(low, top, factor, shape):
     coeffs = (*low, top)
     if shape == "common factor":
         coeffs = tuple(c * factor for c in coeffs)
+    if shape == "monomial factor":
+        coeffs = tuple(c * monomial for c in coeffs)
+    if shape == "monomial times binomial":  # the gcd's shape on components 0 and 1
+        binomial = Poly(SQ, {(1, 0): 1, (0, 1): -2})
+        coeffs = tuple(c * monomial * binomial for c in coeffs)
     op = DiffOperator(coeffs)
     got, want = op.normalize(), normalize_reference(op)
     assert got == want
@@ -455,6 +467,48 @@ def test_derived_operators_are_graded(sym_ansatz, component):
     assert all(len(js) == 1 for js in powers.values())
 
 
+@pytest.mark.parametrize("component", range(6))
+def test_eliminate_is_the_reference_normal_form_of_the_kernel_vector(sym_ansatz, component):
+    # the shifted monomial factor and the gcd scan's quotients give the same
+    # operator as dividing each coefficient by the whole gcd, term for term
+    rows = cyclic_rows(sym_ansatz.matrix, component, sym_ansatz.matrix.ncols)
+    vec = left_nullspace(rows)[0]
+    top = max(k for k, c in enumerate(vec) if not c.is_zero())
+    got, want = eliminate(rows), normalize_reference(DiffOperator(tuple(vec[:top + 1])))
+    assert got == want
+    assert [list(c.terms) for c in got.coeffs] == [list(c.terms) for c in want.coeffs]
+
+
+# component -> (q-orders matched, solve_parameters' error) at order 16, depth 10
+MATCHED_AT_ORDER_16 = {
+    0: ([1], "equation at q^1 has degree 8 > 2"),
+    1: ([1], "equation at q^1 has degree 4 > 2"),
+    2: ([2], "equation at q^2 has degree 6 > 2"),
+    3: ([2], "equation at q^2 has degree 6 > 2"),
+    4: (list(range(1, 11)), "inconsistent linearized system"),
+    5: (list(range(2, 11)), None),
+}
+
+
+@pytest.mark.parametrize("component", range(6))
+def test_matching_stops_at_the_solvers_degree_bound(sym_ansatz, verra, period16, component):
+    # the list ends with the first equation of parameter degree > 2, where
+    # the solver stops with the same message at the same q-order
+    mat = sym_ansatz.matrix
+    op = eliminate(cyclic_rows(mat, component, mat.ncols))
+    params = verra.parameter_order()
+    eqs = match_equations(op, period16, 10, params)
+    orders, error = MATCHED_AT_ORDER_16[component]
+    assert [m for m, *_ in eqs] == orders
+    assert [max(map(sum, terms)) > 2 for _, _, terms, _ in eqs] == \
+        [False] * (len(eqs) - 1) + ["degree" in (error or "")]
+    if error is None:
+        solve_parameters(eqs, params, verra.enumerative)
+    else:
+        with pytest.raises(SolveError, match=re.escape(error)):
+            solve_parameters(eqs, params, verra.enumerative)
+
+
 _ST = ("s", "t", "q")
 # s at q^0 and q^1 in c_0, so it falls back to gcd(v, den), with dv = 6
 TWO_POWERS = DiffOperator((Poly(_ST, {(1, 0, 0): Fraction(1, 2), (1, 0, 1): Fraction(-5, 3),
@@ -466,6 +520,13 @@ GRADED = DiffOperator((Poly(_ST, {(1, 0, 1): Fraction(3, 5), (0, 0, 0): Fraction
                        Poly(_ST, {(0, 0, 0): Fraction(1)})))
 # large enough that no small gcd's arguments equal a term and its den
 _SERIES = [Fraction((-3) ** (k + 40) + k, (k + 2) ** 30) for k in range(8)]
+
+
+def test_matching_stops_after_a_degree_3_equation():
+    # s^3 at q^1 makes the q^1 equation the last one handed on
+    op = DiffOperator((Poly(_ST, {(0, 0, 0): 1, (3, 0, 1): 1}), Poly(_ST, {(0, 1, 0): 1})))
+    f = Series([Fraction(k + 1) for k in range(6)])
+    assert [m for m, *_ in match_equations(op, f, 99, ("s", "t"))] == [0, 1]
 
 
 @given(parametric_operators(), st.lists(_RATIONALS, min_size=3, max_size=12))
