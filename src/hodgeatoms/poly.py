@@ -341,10 +341,6 @@ def _zdiv(a: dict, b: dict, guard: int) -> dict | None:
         return {}
     bex = max(b)
     bc = b[bex]
-    if len(b) == 1:  # a monomial divides term by term, in a's term order
-        if any(c % bc or ((ex | guard) - bex) & guard != guard for ex, c in a.items()):
-            return None
-        return {ex - bex: c // bc for ex, c in a.items()}
     rest = [(ex, c) for ex, c in b.items() if ex != bex]
     rem = dict(a)
     heap = [-ex for ex in rem]
@@ -529,21 +525,31 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     a._check(b)
     za, zb = _zprimitive(a)[0], _zprimitive(b)[0]
     low = tuple(map(min, zip(*za, *zb)))
-    h = _heu_gcd(*({tuple(map(sub, ex, low)): c for ex, c in z.items()} for z in (za, zb)))
-    return _prs_gcd(a, b) if h is None else normal_form(
-        Poly(a.vars, {tuple(map(add, ex, low)): c for ex, c in h.items()}))
+    h = _heu_gcd(_shift(za, low, sub), _shift(zb, low, sub))
+    return _prs_gcd(a, b) if h is None else normal_form(Poly(a.vars, _shift(h, low, add)))
+
+
+def _shift(terms: dict, low: tuple, op) -> dict:
+    """terms with each exponent tuple shifted by low (op is add or sub)."""
+    return {tuple(map(op, ex, low)): c for ex, c in terms.items()}
 
 
 def poly_gcd_many(polys) -> Tuple[Poly, list]:
     """(g, quotients): the gcd g of the nonzero polynomials in polys (0 when
     there are none) and each polynomial over g, a zero one staying zero.
 
-    Fewest terms first; the running gcd is kept while it divides the next
-    polynomial, and the scan stops once it is constant. Each test division
-    gives its quotient; only the first polynomial and those tested before
-    the gcd last shrank are divided again, and none when the gcd is 1.
+    The common monomial (the least exponent of each variable over every term)
+    comes off by a shift, and the rest is scanned fewest terms first: the
+    running gcd is kept while it divides the next polynomial, and the scan
+    stops once it is constant. Each test division gives its quotient; only
+    the first polynomial and those tested before the gcd last shrank are
+    divided again. When the gcd is a monomial nothing is divided; a shifted
+    polynomial is put leading term first, the order exact_div leaves.
     """
     polys = list(polys)
+    low = tuple(map(min, zip(*(ex for p in polys for ex in p.terms))))
+    if any(low):
+        polys = [Poly(p.vars, _shift(p.terms, low, sub)) for p in polys]
     todo = sorted((i for i, p in enumerate(polys) if p), key=lambda i: len(polys[i].terms)) or [0]
     g, quots = normal_form(polys[todo[0]]), {}
     for i in todo[1:]:
@@ -553,6 +559,10 @@ def poly_gcd_many(polys) -> Tuple[Poly, list]:
             quots[i] = exact_div(polys[i], g)
         except ValueError:
             g, quots = poly_gcd(g, polys[i]), {}
-    if g.constant_value() is not None:  # 1, or 0 when every polynomial is
-        return g, polys
-    return g, [quots[i] if i in quots else exact_div(p, g) if p else p for i, p in enumerate(polys)]
+    if g.constant_value() is None:  # else 1, or 0 when every polynomial is
+        polys = [quots[i] if i in quots else exact_div(p, g) if p else p
+                 for i, p in enumerate(polys)]
+    elif any(low):
+        polys = [Poly(p.vars, dict(sorted(p.terms.items(), key=lambda t: _grlex_key(t[0]),
+                                          reverse=True))) for p in polys]
+    return (Poly(g.vars, _shift(g.terms, low, add)) if any(low) else g), polys

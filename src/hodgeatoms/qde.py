@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import sub
 from typing import Dict, Iterator, Mapping, Sequence, Tuple
 
 from .linalg import Matrix, _int_row, left_nullspace
@@ -49,24 +48,15 @@ class DiffOperator:
     def normalize(self) -> "DiffOperator":
         """The coefficients over their gcd, scaled once: monic when the top
         coefficient is a rational constant, otherwise content-free with a
-        positive leading coefficient. The gcd's monomial factor (the least
-        exponent of each variable) comes off by a shift, the rest by the gcd
-        scan's quotients, and an integer scale divides integers as ints."""
-        low = tuple(map(min, zip(*(ex for c in self.coeffs for ex in c.terms))))
-        if not low:
+        positive leading coefficient."""
+        g, coeffs = poly_gcd_many(self.coeffs)
+        if g.is_zero():
             return self
-        coeffs = [Poly(self.vars, {tuple(map(sub, ex, low)): v for ex, v in c.terms.items()})
-                  for c in self.coeffs] if any(low) else self.coeffs
-        coeffs = poly_gcd_many(coeffs)[1]
         k = coeffs[-1].constant_value()
         if not k:
             k = rational_content(v for c in coeffs for v in c.terms.values())
             if coeffs[-1].leading_coefficient() < 0:
                 k = -k
-        n = k.numerator if k.denominator == 1 else 0
-        if n and all(type(v) is int and not v % n for c in coeffs for v in c.terms.values()):
-            return DiffOperator(tuple(Poly(self.vars, {ex: v // n for ex, v in c.terms.items()})
-                                      for c in coeffs))
         return DiffOperator(tuple(c.scale(Fraction(1) / k) for c in coeffs))
 
     def render(self, texts: Sequence[str] = ()) -> str:

@@ -12,15 +12,15 @@ SRC = str(ROOT / "src")
 
 
 def test_one_tree_twice_prints_the_minima_per_component_and_in_total():
-    # format only: two shallow cases, one round, no assertion on the times
+    # format only: one round of the 32 shallow cases, no assertion on the times
     proc = subprocess.run([sys.executable, str(TOOL), SRC, SRC, "--workload", "verra-shallow",
-                           "--cases", "2", "--rounds", "1"],
+                           "--rounds", "1"],
                           capture_output=True, text=True, timeout=600, check=False)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[0] == "verra-shallow: 2 cases, 1 rounds, least ms per case"
+    assert lines[0] == "verra-shallow: 32 cases, 1 rounds, least ms per case"
     assert lines[1].split() == ["cases", "parent", "change", "ratio"]
-    row = r"\s+{} +2 +\d+\.\d\d +\d+\.\d\d +\d+\.\d{{3}}"
+    row = r"\s+{} +32 +\d+\.\d\d +\d+\.\d\d +\d+\.\d{{3}}"
     assert re.fullmatch(row.format("c5"), lines[2])
     assert re.fullmatch(row.format("total"), lines[3])
     assert len(lines) == 4
@@ -29,7 +29,7 @@ def test_one_tree_twice_prints_the_minima_per_component_and_in_total():
 def test_a_tree_without_the_engine_is_refused(tmp_path):
     # with the engine on PYTHONPATH, an empty tree would silently time it instead
     proc = subprocess.run([sys.executable, str(TOOL), str(tmp_path), SRC, "--workload",
-                           "verra-deep", "--cases", "1", "--rounds", "1"],
+                           "verra-deep", "--rounds", "1"],
                           capture_output=True, text=True, timeout=600, check=False,
                           env={**os.environ, "PYTHONPATH": SRC})
     assert proc.returncode != 0

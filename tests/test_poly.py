@@ -490,6 +490,21 @@ def test_poly_gcd_many_over_a_constant_gcd_keeps_the_polynomials():
     assert poly_gcd_many([Poly.zero(V)]) == (Poly.zero(V), [Poly.zero(V)])
 
 
+def test_poly_gcd_many_shifts_off_the_common_monomial():
+    # q^2 s is the least exponent of each variable over every term; what is
+    # left has gcd 1, so the quotients are the shifted terms, leading term
+    # first as exact_div leaves them
+    s, t, q = (Poly.var(V, n) for n in V)
+    polys = [Poly(V, {(1, 1, 2): 3, (2, 0, 5): -1}), Poly.zero(V),
+             Poly(V, {(1, 0, 3): 2, (3, 0, 2): 1})]
+    g, quotients = poly_gcd_many(polys)
+    assert g == s * q ** 2
+    assert [p.terms for p in quotients] == [{(0, 1, 0): 3, (1, 0, 3): -1}, {},
+                                            {(0, 0, 1): 2, (2, 0, 0): 1}]
+    assert [list(p.terms) for p in quotients] == [[(1, 0, 3), (0, 1, 0)], [],
+                                                  [(2, 0, 0), (0, 0, 1)]]
+
+
 @given(st.lists(integer_polys, min_size=1, max_size=4), integer_polys, monomials)
 def test_poly_gcd_many_quotients_are_exact_divs(polys, g, m):
     polys = [p * g * m for p in polys]
@@ -502,7 +517,10 @@ def test_poly_gcd_many_quotients_are_exact_divs(polys, g, m):
     for p in nonzero[1:]:
         want = poly_gcd(want, p)
     assert got == normal_form(want)
-    assert _same_terms(quotients, [exact_div(p, got) if p else p for p in polys])
+    if got == 1:  # nothing is divided
+        assert all(a is b for a, b in zip(quotients, polys))
+    else:  # exact_div's quotients, in its term order
+        assert _same_terms(quotients, [exact_div(p, got) if p else p for p in polys])
 
 
 def test_laurent_poly():

@@ -4,8 +4,8 @@
 
 Run from a checkout's root. Both trees are imported into this process,
 each afresh as ``bench/run.py`` imports its engine. The cases are the first
-``--cases`` of the workload's rounds for seed 1. Each round times every case
-once per tree, AB and BA by turns; each case keeps its least time per tree.
+32 in the workload's rounds for seed 1. Each round times every case once
+per tree, AB and BA by turns; each case keeps its least time per tree.
 Printed per component and in total: their sums and the ratio parent / change.
 """
 
@@ -42,11 +42,9 @@ def main(argv=None) -> int:
     parser.add_argument("change_src")
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     parser.add_argument("--rounds", type=int, default=12)
-    parser.add_argument("--cases", type=int, default=32)
     args = parser.parse_args(argv)
     w = WORKLOADS[args.workload]
-    cases = list(itertools.islice(itertools.chain.from_iterable(w.rounds(random.Random(1))),
-                                  args.cases))
+    cases = list(itertools.islice(itertools.chain.from_iterable(w.rounds(random.Random(1))), 32))
     mains = [import_main(args.parent_src), import_main(args.change_src)]
     best = [[float("inf")] * len(cases) for _ in mains]
     with tempfile.TemporaryDirectory() as work:
