@@ -11,6 +11,8 @@ so everything else is INCONCLUSIVE.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
+from itertools import islice
 from typing import Any, Dict, List, Optional
 
 from . import __version__
@@ -20,8 +22,8 @@ from .certificate import chi_json, equations_json, matrix_json, operator_json, r
 from .cohomology import AmbientRing
 from .instance import InstanceSpec
 from .periods import get_source, period_coefficients, regularized_coefficients
-from .qde import (apply, cofactor_identity_holds, cyclic_rows, eliminate, match_equations,
-                  transform_even_operator)
+from .qde import (apply, apply_symbolic, cofactor_identity_holds, cyclic_rows, eliminate,
+                  match_equations, transform_even_operator)
 from .solve import SolveError, solve_parameters
 from .spectrum import TemplateError, block_spectrum, reciprocity_check
 
@@ -99,12 +101,14 @@ def _stage_period(run: PipelineRun, state: Dict[str, Any]) -> None:
         run.require("period.source_known", False, str(e.args[0]),
                     f"unknown period source {inst.period_source!r}")
     run.check("period.source_known", True, f"{src.name}: {src.description}")
-    if src.regularized is None:
-        reason = f"period source {src.name!r} publishes no regularized operator"
-        run.require("period.regularized_annihilation", False, reason, reason)
+    try:
+        if src.regularized is None:
+            raise ValueError(f"period source {src.name!r} publishes no regularized operator")
+        reg_q, content = transform_even_operator(src.regularized)
+    except ValueError as e:
+        run.require("period.regularized_annihilation", False, str(e), str(e))
 
     # the one period series of the run, padded for the operators applied to it
-    reg_q, content = transform_even_operator(src.regularized)
     try:
         series = period_coefficients(inst.period_source, order + reg_q.q_degree())
     except ValueError as e:
@@ -118,14 +122,10 @@ def _stage_period(run: PipelineRun, state: Dict[str, Any]) -> None:
                 f"factorially rescaled series through q^{order}",
                 "regularized operator does not annihilate the rescaled series")
 
-    # the plain-series residual's first 3 nonzero terms, from a growing prefix
-    end = 0
-    while True:
-        end = min(2 * end + 8, order)
-        resid = apply(reg_q, series.truncate(end + reg_q.q_degree()))
-        first = [f"{rat_str(c)}*q^{m}" for m, c in enumerate(resid.coeffs) if c != 0][:3]
-        if len(first) == 3 or end == order:
-            break
+    # the plain-series residual's first 3 nonzero terms, in one lazy pass
+    resid = (f"{rat_str(Fraction(t[()], den))}*q^{m}"
+             for m, (den, t) in enumerate(apply_symbolic(reg_q, series)) if t)
+    first = list(islice(resid, 3))
     if first:
         run.notes.append("the transformed regularized operator annihilates the "
                          "factorially rescaled series, not the plain period series; "

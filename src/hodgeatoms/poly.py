@@ -430,63 +430,22 @@ def normal_form(p: Poly) -> Poly:
     return Poly(p.vars, {ex: sign * c for ex, c in z.items()})
 
 
-def _univariate_parts(p: Poly, name: str) -> Tuple[Poly, Poly]:
-    """(content, primitive part) of p viewed as univariate in name."""
-    coeffs = [p.coeff_of(name, k) for k in range(p.degree_in(name) + 1)]
-    cont = Poly.zero(p.vars)
-    for c in coeffs:
-        cont = _prs_gcd(cont, c)
-    return cont, exact_div(p, cont)
-
-
-def _pseudo_rem(f: Poly, g: Poly, name: str) -> Poly:
-    dg = g.degree_in(name)
-    lcg = g.coeff_of(name, dg)
-    r = f
-    while not r.is_zero() and r.degree_in(name) >= dg:
-        dr = r.degree_in(name)
-        lcr = r.coeff_of(name, dr)
-        r = lcg * r - lcr * Poly.var(r.vars, name, dr - dg) * g
-    return r
-
-
-def _prs_gcd(a: Poly, b: Poly) -> Poly:
-    """Gcd over Q[vars] by the primitive pseudo-remainder sequence on the last
-    variable present; rationals are units, so the base case is the constant 1."""
-    if a.is_zero():
-        return normal_form(b)
-    if b.is_zero():
-        return normal_form(a)
-    a._check(b)
-    present = [v for v in a.vars
-               if v in a.variables_present() or v in b.variables_present()]
-    if not present:
-        return Poly.const(a.vars, 1)
-    name = present[-1]
-    ca, pa = _univariate_parts(a, name)
-    cb, pb = _univariate_parts(b, name)
-    cg = _prs_gcd(ca, cb)
-    f, g = pa, pb
-    if f.degree_in(name) < g.degree_in(name):
-        f, g = g, f
-    while not g.is_zero():
-        r = _pseudo_rem(f, g, name)
-        f, g = g, (r if r.is_zero() else _univariate_parts(r, name)[1])
-    return normal_form(cg * _univariate_parts(f, name)[1])
-
-
-# evaluation points GCDHEU tries before it gives up
-HEU_POINTS = 6
-
-
-def _heu_gcd(f: dict, g: dict) -> dict | None:
-    """Gcd over Z of two nonzero integer polynomials by GCDHEU (Char, Geddes
-    and Gonnet 1989), or None when HEU_POINTS evaluation points do not give it.
+def _heu_gcd(f: dict, g: dict) -> dict:
+    """Gcd over Z of two nonzero integer polynomials, up to sign, by GCDHEU
+    (Char, Geddes and Gonnet 1989).
 
     The first variable is evaluated at an integer xi, the gcd of the images
     is taken one variable down, and its balanced base-xi digits give the
     candidate. With xi >= 2 min(|f|, |g|) + 2 (max norms), a primitive
-    candidate that divides both f and g is their gcd.
+    candidate that divides both f and g is their gcd; else xi grows.
+
+    Why the loop ends: write f = G A and g = G B, A and B coprime. Finitely
+    many xi are unlucky: f(xi) or g(xi) is 0, or A(xi) and B(xi) share a
+    polynomial factor. Elsewhere the images' gcd is s G(xi), the integer s
+    dividing a fixed nonzero integer combination of the coefficients of A
+    and B in the other variables (coprime polynomials in the first), so
+    bounded. xi grows without bound; once xi > 2 |s G| the digits are s G,
+    whose primitive part divides f and g. The recursion ends likewise.
     """
     if not next(iter(f)):
         return {(): math.gcd(f[()], g[()])}
@@ -496,21 +455,17 @@ def _heu_gcd(f: dict, g: dict) -> dict | None:
         g = {ex: c // cont for ex, c in g.items()}
     if not any(ex[0] for ex in f) and not any(ex[0] for ex in g):
         h = _heu_gcd({ex[1:]: c for ex, c in f.items()}, {ex[1:]: c for ex, c in g.items()})
-        return None if h is None else {(0,) + ex: c * cont for ex, c in h.items()}
+        return {(0,) + ex: c * cont for ex, c in h.items()}
     xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 2
-    for _ in range(HEU_POINTS):
+    while True:
         ff, gg = _zevaluate(f, xi), _zevaluate(g, xi)
         if ff and gg:
-            h = _heu_gcd(ff, gg)
-            if h is None:
-                return None
-            h = _zinterpolate(h, xi)
+            h = _zinterpolate(_heu_gcd(ff, gg), xi)
             c = math.gcd(*h.values())
             h = {ex: v // c for ex, v in h.items()}
             if _zquotient(f, h) is not None and _zquotient(g, h) is not None:
                 return {ex: v * cont for ex, v in h.items()}
         xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
-    return None
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -518,7 +473,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
     GCDHEU on the primitive integer multiples of a and b, less their common
     monomial factor (the least exponent of each variable over both), which
-    would swell every evaluation; the primitive PRS when GCDHEU gives up.
+    would swell every evaluation.
     """
     if a.is_zero() or b.is_zero():
         return normal_form(b if a.is_zero() else a)
@@ -526,7 +481,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     za, zb = _zprimitive(a)[0], _zprimitive(b)[0]
     low = tuple(map(min, zip(*za, *zb)))
     h = _heu_gcd(_shift(za, low, sub), _shift(zb, low, sub))
-    return _prs_gcd(a, b) if h is None else normal_form(Poly(a.vars, _shift(h, low, add)))
+    return normal_form(Poly(a.vars, _shift(h, low, add)))
 
 
 def _shift(terms: dict, low: tuple, op) -> dict:

@@ -208,6 +208,27 @@ def test_period_source_without_regularized_operator_fails_the_stage(
             "detail": reason} in cert["checks"]
 
 
+def test_period_source_with_an_odd_power_of_t_fails_the_stage(capsys, monkeypatch, tmp_path):
+    verra = periods.get_source("verra-eq3")
+    coeffs = verra.regularized.coeffs
+    odd = qde.DiffOperator(coeffs[:4] + (coeffs[4] + poly.Poly.var(("t",), "t"),))
+    monkeypatch.setitem(periods.REGISTRY, "odd", periods.PeriodSource(
+        name="odd", description="an odd power of t", coefficients=verra.coefficients,
+        regularized=odd))
+    text = (ROOT / "src" / "hodgeatoms" / "data" / "verra.instance").read_text()
+    path = tmp_path / "odd.instance"
+    path.write_text(text.replace("source=verra-eq3", "source=odd"))
+    code, out, err = run_cli(capsys, "certify", "--format", "json", "--instance", str(path))
+    assert code == 2
+    assert "Traceback" not in err
+    cert = json.loads(out)
+    assert cert["verdict"] == "INCONCLUSIVE"
+    reason = "coefficient of D^4 has an odd power t^1"
+    assert {"name": "period", "status": "failed", "reason": reason} in cert["stages"]
+    assert {"name": "period.regularized_annihilation", "passed": False,
+            "detail": reason} in cert["checks"]
+
+
 # sha256 of `certify --format json` from each symmetric component (an
 # instance file named verra.instance); component 5 is certificate.json
 COMPONENT_SHA256 = {

@@ -1,12 +1,15 @@
 """Every top-level function and class in the package, and every method of
-its classes, is used somewhere; every field of its dataclasses is read,
-both by name in the source and at run time through an instance of its class.
+its classes, is used somewhere; every module-level constant is read; every
+field of its dataclasses is read, both by name in the source and at run time
+through an instance of its class.
 
 A name counts as used when some code in src/ or demos/ outside its own
 definition mentions it: a call, an attribute access, an import or a
 reference (a recursive call from its own body does not count). Dunder
 methods are exempt, and so are the methods of a class with a base from
 outside the package (such as an argparse hook), which that base calls.
+A constant, a non-dunder name bound by a top-level assignment, counts as
+read when some code in src/ or demos/ mentions it outside that assignment.
 A field counts as read when some code in src/ or demos/ loads an attribute
 of its name, other than as the same-named keyword of a call to its own
 class (a copy into a new instance reads nothing). Code that nothing in
@@ -82,6 +85,26 @@ def test_every_top_level_definition_is_used():
 def test_every_method_is_used():
     trees = _trees()
     assert _unused(_methods(trees), trees) == []
+
+
+def _constants(trees):
+    """(label, name, assignment) for the non-dunder names bound by top-level
+    assignments in the package."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in trees[path].body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                    if isinstance(target, ast.Name) and not (
+                            target.id.startswith("__") and target.id.endswith("__")):
+                        yield f"{path.name}: {target.id}", target.id, node
+
+
+def test_every_module_constant_is_read():
+    trees = _trees()
+    constants = list(_constants(trees))
+    assert constants
+    assert [label for label, name, node in constants
+            if not any(name in _mentions(tree, node) for tree in trees.values())] == []
 
 
 def _fields(trees):

@@ -2,6 +2,7 @@
 
 import decimal
 import heapq
+import math
 import random
 from fractions import Fraction
 
@@ -378,10 +379,18 @@ def test_poly_gcd_frozen_cases():
     # sign convention: primitive with positive graded-lex lead
     assert poly_gcd(t - s, (t - s) * (t - s)) == s - t
     assert poly_gcd(Poly.const(V, 4), Poly.const(V, 6)) == 1
+    assert poly_gcd((s - t * 2) * (q + 3) * q, (s - t * 2) * (t * q - 1)) == s - t * 2
     # a common monomial factor is split off before GCDHEU and multiplied back
     t, u, q = (Poly.var(("t", "u", "q"), n) for n in ("t", "u", "q"))
     f, g = t + u * q + 1, t * u - q * 2 + 5
     assert poly_gcd(q ** 11 * (t - u) * f, q ** 13 * (t - u) * g) == q ** 11 * (t - u)
+
+
+def assert_is_sympys_gcd(a, b, h):
+    """h is sympy's gcd of a and b up to a nonzero rational, in normal form."""
+    ratio = sympy.cancel(sympy.gcd(to_sympy(a), to_sympy(b)) / to_sympy(h))
+    assert ratio.is_Rational and ratio != 0
+    assert normal_form(h) == h
 
 
 def test_poly_gcd_matches_sympy():
@@ -392,9 +401,7 @@ def test_poly_gcd_matches_sympy():
             continue
         a, b = f * h, g * h
         ours = poly_gcd(a, b)
-        # equal up to a nonzero rational unit
-        ratio = sympy.cancel(sympy.gcd(to_sympy(a), to_sympy(b)) / to_sympy(ours))
-        assert ratio.is_Rational and ratio != 0
+        assert_is_sympys_gcd(a, b, ours)
         assert exact_div(a, ours) * ours == a
         assert exact_div(b, ours) * ours == b
 
@@ -408,33 +415,54 @@ monomials = st.tuples(*(st.integers(0, 4) for _ in V)).map(lambda ex: P({ex: 1})
 
 
 @given(integer_polys, integer_polys, integer_polys, monomials, monomials)
-def test_poly_gcd_is_the_prs_gcd(a, b, g, ma, mb):
+def test_poly_gcd_is_sympys_gcd(a, b, g, ma, mb):
     # random monomial factors exercise the monomial content taken before GCDHEU
     if g.is_zero():
         g = Poly.const(V, 1)
     x, y = a * g * ma, b * g * mb
     h = poly_gcd(x, y)
-    assert h == poly._prs_gcd(x, y)
     if x.is_zero() and y.is_zero():
         assert h.is_zero()
         return
+    assert_is_sympys_gcd(x, y, h)
     for p in (x, y):
         assert exact_div(p, h) * h == p
     exact_div(h, g)
 
 
-def test_poly_gcd_falls_back_to_prs(monkeypatch):
-    s, t, q = (Poly.var(V, n) for n in V)
-    calls = []
+def heu_points(xi, k):
+    """The first k evaluation points of GCDHEU, starting at xi."""
+    points = []
+    for _ in range(k):
+        points.append(xi)
+        xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
+    return points
 
-    def give_up(f, g):
-        calls.append((f, g))
-        return None
 
-    monkeypatch.setattr(poly, "_heu_gcd", give_up)
-    a, b = (s - t * 2) * (q + 3) * q, (s - t * 2) * (t * q - 1)
-    assert poly_gcd(a, b) == s - t * 2
-    assert calls
+def test_heuristic_gcd_past_six_unlucky_points():
+    # each of the first six points xi divides M, so gcd(xi, xi + M) = xi
+    # gives the candidate x, which does not divide x + M
+    points = heu_points(4, 6)
+    assert points == [4, 10, 27, 147, 1204, 16446]
+    assert poly._heu_gcd({(1,): 1}, {(1,): 1, (0,): math.lcm(*points)}) == {(0,): 1}
+
+
+polys_free_of_s = st.dictionaries(
+    st.tuples(st.just(0), st.integers(0, 2), st.integers(0, 2)), st.integers(-9, 9),
+    min_size=1, max_size=4).map(P).filter(bool)
+
+
+@given(st.integers(0, 10), st.integers(1, 3), polys_free_of_s)
+def test_poly_gcd_past_unlucky_points(k, m, a):
+    # GCDHEU evaluates s first, from 2 |A| + 2 with A the primitive part of a;
+    # at each point xi that divides M the images' gcd is xi A, whose digits
+    # give s A, which does not divide (s + M) A: so the first k points fail
+    s = Poly.var(V, "s")
+    points = heu_points(2 * max(map(abs, poly._zprimitive(a)[0].values())) + 2, k)
+    x, y = s * a, (s + m * math.lcm(*points)) * a
+    h = poly_gcd(x, y)
+    assert h == normal_form(a)
+    assert_is_sympys_gcd(x, y, h)
 
 
 def test_heuristic_gcd_without_fallback():
