@@ -85,10 +85,11 @@ def period_coefficients(source: str, order: int) -> Series:
 
 
 def regularized_coefficients(g: Series) -> Series:
-    """The factorially rescaled series: coefficient of q^m is (2m)! a_m."""
+    """The factorially rescaled series: coefficient of q^m is (2m)! a_m, an int if integral."""
     out, fact = [], 1
     for m, c in enumerate(g.coeffs):
         if m:
             fact *= (2 * m - 1) * (2 * m)
-        out.append(fact * c)
+        k, r = divmod(fact, c.denominator)
+        out.append(fact * c if r else k * c.numerator)
     return Series(out)

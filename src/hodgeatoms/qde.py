@@ -126,6 +126,38 @@ def cofactor_identity_holds(op: DiffOperator, rows: Matrix) -> bool:
     return not any(_pdot(zip(coeffs, entries[j::rows.ncols])) for j in range(rows.ncols))
 
 
+def _graded_terms(op: DiffOperator, f: Series) -> Iterator[tuple]:
+    """The one pass over op applied to f, in integers: per output order m,
+    (dv, L, parts), dv the lcm of op's denominators, L that of the series
+    coefficients used, and per q-power j <= m of op a part (f_(m-j), pairs):
+    for each parameter monomial ex (op.vars less q) at q^j, a pair (ex, w),
+    w = dv * sum_k c_k (m-j)^k small. With N / d = f_(m-j) in lowest terms,
+    the pair adds w * N * (L / d) to the numerator of x^ex over dv * L."""
+    dv = math.lcm(*(v.denominator for c in op.coeffs for v in c.terms.values()))
+    qi, slices = op.vars.index("q"), {}  # j -> ex -> k -> dv * its coefficient in c_k
+    for k, c in enumerate(op.coeffs):
+        for ex, v in c.terms.items():
+            row = slices.setdefault(ex[qi], {})
+            row.setdefault(ex[:qi] + ex[qi + 1:], {})[k] = v.numerator * (dv // v.denominator)
+    # Horner in m - j, from each monomial's highest D-power down
+    graded = [(j, [(ex, [ks.get(k, 0) for k in range(max(ks), -1, -1)]) for ex, ks in row.items()])
+              for j, row in sorted(slices.items())]
+    fc = f.coeffs
+    for m in range(f.order - op.q_degree() + 1):
+        parts = []
+        for j, row in graded:
+            if j > m:
+                break
+            n, pairs = m - j, []
+            for ex, ks in row:
+                w = 0
+                for v in ks:
+                    w = w * n + v
+                pairs.append((ex, w))
+            parts.append((fc[n], pairs))
+        yield dv, math.lcm(*[x.denominator for x, _ in parts]), parts
+
+
 def apply(op: DiffOperator, f: Series) -> Series:
     """Apply a parameter-free operator; the result is exact through
     f.order minus the operator's q-degree."""
@@ -134,42 +166,26 @@ def apply(op: DiffOperator, f: Series) -> Series:
         raise ValueError(f"operator carries unknown parameters {extra}")
     if f.order < op.q_degree():
         raise ValueError("series too short for this operator")
-    # with no parameters, each entry's one monomial is the constant one
-    return Series([Fraction(sum(t.values()), den) for den, t in apply_symbolic(op, f)])
+    out, zero = [], Fraction(0)
+    for dv, lcd, parts in _graded_terms(op, f):
+        # with no parameters, each part's one monomial is the constant one
+        t = sum(w * (x.numerator * (lcd // x.denominator)) for x, pairs in parts for _, w in pairs)
+        out.append(Fraction(t, dv * lcd) if t else zero)
+    return Series(out)
 
 
 def apply_symbolic(op: DiffOperator, f: Series) -> Iterator[Tuple[int, Dict[tuple, int]]]:
     """Coefficients of apply(op, f) when the operator still carries parameters,
     in integers, yielded in order as they are made: entry m is (den, terms), the
     polynomial sum terms[ex] / den * x^ex in the parameters x (op.vars less q),
-    with den > 0 and no zero in terms.
-
-    The operator is cleared of denominators once (lcm dv), and for each
-    output order the few series coefficients it uses are put over their lcm,
-    so den is that lcm times dv and each numerator one integer sum."""
-    out_order = f.order - op.q_degree()
-    dv = math.lcm(*(v.denominator for c in op.coeffs for v in c.terms.values()))
-    # (j, parameter monomial) -> dv times its coefficients in c_0 .. c_order at q^j
-    qi = op.vars.index("q")
-    slices: dict = {}
-    for k, c in enumerate(op.coeffs):
-        for ex, v in c.terms.items():
-            key = (ex[qi], ex[:qi] + ex[qi + 1:])
-            slices.setdefault(key, [0] * len(op.coeffs))[k] = v.numerator * (dv // v.denominator)
-    js = sorted({j for j, _ in slices})
-    fc = f.coeffs
-    for mo in range(out_order + 1):
-        used = {j: fc[mo - j] for j in js if j <= mo}
-        den = math.lcm(*(x.denominator for x in used.values()))
-        scale = {j: x.numerator * (den // x.denominator) for j, x in used.items()}
+    with den = dv * L > 0 of _graded_terms and no zero in terms."""
+    for dv, lcd, parts in _graded_terms(op, f):
         acc: dict = {}
-        for (j, ex), ks in slices.items():
-            if j <= mo:
-                n, w = mo - j, 0
-                for v in reversed(ks):  # sum_k v_k (mo - j)^k
-                    w = w * n + v
-                acc[ex] = acc.get(ex, 0) + w * scale[j]
-        yield den * dv, {ex: v for ex, v in acc.items() if v}
+        for x, pairs in parts:
+            ns = x.numerator * (lcd // x.denominator)
+            for ex, w in pairs:
+                acc[ex] = acc.get(ex, 0) + w * ns
+        yield dv * lcd, {ex: v for ex, v in acc.items() if v}
 
 
 def match_equations(op: DiffOperator, f: Series, depth: int, params: Sequence[str]) -> list:
@@ -177,28 +193,27 @@ def match_equations(op: DiffOperator, f: Series, depth: int, params: Sequence[st
     ex over params and gcds[ex] = gcd(terms[ex], den), through the first of
     parameter degree > 2, at which solve_parameters stops; ValueError when op
     has a variable besides q and the params. A monomial at one q-power j (every one, if op
-    is derived) has terms[ex] = w * N * s, where N / d = f_(m-j) in lowest terms,
-    s = den / (dv * d) and w = dv * sum_k c_k (m-j)^k is small; its gcd is then
+    is derived) has terms[ex] = w * N * s from its one pair of _graded_terms, with
+    s = L / d = den / (dv * d); as N and d are coprime, its gcd is
     s * g * gcd(w / g * N, dv) with g = gcd(d, w). Other monomials take gcd(v, den)."""
     op = DiffOperator(tuple(c.rename_vars((*params, "q")) for c in op.coeffs))
-    dv = math.lcm(*(v.denominator for c in op.coeffs for v in c.terms.values()))
     grade: dict = {}  # parameter monomial -> its q-power, None at several
     for ex in (ex for c in op.coeffs for ex in c.terms):
         grade[ex[:-1]] = ex[-1] if grade.get(ex[:-1], ex[-1]) == ex[-1] else None
     high = {ex for ex in grade if sum(ex) > 2}  # monomials that solve_parameters rejects
     out = []
-    for m, (den, terms) in zip(range(depth + 1), apply_symbolic(op, f)):
-        parts = {j: (a.denominator, a.numerator % dv, s, a.numerator * s)
-                 for j in set(map(grade.get, terms)) - {None}
-                 for a in [f.coeffs[m - j]] for s in [den // (dv * a.denominator)]}
-        gcds = {}
-        for ex, v in terms.items():
-            if (j := grade[ex]) is None:
-                gcds[ex] = math.gcd(v, den)
-                continue
-            d, r, s, scale = parts[j]
-            g = math.gcd(d, w := v // scale)
-            gcds[ex] = s * g * math.gcd(w // g * r, dv)
+    for m, (dv, lcd, parts) in zip(range(depth + 1), _graded_terms(op, f)):
+        den, acc, gcds = dv * lcd, {}, {}
+        for x, pairs in parts:
+            d, s = x.denominator, lcd // x.denominator
+            ns, r = x.numerator * s, x.numerator % dv
+            for ex, w in pairs:
+                acc[ex] = acc.get(ex, 0) + w * ns
+                if w and ns and grade[ex] is not None:
+                    g = math.gcd(d, w)
+                    gcds[ex] = s * g * math.gcd(w // g * r, dv)
+        terms = {ex: v for ex, v in acc.items() if v}
+        gcds.update((ex, math.gcd(v, den)) for ex, v in terms.items() if grade[ex] is None)
         if terms:
             out.append((m, den, terms, gcds))
             if not high.isdisjoint(terms):

@@ -66,16 +66,17 @@ def solve_parameters(equations: Sequence[Tuple[int, int, Dict[tuple, int], Dict[
 
     # Gauss-Jordan over Z on the rows found independent so far, kept as
     # basis = d R (R their reduced echelon form, p_c its pivots, |d| its least
-    # common denominator). A row r reduces to e = d r - sum_c r[p_c] basis_c;
-    # r lies in the span iff e is zero on the monomials, and then its constant
-    # must be too. Otherwise e joins at its first nonzero column p: the rows
-    # e[p] basis_c - basis_c[p] e and d e are (d e[p]) R', cut by their gcd.
+    # common denominator). A row r reduces to e = d r - sum_c r[p_c] basis_c,
+    # 0 at each pivot, whose column is None; r lies in the span iff e is zero
+    # on the monomials, and then its constant must be too. Otherwise e joins at
+    # its first nonzero column p: the rows e[p] basis_c - basis_c[p] e and d e
+    # are (d e[p]) R', cut by their gcd.
     basis: List[List[int]] = []
     pivots: List[int] = []
     d, columns = 1, [()] * len(cols)
     for row in rows:
         at = [row[p] for p in pivots]
-        e = [d * x - sum(map(mul, at, col)) for x, col in zip(row, columns)]
+        e = [0 if col is None else d * x - sum(map(mul, at, col)) for x, col in zip(row, columns)]
         p = next((j for j, x in enumerate(e[:-1]) if x), None)
         if p is None:
             if e[-1]:
@@ -85,7 +86,7 @@ def solve_parameters(equations: Sequence[Tuple[int, int, Dict[tuple, int], Dict[
         pivots.append(p)
         g = math.gcd(*(x for b in basis for x in b))
         basis, d = [[x // g for x in b] for b in basis], d * e[p] // g
-        columns = list(zip(*basis))
+        columns = [None if j in pivots else col for j, col in enumerate(zip(*basis))]
 
     # de-linearize the reduced rows, in pivot order, back into polynomial equations
     reduced = [Poly(params, {ex: Fraction(x, d) for ex, x in zip(cols, b)})

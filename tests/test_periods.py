@@ -7,6 +7,7 @@ import pytest
 
 from hodgeatoms.periods import (REGISTRY, get_source, period_coefficients,
                                 regularized_coefficients)
+from hodgeatoms.series import Series
 
 
 def test_coefficients_match_the_closed_sum():
@@ -57,6 +58,25 @@ def test_regularized_rescaling():
     # q^m coefficient picks up (2m)!
     assert r.coeffs == [g.coeffs[0], 2 * g.coeffs[1], 24 * g.coeffs[2], 720 * g.coeffs[3]]
     assert r.coeff(2) == 360
+
+
+def test_regularized_rescaling_off_the_integer_path():
+    # a_m = 1 / m!^3: (2m)! a_m is not integral from m = 3 on (720 / 216 = 10 / 3)
+    f = math.factorial
+    g = Series([Fraction(1, f(m) ** 3) for m in range(12)])
+    r = regularized_coefficients(g)
+    assert r.coeffs == [f(2 * m) * Fraction(1, f(m) ** 3) for m in range(12)]
+    assert r.coeff(3) == Fraction(10, 3)
+
+
+def test_regularized_verra_is_integral_at_order_200():
+    # b_m = (2m)! a_m = C(2m, m)^2 f_m with f_m = sum_l C(m, l)^3 the Franel numbers
+    g = period_coefficients("verra-eq3", 200)
+    r = regularized_coefficients(g)
+    assert r.coeffs == [math.factorial(2 * m) * a for m, a in enumerate(g.coeffs)]
+    assert all(b.denominator == 1 for b in r.coeffs)
+    assert r.coeffs == [math.comb(2 * m, m) ** 2 * sum(math.comb(m, l) ** 3 for l in range(m + 1))
+                        for m in range(201)]
 
 
 def test_unknown_source():

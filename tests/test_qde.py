@@ -406,6 +406,34 @@ def test_apply_symbolic_at_depth_matches_the_per_term_fraction_loop(parametric_o
         _parameters(parametric_op), _apply_symbolic_reference(parametric_op, f))
 
 
+def _constants(reference):
+    return [p.terms.get((0,), Fraction(0)) for p in reference]
+
+
+_Q_TERMS = st.dictionaries(st.integers(0, 3), _RATIONALS.filter(bool), max_size=4)
+
+
+@given(st.lists(_Q_TERMS, max_size=4), _Q_TERMS.filter(bool),
+       st.lists(_RATIONALS, min_size=4, max_size=12))
+def test_apply_matches_the_per_term_fraction_loop(low, top, values):
+    op = DiffOperator(tuple(Poly(Q, {(e,): c for e, c in d.items()}) for d in low + [top]))
+    f = Series(values)
+    assert apply(op, f).coeffs == _constants(_apply_symbolic_reference(op, f))
+
+
+@pytest.mark.parametrize("which", ["solved", "regularized", "regularized on the plain series"])
+def test_apply_matches_the_per_term_fraction_loop_at_order_200(solved_op, verra, which):
+    reg_q, _ = transform_even_operator(get_source(verra.period_source).regularized)
+    op = solved_op if which == "solved" else reg_q
+    f = period_coefficients(verra.period_source, 200 + op.q_degree())
+    if which == "regularized":
+        f = regularized_coefficients(f)
+    out = apply(op, f)
+    assert out.order == 200
+    assert out.coeffs == _constants(_apply_symbolic_reference(op, f))
+    assert out.is_zero() == (which != "regularized on the plain series")
+
+
 @given(parametric_operators(), st.lists(_RATIONALS, min_size=3, max_size=12),
        st.integers(-1, 12), st.data())
 def test_match_equations_in_any_parameter_order(op, values, depth, data):

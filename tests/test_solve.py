@@ -219,12 +219,19 @@ def test_inconsistent_systems_still_raise(system, data):
 
 
 def test_reduced_system_at_depth_matches_a_full_rref(parametric_op, verra):
-    g = period_coefficients(verra.period_source, 120)
     params = verra.parameter_order()
-    eqs = match_equations(parametric_op, g, 114, params)
-    report = solve_parameters(eqs, params, verra.enumerative)
-    polys = [(m, equation_poly(params, den, terms)) for m, den, terms, _ in eqs]
-    assert list(report.reduced) == _full_rref_reference(polys, params)
+    for order in (120, 200):
+        g = period_coefficients(verra.period_source, order)
+        eqs = match_equations(parametric_op, g, order - 6, params)
+        report = solve_parameters(eqs, params, verra.enumerative)
+        polys = [(m, equation_poly(params, den, terms)) for m, den, terms, _ in eqs]
+        assert list(report.reduced) == _full_rref_reference(polys, params)
+        # a late row shifted off the span by a constant makes both raise
+        polys.insert(len(polys) - 3, (999, polys[-1][1] + 1))
+        with pytest.raises(SolveError, match="inconsistent linearized system"):
+            _full_rref_reference(polys, params)
+        with pytest.raises(SolveError, match="inconsistent linearized system"):
+            solve_parameters(integer_equations(polys), params, verra.enumerative)
 
 
 def test_wrong_candidate_is_an_internal_error(monkeypatch):
