@@ -7,7 +7,7 @@
 # gives the full solution set; the enumerativity filter then keeps the
 # solutions where the designated parameters are non-negative integers.
 
-from hodgeatoms.ansatz import apply_param_names, build_ansatz
+from hodgeatoms.ansatz import build_ansatz
 from hodgeatoms.cohomology import AmbientRing
 from hodgeatoms.instance import load_instance
 from hodgeatoms.periods import period_coefficients
@@ -17,10 +17,7 @@ from hodgeatoms.solve import solve_parameters
 verra = load_instance("verra")
 ring = AmbientRing()
 basis = ring.eigenbasis()
-m = apply_param_names(
-    build_ansatz(basis.symmetric, ring,
-                 basis.degrees("symmetric")),
-    verra.param_names).matrix
+m = build_ansatz(basis.symmetric, ring, basis.degrees("symmetric"), verra.param_names).matrix
 op = eliminate(cyclic_rows(m, verra.component, m.ncols))
 
 for order in (12, 16):

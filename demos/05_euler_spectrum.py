@@ -10,7 +10,7 @@
 
 from fractions import Fraction
 
-from hodgeatoms.ansatz import apply_param_names, build_ansatz, substitute_params
+from hodgeatoms.ansatz import build_ansatz, substitute_params
 from hodgeatoms.certificate import chi_render
 from hodgeatoms.cohomology import AmbientRing
 from hodgeatoms.instance import load_instance
@@ -23,12 +23,8 @@ verra = load_instance("verra")
 ring = AmbientRing()
 basis = ring.eigenbasis()
 
-sym = apply_param_names(
-    build_ansatz(basis.symmetric, ring,
-                 basis.degrees("symmetric")),
-    verra.param_names)
-anti = build_ansatz(basis.antisymmetric, ring,
-                    basis.degrees("antisymmetric"))
+sym = build_ansatz(basis.symmetric, ring, basis.degrees("symmetric"), verra.param_names)
+anti = build_ansatz(basis.antisymmetric, ring, basis.degrees("antisymmetric"), ())
 
 solution = {"s": Fraction(2), "t": Fraction(6), "u": Fraction(2), "v": Fraction(16)}
 mplus = substitute_params(sym, solution)

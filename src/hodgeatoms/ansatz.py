@@ -10,11 +10,12 @@ b_s(j), so the q^d part of M^T G = G M reads
 G[j][s(j)] x(j, i) = G[i][s(i)] x(s(i), s(j)): each slot is tied to one
 partner slot, or to itself, and each pair is one parameter with entries
 (G[i][s(i)], G[j][s(j)]), primitive and positive on its first slot. The
-q^0 part, C^T G = G C, the pipeline checks with the rest; the Gram matrix
-is carried for that check. The cup matrix is computed once per block and
-serves both the parametric matrix and its classical limit. Parameters are
-named canonically by the first matrix position they occupy; instance
-files attach conventional names by those positions.
+q^0 part, C^T G = G C, the pipeline checks with the rest, entry by entry;
+the cup and Gram matrices are carried as rows of scalars for those checks.
+The cup matrix is computed once per block and serves both the parametric
+matrix and its classical limit. Parameters are named canonically by the
+first matrix position they occupy; instance files attach conventional
+names by those positions, checked before the matrix is built.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Dict, List, Mapping, Tuple
 
 from .cohomology import AmbientRing, gram_matrix
 from .linalg import Matrix
-from .poly import Poly, _zdot, rational_content
+from .poly import Poly, Scalar, _zdot, rational_content
 
 # degree of the Novikov variable q, and of the multiplier H
 NOVIKOV_DEGREE = 4
@@ -38,7 +39,7 @@ def admissible_powers(j: int, i: int, degrees: Tuple[int, ...]) -> Tuple[int, ..
     return (d,) if d >= 0 and not r else ()
 
 
-def classical_matrix(basis, ring: AmbientRing) -> List[List[Fraction]]:
+def classical_matrix(basis, ring: AmbientRing) -> List[List[Scalar]]:
     """Cup multiplication by H in the given block basis, column convention:
     entry [j][i] is the b_j coordinate of H b_i, its coefficient at b_j's
     leading monomial."""
@@ -46,7 +47,7 @@ def classical_matrix(basis, ring: AmbientRing) -> List[List[Fraction]]:
     cols = []
     for b in basis:
         hb = ring.cup(ring.H, b).terms
-        cols.append([hb.get(m, Fraction(0)) for m in leads])
+        cols.append([hb.get(m, 0) for m in leads])
         # the classes summed back over the nonzero coordinates must give H b
         if _zdot(({(0, 0): s}, x.terms) for s, x in zip(cols[-1], basis) if s) != hb:
             raise RuntimeError("H-multiple leaves the block span")
@@ -59,21 +60,25 @@ class AnsatzMatrix:
     params: Tuple[str, ...]
     # parameter -> positions it occupies, as (row, col, multiplier, q-power)
     positions: Dict[str, Tuple[Tuple[int, int, Fraction, int], ...]]
-    classical: Matrix
-    gram: Matrix  # the block's pairing matrix, over ("q",)
+    classical: List[List[Scalar]]  # the cup matrix, as rows of scalars
+    gram: List[List[Scalar]]  # the block's pairing matrix, as rows of scalars
 
 
-def build_ansatz(basis, ring: AmbientRing, degrees: Tuple[int, ...]) -> AnsatzMatrix:
+def build_ansatz(basis, ring: AmbientRing, degrees: Tuple[int, ...],
+                 names: Tuple[Tuple[str, Tuple[int, int]], ...]) -> AnsatzMatrix:
+    """The block's parametric matrix. names gives each parameter a conventional
+    name by its first position, in the declared order, or is () for the
+    canonical names; it is checked against the slot pairs (ValueError) before
+    any entry of the matrix is built."""
     n = len(basis)
-    cup = classical_matrix(basis, ring)
-    classical, gram_q = Matrix.from_scalars(("q",), cup), gram_matrix(ring, basis)
+    cup, gram = classical_matrix(basis, ring), gram_matrix(ring, basis)
     partner = []  # s(j), the one class that b_j pairs with
-    for row in gram_q.rows:
-        nonzero = [k for k, p in enumerate(row) if not p.is_zero()]
+    for row in gram:
+        nonzero = [k for k, x in enumerate(row) if x]
         if len(nonzero) != 1:
             raise RuntimeError(f"Gram row pairs with {len(nonzero)} classes, not one")
         partner += nonzero
-    g = [gram_q.rows[j][k].constant_value() for j, k in enumerate(partner)]  # G[j][s(j)]
+    g = [gram[j][k] for j, k in enumerate(partner)]  # G[j][s(j)]
 
     # one parameter per slot pair (j, i, d) ~ (s(i), s(j), d), row-major by first slot
     pairs: List[Tuple[Tuple[int, int, Fraction, int], ...]] = []
@@ -87,9 +92,22 @@ def build_ansatz(basis, ring: AmbientRing, degrees: Tuple[int, ...]) -> AnsatzMa
             scale = content if g[i] > 0 else -content
             pairs.append(((j, i, g[i] / scale, d), (*other, g[j] / scale, d)))
     params = tuple(f"p_{pos[0][0]}_{pos[0][1]}" for pos in pairs)
+    if names:  # downstream reports follow the declared order, not the position order
+        by_first = {pos[0][:2]: pos for pos in pairs}
+        if len(names) != len(pairs):
+            raise ValueError(f"instance names {len(names)} parameters, ansatz has {len(pairs)}")
+        for _, at in names:
+            if at not in by_first:
+                raise ValueError(f"no ansatz parameter starts at position {at}")
+        if len({name for name, _ in names}) != len(names):
+            raise ValueError("duplicate parameter names in mapping")
+        if len({at for _, at in names}) != len(names):
+            raise ValueError("duplicate parameter positions in mapping")
+        params, pairs = tuple(name for name, _ in names), [by_first[at] for _, at in names]
 
     # term dicts over (params..., q): the cup entry, then each parameter's slots
-    entries = [[{(0,) * (len(params) + 1): c} for c in row] for row in cup]
+    zero = (0,) * (len(params) + 1)
+    entries = [[{zero: c} for c in row] for row in cup]
     for idx, pos in enumerate(pairs):
         for j, i, c, d in pos:
             ex = [0] * (len(params) + 1)
@@ -99,33 +117,8 @@ def build_ansatz(basis, ring: AmbientRing, degrees: Tuple[int, ...]) -> AnsatzMa
         matrix=Matrix([[Poly(params + ("q",), t) for t in row] for row in entries]),
         params=params,
         positions=dict(zip(params, pairs)),
-        classical=classical,
-        gram=gram_q)
-
-
-def apply_param_names(am: AnsatzMatrix,
-                      mapping: Tuple[Tuple[str, Tuple[int, int]], ...]) -> AnsatzMatrix:
-    """Rename canonical parameters to conventional names by first position."""
-    by_first = {am.positions[p][0][:2]: p for p in am.params}
-    if len(mapping) != len(am.params):
-        raise ValueError(
-            f"instance names {len(mapping)} parameters, ansatz has {len(am.params)}")
-    rename: Dict[str, str] = {}
-    for name, pos in mapping:
-        if pos not in by_first:
-            raise ValueError(f"no ansatz parameter starts at position {pos}")
-        rename[by_first[pos]] = name
-    if len(set(rename.values())) != len(rename):
-        raise ValueError("duplicate parameter names in mapping")
-    # downstream reports follow the declared order, not the position order
-    new_params = tuple(name for name, _ in mapping)
-    new_vars = new_params + ("q",)
-    return AnsatzMatrix(
-        matrix=am.matrix.map(lambda p: p.rename_vars(new_vars, rename)),
-        params=new_params,
-        positions={rename[p]: v for p, v in am.positions.items()},
-        classical=am.classical,
-        gram=am.gram)
+        classical=cup,
+        gram=gram)
 
 
 def substitute_params(am: AnsatzMatrix, values: Mapping[str, Fraction]) -> Matrix:

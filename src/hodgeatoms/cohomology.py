@@ -15,11 +15,9 @@ antisymmetric block.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Tuple
+from typing import List, Tuple
 
-from .linalg import Matrix
-from .poly import Poly
+from .poly import Poly, Scalar
 
 VARS = ("H1", "H2")
 
@@ -53,12 +51,13 @@ class AmbientRing:
         n = self.nilpotency
         return Poly(VARS, {ex: c for ex, c in (x * y).terms.items() if max(ex) < n})
 
-    def pair(self, x: Poly, y: Poly) -> Fraction:
+    def pair(self, x: Poly, y: Poly) -> Scalar:
         """Poincare pairing: top-monomial coefficient of the cup product, read
-        as the sum over complementary monomials of x's and y's coefficients."""
+        as the sum over complementary monomials of x's and y's coefficients
+        (an int when they are)."""
         x._check(y)
-        return sum((c * y.terms[m] for (a, b), c in x.terms.items()
-                    for m in [(self.top[0] - a, self.top[1] - b)] if m in y.terms), Fraction(0))
+        return sum(c * y.terms[m] for (a, b), c in x.terms.items()
+                   for m in [(self.top[0] - a, self.top[1] - b)] if m in y.terms)
 
     def eigenbasis(self) -> "EigenBasis":
         """Involution eigenbasis, ordered by degree then exponent spread."""
@@ -100,8 +99,7 @@ class EigenBasis:
         return tuple(degree(x) for x in getattr(self, block))
 
 
-def gram_matrix(ring: AmbientRing, basis, variables=("q",)) -> Matrix:
-    """Pairing matrix of an ordered basis, as constant polynomial entries."""
-    return Matrix.from_scalars(
-        tuple(variables), [[ring.pair(x, y) for y in basis] for x in basis])
+def gram_matrix(ring: AmbientRing, basis) -> List[List[Scalar]]:
+    """Pairing matrix of an ordered basis, as rows of scalars."""
+    return [[ring.pair(x, y) for y in basis] for x in basis]
 

@@ -16,7 +16,7 @@ from itertools import islice
 from typing import Any, Dict, List, Optional
 
 from . import __version__
-from .ansatz import admissible_powers, apply_param_names, build_ansatz, substitute_params
+from .ansatz import admissible_powers, build_ansatz, substitute_params
 from .atoms import AtomError, assemble_zero_atoms, exclusion_search, transcendental_invariants
 from .certificate import chi_json, equations_json, matrix_json, operator_json, rat_str, rendered
 from .cohomology import AmbientRing
@@ -144,28 +144,40 @@ def _stage_period(run: PipelineRun, state: Dict[str, Any]) -> None:
     }
 
 
+def _self_adjoint(am) -> bool:
+    """M^T G = G M entry by entry, each (a, b) the term sum
+    Sum_k M[k][a] G[k][b] - G[a][k] M[k][b] with G a block's scalar rows."""
+    m, g = am.matrix.rows, am.gram
+    for a in range(len(g)):
+        for b in range(len(g)):
+            acc: dict = {}
+            for k in range(len(g)):
+                for p, x in ((m[k][a], g[k][b]), (m[k][b], -g[a][k])):
+                    for ex, c in p.terms.items() if x else ():
+                        acc[ex] = acc.get(ex, 0) + x * c
+            if any(acc.values()):
+                return False
+    return True
+
+
 def _stage_ansatz(run: PipelineRun, state: Dict[str, Any]) -> None:
     inst = run.instance
     ring = AmbientRing(nilpotency=inst.nilpotency)
     basis = ring.eigenbasis()
 
     sym_degrees, anti_degrees = basis.degrees("symmetric"), basis.degrees("antisymmetric")
-    try:
-        sym_raw = build_ansatz(basis.symmetric, ring, sym_degrees)
-        anti = build_ansatz(basis.antisymmetric, ring, anti_degrees)
+    try:  # the symmetric block first: a mapping that cannot fit fails before either matrix
+        sym = build_ansatz(basis.symmetric, ring, sym_degrees, inst.param_names)
+        anti = build_ansatz(basis.antisymmetric, ring, anti_degrees, ())
     except RuntimeError as e:
         run.require("ansatz.construction", False, str(e), f"ansatz construction failed: {e}")
-
-    try:
-        sym = apply_param_names(sym_raw, inst.param_names)
     except ValueError as e:
         run.require("ansatz.param_mapping", False, str(e), "parameter name mapping failed")
     mapping = ", ".join(f"{n}@{pos}" for n, pos in inst.param_names)
     run.check("ansatz.param_mapping",
               sym.params == inst.parameter_order(), mapping)
 
-    ok = all(am.matrix.transpose() * g == g * am.matrix for am in (sym, anti)
-             for g in [am.gram.map(lambda p: p.rename_vars(am.matrix.vars))])
+    ok = all(_self_adjoint(am) for am in (sym, anti))
     run.require("ansatz.self_adjointness", ok,
                 "M^T G = G M identically in the parameters, both blocks",
                 "ansatz is not self-adjoint")
@@ -182,10 +194,10 @@ def _stage_ansatz(run: PipelineRun, state: Dict[str, Any]) -> None:
     run.check("ansatz.support", support_ok,
               "entries live exactly on the admissible q-powers")
 
-    classical_ok = all(
-        am.matrix.map(lambda p: p.coeff_of("q", 0)) ==
-        am.classical.map(lambda p: p.rename_vars(am.matrix.vars))
-        for am in (sym, anti))
+    classical_ok = all(  # the q^0 part of each entry, parameter terms too, is its cup entry
+        {ex: v for ex, v in p.terms.items() if not ex[-1]} == ({zero: c} if c else {})
+        for am in (sym, anti) for zero in [(0,) * len(am.matrix.vars)]
+        for row, cup_row in zip(am.matrix.rows, am.classical) for p, c in zip(row, cup_row))
     run.check("ansatz.classical_limit", classical_ok,
               "q = 0 recovers the cup product matrix")
 
@@ -201,7 +213,8 @@ def _stage_ansatz(run: PipelineRun, state: Dict[str, Any]) -> None:
     run.sections["ansatz"] = {
         "status": "ok",
         "symmetric_parameters": list(sym.params),
-        "canonical_parameters": list(sym_raw.params),
+        "canonical_parameters": [f"p_{r}_{c}" for r, c, _, _ in
+                                 sorted(pos[0] for pos in sym.positions.values())],
         "parameter_positions": {
             p: [[r, c, rat_str(m), d] for (r, c, m, d) in sym.positions[p]]
             for p in sym.params},

@@ -203,12 +203,7 @@ class Poly:
             return Fraction(0)
         return Fraction(self.terms[max(self.terms, key=_grlex_key)])
 
-    # -- calculus and substitution ------------------------------------------
-
-    def euler_derivative(self) -> "Poly":
-        """The Euler derivative q d/dq: each monomial c q^k m goes to k c q^k m."""
-        i = self.vars.index("q")
-        return Poly(self.vars, {ex: c * ex[i] for ex, c in self.terms.items() if ex[i]})
+    # -- substitution --------------------------------------------------------
 
     def substitute(self, values: Mapping[str, Union["Poly", Scalar]]) -> "Poly":
         """Substitute polynomials or scalars for variables, exactly, in one pass
@@ -286,7 +281,7 @@ def _pack(terms: dict, width: int) -> dict:
 def _unpack(terms: dict, nvars: int, width: int) -> dict:
     """Inverse of _pack."""
     mask, shifts = (1 << width) - 1, range(width * (nvars - 1), -1, -width)
-    return {tuple(key >> s & mask for s in shifts): c for key, c in terms.items()}
+    return {tuple([key >> s & mask for s in shifts]): c for key, c in terms.items()}
 
 
 def _zprimitive(p: Poly) -> Tuple[dict, Fraction]:

@@ -15,7 +15,8 @@ from fractions import Fraction
 from typing import Dict, Iterator, Mapping, Sequence, Tuple
 
 from .linalg import Matrix, _int_row, left_nullspace
-from .poly import Poly, _pack, _packing, _pdot, poly_gcd_many, rational_content, signed_join
+from .poly import (Poly, _pack, _packing, _pdot, _zadd, _zdot, poly_gcd_many, rational_content,
+                   signed_join)
 from .series import Series
 
 
@@ -48,7 +49,8 @@ class DiffOperator:
     def normalize(self) -> "DiffOperator":
         """The coefficients over their gcd, scaled once: monic when the top
         coefficient is a rational constant, otherwise content-free with a
-        positive leading coefficient."""
+        positive leading coefficient (by integer division when the content
+        is integral, as it is exactly when every quotient is)."""
         g, coeffs = poly_gcd_many(self.coeffs)
         if g.is_zero():
             return self
@@ -57,6 +59,10 @@ class DiffOperator:
             k = rational_content(v for c in coeffs for v in c.terms.values())
             if coeffs[-1].leading_coefficient() < 0:
                 k = -k
+            if k.denominator == 1:
+                k = k.numerator
+                return DiffOperator(tuple(Poly(c.vars, {ex: v // k for ex, v in c.terms.items()})
+                                          for c in coeffs))
         return DiffOperator(tuple(c.scale(Fraction(1) / k) for c in coeffs))
 
     def render(self, texts: Sequence[str] = ()) -> str:
@@ -85,12 +91,15 @@ def cyclic_rows(m: Matrix, component: int, count: int) -> Matrix:
         raise ValueError("system matrix must be square")
     if not (0 <= component < m.ncols):
         raise ValueError(f"component {component} out of range")
-    rows = [[Poly.const(m.vars, 1 if j == component else 0) for j in range(m.ncols)]]
-    for _ in range(count):  # r_k M by the matrix product, over nonzero pairs only
+    q = m.vars.index("q")
+    cols = [[(k, p.terms) for k, p in enumerate(col) if p] for col in zip(*m.rows)]
+    rows = [[{(0,) * len(m.vars): 1} if j == component else {} for j in range(m.ncols)]]
+    for _ in range(count):  # on term dicts: D(r_k) by q's exponent, r_k M over nonzero pairs
         prev = rows[-1]
-        rows.append([p.euler_derivative() + x
-                     for p, x in zip(prev, (Matrix([prev]) * m).rows[0])])
-    return Matrix(rows)
+        rows.append([_zadd({ex: c * ex[q] for ex, c in p.items() if ex[q]},
+                           _zdot((prev[k], b) for k, b in col if prev[k]))
+                     for p, col in zip(prev, cols)])
+    return Matrix([[Poly(m.vars, t) for t in row] for row in rows])
 
 
 def eliminate(rows: Matrix) -> DiffOperator:

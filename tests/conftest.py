@@ -7,9 +7,10 @@ import pytest
 import sympy
 from hypothesis import settings
 
-from hodgeatoms.ansatz import apply_param_names, build_ansatz, substitute_params
+from hodgeatoms.ansatz import build_ansatz, substitute_params
 from hodgeatoms.cohomology import AmbientRing
 from hodgeatoms.instance import load_instance
+from hodgeatoms.linalg import Matrix
 from hodgeatoms.periods import period_coefficients
 from hodgeatoms.pipeline import run_pipeline
 from hodgeatoms.poly import Poly
@@ -45,6 +46,11 @@ def sympy_rref(rows):
     return [[Fraction(int(x.p), int(x.q)) for x in m.row(i)] for i in range(len(pivots))], pivots
 
 
+def scalar_matrix(variables, rows):
+    """The Matrix of constant Polys over variables with the given scalar rows."""
+    return Matrix([[Poly.const(variables, c) for c in row] for row in rows])
+
+
 def equation_poly(variables, den, terms):
     """The Poly sum terms[ex] / den * variables^ex."""
     return Poly(variables, {ex: Fraction(v, den) for ex, v in terms.items()})
@@ -67,15 +73,12 @@ def basis(ring):
 
 @pytest.fixture(scope="session")
 def sym_ansatz(verra, ring, basis):
-    raw = build_ansatz(basis.symmetric, ring,
-                       basis.degrees("symmetric"))
-    return apply_param_names(raw, verra.param_names)
+    return build_ansatz(basis.symmetric, ring, basis.degrees("symmetric"), verra.param_names)
 
 
 @pytest.fixture(scope="session")
 def anti_ansatz(ring, basis):
-    return build_ansatz(basis.antisymmetric, ring,
-                        basis.degrees("antisymmetric"))
+    return build_ansatz(basis.antisymmetric, ring, basis.degrees("antisymmetric"), ())
 
 
 @pytest.fixture(scope="session")

@@ -21,6 +21,7 @@ from hodgeatoms.qde import (apply, cofactor_identity_holds, cyclic_rows,
                             match_equations, transform_even_operator)
 from hodgeatoms.solve import solve_parameters
 from hodgeatoms.spectrum import reciprocity_check
+from conftest import scalar_matrix
 from test_atoms import curve_centre, point_centre
 
 
@@ -131,7 +132,7 @@ def test_criterion_09_property_suites(ring, basis, sym_ansatz, anti_ansatz,
     # parametric self-adjointness for both blocks
     for am, block in ((sym_ansatz, basis.symmetric),
                       (anti_ansatz, basis.antisymmetric)):
-        gram = gram_matrix(ring, block, am.matrix.rows[0][0].vars)
+        gram = scalar_matrix(am.matrix.vars, gram_matrix(ring, block))
         assert am.matrix.transpose() * gram == gram * am.matrix
 
     # the eliminated operator satisfies its defining symbolic identity

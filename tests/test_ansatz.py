@@ -11,12 +11,13 @@ from hodgeatoms.ansatz import (admissible_powers, build_ansatz, classical_matrix
                                substitute_params)
 from hodgeatoms.cli import main
 from hodgeatoms.cohomology import AmbientRing, gram_matrix
-from hodgeatoms.instance import load_instance
+from hodgeatoms.instance import load_instance, parse_instance_text
 from hodgeatoms.linalg import Matrix
 from hodgeatoms.pipeline import exit_code, run_pipeline
 from hodgeatoms.poly import Poly, rational_content
-from conftest import sympy_rref
+from conftest import scalar_matrix, sympy_rref
 from test_cohomology import AmbientClass, ref, ref_coordinates
+from test_instance_mutations import VERRA
 
 SYM_DEGREES = (0, 2, 4, 4, 6, 8)
 ANTI_DEGREES = (2, 4, 6)
@@ -47,7 +48,7 @@ def test_admissible_powers():
 
 
 def test_canonical_parameters(basis, ring):
-    am = build_ansatz(basis.symmetric, ring, SYM_DEGREES)
+    am = build_ansatz(basis.symmetric, ring, SYM_DEGREES, ())
     assert am.params == ("p_0_1", "p_0_4", "p_1_2", "p_1_3")
     assert am.positions["p_0_1"][0][:2] == (0, 1)
     assert am.positions["p_0_4"][0][:2] == (0, 4)
@@ -87,13 +88,13 @@ def test_antisymmetric_matrix_frozen(anti_ansatz):
 
 def test_self_adjointness_both_blocks(sym_ansatz, anti_ansatz, ring, basis):
     for am, block in ((sym_ansatz, basis.symmetric), (anti_ansatz, basis.antisymmetric)):
-        gram = gram_matrix(ring, block, am.matrix.rows[0][0].vars)
+        gram = scalar_matrix(am.matrix.vars, gram_matrix(ring, block))
         assert am.matrix.transpose() * gram == gram * am.matrix
 
 
 def test_classical_limit(sym_ansatz, basis, ring):
     zeroed = substitute_params(sym_ansatz, {p: Fraction(0) for p in sym_ansatz.params})
-    classical = Matrix.from_scalars(("q",), classical_matrix(basis.symmetric, ring))
+    classical = scalar_matrix(("q",), classical_matrix(basis.symmetric, ring))
     assert zeroed.rows == classical.rows
     # the same limit by killing q instead of the parameters
     at_q0 = sym_ansatz.matrix.map(lambda p: p.substitute({"q": Fraction(0)}))
@@ -104,7 +105,7 @@ def test_classical_limit(sym_ansatz, basis, ring):
 
 def test_support_respects_degree_rule(sym_ansatz, basis, ring):
     degrees = SYM_DEGREES
-    classical = Matrix.from_scalars(("q",), classical_matrix(basis.symmetric, ring))
+    classical = scalar_matrix(("q",), classical_matrix(basis.symmetric, ring))
     for j in range(6):
         for i in range(6):
             quantum = substitute_params(
@@ -138,25 +139,49 @@ def test_solved_matrices_frozen(mplus, mminus):
 
 
 def test_apply_param_names_errors(basis, ring, verra):
-    from hodgeatoms.ansatz import apply_param_names
-    am = build_ansatz(basis.symmetric, ring, SYM_DEGREES)
+    def named(names):
+        return build_ansatz(basis.symmetric, ring, SYM_DEGREES, names)
+
     with pytest.raises(ValueError, match="names 2 parameters, ansatz has 4"):
-        apply_param_names(am, (("a", (0, 1)), ("b", (1, 2))))
+        named((("a", (0, 1)), ("b", (1, 2))))
     with pytest.raises(ValueError, match="no ansatz parameter starts at"):
-        apply_param_names(am, (("a", (0, 0)), ("b", (0, 4)),
-                               ("c", (1, 2)), ("d", (1, 3))))
+        named((("a", (0, 0)), ("b", (0, 4)), ("c", (1, 2)), ("d", (1, 3))))
     with pytest.raises(ValueError, match="duplicate parameter names"):
-        apply_param_names(am, (("a", (0, 1)), ("a", (0, 4)),
-                               ("c", (1, 2)), ("d", (1, 3))))
+        named((("a", (0, 1)), ("a", (0, 4)), ("c", (1, 2)), ("d", (1, 3))))
+    with pytest.raises(ValueError, match="duplicate parameter positions"):
+        named((("a", (0, 1)), ("b", (0, 1)), ("c", (1, 2)), ("d", (1, 3))))
 
 
 def test_apply_param_names_declared_order(basis, ring):
-    from hodgeatoms.ansatz import apply_param_names
-    am = build_ansatz(basis.symmetric, ring, SYM_DEGREES)
-    renamed = apply_param_names(am, (("v", (0, 4)), ("s", (0, 1)),
-                                     ("t", (1, 2)), ("u", (1, 3))))
+    renamed = build_ansatz(basis.symmetric, ring, SYM_DEGREES,
+                           (("v", (0, 4)), ("s", (0, 1)), ("t", (1, 2)), ("u", (1, 3))))
     assert renamed.params == ("v", "s", "t", "u")
     assert renamed.matrix.rows[0][1].render() == "2*s*q"
+    # the canonical matrix with its parameters renamed
+    canonical = build_ansatz(basis.symmetric, ring, SYM_DEGREES, ())
+    rename = {"p_0_4": "v", "p_0_1": "s", "p_1_2": "t", "p_1_3": "u"}
+    assert renamed.matrix == canonical.matrix.map(
+        lambda p: p.rename_vars(renamed.matrix.vars, rename))
+    assert renamed.positions == {rename[p]: v for p, v in canonical.positions.items()}
+
+
+@pytest.mark.parametrize("nilpotency, middle, count", [(12, 33, 756), (16, 37, 2304)])
+def test_a_large_ring_fails_the_mapping_before_any_entry_is_built(nilpotency, middle, count,
+                                                                   monkeypatch):
+    # the parameters are counted from the slot pairs, and the mapping fails
+    # before any entry of either block's parametric matrix is made
+    def entry(*args):
+        raise AssertionError("a parametric entry was built")
+
+    monkeypatch.setattr(ansatz, "Poly", entry)
+    text = VERRA.replace("nilpotency=3", f"nilpotency={nilpotency}").replace(
+        "middle=24", f"middle={middle}")
+    run = run_pipeline(parse_instance_text(text))
+    assert [(c["name"], c["detail"]) for c in run.checks if not c["passed"]] == [
+        ("ansatz.param_mapping", f"instance names 4 parameters, ansatz has {count}")]
+    assert run.stages[1] == {"name": "ansatz", "status": "failed",
+                             "reason": "parameter name mapping failed"}
+    assert exit_code(run) == 2
 
 
 def symbolic_ansatz(basis, ring, degrees, pairing):
@@ -179,7 +204,7 @@ def symbolic_ansatz(basis, ring, degrees, pairing):
     m = cup(tmp_vars)
     for k, (j, i, d) in enumerate(slots):
         m.rows[j][i] = m.rows[j][i] + Poly.var(tmp_vars, f"x{k}") * Poly.var(tmp_vars, "q", d)
-    gram = gram_matrix(ring, basis, tmp_vars).map(lambda p: p.scale(pairing))
+    gram = scalar_matrix(tmp_vars, gram_matrix(ring, basis)).map(lambda p: p.scale(pairing))
     rows: List[List[Fraction]] = []
     for ra, rb in zip((m.transpose() * gram).rows, (gram * m).rows):
         for p in (a - b for a, b in zip(ra, rb)):
@@ -217,7 +242,8 @@ def symbolic_ansatz(basis, ring, degrees, pairing):
                 out.rows[j][i] = out.rows[j][i] + (
                     Poly.var(final_vars, name) * Poly.var(final_vars, "q", d) * c)
                 positions[name].append((j, i, c, d))
-    return params, {p: tuple(v) for p, v in positions.items()}, out, cup(("q",))
+    return (params, {p: tuple(v) for p, v in positions.items()}, out,
+            [[cols[i][j] for i in range(n)] for j in range(n)])
 
 
 @pytest.mark.parametrize("pairing", [Fraction(2), Fraction(7, 3)], ids=str)
@@ -228,7 +254,7 @@ def test_direct_system_matches_symbolic_construction(nilpotency, pairing):
     basis = ring.eigenbasis()
     for block in ("symmetric", "antisymmetric"):
         degrees = basis.degrees(block)
-        am = build_ansatz(getattr(basis, block), ring, degrees)
+        am = build_ansatz(getattr(basis, block), ring, degrees, ())
         params, positions, matrix, classical = symbolic_ansatz(
             getattr(basis, block), ring, degrees, pairing)
         assert am.params == params
@@ -246,8 +272,8 @@ def test_one_cup_matrix_per_block(basis, ring, monkeypatch):
         return original(b, r)
 
     monkeypatch.setattr(ansatz, "classical_matrix", counted)
-    build_ansatz(basis.symmetric, ring, SYM_DEGREES)
-    build_ansatz(basis.antisymmetric, ring, ANTI_DEGREES)
+    build_ansatz(basis.symmetric, ring, SYM_DEGREES, ())
+    build_ansatz(basis.antisymmetric, ring, ANTI_DEGREES, ())
     assert calls == [basis.symmetric, basis.antisymmetric]
 
 
@@ -284,7 +310,7 @@ def test_a_gram_row_with_two_entries_fails_the_construction(verra, monkeypatch, 
     def coupled(ring, basis):
         gram = gram_of(ring, basis)
         for j, i in ((0, 1), (1, 0)):
-            gram.rows[j][i] = gram.rows[j][i] + Poly.const(gram.vars, 1)
+            gram[j][i] += 1
         return gram
 
     monkeypatch.setattr(ansatz, "gram_matrix", coupled)
@@ -300,8 +326,8 @@ def test_a_gram_row_with_two_entries_fails_the_construction(verra, monkeypatch, 
 
 
 def test_one_gram_matrix_per_block(basis, ring, sym_ansatz, anti_ansatz, monkeypatch):
-    # the ansatz carries its block's Gram matrix, also through the renaming,
-    # and the pipeline's self-adjointness check reads it instead of pairing again
+    # the ansatz carries its block's Gram matrix as scalar rows, also when its
+    # parameters are named, and the pipeline's self-adjointness check reads it instead of pairing again
     assert sym_ansatz.gram == gram_matrix(ring, basis.symmetric)
     assert anti_ansatz.gram == gram_matrix(ring, basis.antisymmetric)
     calls = []

@@ -4,12 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from hodgeatoms import ansatz, solve
+from hodgeatoms import ansatz, pipeline, solve
 from hodgeatoms.certificate import dump_json, dump_text
 from hodgeatoms.cli import main
 from hodgeatoms.instance import load_instance
 from hodgeatoms.pipeline import (STAGES, PipelineRun, StageFailure, build_certificate,
                                  exit_code, run_pipeline)
+from hodgeatoms.poly import Poly
 
 CHECK_NAMES = [
     "period.source_known", "period.initial_coefficient",
@@ -91,6 +92,43 @@ def test_a_cup_matrix_that_is_not_self_adjoint_fails_the_ansatz_stage(verra, mon
                              "reason": "ansatz is not self-adjoint"}
     assert main(["certify"]) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+def perturb_symmetric_matrix(monkeypatch, entries):
+    """Have the pipeline's symmetric ansatz matrix carry entries[(j, i)] at (j, i)."""
+    built = pipeline.build_ansatz
+
+    def perturbed(basis, ring, degrees, names):
+        am = built(basis, ring, degrees, names)
+        for (j, i), text in entries.items() if names else ():
+            am.matrix.rows[j][i] = Poly(am.matrix.vars, text)
+        return am
+
+    monkeypatch.setattr(pipeline, "build_ansatz", perturbed)
+
+
+def test_a_perturbed_q1_slot_fails_self_adjointness_and_nothing_else(verra, monkeypatch):
+    # 2*s*q at (0, 1) becomes 3*s*q, its partner s*q at (4, 5) left as it is
+    perturb_symmetric_matrix(monkeypatch, {(0, 1): {(1, 0, 0, 0, 1): 3}})
+    run = run_pipeline(verra)
+    assert [c["name"] for c in run.checks if not c["passed"]] == ["ansatz.self_adjointness"]
+    assert run.stages[1] == {"name": "ansatz", "status": "failed",
+                             "reason": "ansatz is not self-adjoint"}
+    assert exit_code(run) == 2
+
+
+def test_a_perturbed_q0_entry_fails_the_classical_limit(verra, monkeypatch):
+    # the cup entries 1 at (1, 0) and 2 at (5, 4), tied by the pairing, both
+    # doubled: still self-adjoint and on the admissible q-powers, but not
+    # the cup product at q = 0
+    perturb_symmetric_matrix(monkeypatch, {(1, 0): {(0,) * 5: 2}, (5, 4): {(0,) * 5: 4}})
+    run = run_pipeline(verra)
+    ansatz_checks = {c["name"]: c["passed"] for c in run.checks if c["name"].startswith("ansatz.")}
+    assert ansatz_checks == {
+        "ansatz.param_mapping": True, "ansatz.self_adjointness": True, "ansatz.support": True,
+        "ansatz.classical_limit": False, "ansatz.antisymmetric_reduction": True}
+    assert run.verdict == "INCONCLUSIVE"
+    assert exit_code(run) == 2
 
 
 def test_a_solution_that_fails_a_matched_equation_fails_solve_verified(verra, monkeypatch,

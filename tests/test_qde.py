@@ -137,13 +137,19 @@ def test_cyclic_rows_first_two(sym_ansatz, verra):
     assert [p.render() for p in rows.rows[1]] == ["0", "0", "0", "0", "2", "0"]
 
 
+def euler_derivative_reference(p):
+    """q d/dq as the sum of e q^e times the coefficient of q^e."""
+    return sum((p.coeff_of("q", e) * Poly.var(p.vars, "q", e, e)
+                for e in range(1, p.degree_in("q") + 1)), Poly.zero(p.vars))
+
+
 def cyclic_rows_reference(m, component, count):
     """cyclic_rows as it was: every product r_k[i] M[i][j] formed, zeros included."""
     rows = [[Poly.const(m.vars, 1 if j == component else 0) for j in range(m.ncols)]]
     for _ in range(count):
         prev = rows[-1]
         rows.append([sum((p * m.rows[k][j] for k, p in enumerate(prev)),
-                         prev[j].euler_derivative()) for j in range(m.ncols)])
+                         euler_derivative_reference(prev[j])) for j in range(m.ncols)])
     return Matrix(rows)
 
 
@@ -260,6 +266,14 @@ def normalize_reference(op):
 sq_monomials = st.builds(lambda k, s: Poly(SQ, {(s, k): 1}), st.integers(1, 4), st.integers(0, 1))
 
 
+# the three scalings: integral quotients over their signed content (6, leading
+# coefficient -12 s q), an integer constant top (4), a non-integral content (1/3)
+@example([Poly(SQ, {(0, 1): 18, (1, 0): -24})], Poly(SQ, {(1, 1): -12, (0, 0): 6}),
+         Poly(SQ, {(1, 0): 1}), "common factor", Poly(SQ, {(0, 1): 1}))
+@example([Poly(SQ, {(0, 1): 2, (1, 0): 3})], Poly(SQ, {(0, 0): 4}),
+         Poly(SQ, {(1, 0): 1}), "plain", Poly(SQ, {(0, 1): 1}))
+@example([Poly(SQ, {(0, 1): Fraction(1, 3)})], Poly(SQ, {(1, 1): Fraction(2, 3), (0, 0): -1}),
+         Poly(SQ, {(1, 0): 1}), "plain", Poly(SQ, {(0, 1): 1}))
 @given(st.lists(sq_polys, max_size=3), sq_polys.filter(bool), sq_polys.filter(bool),
        st.sampled_from(["constant top", "common factor", "monomial factor",
                         "monomial times binomial", "plain"]), sq_monomials)
