@@ -13,7 +13,6 @@ from hodgeatoms.ansatz import admissible_powers, build_ansatz, substitute_params
 from hodgeatoms.cohomology import AmbientRing, degree, gram_matrix
 from hodgeatoms.instance import load_instance
 from hodgeatoms.linalg import Matrix
-from hodgeatoms.poly import Poly
 
 ring = AmbientRing()
 basis = ring.eigenbasis()
@@ -31,7 +30,7 @@ slots = [(j, i, d)
          for d in admissible_powers(j, i, degrees) if d >= 1]
 print(f"\ndegree rule admits {len(slots)} quantum slots in the symmetric block")
 
-raw = build_ansatz(basis.symmetric, ring, degrees, ())
+raw = build_ansatz(basis.symmetric, ring, degrees, None)
 print(f"self-adjointness leaves {len(raw.params)} free parameters:",
       ", ".join(raw.params))
 
@@ -42,12 +41,11 @@ print("\nsymmetric matrix with conventional names "
 for row in am.matrix.rows:
     print("  [" + ", ".join(p.render() for p in row) + "]")
 
-gram = Matrix([[Poly.const(am.matrix.vars, x) for x in row]
-               for row in gram_matrix(ring, basis.symmetric)])
+gram = Matrix.from_scalars(am.matrix.vars, gram_matrix(ring, basis.symmetric))
 print("M^T G - G M identically zero:",
       am.matrix.transpose() * gram == gram * am.matrix)
 
-anti = build_ansatz(basis.antisymmetric, ring, basis.degrees("antisymmetric"), ())
+anti = build_ansatz(basis.antisymmetric, ring, basis.degrees("antisymmetric"), None)
 print(f"\nantisymmetric block has {len(anti.params)} parameter; at the"
       " solved value -N/2 = 2:")
 solved = substitute_params(anti, {anti.params[0]: Fraction(2)})

@@ -24,7 +24,7 @@ ring = AmbientRing()
 basis = ring.eigenbasis()
 
 sym = build_ansatz(basis.symmetric, ring, basis.degrees("symmetric"), verra.param_names)
-anti = build_ansatz(basis.antisymmetric, ring, basis.degrees("antisymmetric"), ())
+anti = build_ansatz(basis.antisymmetric, ring, basis.degrees("antisymmetric"), None)
 
 solution = {"s": Fraction(2), "t": Fraction(6), "u": Fraction(2), "v": Fraction(16)}
 mplus = substitute_params(sym, solution)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from .cohomology import AmbientRing, gram_matrix
 from .linalg import Matrix
@@ -58,6 +58,7 @@ def classical_matrix(basis, ring: AmbientRing) -> List[List[Scalar]]:
 class AnsatzMatrix:
     matrix: Matrix
     params: Tuple[str, ...]
+    canonical: Tuple[str, ...]  # the parameters' canonical names, row-major by first position
     # parameter -> positions it occupies, as (row, col, multiplier, q-power)
     positions: Dict[str, Tuple[Tuple[int, int, Fraction, int], ...]]
     classical: List[List[Scalar]]  # the cup matrix, as rows of scalars
@@ -65,9 +66,9 @@ class AnsatzMatrix:
 
 
 def build_ansatz(basis, ring: AmbientRing, degrees: Tuple[int, ...],
-                 names: Tuple[Tuple[str, Tuple[int, int]], ...]) -> AnsatzMatrix:
+                 names: Optional[Tuple[Tuple[str, Tuple[int, int]], ...]]) -> AnsatzMatrix:
     """The block's parametric matrix. names gives each parameter a conventional
-    name by its first position, in the declared order, or is () for the
+    name by its first position, in the declared order, or is None for the
     canonical names; it is checked against the slot pairs (ValueError) before
     any entry of the matrix is built."""
     n = len(basis)
@@ -91,8 +92,8 @@ def build_ansatz(basis, ring: AmbientRing, degrees: Tuple[int, ...],
             content = rational_content((g[i], g[j]))
             scale = content if g[i] > 0 else -content
             pairs.append(((j, i, g[i] / scale, d), (*other, g[j] / scale, d)))
-    params = tuple(f"p_{pos[0][0]}_{pos[0][1]}" for pos in pairs)
-    if names:  # downstream reports follow the declared order, not the position order
+    params = canonical = tuple(f"p_{pos[0][0]}_{pos[0][1]}" for pos in pairs)
+    if names is not None:  # downstream reports follow the declared order, not the position order
         by_first = {pos[0][:2]: pos for pos in pairs}
         if len(names) != len(pairs):
             raise ValueError(f"instance names {len(names)} parameters, ansatz has {len(pairs)}")
@@ -116,6 +117,7 @@ def build_ansatz(basis, ring: AmbientRing, degrees: Tuple[int, ...],
     return AnsatzMatrix(
         matrix=Matrix([[Poly(params + ("q",), t) for t in row] for row in entries]),
         params=params,
+        canonical=canonical,
         positions=dict(zip(params, pairs)),
         classical=cup,
         gram=gram)

@@ -38,6 +38,11 @@ class Matrix:
                 if p.vars != self.vars:
                     raise ValueError("mixed variable sets in matrix")
 
+    @classmethod
+    def from_scalars(cls, variables, rows) -> "Matrix":
+        variables = tuple(variables)
+        return cls([[Poly.const(variables, c) for c in r] for r in rows])
+
     def transpose(self) -> "Matrix":
         return Matrix([[self.rows[i][j] for i in range(self.nrows)]
                        for j in range(self.ncols)])

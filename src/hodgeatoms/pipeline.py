@@ -168,7 +168,7 @@ def _stage_ansatz(run: PipelineRun, state: Dict[str, Any]) -> None:
     sym_degrees, anti_degrees = basis.degrees("symmetric"), basis.degrees("antisymmetric")
     try:  # the symmetric block first: a mapping that cannot fit fails before either matrix
         sym = build_ansatz(basis.symmetric, ring, sym_degrees, inst.param_names)
-        anti = build_ansatz(basis.antisymmetric, ring, anti_degrees, ())
+        anti = build_ansatz(basis.antisymmetric, ring, anti_degrees, None)
     except RuntimeError as e:
         run.require("ansatz.construction", False, str(e), f"ansatz construction failed: {e}")
     except ValueError as e:
@@ -213,8 +213,7 @@ def _stage_ansatz(run: PipelineRun, state: Dict[str, Any]) -> None:
     run.sections["ansatz"] = {
         "status": "ok",
         "symmetric_parameters": list(sym.params),
-        "canonical_parameters": [f"p_{r}_{c}" for r, c, _, _ in
-                                 sorted(pos[0] for pos in sym.positions.values())],
+        "canonical_parameters": list(sym.canonical),
         "parameter_positions": {
             p: [[r, c, rat_str(m), d] for (r, c, m, d) in sym.positions[p]]
             for p in sym.params},

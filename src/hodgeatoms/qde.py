@@ -49,8 +49,7 @@ class DiffOperator:
     def normalize(self) -> "DiffOperator":
         """The coefficients over their gcd, scaled once: monic when the top
         coefficient is a rational constant, otherwise content-free with a
-        positive leading coefficient (by integer division when the content
-        is integral, as it is exactly when every quotient is)."""
+        positive leading coefficient."""
         g, coeffs = poly_gcd_many(self.coeffs)
         if g.is_zero():
             return self
@@ -59,10 +58,6 @@ class DiffOperator:
             k = rational_content(v for c in coeffs for v in c.terms.values())
             if coeffs[-1].leading_coefficient() < 0:
                 k = -k
-            if k.denominator == 1:
-                k = k.numerator
-                return DiffOperator(tuple(Poly(c.vars, {ex: v // k for ex, v in c.terms.items()})
-                                          for c in coeffs))
         return DiffOperator(tuple(c.scale(Fraction(1) / k) for c in coeffs))
 
     def render(self, texts: Sequence[str] = ()) -> str:

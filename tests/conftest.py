@@ -10,7 +10,6 @@ from hypothesis import settings
 from hodgeatoms.ansatz import build_ansatz, substitute_params
 from hodgeatoms.cohomology import AmbientRing
 from hodgeatoms.instance import load_instance
-from hodgeatoms.linalg import Matrix
 from hodgeatoms.periods import period_coefficients
 from hodgeatoms.pipeline import run_pipeline
 from hodgeatoms.poly import Poly
@@ -46,11 +45,6 @@ def sympy_rref(rows):
     return [[Fraction(int(x.p), int(x.q)) for x in m.row(i)] for i in range(len(pivots))], pivots
 
 
-def scalar_matrix(variables, rows):
-    """The Matrix of constant Polys over variables with the given scalar rows."""
-    return Matrix([[Poly.const(variables, c) for c in row] for row in rows])
-
-
 def equation_poly(variables, den, terms):
     """The Poly sum terms[ex] / den * variables^ex."""
     return Poly(variables, {ex: Fraction(v, den) for ex, v in terms.items()})
@@ -78,7 +72,7 @@ def sym_ansatz(verra, ring, basis):
 
 @pytest.fixture(scope="session")
 def anti_ansatz(ring, basis):
-    return build_ansatz(basis.antisymmetric, ring, basis.degrees("antisymmetric"), ())
+    return build_ansatz(basis.antisymmetric, ring, basis.degrees("antisymmetric"), None)
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,7 @@ from hodgeatoms.atoms import (assemble_zero_atoms, atom_sum, exclusion_search,
 from hodgeatoms.certificate import chi_render, dump_json
 from hodgeatoms.cohomology import gram_matrix, swap
 from hodgeatoms.instance import load_instance
-from hodgeatoms.linalg import char_poly
+from hodgeatoms.linalg import Matrix, char_poly
 from hodgeatoms.periods import (get_source, period_coefficients,
                                 regularized_coefficients)
 from hodgeatoms.pipeline import build_certificate, exit_code, run_pipeline
@@ -21,7 +21,6 @@ from hodgeatoms.qde import (apply, cofactor_identity_holds, cyclic_rows,
                             match_equations, transform_even_operator)
 from hodgeatoms.solve import solve_parameters
 from hodgeatoms.spectrum import reciprocity_check
-from conftest import scalar_matrix
 from test_atoms import curve_centre, point_centre
 
 
@@ -132,7 +131,7 @@ def test_criterion_09_property_suites(ring, basis, sym_ansatz, anti_ansatz,
     # parametric self-adjointness for both blocks
     for am, block in ((sym_ansatz, basis.symmetric),
                       (anti_ansatz, basis.antisymmetric)):
-        gram = scalar_matrix(am.matrix.vars, gram_matrix(ring, block))
+        gram = Matrix.from_scalars(am.matrix.vars, gram_matrix(ring, block))
         assert am.matrix.transpose() * gram == gram * am.matrix
 
     # the eliminated operator satisfies its defining symbolic identity

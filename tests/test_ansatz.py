@@ -15,7 +15,7 @@ from hodgeatoms.instance import load_instance, parse_instance_text
 from hodgeatoms.linalg import Matrix
 from hodgeatoms.pipeline import exit_code, run_pipeline
 from hodgeatoms.poly import Poly, rational_content
-from conftest import scalar_matrix, sympy_rref
+from conftest import sympy_rref
 from test_cohomology import AmbientClass, ref, ref_coordinates
 from test_instance_mutations import VERRA
 
@@ -48,7 +48,7 @@ def test_admissible_powers():
 
 
 def test_canonical_parameters(basis, ring):
-    am = build_ansatz(basis.symmetric, ring, SYM_DEGREES, ())
+    am = build_ansatz(basis.symmetric, ring, SYM_DEGREES, None)
     assert am.params == ("p_0_1", "p_0_4", "p_1_2", "p_1_3")
     assert am.positions["p_0_1"][0][:2] == (0, 1)
     assert am.positions["p_0_4"][0][:2] == (0, 4)
@@ -88,13 +88,13 @@ def test_antisymmetric_matrix_frozen(anti_ansatz):
 
 def test_self_adjointness_both_blocks(sym_ansatz, anti_ansatz, ring, basis):
     for am, block in ((sym_ansatz, basis.symmetric), (anti_ansatz, basis.antisymmetric)):
-        gram = scalar_matrix(am.matrix.vars, gram_matrix(ring, block))
+        gram = Matrix.from_scalars(am.matrix.vars, gram_matrix(ring, block))
         assert am.matrix.transpose() * gram == gram * am.matrix
 
 
 def test_classical_limit(sym_ansatz, basis, ring):
     zeroed = substitute_params(sym_ansatz, {p: Fraction(0) for p in sym_ansatz.params})
-    classical = scalar_matrix(("q",), classical_matrix(basis.symmetric, ring))
+    classical = Matrix.from_scalars(("q",), classical_matrix(basis.symmetric, ring))
     assert zeroed.rows == classical.rows
     # the same limit by killing q instead of the parameters
     at_q0 = sym_ansatz.matrix.map(lambda p: p.substitute({"q": Fraction(0)}))
@@ -105,7 +105,7 @@ def test_classical_limit(sym_ansatz, basis, ring):
 
 def test_support_respects_degree_rule(sym_ansatz, basis, ring):
     degrees = SYM_DEGREES
-    classical = scalar_matrix(("q",), classical_matrix(basis.symmetric, ring))
+    classical = Matrix.from_scalars(("q",), classical_matrix(basis.symmetric, ring))
     for j in range(6):
         for i in range(6):
             quantum = substitute_params(
@@ -144,6 +144,8 @@ def test_apply_param_names_errors(basis, ring, verra):
 
     with pytest.raises(ValueError, match="names 2 parameters, ansatz has 4"):
         named((("a", (0, 1)), ("b", (1, 2))))
+    with pytest.raises(ValueError, match="names 0 parameters, ansatz has 4"):
+        named(())  # an empty mapping is checked too; None asks for the canonical names
     with pytest.raises(ValueError, match="no ansatz parameter starts at"):
         named((("a", (0, 0)), ("b", (0, 4)), ("c", (1, 2)), ("d", (1, 3))))
     with pytest.raises(ValueError, match="duplicate parameter names"):
@@ -156,29 +158,40 @@ def test_apply_param_names_declared_order(basis, ring):
     renamed = build_ansatz(basis.symmetric, ring, SYM_DEGREES,
                            (("v", (0, 4)), ("s", (0, 1)), ("t", (1, 2)), ("u", (1, 3))))
     assert renamed.params == ("v", "s", "t", "u")
+    assert renamed.canonical == ("p_0_1", "p_0_4", "p_1_2", "p_1_3")
     assert renamed.matrix.rows[0][1].render() == "2*s*q"
     # the canonical matrix with its parameters renamed
-    canonical = build_ansatz(basis.symmetric, ring, SYM_DEGREES, ())
+    canonical = build_ansatz(basis.symmetric, ring, SYM_DEGREES, None)
     rename = {"p_0_4": "v", "p_0_1": "s", "p_1_2": "t", "p_1_3": "u"}
     assert renamed.matrix == canonical.matrix.map(
         lambda p: p.rename_vars(renamed.matrix.vars, rename))
     assert renamed.positions == {rename[p]: v for p, v in canonical.positions.items()}
+    assert canonical.params == canonical.canonical == renamed.canonical
 
 
-@pytest.mark.parametrize("nilpotency, middle, count", [(12, 33, 756), (16, 37, 2304)])
-def test_a_large_ring_fails_the_mapping_before_any_entry_is_built(nilpotency, middle, count,
-                                                                   monkeypatch):
+NAMED = "enumerative=t,u, component=5, param_names=s@(0,1),t@(1,2),u@(1,3),v@(0,4)"
+
+
+@pytest.mark.parametrize("edits, named, count", [
+    ((("nilpotency=3", "nilpotency=12"), ("middle=24", "middle=33")), 4, 756),
+    ((("nilpotency=3", "nilpotency=16"), ("middle=24", "middle=37")), 4, 2304),
+    # param_names= parses to (), which is checked like any other mapping
+    (((NAMED, "enumerative=, component=5, param_names="),), 0, 4),
+], ids=["nilpotency-12", "nilpotency-16", "no-names"])
+def test_a_mapping_that_cannot_fit_fails_before_any_entry_is_built(edits, named, count,
+                                                                    monkeypatch):
     # the parameters are counted from the slot pairs, and the mapping fails
     # before any entry of either block's parametric matrix is made
     def entry(*args):
         raise AssertionError("a parametric entry was built")
 
     monkeypatch.setattr(ansatz, "Poly", entry)
-    text = VERRA.replace("nilpotency=3", f"nilpotency={nilpotency}").replace(
-        "middle=24", f"middle={middle}")
+    text = VERRA
+    for old, new in edits:
+        text = text.replace(old, new)
     run = run_pipeline(parse_instance_text(text))
     assert [(c["name"], c["detail"]) for c in run.checks if not c["passed"]] == [
-        ("ansatz.param_mapping", f"instance names 4 parameters, ansatz has {count}")]
+        ("ansatz.param_mapping", f"instance names {named} parameters, ansatz has {count}")]
     assert run.stages[1] == {"name": "ansatz", "status": "failed",
                              "reason": "parameter name mapping failed"}
     assert exit_code(run) == 2
@@ -204,7 +217,7 @@ def symbolic_ansatz(basis, ring, degrees, pairing):
     m = cup(tmp_vars)
     for k, (j, i, d) in enumerate(slots):
         m.rows[j][i] = m.rows[j][i] + Poly.var(tmp_vars, f"x{k}") * Poly.var(tmp_vars, "q", d)
-    gram = scalar_matrix(tmp_vars, gram_matrix(ring, basis)).map(lambda p: p.scale(pairing))
+    gram = Matrix.from_scalars(tmp_vars, gram_matrix(ring, basis)).map(lambda p: p.scale(pairing))
     rows: List[List[Fraction]] = []
     for ra, rb in zip((m.transpose() * gram).rows, (gram * m).rows):
         for p in (a - b for a, b in zip(ra, rb)):
@@ -254,7 +267,7 @@ def test_direct_system_matches_symbolic_construction(nilpotency, pairing):
     basis = ring.eigenbasis()
     for block in ("symmetric", "antisymmetric"):
         degrees = basis.degrees(block)
-        am = build_ansatz(getattr(basis, block), ring, degrees, ())
+        am = build_ansatz(getattr(basis, block), ring, degrees, None)
         params, positions, matrix, classical = symbolic_ansatz(
             getattr(basis, block), ring, degrees, pairing)
         assert am.params == params
@@ -272,8 +285,8 @@ def test_one_cup_matrix_per_block(basis, ring, monkeypatch):
         return original(b, r)
 
     monkeypatch.setattr(ansatz, "classical_matrix", counted)
-    build_ansatz(basis.symmetric, ring, SYM_DEGREES, ())
-    build_ansatz(basis.antisymmetric, ring, ANTI_DEGREES, ())
+    build_ansatz(basis.symmetric, ring, SYM_DEGREES, None)
+    build_ansatz(basis.antisymmetric, ring, ANTI_DEGREES, None)
     assert calls == [basis.symmetric, basis.antisymmetric]
 
 

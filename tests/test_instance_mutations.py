@@ -34,6 +34,8 @@ MUTATIONS = [
     ("tdecomp=1,19,1", "tdecomp=0,21,0", 2),
     ("simple=true", "simple=false", 2),
     ("v@(0,4)", "v@(0,5)", 2),
+    ("enumerative=t,u, component=5, param_names=s@(0,1),t@(1,2),u@(1,3),v@(0,4)",
+     "enumerative=, component=5, param_names=", 2),  # no names: ansatz.param_mapping fails
     ("component=5", "component=4", 2),
     ("component=5", "component=0", 2),
     ("tdecomp=1,19,1", "tdecomp=21", 2),

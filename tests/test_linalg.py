@@ -13,7 +13,6 @@ from hodgeatoms.linalg import LAM, Matrix, _bareiss, _int_row, char_poly, det, l
 from hodgeatoms.poly import (Poly, _unpack, _zadd, _zdot, exact_div, poly_gcd_many,
                              rational_content)
 from hodgeatoms.qde import DiffOperator, cyclic_rows
-from conftest import scalar_matrix
 from test_poly import zdiv_reference
 
 Q = ("q",)
@@ -22,7 +21,7 @@ QX = ("q", "x")
 
 
 def M(rows):
-    return scalar_matrix(Q, rows)
+    return Matrix.from_scalars(Q, rows)
 
 
 def test_shape_validation():
@@ -247,7 +246,7 @@ def test_matrix_product_matches_the_dense_product(pair):
     a, b = pair
     assert a * b == dense_product(a, b)
     with pytest.raises(ValueError, match="variable sets differ"):
-        a * scalar_matrix(TU, [[0] * b.ncols] * b.nrows)
+        a * Matrix.from_scalars(TU, [[0] * b.ncols] * b.nrows)
 
 
 @st.composite
@@ -325,7 +324,7 @@ def test_char_poly_examples():
     with pytest.raises(ValueError):
         char_poly(M([[1, 2]]))
     # outer variable must be fresh
-    lam_ring = scalar_matrix(("lam",), [[1]])
+    lam_ring = Matrix.from_scalars(("lam",), [[1]])
     with pytest.raises(ValueError):
         char_poly(lam_ring)
 

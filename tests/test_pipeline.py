@@ -100,7 +100,7 @@ def perturb_symmetric_matrix(monkeypatch, entries):
 
     def perturbed(basis, ring, degrees, names):
         am = built(basis, ring, degrees, names)
-        for (j, i), text in entries.items() if names else ():
+        for (j, i), text in entries.items() if names is not None else ():
             am.matrix.rows[j][i] = Poly(am.matrix.vars, text)
         return am
 
