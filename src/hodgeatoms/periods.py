@@ -85,7 +85,8 @@ def period_coefficients(source: str, order: int) -> Series:
 
 
 def regularized_coefficients(g: Series) -> Series:
-    """The factorially rescaled series: coefficient of q^m is (2m)! a_m, an int if integral."""
+    """The factorially rescaled series: coefficient of q^m is (2m)! a_m, formed
+    as an int product when integral, which spares the Fraction product's gcd."""
     out, fact = [], 1
     for m, c in enumerate(g.coeffs):
         if m:

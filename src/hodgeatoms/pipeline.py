@@ -108,30 +108,28 @@ def _stage_period(run: PipelineRun, state: Dict[str, Any]) -> None:
     except ValueError as e:
         run.require("period.regularized_annihilation", False, str(e), str(e))
 
-    # the one period series of the run, padded for the operators applied to it
-    try:
-        series = period_coefficients(inst.period_source, order + reg_q.q_degree())
+    try:  # the one period series of the run
+        g = period_coefficients(inst.period_source, order)
     except ValueError as e:
         run.require("period.initial_coefficient", False, str(e), str(e))
-    g = series.truncate(order)
     run.check("period.initial_coefficient", g.coeff(0) == 1, "a_0 = 1")
 
     run.require("period.regularized_annihilation",
-                apply(reg_q, regularized_coefficients(series)).is_zero(),
+                apply(reg_q, regularized_coefficients(g)).is_zero(),
                 f"transformed operator (content {rat_str(content)} divided) kills the "
                 f"factorially rescaled series through q^{order}",
                 "regularized operator does not annihilate the rescaled series")
 
     # the plain-series residual's first 3 nonzero terms, in one lazy pass
     resid = (f"{rat_str(Fraction(t[()], den))}*q^{m}"
-             for m, (den, t) in enumerate(apply_symbolic(reg_q, series)) if t)
+             for m, (den, t) in enumerate(apply_symbolic(reg_q, g)) if t)
     first = list(islice(resid, 3))
     if first:
         run.notes.append("the transformed regularized operator annihilates the "
                          "factorially rescaled series, not the plain period series; "
                          "residual on the plain series starts " + " + ".join(first))
 
-    state.update(period=g, series=series, reg_q=reg_q)
+    state.update(period=g, reg_q=reg_q)
     run.sections["period"] = {
         "status": "ok",
         "source": src.name,
@@ -281,11 +279,7 @@ def _stage_solve(run: PipelineRun, state: Dict[str, Any]) -> None:
 
     values = dict(zip(params, report.accepted[0]))
     numeric = op.substitute(values)
-    padding = order + numeric.q_degree()
-    series = state["series"]
-    padded = (series.truncate(padding) if padding <= series.order
-              else period_coefficients(inst.period_source, padding))
-    run.require("solve.annihilation", apply(numeric, padded).is_zero(),
+    run.require("solve.annihilation", apply(numeric, g).is_zero(),
                 f"solved operator annihilates the period through q^{order}",
                 "solved operator does not annihilate the period")
 

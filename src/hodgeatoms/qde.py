@@ -38,9 +38,6 @@ class DiffOperator:
     def vars(self) -> Tuple[str, ...]:
         return self.coeffs[0].vars
 
-    def q_degree(self) -> int:
-        return max(c.degree_in("q") for c in self.coeffs)
-
     def substitute(self, values: Mapping[str, Fraction]) -> "DiffOperator":
         subs = {k: Fraction(v) for k, v in values.items()}
         coeffs = [c.substitute(subs).rename_vars(("q",)) for c in self.coeffs]
@@ -137,17 +134,16 @@ def _graded_terms(op: DiffOperator, f: Series) -> Iterator[tuple]:
     for each parameter monomial ex (op.vars less q) at q^j, a pair (ex, w),
     w = dv * sum_k c_k (m-j)^k small. With N / d = f_(m-j) in lowest terms,
     the pair adds w * N * (L / d) to the numerator of x^ex over dv * L."""
-    dv = math.lcm(*(v.denominator for c in op.coeffs for v in c.terms.values()))
+    ints, dv = _int_row(op.coeffs)
     qi, slices = op.vars.index("q"), {}  # j -> ex -> k -> dv * its coefficient in c_k
-    for k, c in enumerate(op.coeffs):
-        for ex, v in c.terms.items():
-            row = slices.setdefault(ex[qi], {})
-            row.setdefault(ex[:qi] + ex[qi + 1:], {})[k] = v.numerator * (dv // v.denominator)
+    for k, c in enumerate(ints):
+        for ex, v in c.items():
+            slices.setdefault(ex[qi], {}).setdefault(ex[:qi] + ex[qi + 1:], {})[k] = v
     # Horner in m - j, from each monomial's highest D-power down
     graded = [(j, [(ex, [ks.get(k, 0) for k in range(max(ks), -1, -1)]) for ex, ks in row.items()])
               for j, row in sorted(slices.items())]
     fc = f.coeffs
-    for m in range(f.order - op.q_degree() + 1):
+    for m in range(f.order + 1):
         parts = []
         for j, row in graded:
             if j > m:
@@ -163,13 +159,11 @@ def _graded_terms(op: DiffOperator, f: Series) -> Iterator[tuple]:
 
 
 def apply(op: DiffOperator, f: Series) -> Series:
-    """Apply a parameter-free operator; the result is exact through
-    f.order minus the operator's q-degree."""
+    """Apply a parameter-free operator; coefficient m of the result reads
+    only f_0..f_m, so it is exact through f.order."""
     extra = tuple(dict.fromkeys(v for c in op.coeffs for v in c.variables_present() if v != "q"))
     if extra:
         raise ValueError(f"operator carries unknown parameters {extra}")
-    if f.order < op.q_degree():
-        raise ValueError("series too short for this operator")
     out, zero = [], Fraction(0)
     for dv, lcd, parts in _graded_terms(op, f):
         # with no parameters, each part's one monomial is the constant one

@@ -29,12 +29,6 @@ class Series:
             raise IndexError(f"coefficient q^{m} beyond truncation order {self.order}")
         return self.coeffs[m]
 
-    def truncate(self, order: int) -> "Series":
-        """The prefix through q^order."""
-        if order < 0 or order > self.order:
-            raise IndexError(f"truncation q^{order} beyond order {self.order}")
-        return Series(self.coeffs[:order + 1])
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 

@@ -36,7 +36,7 @@ def test_criterion_02_regularized_annihilation(verra, period16):
     assert content == 16
     rescaled = regularized_coefficients(period16)
     residual = apply(op, rescaled)
-    assert residual.order == 14
+    assert residual.order == 16
     assert residual.is_zero()
     # the operator is the annihilator of the factorially rescaled series;
     # on the raw series it leaves this fixed nonzero residual, so the two

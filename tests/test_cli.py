@@ -91,7 +91,7 @@ def test_one_period_series_per_certify(capsys, monkeypatch):
     monkeypatch.setattr(pipeline, "period_coefficients", counted)
     code, _, _ = run_cli(capsys, "certify")
     assert code == 0
-    assert len(calls) == 1
+    assert calls == [("verra-eq3", 16)]
 
 
 def test_solve_at_order_200_builds_no_polynomial_per_equation(capsys, monkeypatch):

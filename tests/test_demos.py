@@ -13,7 +13,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 # sha256 of each demo's stdout
 DEMO_SHA256 = {
-    "01_quantum_period": "dc486f72478a709c9d3332fed297327f2d7ea17261ad4e884610594394edf8b4",
+    "01_quantum_period": "22083f4999d9eb5d23af525c8913872667c9521ea9d1ee6d711c25b1990b5b1a",
     "02_multiplication_ansatz": "0e37ddf4ea75c062f8143d1cc417a0303af5d9cde13547c7ffc6b5e9b3032685",
     "03_cyclic_elimination": "4560e52efaca419ce3fa8e65234d2ce4951ea31b82ac948e412752602e4ee24c",
     "04_parameter_matching": "91e44927b1c20c87074a4d3daa8e64d1dd96b8d129ef7156ec1e96671b126719",

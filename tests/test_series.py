@@ -32,7 +32,6 @@ def test_fractions_are_kept_and_the_rest_converted():
     s = Series([half, 3])
     assert s.coeffs[0] is half
     assert type(s.coeffs[1]) is Fraction and s.coeffs[1] == 3
-    assert s.truncate(0).coeffs[0] is half
     with pytest.raises(TypeError):
         Series([1, object()])
     with pytest.raises(TypeError):
