@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import decimal
 import json
-from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any, Dict, List, Sequence, Tuple
 
 from .linalg import LAM, Matrix
@@ -20,13 +20,15 @@ from .qde import DiffOperator
 
 
 def poly_json(p: Poly):
-    """q-polynomials become dense coefficient lists, anything else a string."""
-    if set(p.variables_present()) <= {"q"}:
-        dense = [Fraction(0)] * (p.total_degree() + 1)
-        for ex, c in p.terms.items():
-            dense[sum(ex)] = c  # q's exponent, the only nonzero one
-        return [rat_str(c) for c in dense]
-    return p.render()
+    """Polynomials in q alone become dense coefficient lists ("0" for a missing
+    power), anything else a string."""
+    i = p.vars.index("q") if "q" in p.vars else len(p.vars)
+    if any(any(ex[:i]) or any(ex[i + 1:]) for ex in p.terms):
+        return p.render()
+    dense = ["0"] * (p.total_degree() + 1)
+    for ex, c in p.terms.items():
+        dense[sum(ex)] = rat_str(c)  # q's exponent, the only nonzero one
+    return dense
 
 
 _EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)  # exact for any length
@@ -91,7 +93,30 @@ def chi_json(chi: Poly) -> Dict[str, Any]:
 
 
 def dump_json(cert: Dict[str, Any]) -> str:
-    return json.dumps(cert, sort_keys=True, indent=2) + "\n"
+    """json.dumps(cert, sort_keys=True, indent=2) and a newline, written in one
+    pass that appends each piece of text to one list."""
+    return "".join(_write_json(cert, "\n", [])) + "\n"
+
+
+def _write_json(x: Any, nl: str, out: List[str]) -> List[str]:
+    """out with x's text appended, nl being a newline and x's indent; x is a dict
+    with str keys, a list or tuple (written as a list), a str, int, bool or None."""
+    if isinstance(x, str):
+        out.append(encode_basestring_ascii(x))
+    elif isinstance(x, dict):
+        for n, k in enumerate(sorted(x)):
+            out.append(("," if n else "{") + nl + "  " + encode_basestring_ascii(k) + ": ")
+            _write_json(x[k], nl + "  ", out)
+        out.append(nl + "}" if x else "{}")
+    elif isinstance(x, (list, tuple)):
+        for n, v in enumerate(x):
+            out.append(("," if n else "[") + nl + "  ")
+            _write_json(v, nl + "  ", out)
+        out.append(nl + "]" if x else "[]")
+    else:
+        out.append("null" if x is None else "true" if x is True else "false" if x is False
+                   else int.__repr__(x))
+    return out
 
 
 # -- human-readable rendering --------------------------------------------------

@@ -172,8 +172,10 @@ def _stage_ansatz(run: PipelineRun, state: Dict[str, Any]) -> None:
     except ValueError as e:
         run.require("ansatz.param_mapping", False, str(e), "parameter name mapping failed")
     mapping = ", ".join(f"{n}@{pos}" for n, pos in inst.param_names)
-    run.check("ansatz.param_mapping",
-              sym.params == inst.parameter_order(), mapping)
+    variables = sym.matrix.vars  # each declared entry has a term linear in its name
+    run.check("ansatz.param_mapping", all(n in variables and any(
+        ex[variables.index(n)] == 1 and sum(ex[:-1]) == 1 for ex in sym.matrix.rows[r][c].terms)
+        for n, (r, c) in inst.param_names), mapping)
 
     ok = all(_self_adjoint(am) for am in (sym, anti))
     run.require("ansatz.self_adjointness", ok,

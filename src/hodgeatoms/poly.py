@@ -206,17 +206,28 @@ class Poly:
     # -- substitution --------------------------------------------------------
 
     def substitute(self, values: Mapping[str, Union["Poly", Scalar]]) -> "Poly":
-        """Substitute polynomials or scalars for variables, exactly, in one pass
-        over the terms into one term dict; each power of a value is formed once."""
+        """Substitute polynomials or scalars for variables, exactly, in one pass over
+        the terms: each power of a value is formed once, and a scalar's multiplies
+        the term's coefficient, a polynomial's the term."""
         subs = [i for i, v in enumerate(self.vars) if v in values]
-        powers: dict = {}  # (i, e) -> values[vars[i]] ** e as a term dict
+        powers: dict = {}  # (i, e) -> values[vars[i]] ** e, a scalar or a term dict
         out: dict = {}
         for ex, c in self.terms.items():
-            term = {tuple(0 if i in subs else e for i, e in enumerate(ex)): c}
+            factors = []
             for i, e in [(i, ex[i]) for i in subs if ex[i]]:
-                if (i, e) not in powers:
-                    powers[i, e] = (self._coerce(values[self.vars[i]]) ** e).terms
-                term = _zdot([(term, powers[i, e])])
+                if (i, e) not in powers:  # a value is coerced only where a term uses it
+                    v = values[self.vars[i]]
+                    v = self._coerce(v) if isinstance(v, Poly) else _as_scalar(v)
+                    if e < 0:
+                        raise ValueError("negative power")
+                    powers[i, e] = (v ** e).terms if isinstance(v, Poly) else v ** e
+                if type(powers[i, e]) is dict:
+                    factors.append(powers[i, e])
+                else:
+                    c *= powers[i, e]
+            term = {tuple(0 if i in subs else e for i, e in enumerate(ex)): c}
+            for f in factors:
+                term = _zdot([(term, f)])
             for k, v in term.items():
                 out[k] = out.get(k, 0) + v
         return Poly(self.vars, {k: v for k, v in out.items() if v})

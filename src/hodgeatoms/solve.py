@@ -94,14 +94,16 @@ def solve_parameters(equations: Sequence[Tuple[int, int, Dict[tuple, int], Dict[
 
     solutions = _back_substitute(reduced, params)
 
-    # every candidate must satisfy every raw equation exactly: over one
-    # denominator of its monomial values, equation i vanishes iff rows[i]
-    # dotted with the scaled values does
+    # every candidate must satisfy every raw equation exactly: with D the lcm of
+    # its denominators and a_i = x_i D, row i vanishes on it iff it does on the
+    # integers prod a_i^e_i D^(top - deg), each monomial's value times D^top
+    top = max(map(sum, cols))
     unverified = []
     for sol in solutions:
-        vals = [math.prod(x ** k for x, k in zip(sol, ex)) for ex in cols]
-        den = math.lcm(*(Fraction(v).denominator for v in vals))
-        ints = [(v * den).numerator for v in vals]
+        den = math.lcm(*(x.denominator for x in sol))
+        nums = [x.numerator * (den // x.denominator) for x in sol]
+        ints = [math.prod(a ** k for a, k in zip(nums, ex)) * den ** (top - sum(ex))
+                for ex in cols]
         unverified += [(sol, order) for (order, *_), row in zip(equations, rows)
                        if sum(map(mul, row, ints))][:1]
 
@@ -127,7 +129,7 @@ def solve_parameters(equations: Sequence[Tuple[int, int, Dict[tuple, int], Dict[
 def _back_substitute(reduced: List[Poly], params: Tuple[str, ...]):
     nvars = len(params)
     zero_ex = (0,) * nvars
-    # state: rewrite rules (var, value) in the order taken, remaining equations
+    # state: rewrite rules (var, Poly or a quadratic's Fraction root) in order, equations left
     stack = [([], list(reduced))]
     terminal = []
     steps = 0
@@ -163,7 +165,7 @@ def _back_substitute(reduced: List[Poly], params: Tuple[str, ...]):
                                     for k in range(3)])
             if len(roots) < 2:
                 raise SolveError(f"unsolved: irrational roots of {e.render()} = 0")
-            choices = [Poly.const(params, r) for r in sorted(set(roots))]
+            choices = sorted(set(roots))
         for rule in choices:
             new_eqs = [x.substitute({params[var]: rule}) for x in rest]
             stack.append((rules + [(var, rule)], new_eqs))
@@ -178,6 +180,7 @@ def _back_substitute(reduced: List[Poly], params: Tuple[str, ...]):
         # newest-first resolution always has what it needs
         values: Dict[str, Fraction] = {}
         for var, rule in reversed(rules):
-            values[params[var]] = rule.substitute(values).constant_value()
+            values[params[var]] = (rule.substitute(values).constant_value()
+                                   if isinstance(rule, Poly) else rule)
         solutions.add(tuple(values[p] for p in params))
     return sorted(solutions)

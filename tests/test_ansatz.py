@@ -1,12 +1,13 @@
 """Ansatz construction: degree slots, self-adjoint reduction, naming."""
 
+import dataclasses
 import math
 from fractions import Fraction
 from typing import List
 
 import pytest
 
-from hodgeatoms import ansatz
+from hodgeatoms import ansatz, pipeline
 from hodgeatoms.ansatz import (admissible_powers, build_ansatz, classical_matrix,
                                substitute_params)
 from hodgeatoms.cli import main
@@ -195,6 +196,33 @@ def test_a_mapping_that_cannot_fit_fails_before_any_entry_is_built(edits, named,
     assert run.stages[1] == {"name": "ansatz", "status": "failed",
                              "reason": "parameter name mapping failed"}
     assert exit_code(run) == 2
+
+
+def test_param_mapping_reads_the_built_matrix(monkeypatch, capsys):
+    # build_ansatz made to put s in t's slots and t in s's: the declared
+    # names still come back, in the declared order, but the entry at s@(0,1)
+    # is linear in t, so ansatz.param_mapping fails and certify exits 2
+    built = build_ansatz
+
+    def swapped(basis, ring, degrees, names):
+        am = built(basis, ring, degrees, names)
+        if names is None:
+            return am
+        m = am.matrix.map(lambda p: p.rename_vars(p.vars, {"s": "t", "t": "s"}))
+        return dataclasses.replace(am, matrix=m)
+
+    verra = load_instance("verra")
+    run = run_pipeline(verra)
+    mapping = "s@(0, 1), t@(1, 2), u@(1, 3), v@(0, 4)"
+    assert {"name": "ansatz.param_mapping", "passed": True, "detail": mapping} in run.checks
+    monkeypatch.setattr(pipeline, "build_ansatz", swapped)
+    run = run_pipeline(verra)
+    checks = {c["name"]: c for c in run.checks}
+    assert checks["ansatz.param_mapping"] == {
+        "name": "ansatz.param_mapping", "passed": False, "detail": mapping}
+    assert exit_code(run) == 2
+    assert main(["certify"]) == 2
+    assert "[FAIL] ansatz.param_mapping  (" + mapping + ")" in capsys.readouterr().out
 
 
 def symbolic_ansatz(basis, ring, degrees, pairing):

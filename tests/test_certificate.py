@@ -1,14 +1,18 @@
 """Canonical serialization of exact objects."""
 
+import json
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
 from hodgeatoms.certificate import (chi_json, chi_render, dump_json, dump_text,
                                     equations_json, matrix_json, operator_json,
                                     poly_json, rat_str, rendered)
 from hodgeatoms.linalg import LAM, Matrix
+from hodgeatoms.instance import load_instance
+from hodgeatoms.pipeline import build_certificate, run_pipeline
 from hodgeatoms.poly import Poly, render_terms
 from hodgeatoms.qde import DiffOperator
 
@@ -213,3 +217,23 @@ def test_dump_text_sections():
     assert "coefficients: [1, 4]" in text
     assert "- a note" in text
     assert text.rstrip().endswith("engine 0.0-test")
+
+
+_SYNTHETIC = {
+    "empty": {"dict": {}, "list": [], "tuple": ()},
+    "flags": [True, False, None, -7, 0, 12345678901234567890],
+    "tuple": ("a", (1, ()), {"z": [], "a": {}}),
+    "text": ['a "quote"', "a \\ backslash", "a\nnewline", "caf\u00e9 \u2013 \U0001d11e", ""],
+    "z\u00e9\"key\\\n": {"b": 1, "a": [{}]},
+}
+
+
+@pytest.mark.parametrize("name, through, order", [
+    ("verra", "verdict", 16), ("verra", "verdict", 200), ("broken-nonsimple", "verdict", None),
+    ("broken-a0plus", "verdict", None), ("verra", "eliminate", None), (None, None, None)])
+def test_dump_json_equals_the_json_module(name, through, order):
+    # the one-pass writer against the reference serialization, byte for byte;
+    # full, INCONCLUSIVE and partial certificates, and the synthetic one
+    cert = (build_certificate(run_pipeline(load_instance(name), through, order))
+            if name else _SYNTHETIC)
+    assert dump_json(cert) == json.dumps(cert, sort_keys=True, indent=2) + "\n"

@@ -30,6 +30,19 @@ def test_term_ratio_construction_matches_the_fraction_sum():
     assert g.coeffs == [_closed_sum_reference(m) for m in range(61)]
 
 
+def test_quantum_lefschetz_sum_matches_the_bundled_period():
+    # quantum Lefschetz for X: w^2 = f(x, y), a (2,2) hypersurface with w of
+    # bidegree (1,1): the two-variable period sum over bidegrees (d1, d2),
+    # (2d1 + 2d2)! / ((d1 + d2)! d1!^3 d2!^3), restricted to q1 = q2 = q
+    f = math.factorial
+    two = {(d1, d2): Fraction(f(2 * (d1 + d2)), f(d1 + d2) * f(d1) ** 3 * f(d2) ** 3)
+           for d1 in range(61) for d2 in range(61 - d1)}
+    assert [two[(0, 0)], two[(1, 0)], two[(0, 1)], two[(2, 0)], two[(1, 1)], two[(0, 2)]] == [
+        1, 2, 2, Fraction(3, 2), 12, Fraction(3, 2)]
+    lefschetz = [sum(two[(d1, m - d1)] for d1 in range(m + 1)) for m in range(61)]
+    assert period_coefficients("verra-eq3", 60).coeffs == lefschetz
+
+
 def _term_ratio_reference(m):
     # the closed two-point sum, binomials by their integer term ratio
     total, binom = 0, 1

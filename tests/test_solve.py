@@ -244,6 +244,18 @@ def test_wrong_candidate_is_an_internal_error(monkeypatch):
     report = solve_parameters(integer_equations(eqs), XY, ())
     assert report.unverified == (((Fraction(2), Fraction(1, 3)), 3),)
     assert report.solutions == ((Fraction(2), Fraction(0)), (Fraction(2), Fraction(1, 3)))
+    # rows of degree 1 and 2: 10x^2 + 18xy - 9x and 10x + 18y - 9 vanish at
+    # both (3/2, -1/3) and (0, 1/2), y^2 + x - 29/18 only at the first; the
+    # second fails first at q^5 (scaled to D^2 = 4, the q^3 row reads
+    # 18 * 1 * 2 - 9 * 4 = 0 there, and 18 - 9 without the D^(top - deg) factor)
+    eqs = [(2, e2({(2, 0): 10, (1, 1): 18, (1, 0): -9})),
+           (3, e2({(1, 0): 10, (0, 1): 18, (0, 0): -9})),
+           (5, e2({(0, 2): 1, (1, 0): 1, (0, 0): Fraction(-29, 18)}))]
+    wrong, right = (Fraction(0), Fraction(1, 2)), (Fraction(3, 2), Fraction(-1, 3))
+    monkeypatch.setattr(solve, "_back_substitute", lambda reduced, params: [wrong, right])
+    report = solve_parameters(integer_equations(eqs), XY, ())
+    assert report.unverified == ((wrong, 5),)
+    assert report.solutions == (wrong, right)
 
 
 # -- back-substitution against the two-binding reference -----------------------
