@@ -9,10 +9,9 @@
 
 from fractions import Fraction
 
-from hodgeatoms.ansatz import admissible_powers, build_ansatz, substitute_params
-from hodgeatoms.cohomology import AmbientRing, degree, gram_matrix
+from hodgeatoms.ansatz import admissible_powers, build_ansatz, self_adjoint, substitute_params
+from hodgeatoms.cohomology import AmbientRing, degree
 from hodgeatoms.instance import load_instance
-from hodgeatoms.linalg import Matrix
 
 ring = AmbientRing()
 basis = ring.eigenbasis()
@@ -41,9 +40,7 @@ print("\nsymmetric matrix with conventional names "
 for row in am.matrix.rows:
     print("  [" + ", ".join(p.render() for p in row) + "]")
 
-gram = Matrix.from_scalars(am.matrix.vars, gram_matrix(ring, basis.symmetric))
-print("M^T G - G M identically zero:",
-      am.matrix.transpose() * gram == gram * am.matrix)
+print("M^T G - G M identically zero:", self_adjoint(am))
 
 anti = build_ansatz(basis.antisymmetric, ring, basis.degrees("antisymmetric"), None)
 print(f"\nantisymmetric block has {len(anti.params)} parameter; at the"

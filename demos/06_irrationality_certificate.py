@@ -14,7 +14,8 @@ from hodgeatoms.atoms import (assemble_zero_atoms, exclusion_search,
                               transcendental_invariants)
 from hodgeatoms.certificate import dump_json
 from hodgeatoms.instance import load_instance
-from hodgeatoms.pipeline import build_certificate, exit_code, run_pipeline
+from hodgeatoms.pipeline import (EXCLUSION_CENTRES, EXCLUSION_GENUS, build_certificate,
+                                 exit_code, run_pipeline)
 
 verra = load_instance("verra")
 
@@ -30,7 +31,7 @@ for case in (case_plus, case_minus):
     print(f"  obstructed atom: {blocked.label}"
           f" (t^2 coeff {blocked.t2_coefficient()}, rho {blocked.rho})")
     print("  centre multisets that could assemble it:",
-          exclusion_search(blocked, 4, 4) or "none")
+          exclusion_search(blocked, EXCLUSION_CENTRES, EXCLUSION_GENUS) or "none")
 
 run = run_pipeline(verra)
 print(f"\npipeline verdict: {run.verdict} (exit code {exit_code(run)})")

@@ -10,8 +10,8 @@ b_s(j), so the q^d part of M^T G = G M reads
 G[j][s(j)] x(j, i) = G[i][s(i)] x(s(i), s(j)): each slot is tied to one
 partner slot, or to itself, and each pair is one parameter with entries
 (G[i][s(i)], G[j][s(j)]), primitive and positive on its first slot. The
-q^0 part, C^T G = G C, the pipeline checks with the rest, entry by entry;
-the cup and Gram matrices are carried as rows of scalars for those checks.
+q^0 part, C^T G = G C, `self_adjoint` checks with the rest, entry by entry;
+the cup and Gram matrices are carried as rows of scalars for its checks.
 The cup matrix is computed once per block and serves both the parametric
 matrix and its classical limit. Parameters are named canonically by the
 first matrix position they occupy; instance files attach conventional
@@ -130,3 +130,19 @@ def substitute_params(am: AnsatzMatrix, values: Mapping[str, Fraction]) -> Matri
         raise ValueError(f"missing parameter values: {missing}")
     subs = {p: Fraction(values[p]) for p in am.params}
     return am.matrix.map(lambda p: p.substitute(subs).rename_vars(("q",)))
+
+
+def self_adjoint(am: AnsatzMatrix) -> bool:
+    """M^T G = G M entry by entry, each (a, b) the term sum
+    Sum_k M[k][a] G[k][b] - G[a][k] M[k][b] with G a block's scalar rows."""
+    m, g = am.matrix.rows, am.gram
+    for a in range(len(g)):
+        for b in range(len(g)):
+            acc: dict = {}
+            for k in range(len(g)):
+                for p, x in ((m[k][a], g[k][b]), (m[k][b], -g[a][k])):
+                    for ex, c in p.terms.items() if x else ():
+                        acc[ex] = acc.get(ex, 0) + x * c
+            if any(acc.values()):
+                return False
+    return True

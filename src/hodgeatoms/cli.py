@@ -84,7 +84,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        run = run_pipeline(instance, through=through, order=args.order)
+        run = run_pipeline(instance, through=through, order=order)
 
         if args.out:
             payload = (dump_json if args.format == "json" else dump_text)(build_certificate(run))

@@ -21,7 +21,7 @@ import decimal
 import hashlib
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from typing import Dict, List, Optional, Tuple
@@ -46,11 +46,11 @@ class InstanceSpec:
     component: int
     param_names: Tuple[Tuple[str, Tuple[int, int]], ...]
     period_source: str
-    order: int = 16
-    a0plus_override: Optional[int] = None
-    metadata: Dict[str, Dict[str, str]] = field(default_factory=dict)
-    name: str = ""
-    source_sha256: str = ""
+    order: int
+    a0plus_override: Optional[int]
+    metadata: Dict[str, Dict[str, str]]
+    name: str
+    source_sha256: str
 
     def parameter_order(self) -> Tuple[str, ...]:
         return tuple(name for name, _ in self.param_names)

@@ -18,7 +18,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, List, Tuple
 
-from .poly import Poly, _pack, _packing, _pdot, _unpack, _zdiv, _zdot
+from .poly import Poly, _pack, _packing, _pdot, _unpack, _zdiv
 
 
 class Matrix:
@@ -38,32 +38,8 @@ class Matrix:
                 if p.vars != self.vars:
                     raise ValueError("mixed variable sets in matrix")
 
-    @classmethod
-    def from_scalars(cls, variables, rows) -> "Matrix":
-        variables = tuple(variables)
-        return cls([[Poly.const(variables, c) for c in r] for r in rows])
-
-    def transpose(self) -> "Matrix":
-        return Matrix([[self.rows[i][j] for i in range(self.nrows)]
-                       for j in range(self.ncols)])
-
-    def __mul__(self, other: "Matrix") -> "Matrix":
-        """Product; each entry sums only its nonzero pairs, into one term dict."""
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch")
-        self.rows[0][0]._check(other.rows[0][0])
-        cols = [[(k, p.terms) for k, p in enumerate(col) if p] for col in zip(*other.rows)]
-        return Matrix([[Poly(self.vars, _zdot((r[k].terms, b) for k, b in col if r[k]))
-                        for col in cols] for r in self.rows])
-
     def map(self, fn: Callable[[Poly], Poly]) -> "Matrix":
         return Matrix([[fn(p) for p in r] for r in self.rows])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return (self.nrows, self.ncols) == (other.nrows, other.ncols) and \
-            all(a == b for ra, rb in zip(self.rows, other.rows) for a, b in zip(ra, rb))
 
     def __repr__(self):
         body = "; ".join("[" + ", ".join(p.render() for p in r) + "]" for r in self.rows)

@@ -16,7 +16,7 @@ from itertools import islice
 from typing import Any, Dict, List, Optional
 
 from . import __version__
-from .ansatz import admissible_powers, build_ansatz, substitute_params
+from .ansatz import admissible_powers, build_ansatz, self_adjoint, substitute_params
 from .atoms import AtomError, assemble_zero_atoms, exclusion_search, transcendental_invariants
 from .certificate import chi_json, equations_json, matrix_json, operator_json, rat_str, rendered
 from .cohomology import AmbientRing
@@ -142,22 +142,6 @@ def _stage_period(run: PipelineRun, state: Dict[str, Any]) -> None:
     }
 
 
-def _self_adjoint(am) -> bool:
-    """M^T G = G M entry by entry, each (a, b) the term sum
-    Sum_k M[k][a] G[k][b] - G[a][k] M[k][b] with G a block's scalar rows."""
-    m, g = am.matrix.rows, am.gram
-    for a in range(len(g)):
-        for b in range(len(g)):
-            acc: dict = {}
-            for k in range(len(g)):
-                for p, x in ((m[k][a], g[k][b]), (m[k][b], -g[a][k])):
-                    for ex, c in p.terms.items() if x else ():
-                        acc[ex] = acc.get(ex, 0) + x * c
-            if any(acc.values()):
-                return False
-    return True
-
-
 def _stage_ansatz(run: PipelineRun, state: Dict[str, Any]) -> None:
     inst = run.instance
     ring = AmbientRing(nilpotency=inst.nilpotency)
@@ -177,7 +161,7 @@ def _stage_ansatz(run: PipelineRun, state: Dict[str, Any]) -> None:
         ex[variables.index(n)] == 1 and sum(ex[:-1]) == 1 for ex in sym.matrix.rows[r][c].terms)
         for n, (r, c) in inst.param_names), mapping)
 
-    ok = all(_self_adjoint(am) for am in (sym, anti))
+    ok = all(self_adjoint(am) for am in (sym, anti))
     run.require("ansatz.self_adjointness", ok,
                 "M^T G = G M identically in the parameters, both blocks",
                 "ansatz is not self-adjoint")

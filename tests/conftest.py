@@ -50,6 +50,42 @@ def equation_poly(variables, den, terms):
     return Poly(variables, {ex: Fraction(v, den) for ex, v in terms.items()})
 
 
+def dense_product(a, b):
+    """The product of two matrices given as rows of Polys over one variable
+    set, every pair of entries multiplied, zeros included."""
+    zero = Poly.zero(a[0][0].vars)
+    return [[sum((x * y for x, y in zip(r, col)), zero) for col in zip(*b)] for r in a]
+
+
+def fundamental_period(matrix, component, order):
+    """Component `component` of the power-series solution of q dy/dq = M y
+    with y(0) = e_component, through q^order, in Fractions. M is a numeric
+    matrix in q alone, in the column convention of `substitute_params`, and
+    M = sum_d M_d q^d turns the equation into y_0 = e_component and
+    (m I - M_0) y_m = sum_(d>=1) M_d y_(m-d). M_0, the cup matrix, raises
+    degree and so is nilpotent: n rounds of y_m <- (rhs + M_0 y_m) / m
+    reach the solution, and each y_m is checked against its equation."""
+    n = matrix.nrows
+    top = max(ex[0] for row in matrix.rows for p in row for ex in p.terms)
+    parts = [[[Fraction(p.terms.get((d,), 0)) for p in row] for row in matrix.rows]
+             for d in range(top + 1)]
+
+    def times(m, y):
+        return [sum((a * b for a, b in zip(row, y)), Fraction(0)) for row in m]
+
+    ys = [[Fraction(int(i == component)) for i in range(n)]]
+    for m in range(1, order + 1):
+        rhs = [Fraction(0)] * n
+        for d in range(1, min(top, m) + 1):
+            rhs = [r + x for r, x in zip(rhs, times(parts[d], ys[m - d]))]
+        y = [Fraction(0)] * n
+        for _ in range(n):
+            y = [(r + x) / m for r, x in zip(rhs, times(parts[0], y))]
+        assert [m * a - b for a, b in zip(y, times(parts[0], y))] == rhs
+        ys.append(y)
+    return [y[component] for y in ys]
+
+
 @pytest.fixture(scope="session")
 def verra():
     return load_instance("verra")

@@ -8,6 +8,7 @@ import pytest
 from hodgeatoms.periods import (REGISTRY, get_source, period_coefficients,
                                 regularized_coefficients)
 from hodgeatoms.series import Series
+from conftest import fundamental_period
 
 
 def test_coefficients_match_the_closed_sum():
@@ -41,6 +42,13 @@ def test_quantum_lefschetz_sum_matches_the_bundled_period():
         1, 2, 2, Fraction(3, 2), 12, Fraction(3, 2)]
     lefschetz = [sum(two[(d1, m - d1)] for d1 in range(m + 1)) for m in range(61)]
     assert period_coefficients("verra-eq3", 60).coeffs == lefschetz
+
+
+def test_the_solved_matrix_regenerates_the_bundled_period(mplus, verra):
+    # the solution of q dy/dq = M+ y with y(0) = e_5, the top class, has the
+    # quantum period as its component 5
+    assert verra.component == 5
+    assert fundamental_period(mplus, 5, 200) == period_coefficients("verra-eq3", 200).coeffs
 
 
 def _term_ratio_reference(m):

@@ -94,34 +94,46 @@ def test_a_cup_matrix_that_is_not_self_adjoint_fails_the_ansatz_stage(verra, mon
     assert "Traceback" not in capsys.readouterr().err
 
 
-def perturb_symmetric_matrix(monkeypatch, entries):
-    """Have the pipeline's symmetric ansatz matrix carry entries[(j, i)] at (j, i)."""
+def perturb_ansatz(monkeypatch, block, entries):
+    """Have the pipeline's ansatz matrix of the block ("symmetric", the one
+    built with the instance's names, or "antisymmetric") carry
+    entries[(j, i)] at (j, i)."""
     built = pipeline.build_ansatz
 
     def perturbed(basis, ring, degrees, names):
         am = built(basis, ring, degrees, names)
-        for (j, i), text in entries.items() if names is not None else ():
+        built_block = "antisymmetric" if names is None else "symmetric"
+        for (j, i), text in entries.items() if built_block == block else ():
             am.matrix.rows[j][i] = Poly(am.matrix.vars, text)
         return am
 
     monkeypatch.setattr(pipeline, "build_ansatz", perturbed)
 
 
-def test_a_perturbed_q1_slot_fails_self_adjointness_and_nothing_else(verra, monkeypatch):
-    # 2*s*q at (0, 1) becomes 3*s*q, its partner s*q at (4, 5) left as it is
-    perturb_symmetric_matrix(monkeypatch, {(0, 1): {(1, 0, 0, 0, 1): 3}})
-    run = run_pipeline(verra)
-    assert [c["name"] for c in run.checks if not c["passed"]] == ["ansatz.self_adjointness"]
-    assert run.stages[1] == {"name": "ansatz", "status": "failed",
-                             "reason": "ansatz is not self-adjoint"}
-    assert exit_code(run) == 2
+def test_a_perturbed_q1_slot_fails_self_adjointness_and_nothing_else(verra, ring, basis,
+                                                                     monkeypatch):
+    for block, entries in (
+            # 2*s*q at (0, 1) becomes 3*s*q, its partner s*q at (4, 5) left as it is
+            ("symmetric", {(0, 1): {(1, 0, 0, 0, 1): 3}}),
+            # p_0_1*q at (0, 1) becomes 2*p_0_1*q, its partner at (1, 2) left as it is
+            ("antisymmetric", {(0, 1): {(1, 1): 2}})):
+        with monkeypatch.context() as patch:
+            perturb_ansatz(patch, block, entries)
+            names = verra.param_names if block == "symmetric" else None
+            am = pipeline.build_ansatz(getattr(basis, block), ring, basis.degrees(block), names)
+            assert not ansatz.self_adjoint(am)
+            run = run_pipeline(verra)
+        assert [c["name"] for c in run.checks if not c["passed"]] == ["ansatz.self_adjointness"]
+        assert run.stages[1] == {"name": "ansatz", "status": "failed",
+                                 "reason": "ansatz is not self-adjoint"}
+        assert exit_code(run) == 2
 
 
 def test_a_perturbed_q0_entry_fails_the_classical_limit(verra, monkeypatch):
     # the cup entries 1 at (1, 0) and 2 at (5, 4), tied by the pairing, both
     # doubled: still self-adjoint and on the admissible q-powers, but not
     # the cup product at q = 0
-    perturb_symmetric_matrix(monkeypatch, {(1, 0): {(0,) * 5: 2}, (5, 4): {(0,) * 5: 4}})
+    perturb_ansatz(monkeypatch, "symmetric", {(1, 0): {(0,) * 5: 2}, (5, 4): {(0,) * 5: 4}})
     run = run_pipeline(verra)
     ansatz_checks = {c["name"]: c["passed"] for c in run.checks if c["name"].startswith("ansatz.")}
     assert ansatz_checks == {

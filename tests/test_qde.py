@@ -149,18 +149,19 @@ def cyclic_rows_reference(m, component, count):
         prev = rows[-1]
         rows.append([sum((p * m.rows[k][j] for k, p in enumerate(prev)),
                          euler_derivative_reference(prev[j])) for j in range(m.ncols)])
-    return Matrix(rows)
+    return rows
 
 
 @given(square_matrices(4), st.data())
 def test_cyclic_rows_match_the_dense_loop(m, data):
     component = data.draw(st.integers(0, m.ncols - 1))
-    assert cyclic_rows(m, component, 3) == cyclic_rows_reference(m, component, 3)
+    assert cyclic_rows(m, component, 3).rows == cyclic_rows_reference(m, component, 3)
 
 
 def test_verra_cyclic_rows_match_the_dense_loop(sym_ansatz, verra):
     m = sym_ansatz.matrix
-    assert cyclic_rows(m, verra.component, 6) == cyclic_rows_reference(m, verra.component, 6)
+    c = verra.component
+    assert cyclic_rows(m, c, 6).rows == cyclic_rows_reference(m, c, 6)
 
 
 def test_cyclic_rows_errors(sym_ansatz):

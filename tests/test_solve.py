@@ -4,15 +4,17 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hodgeatoms import solve
+from hodgeatoms.ansatz import substitute_params
 from hodgeatoms.periods import period_coefficients
 from hodgeatoms.poly import Poly, normal_form
 from hodgeatoms.qde import match_equations
+from hodgeatoms.series import Series
 from hodgeatoms.solve import SolveError, _classify, solve_parameters
 from hodgeatoms.spectrum import rational_roots
-from conftest import equation_poly, integer_equations, sympy_rref
+from conftest import equation_poly, fundamental_period, integer_equations, sympy_rref
 
 XY = ("x", "y")
 
@@ -60,6 +62,37 @@ def test_stability_across_truncation_orders(parametric_op, verra):
         rep = solve_parameters(eqs, verra.parameter_order(), verra.enumerative)
         sets.append((rep.solutions, rep.accepted))
     assert sets[0] == sets[1]
+
+
+def involution(p):
+    """The second root of the matching system: (s, t, u, v) to
+    (s, (4u - t) / 3, (2t + u) / 3, v), which fixes every point with t = u."""
+    s, t, u, v = p
+    return (s, (4 * u - t) / 3, (2 * t + u) / 3, v)
+
+
+rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 3))
+
+
+@settings(max_examples=40)
+@given(st.tuples(rationals, rationals, rationals, rationals))
+def test_a_drawn_matrix_period_is_matched_by_its_point_and_its_involution(
+        sym_ansatz, parametric_op, p):
+    # the period a drawn point's matrix regenerates, matched by the
+    # component-5 operator at depth 18 with no enumerative filter
+    params = sym_ansatz.params
+    period = fundamental_period(substitute_params(sym_ansatz, dict(zip(params, p))), 5, 24)
+    eqs = match_equations(parametric_op, Series(period), 18, params)
+    if p[0] == p[3] == 0:
+        # s and v are the only entries of column 5, so M+ kills e_5 and the
+        # period is 1: the match keeps the family s^2 + st + 2su = 3v
+        assert period == [1] + [0] * 24
+        with pytest.raises(SolveError, match=r"unsolved: .* \[s\^2 \+ s\*t \+ 2\*s\*u - 3\*v\]"):
+            solve_parameters(eqs, params, ())
+        return
+    report = solve_parameters(eqs, params, ())
+    assert set(report.solutions) == {p, involution(p)}
+    assert report.unverified == ()
 
 
 def test_empty_equations():
