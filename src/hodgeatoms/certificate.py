@@ -15,7 +15,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Any, Dict, List, Sequence, Tuple
 
 from .linalg import LAM, Matrix
-from .poly import Poly, rat_str, render_terms
+from .poly import Poly, Scalar, _grlex_key, rat_str, render_terms
 from .qde import DiffOperator
 
 
@@ -34,16 +34,30 @@ def poly_json(p: Poly):
 _EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)  # exact for any length
 
 
+class _Verbatim(str):
+    """Text built here with no character that JSON escapes: dump_json writes it as is."""
+
+
+def rats_json(values: Sequence[Scalar]) -> List[str]:
+    return [_Verbatim(rat_str(x)) for x in values]
+
+
 def equations_json(params: Tuple[str, ...], equations: Sequence[tuple]) -> Dict[str, Any]:
-    """solve.equations: poly_json of sum terms[ex] / den * params^ex under "q^m" for
-    each (m, den, terms, gcds) of match_equations; den goes to decimal once, each
-    term's den / gcds[ex] is a decimal division, and each monomial's text is built once."""
-    monos: dict = {}
-    out = {}
-    for m, den, terms, gcds in equations:
-        dec = decimal.Decimal(den)
-        text = render_terms(params, [(ex, v // gcds[ex], _EXACT.divide_int(dec, gcds[ex]))
-                                     for ex, v in terms.items()], monos=monos)
+    """solve.equations: poly_json of sum terms[ex] / den * params^ex under "q^m" for each
+    (m, den, terms, lowest) of match_equations, monomials ordered once per section. Each
+    distinct d of a lowest[ex] = (n, d, g, k) goes to decimal once; n's denominator (d / g) * k
+    is a division by g and a product by k. Texts are _Verbatim unless a name needs escaping."""
+    exs = sorted({ex for *_, lowest in equations for ex in lowest}, key=_grlex_key, reverse=True)
+    kind = _Verbatim if all(encode_basestring_ascii(p) == f'"{p}"' for p in params) else str
+    monos, decs, out = {}, {}, {}
+    for m, _, terms, lowest in equations:
+        items = []
+        for ex in exs:
+            if ex in lowest:
+                n, d, g, k = lowest[ex]
+                q = _EXACT.divide_int(decs.get(d) or decs.setdefault(d, decimal.Decimal(d)), g)
+                items.append((ex, n, _EXACT.multiply(q, k) if k != 1 else q))
+        text = kind(render_terms(params, items, monos))
         out[f"q^{m}"] = text if any(map(any, terms)) else [text]
     return out
 
@@ -95,14 +109,14 @@ def chi_json(chi: Poly) -> Dict[str, Any]:
 def dump_json(cert: Dict[str, Any]) -> str:
     """json.dumps(cert, sort_keys=True, indent=2) and a newline, written in one
     pass that appends each piece of text to one list."""
-    return "".join(_write_json(cert, "\n", [])) + "\n"
+    return "".join(_write_json(cert, "\n", []) + ["\n"])  # one copy of the text, not two
 
 
 def _write_json(x: Any, nl: str, out: List[str]) -> List[str]:
     """out with x's text appended, nl being a newline and x's indent; x is a dict
     with str keys, a list or tuple (written as a list), a str, int, bool or None."""
     if isinstance(x, str):
-        out.append(encode_basestring_ascii(x))
+        out += ('"', x, '"') if type(x) is _Verbatim else (encode_basestring_ascii(x),)
     elif isinstance(x, dict):
         for n, k in enumerate(sorted(x)):
             out.append(("," if n else "{") + nl + "  " + encode_basestring_ascii(k) + ": ")

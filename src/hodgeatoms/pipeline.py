@@ -18,7 +18,8 @@ from typing import Any, Dict, List, Optional
 from . import __version__
 from .ansatz import admissible_powers, build_ansatz, self_adjoint, substitute_params
 from .atoms import AtomError, assemble_zero_atoms, exclusion_search, transcendental_invariants
-from .certificate import chi_json, equations_json, matrix_json, operator_json, rat_str, rendered
+from .certificate import (chi_json, equations_json, matrix_json, operator_json, rat_str, rats_json,
+                          rendered)
 from .cohomology import AmbientRing
 from .instance import InstanceSpec
 from .periods import get_source, period_coefficients, regularized_coefficients
@@ -135,7 +136,7 @@ def _stage_period(run: PipelineRun, state: Dict[str, Any]) -> None:
         "source": src.name,
         "description": src.description,
         "order": order,
-        "coefficients": [rat_str(c) for c in g.coeffs],
+        "coefficients": rats_json(g.coeffs),
         "regularized_operator_t": operator_json(src.regularized),
         "transformed_operator_q": operator_json(reg_q),
         "transform_content": rat_str(content),

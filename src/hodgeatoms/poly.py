@@ -61,15 +61,14 @@ def rat_str(x: Scalar) -> str:
     return "-" + text if x < 0 else text
 
 
-def render_terms(variables: Tuple[str, ...], items, ascending: bool = False,
-                 monos: dict | None = None) -> str:
+def render_terms(variables: Tuple[str, ...], items, monos: dict | None = None) -> str:
     """The one text form of a polynomial, from its terms (exponent, numerator,
-    denominator), each in lowest terms with a positive int or Decimal denominator:
-    graded-lex order, leading term first unless ascending; "0" for no terms. monos,
-    when given, keeps each monomial's text (exponent -> text) for later calls."""
+    denominator) in the order given, each in lowest terms with a positive int or
+    Decimal denominator; "0" for no terms. monos, when given, keeps each monomial's
+    text (exponent -> text) for later calls."""
     monos = {} if monos is None else monos
     parts = []
-    for ex, num, den in sorted(items, key=lambda t: _grlex_key(t[0]), reverse=not ascending):
+    for ex, num, den in items:
         if ex not in monos:
             monos[ex] = "*".join(f"{v}^{e}" if e != 1 else v for v, e in zip(variables, ex) if e)
         mono = monos[ex]
@@ -253,8 +252,8 @@ class Poly:
     def render(self, ascending: bool = False) -> str:
         """Deterministic human-readable form, graded-lex term order (leading
         term first unless ascending)."""
-        return render_terms(self.vars, [(ex, c.numerator, c.denominator)
-                                        for ex, c in self.terms.items()], ascending)
+        items = sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=not ascending)
+        return render_terms(self.vars, [(ex, c.numerator, c.denominator) for ex, c in items])
 
     def __repr__(self):
         return f"Poly({self.render()})"

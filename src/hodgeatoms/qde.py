@@ -187,13 +187,12 @@ def apply_symbolic(op: DiffOperator, f: Series) -> Iterator[Tuple[int, Dict[tupl
 
 
 def match_equations(op: DiffOperator, f: Series, depth: int, params: Sequence[str]) -> list:
-    """The nonzero entries m <= depth of apply_symbolic as (m, den, terms, gcds),
-    ex over params and gcds[ex] = gcd(terms[ex], den), through the first of
-    parameter degree > 2, at which solve_parameters stops; ValueError when op
-    has a variable besides q and the params. A monomial at one q-power j (every one, if op
-    is derived) has terms[ex] = w * N * s from its one pair of _graded_terms, with
-    s = L / d = den / (dv * d); as N and d are coprime, its gcd is
-    s * g * gcd(w / g * N, dv) with g = gcd(d, w). Other monomials take gcd(v, den)."""
+    """The nonzero entries m <= depth of apply_symbolic as (m, den, terms, lowest), ex over
+    params, through the first of parameter degree > 2, where solve_parameters stops; ValueError
+    if op has a variable besides q and the params. lowest[ex] = (n, d, g, k) is terms[ex] / den
+    in lowest terms, n / ((d / g) * k). For a monomial at one q-power (all, if op is derived) it
+    is (w / g * N / h, d, g, dv / h), from terms[ex] = w * N * den / (dv * d) of _graded_terms,
+    N / d = f_(m-j), g = gcd(d, w) and h = gcd(w / g * N, dv); others take G = gcd(v, den)."""
     op = DiffOperator(tuple(c.rename_vars((*params, "q")) for c in op.coeffs))
     grade: dict = {}  # parameter monomial -> its q-power, None at several
     for ex in (ex for c in op.coeffs for ex in c.terms):
@@ -201,19 +200,23 @@ def match_equations(op: DiffOperator, f: Series, depth: int, params: Sequence[st
     high = {ex for ex in grade if sum(ex) > 2}  # monomials that solve_parameters rejects
     out = []
     for m, (dv, lcd, parts) in zip(range(depth + 1), _graded_terms(op, f)):
-        den, acc, gcds = dv * lcd, {}, {}
+        den, acc, terms, lowest = dv * lcd, {}, {}, {}
         for x, pairs in parts:
-            d, s = x.denominator, lcd // x.denominator
-            ns, r = x.numerator * s, x.numerator % dv
+            n, d = x.numerator, x.denominator
+            ns, r = n * (lcd // d), n % dv
             for ex, w in pairs:
-                acc[ex] = acc.get(ex, 0) + w * ns
-                if w and ns and grade[ex] is not None:
+                if grade[ex] is None:
+                    acc[ex] = acc.get(ex, 0) + w * ns
+                elif w and n:
                     g = math.gcd(d, w)
-                    gcds[ex] = s * g * math.gcd(w // g * r, dv)
-        terms = {ex: v for ex, v in acc.items() if v}
-        gcds.update((ex, math.gcd(v, den)) for ex, v in terms.items() if grade[ex] is None)
+                    h = math.gcd(w // g * r, dv)
+                    terms[ex], lowest[ex] = w * ns, (w // g * n // h, d, g, dv // h)
+        for ex, v in acc.items():
+            if v:
+                g = math.gcd(v, den)
+                terms[ex], lowest[ex] = v, (v // g, den, g, 1)
         if terms:
-            out.append((m, den, terms, gcds))
+            out.append((m, den, terms, lowest))
             if not high.isdisjoint(terms):
                 break
     return out

@@ -38,10 +38,10 @@ def _classify(e: Poly) -> Tuple[List[int], int]:
     return present, e.total_degree()
 
 
-def solve_parameters(equations: Sequence[Tuple[int, int, Dict[tuple, int], Dict[tuple, int]]],
+def solve_parameters(equations: Sequence[Tuple[int, int, Dict[tuple, int], Dict[tuple, tuple]]],
                      params: Sequence[str],
                      enumerative: Sequence[str]) -> SolveReport:
-    """Every solution of the equations (q-order, den, terms, gcds) of
+    """Every solution of the equations (q-order, den, terms, lowest) of
     match_equations, each sum terms[ex] / den * params^ex = 0."""
     params = tuple(params)
     if not equations:
@@ -152,6 +152,9 @@ def _back_substitute(reduced: List[Poly], params: Tuple[str, ...]):
                                  for n, (present, deg) in enumerate(map(_classify, eqs)))
         if deg == 2 and multi:
             shown = "; ".join(e.render() for e in eqs)
+            if len(eqs) < (k := len({i for e in eqs for i in _classify(e)[0]})):
+                raise SolveError(f"underdetermined: {len(eqs)} equation(s) in {k} unknowns "
+                                 f"[{shown}]")
             raise SolveError(f"unsolved: no degree <= 2 univariate or linear step in [{shown}]")
 
         e = eqs[n]

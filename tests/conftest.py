@@ -24,15 +24,16 @@ SOLUTION = {"s": Fraction(2), "t": Fraction(6), "u": Fraction(2), "v": Fraction(
 
 
 def integer_equations(equations):
-    """(q-order, Poly) equations in the (q-order, den, terms, gcds) form that
+    """(q-order, Poly) equations in the (q-order, den, terms, lowest) form that
     match_equations returns: den the lcm of the coefficients' denominators,
-    terms the integer numerators over it and gcds[ex] = gcd(terms[ex], den),
-    each term's factor in common with den."""
+    terms the integer numerators over it and lowest[ex] = (v / g, den, g, 1)
+    with g = gcd(v, den), each term in lowest terms."""
     out = []
     for m, e in equations:
         den = math.lcm(*(c.denominator for c in e.terms.values()))
         terms = {ex: (c * den).numerator for ex, c in e.terms.items()}
-        out.append((m, den, terms, {ex: math.gcd(v, den) for ex, v in terms.items()}))
+        out.append((m, den, terms, {ex: (v // g, den, g, 1) for ex, v in terms.items()
+                                    for g in [math.gcd(v, den)]}))
     return out
 
 

@@ -3,6 +3,7 @@
 import json
 import math
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,7 +12,7 @@ from hodgeatoms.certificate import (chi_json, chi_render, dump_json, dump_text,
                                     equations_json, matrix_json, operator_json,
                                     poly_json, rat_str, rendered)
 from hodgeatoms.linalg import LAM, Matrix
-from hodgeatoms.instance import load_instance
+from hodgeatoms.instance import load_instance, parse_instance_text
 from hodgeatoms.pipeline import build_certificate, run_pipeline
 from hodgeatoms.poly import Poly, render_terms
 from hodgeatoms.qde import DiffOperator
@@ -91,16 +92,26 @@ def _equations_reference(params, equations):
     monos: dict = {}
     out = {}
     for m, den, terms in equations:
-        text = render_terms(params, [(ex, v // g, den // g) for ex, v in terms.items()
+        items = sorted(terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
+        text = render_terms(params, [(ex, v // g, den // g) for ex, v in items
                                      for g in [math.gcd(v, den)]], monos=monos)
         out[f"q^{m}"] = text if any(map(any, terms)) else [text]
     return out
 
 
 def _handed_on(equations):
-    """(m, den, terms) with the gcds match_equations hands on, gcd(v, den) per term."""
-    return [(m, den, terms, {ex: math.gcd(v, den) for ex, v in terms.items()})
-            for m, den, terms in equations]
+    """(m, den, terms, lowest) as match_equations hands it on: with v / den = n / e
+    in lowest terms, lowest[ex] = (n, e / k * 7, 7, k), k = gcd(e, 6), so that both
+    small operations on the decimal denominator are exercised."""
+    out = []
+    for m, den, terms in equations:
+        lowest = {}
+        for ex, v in terms.items():
+            x, g = Fraction(v, den), 7
+            k = math.gcd(x.denominator, 6)
+            lowest[ex] = (x.numerator, x.denominator // k * g, g, k)
+        out.append((m, den, terms, lowest))
+    return out
 
 
 @given(st.lists(integer_equations(), min_size=1, max_size=4))
@@ -228,12 +239,25 @@ _SYNTHETIC = {
 }
 
 
+def _sigma_verra():
+    """The Verra instance with the parameter s renamed to the non-ASCII σ."""
+    text = resources.files("hodgeatoms").joinpath("data", "verra.instance").read_text("utf-8")
+    assert text.count("s@(0,1)") == 1
+    return parse_instance_text(text.replace("s@(0,1)", "\u03c3@(0,1)"), name="verra")
+
+
 @pytest.mark.parametrize("name, through, order", [
     ("verra", "verdict", 16), ("verra", "verdict", 200), ("broken-nonsimple", "verdict", None),
-    ("broken-a0plus", "verdict", None), ("verra", "eliminate", None), (None, None, None)])
+    ("broken-a0plus", "verdict", None), ("verra", "eliminate", None), (None, None, None),
+    ("verra-sigma", "verdict", 40)])
 def test_dump_json_equals_the_json_module(name, through, order):
     # the one-pass writer against the reference serialization, byte for byte;
-    # full, INCONCLUSIVE and partial certificates, and the synthetic one
-    cert = (build_certificate(run_pipeline(load_instance(name), through, order))
-            if name else _SYNTHETIC)
-    assert dump_json(cert) == json.dumps(cert, sort_keys=True, indent=2) + "\n"
+    # full, INCONCLUSIVE and partial certificates, the synthetic one, and one
+    # whose equations name a parameter that JSON escapes
+    inst = _sigma_verra() if name == "verra-sigma" else name and load_instance(name)
+    cert = build_certificate(run_pipeline(inst, through, order)) if name else _SYNTHETIC
+    text = dump_json(cert)
+    assert text == json.dumps(cert, sort_keys=True, indent=2) + "\n"
+    if name == "verra-sigma":  # it certifies, and its equations took the escaping path
+        assert cert["verdict"] == "IRRATIONAL_CERTIFIED"
+        assert "\\u03c3" in text and "\u03c3" in cert["solve"]["equations"]["q^2"]

@@ -60,6 +60,14 @@ def test_certify_json_at_order_200_is_pinned(capsys):
         "cd776f1d947ad5bc4245bc815e627e66f92ed6bef3c77851a923aa5f0e3f55f1")
 
 
+def test_certify_text_at_order_200_is_pinned(capsys):
+    # the text format reads the same sections, _Verbatim texts included
+    code, out, _ = run_cli(capsys, "certify", "--format", "text", "--order", "200")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "97ea50c0df5b4e754a1a35e3fedfc1160df60caabb66a66c89efedb2d9c8bf89")
+
+
 def test_certify_json_at_order_400_is_pinned(capsys):
     # golden bytes deeper still, where the matched equations are longest
     code, out, _ = run_cli(capsys, "certify", "--format", "json", "--order", "400")

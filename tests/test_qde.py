@@ -581,20 +581,27 @@ def test_matching_stops_after_a_degree_3_equation():
     assert [m for m, *_ in match_equations(op, f, 99, ("s", "t"))] == [0, 1]
 
 
+def _assert_in_lowest_terms(eqs):
+    """Each handed-on (n, d, g, k) is terms[ex] / den in lowest terms, n / ((d / g) * k)."""
+    for _, den, terms, lowest in eqs:
+        assert lowest.keys() == terms.keys()
+        for ex, (n, d, g, k) in lowest.items():
+            x = Fraction(terms[ex], den)
+            assert d % g == 0 and (n, d // g * k) == (x.numerator, x.denominator)
+
+
 @given(parametric_operators(), st.lists(_RATIONALS, min_size=3, max_size=12))
 @example(TWO_POWERS, _SERIES)
 @example(GRADED, _SERIES)
-def test_match_equations_hand_on_each_terms_gcd_with_den(op, values):
-    for _, den, terms, gcds in match_equations(op, Series(values), 99, _parameters(op)):
-        assert gcds == {ex: math.gcd(v, den) for ex, v in terms.items()}
+def test_match_equations_hand_on_each_term_in_lowest_terms(op, values):
+    _assert_in_lowest_terms(match_equations(op, Series(values), 99, _parameters(op)))
 
 
-def test_match_equations_hand_on_the_gcds_at_order_200(parametric_op, verra):
+def test_match_equations_hand_on_lowest_terms_at_order_200(parametric_op, verra):
     f = period_coefficients(verra.period_source, 200)
     eqs = match_equations(parametric_op, f, 194, verra.parameter_order())
     assert len(eqs) == 193
-    for _, den, terms, gcds in eqs:
-        assert gcds == {ex: math.gcd(v, den) for ex, v in terms.items()}
+    _assert_in_lowest_terms(eqs)
 
 
 def _counted_gcds(monkeypatch):
@@ -622,14 +629,16 @@ def test_only_a_monomial_at_several_q_powers_takes_the_full_gcd(monkeypatch):
     calls = _counted_gcds(monkeypatch)
     eqs = match_equations(TWO_POWERS, Series(_SERIES), 99, ("s", "t"))
     assert _fallbacks(calls, eqs) == sum((1, 0) in terms for _, _, terms, _ in eqs) > 0
+    _assert_in_lowest_terms(eqs)
     calls.clear()
     eqs = match_equations(GRADED, Series(_SERIES), 99, ("s", "t"))
     assert eqs and calls and _fallbacks(calls, eqs) == 0
+    _assert_in_lowest_terms(eqs)
 
 
 @pytest.mark.parametrize("order", [16, 200])
 def test_the_pipeline_matches_with_no_full_gcd(verra, monkeypatch, order):
-    # every term of the pipeline's matched equations is reduced by its small gcds
+    # every term of the pipeline's matched equations is put in lowest terms by small gcds
     matched = []
 
     def recorded(*args):
@@ -643,6 +652,7 @@ def test_the_pipeline_matches_with_no_full_gcd(verra, monkeypatch, order):
     assert run.stages[3] == {"name": "solve", "status": "ok"}
     assert len(matched) == order - 7 and calls
     assert _fallbacks(calls, matched) == 0
+    _assert_in_lowest_terms(matched)
 
 
 def test_transform_even_operator(verra):

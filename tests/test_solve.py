@@ -85,9 +85,11 @@ def test_a_drawn_matrix_period_is_matched_by_its_point_and_its_involution(
     eqs = match_equations(parametric_op, Series(period), 18, params)
     if p[0] == p[3] == 0:
         # s and v are the only entries of column 5, so M+ kills e_5 and the
-        # period is 1: the match keeps the family s^2 + st + 2su = 3v
+        # period is 1: the match keeps the family s^2 + st + 2su = 3v, one
+        # equation in four unknowns
         assert period == [1] + [0] * 24
-        with pytest.raises(SolveError, match=r"unsolved: .* \[s\^2 \+ s\*t \+ 2\*s\*u - 3\*v\]"):
+        with pytest.raises(SolveError, match=r"underdetermined: 1 equation\(s\) in 4 unknowns "
+                                             r"\[s\^2 \+ s\*t \+ 2\*s\*u - 3\*v\]"):
             solve_parameters(eqs, params, ())
         return
     report = solve_parameters(eqs, params, ())
@@ -160,8 +162,20 @@ def test_irrational_roots():
 
 
 def test_bilinear_unsolved():
+    # x^2 + y^2 = 2 and xy + y^2 = 2: two equations in two unknowns, neither
+    # univariate nor linear
+    eqs = [(2, e2({(2, 0): 1, (0, 2): 1, (0, 0): -2})),
+           (3, e2({(1, 1): 1, (0, 2): 1, (0, 0): -2}))]
+    with pytest.raises(SolveError, match=r"unsolved: no degree <= 2 univariate or linear step "
+                                         r"in \[x\^2 \+ y\^2 - 2; x\*y \+ y\^2 - 2\]"):
+        solve_parameters(integer_equations(eqs), XY, ())
+
+
+def test_bilinear_underdetermined():
+    # xy = 1 is one equation in two unknowns
     eqs = [(2, e2({(1, 1): 1, (0, 0): -1}))]
-    with pytest.raises(SolveError, match="no degree <= 2"):
+    with pytest.raises(SolveError, match=r"underdetermined: 1 equation\(s\) in 2 unknowns "
+                                         r"\[x\*y - 1\]"):
         solve_parameters(integer_equations(eqs), XY, ())
 
 
@@ -317,6 +331,10 @@ def back_substitute_reference(reduced, params):
                                  for n, (present, deg) in enumerate(map(_classify, eqs)))
         if deg == 2 and multi:
             shown = "; ".join(e.render() for e in eqs)
+            unknowns = set().union(*(e.variables_present() for e in eqs))
+            if len(eqs) < len(unknowns):
+                raise SolveError(f"underdetermined: {len(eqs)} equation(s) in {len(unknowns)} "
+                                 f"unknowns [{shown}]")
             raise SolveError(f"unsolved: no degree <= 2 univariate or linear step in [{shown}]")
         e = eqs[n]
         rest = [x for x in eqs if x is not e]
