@@ -20,9 +20,8 @@ names by those positions, checked before the matrix is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from .cohomology import AmbientRing, gram_matrix
 from .linalg import Matrix
@@ -54,8 +53,7 @@ def classical_matrix(basis, ring: AmbientRing) -> List[List[Scalar]]:
     return [list(row) for row in zip(*cols)]
 
 
-@dataclass(frozen=True)
-class AnsatzMatrix:
+class AnsatzMatrix(NamedTuple):
     matrix: Matrix
     params: Tuple[str, ...]
     canonical: Tuple[str, ...]  # the parameters' canonical names, row-major by first position

@@ -12,9 +12,8 @@ any surface forces rho >= 3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import List, Mapping, Optional, Tuple
+from typing import List, Mapping, NamedTuple, Optional, Tuple
 
 from .instance import InstanceSpec
 from .poly import Poly
@@ -24,21 +23,18 @@ class AtomError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class AtomInvariants:
-    rho: int
-    hodge: Poly
-    label: str
+    __slots__ = ("rho", "hodge", "label")
 
-    def __post_init__(self):
-        if self.rho < 0:
-            raise AtomError(f"{self.label}: negative rho")
-        if any(c < 0 for c in self.hodge.terms.values()):
-            raise AtomError(f"{self.label}: negative Hodge multiplicity")
-        pp = self.hodge.terms.get((0,), 0)
-        if self.rho > pp:
-            raise AtomError(
-                f"{self.label}: rho = {self.rho} exceeds the (p,p) dimension {pp}")
+    def __init__(self, rho: int, hodge: Poly, label: str):
+        if rho < 0:
+            raise AtomError(f"{label}: negative rho")
+        if any(c < 0 for c in hodge.terms.values()):
+            raise AtomError(f"{label}: negative Hodge multiplicity")
+        pp = hodge.terms.get((0,), 0)
+        if rho > pp:
+            raise AtomError(f"{label}: rho = {rho} exceeds the (p,p) dimension {pp}")
+        self.rho, self.hodge, self.label = rho, hodge, label
 
     def t2_coefficient(self) -> int:
         return int(self.hodge.terms.get((2,), 0))
@@ -79,8 +75,7 @@ def transcendental_invariants(instance: InstanceSpec) -> AtomInvariants:
     return AtomInvariants(0, hodge, "T")
 
 
-@dataclass(frozen=True)
-class PlacementCase:
+class PlacementCase(NamedTuple):
     name: str
     plus: AtomInvariants
     minus: AtomInvariants

@@ -14,8 +14,7 @@ antisymmetric block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .poly import Poly, Scalar
 
@@ -90,8 +89,7 @@ def degree(x: Poly) -> int:
     return degs.pop() if degs else 0
 
 
-@dataclass(frozen=True)
-class EigenBasis:
+class EigenBasis(NamedTuple):
     symmetric: Tuple[Poly, ...]
     antisymmetric: Tuple[Poly, ...]
 

@@ -21,10 +21,9 @@ import decimal
 import hashlib
 import os
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .poly import rat_str
 
@@ -33,8 +32,7 @@ class InstanceError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class InstanceSpec:
+class InstanceSpec(NamedTuple):
     nilpotency: int
     h31: int
     middle: int

@@ -9,17 +9,15 @@ series the regularized operator annihilates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 from .poly import Poly
 from .qde import DiffOperator
 from .series import Series
 
 
-@dataclass(frozen=True)
-class PeriodSource:
+class PeriodSource(NamedTuple):
     name: str
     description: str
     coefficients: Callable[[int], List[Fraction]]  # a_0 .. a_order

@@ -10,7 +10,6 @@ so everything else is INCONCLUSIVE.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 from typing import Any, Dict, List, Optional
@@ -44,15 +43,16 @@ class StageFailure(RuntimeError):
     """Raised inside a stage to abort it after recording a failed check."""
 
 
-@dataclass
 class PipelineRun:
-    instance: InstanceSpec
-    order: int
-    checks: List[Dict[str, Any]] = field(default_factory=list)
-    stages: List[Dict[str, str]] = field(default_factory=list)
-    sections: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-    notes: List[str] = field(default_factory=list)
-    verdict: str = "INCONCLUSIVE"
+    __slots__ = ("instance", "order", "checks", "stages", "sections", "notes", "verdict")
+
+    def __init__(self, instance: InstanceSpec, order: int):
+        self.instance, self.order = instance, order
+        self.checks: List[Dict[str, Any]] = []
+        self.stages: List[Dict[str, str]] = []
+        self.sections: Dict[str, Dict[str, Any]] = {}
+        self.notes: List[str] = []
+        self.verdict = "INCONCLUSIVE"
 
     def check(self, name: str, passed: bool, detail: str = "") -> None:
         self.checks.append({"name": name, "passed": bool(passed), "detail": detail})

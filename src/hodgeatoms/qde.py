@@ -10,7 +10,6 @@ scalar operator annihilating that component for every solution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, Mapping, Sequence, Tuple
 
@@ -20,15 +19,18 @@ from .poly import (Poly, _pack, _packing, _pdot, _zadd, _zdot, poly_gcd_many, ra
 from .series import Series
 
 
-@dataclass(frozen=True)
 class DiffOperator:
-    coeffs: Tuple[Poly, ...]  # c_0 .. c_order
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        if not self.coeffs:
+    def __init__(self, coeffs: Tuple[Poly, ...]):  # c_0 .. c_order
+        if not coeffs:
             raise ValueError("operator needs at least one coefficient")
-        if self.coeffs[-1].is_zero() and len(self.coeffs) > 1:
+        if coeffs[-1].is_zero() and len(coeffs) > 1:
             raise ValueError("leading coefficient must be nonzero")
+        self.coeffs = coeffs
+
+    def __eq__(self, other):
+        return type(other) is DiffOperator and self.coeffs == other.coeffs
 
     @property
     def order(self) -> int:

@@ -9,6 +9,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Union
 
+from .poly import _as_scalar
+
 Scalar = Union[int, Fraction]
 
 
@@ -16,7 +18,7 @@ class Series:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar]):
-        self.coeffs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+        self.coeffs = [c if isinstance(c, Fraction) else Fraction(_as_scalar(c)) for c in coeffs]
         if not self.coeffs:
             raise ValueError("series needs at least the constant coefficient")
 

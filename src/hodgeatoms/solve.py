@@ -11,10 +11,9 @@ Nothing is ever guessed: states the loop cannot reduce are reported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .poly import Poly, rat_str
 from .spectrum import rational_roots
@@ -24,8 +23,7 @@ class SolveError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SolveReport:
+class SolveReport(NamedTuple):
     reduced: Tuple[Poly, ...]                    # de-linearized equations
     solutions: Tuple[Tuple[Fraction, ...], ...]  # full solution set, param order
     accepted: Tuple[Tuple[Fraction, ...], ...]

@@ -12,9 +12,8 @@ coefficient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .linalg import LAM, Matrix, char_poly
 from .poly import Poly, rat_str
@@ -25,8 +24,7 @@ class TemplateError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class BlockSpectrum:
+class BlockSpectrum(NamedTuple):
     chi: Poly                              # over (..., LAM)
     dim: int
     zero_multiplicity: int
@@ -44,8 +42,7 @@ class BlockSpectrum:
         return "*".join(parts) if parts else "1"
 
 
-@dataclass(frozen=True)
-class ReciprocityResult:
+class ReciprocityResult(NamedTuple):
     singular_squares: Tuple[Fraction, ...]
     eigen_squares: Tuple[Fraction, ...]
     passed: bool

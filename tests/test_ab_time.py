@@ -26,6 +26,20 @@ def test_one_tree_twice_prints_the_minima_per_component_and_in_total():
     assert len(lines) == 4
 
 
+def test_imports_prints_the_least_and_median_import_per_tree():
+    # format only: three fresh imports of each tree, no assertion on the times
+    proc = subprocess.run([sys.executable, str(TOOL), SRC, SRC, "--imports", "3"],
+                          capture_output=True, text=True, timeout=600, check=False)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "imports: 3 per tree, ms per fresh import of hodgeatoms.cli"
+    assert lines[1].split() == ["parent", "change", "ratio"]
+    row = r"\s+{} +\d+\.\d\d +\d+\.\d\d +\d+\.\d{{3}}"
+    assert re.fullmatch(row.format("least"), lines[2])
+    assert re.fullmatch(row.format("median"), lines[3])
+    assert len(lines) == 4
+
+
 def test_a_tree_without_the_engine_is_refused(tmp_path):
     # with the engine on PYTHONPATH, an empty tree would silently time it instead
     proc = subprocess.run([sys.executable, str(TOOL), str(tmp_path), SRC, "--workload",

@@ -1,6 +1,5 @@
 """Ansatz construction: degree slots, self-adjoint reduction, naming."""
 
-import dataclasses
 import math
 from fractions import Fraction
 from typing import List
@@ -208,7 +207,7 @@ def test_param_mapping_reads_the_built_matrix(monkeypatch, capsys):
         if names is None:
             return am
         m = am.matrix.map(lambda p: p.rename_vars(p.vars, {"s": "t", "t": "s"}))
-        return dataclasses.replace(am, matrix=m)
+        return am._replace(matrix=m)
 
     verra = load_instance("verra")
     run = run_pipeline(verra)

@@ -21,6 +21,18 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def test_importing_the_command_line_loads_no_dataclasses():
+    # the records are plain classes and NamedTuples, so a fresh process that
+    # imports the engine generates no record methods and loads neither
+    # dataclasses nor the inspect module that dataclasses imports
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import hodgeatoms.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code, str(ROOT / "src")],
+                          capture_output=True, text=True, timeout=60, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_period(capsys):
     code, out, _ = run_cli(capsys, "period", "--order", "4")
     assert code == 2

@@ -1,13 +1,14 @@
 """Every top-level function and class in the package, and every method of
 its classes, is used somewhere; every module-level constant is read; every
-field of its dataclasses is read, both by name in the source and at run time
+field of its records is read, both by name in the source and at run time
 through an instance of its class.
 
 A name counts as used when some code in src/ or demos/ outside its own
 definition mentions it: a call, an attribute access, an import or a
 reference (a recursive call from its own body does not count). Dunder
 methods are exempt, and so are the methods of a class with a base from
-outside the package (such as an argparse hook), which that base calls.
+outside the package (such as an argparse hook), which that base calls;
+``typing.NamedTuple`` calls none, so its subclasses' methods are checked.
 A constant, a non-dunder name bound by a top-level assignment, counts as
 read when some code in src/ or demos/ mentions it outside that assignment.
 A field counts as read when some code in src/ or demos/ loads an attribute
@@ -17,7 +18,6 @@ the package or the demos uses gets deleted, not kept for tests.
 """
 
 import ast
-import dataclasses
 import importlib
 import runpy
 import sys
@@ -25,6 +25,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "hodgeatoms"
+# the record classes, each a typing.NamedTuple or a class with __slots__
+RECORDS = {"InstanceSpec", "PeriodSource", "EigenBasis", "AnsatzMatrix", "DiffOperator",
+           "SolveReport", "BlockSpectrum", "ReciprocityResult", "AtomInvariants",
+           "PlacementCase", "PipelineRun"}
 
 
 def _mentions(node, skip):
@@ -69,7 +73,8 @@ def _methods(trees):
     for label, node in top:
         if not isinstance(node, ast.ClassDef):
             continue
-        if any(not (isinstance(b, ast.Name) and b.id in classes) for b in node.bases):
+        if any(not (isinstance(b, ast.Name) and b.id in classes | {"NamedTuple"})
+               for b in node.bases):
             continue
         for item in node.body:
             if isinstance(item, ast.FunctionDef) and not (
@@ -108,13 +113,19 @@ def test_every_module_constant_is_read():
 
 
 def _fields(trees):
-    """(label, class name, field name) for the annotated fields of package dataclasses."""
+    """(label, class name, field name) for the fields of package records: the
+    annotated names of a NamedTuple and the names in a class's __slots__."""
     for label, node in _top_level(trees):
-        if isinstance(node, ast.ClassDef) and any(
-                "dataclass" in _mentions(d, None) for d in node.decorator_list):
-            for item in node.body:
-                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
-                    yield f"{label}.{item.target.id}", node.name, item.target.id
+        if not isinstance(node, ast.ClassDef):
+            continue
+        named = any(isinstance(b, ast.Name) and b.id == "NamedTuple" for b in node.bases)
+        for item in node.body:
+            if named and isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                yield f"{label}.{item.target.id}", node.name, item.target.id
+            elif isinstance(item, ast.Assign) and [getattr(t, "id", None)
+                                                   for t in item.targets] == ["__slots__"]:
+                for name in ast.literal_eval(item.value):
+                    yield f"{label}.{name}", node.name, name
 
 
 def _reads(tree, cls, name):
@@ -126,32 +137,34 @@ def _reads(tree, cls, name):
                and isinstance(n.ctx, ast.Load) and id(n) not in copies for n in ast.walk(tree))
 
 
-def test_every_dataclass_field_is_read():
+def test_every_record_field_is_read():
     trees = _trees()
+    assert RECORDS <= {cls for _, cls, _ in _fields(trees)}
     assert [label for label, cls, name in _fields(trees)
             if not any(_reads(tree, cls, name) for tree in trees.values())] == []
 
 
-def _package_dataclasses():
+def _package_records():
+    """(class, field names) for the package classes with _fields or __slots__."""
     out = []
     for path in sorted(PACKAGE.glob("*.py")):
         module = importlib.import_module(f"hodgeatoms.{path.stem}")
-        out += [c for c in vars(module).values() if isinstance(c, type)
-                and dataclasses.is_dataclass(c) and c.__module__ == module.__name__]
+        out += [(c, vars(c).get("_fields") or vars(c)["__slots__"]) for c in vars(module).values()
+                if isinstance(c, type) and c.__module__ == module.__name__
+                and ("_fields" in vars(c) or "__slots__" in vars(c))]
     return out
 
 
-def test_every_dataclass_field_is_read_at_run_time(monkeypatch, capsys):
+def test_every_record_field_is_read_at_run_time(monkeypatch, capsys):
     # the static test above matches attribute names only, so a field stays
     # "read" whenever any object has an attribute of its name; here each
-    # dataclass records the fields read through its own instances, outside
+    # record class records the fields read through its own instances, outside
     # their dunder methods (validation, comparison, repr), while certify runs
     # on three instances and the six demos run in this process
     from hodgeatoms.cli import main
-    classes = _package_dataclasses()
+    records = _package_records()
     reads = set()
-    for cls in classes:
-        names = {f.name for f in dataclasses.fields(cls)}
+    for cls, names in records:
 
         def spy(self, name, cls=cls, names=names, get=cls.__getattribute__):
             if name in names and type(self) is cls:
@@ -167,9 +180,10 @@ def test_every_dataclass_field_is_read_at_run_time(monkeypatch, capsys):
     for demo in sorted((ROOT / "demos").glob("*.py")):
         runpy.run_path(str(demo), run_name="__main__")
     capsys.readouterr()
-    assert {cls.__name__ for cls in classes} == {c for _, c, _ in _fields(_trees())}
-    assert [f"{cls.__name__}.{f.name}" for cls in classes for f in dataclasses.fields(cls)
-            if (cls, f.name) not in reads] == []
+    assert RECORDS <= {cls.__name__ for cls, _ in records}
+    assert {cls.__name__ for cls, _ in records} == {c for _, c, _ in _fields(_trees())}
+    assert [f"{cls.__name__}.{name}" for cls, names in records for name in names
+            if (cls, name) not in reads] == []
 
 
 def _state_keys(tree):

@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -36,3 +37,13 @@ def test_fractions_are_kept_and_the_rest_converted():
         Series([1, object()])
     with pytest.raises(TypeError):
         Series([None])
+
+
+@pytest.mark.parametrize("inexact", [0.1, 1.0, Decimal("0.1"), "1/2", 1j])
+def test_only_ints_and_fractions_are_taken(inexact):
+    # as in Poly: a float would otherwise become an inexact rational, 0.1 the
+    # Fraction 3602879701896397/36028797018963968, and pass on unnoticed
+    with pytest.raises(TypeError, match="not an exact scalar"):
+        Series([1, inexact])
+    s = Series([True, False, 2])
+    assert s.coeffs == [1, 0, 2] and all(type(c) is Fraction for c in s.coeffs)

@@ -1,23 +1,33 @@
 """Time two engine source trees side by side on one seeded set of bench cases.
 
     python3 tools/ab_time.py PARENT_SRC CHANGE_SRC --workload NAME [--rounds N]
+    python3 tools/ab_time.py PARENT_SRC CHANGE_SRC --imports N
 
 Run from a checkout's root. Both trees are imported into this process,
 each afresh as ``bench/run.py`` imports its engine. The cases are the first
 32 in the workload's rounds for seed 1. Each round times every case once
 per tree, AB and BA by turns; each case keeps its least time per tree.
 Printed per component and in total: their sums and the ratio parent / change.
+
+With ``--imports N`` no case runs: after one untimed import of each tree,
+N fresh imports of ``hodgeatoms.cli`` from each are timed, AB and BA by
+turns, each from a collected heap, and the least and median milliseconds
+per tree are printed with the ratio parent / change. This sizes a change
+to the start-up that ``bench/run.py`` reports as ``setup_s``.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import itertools
 import os
 import random
+import statistics
 import sys
 import tempfile
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "bench"))
@@ -36,13 +46,40 @@ def import_main(src: str):
     return cli.main
 
 
+def time_imports(srcs, n: int) -> int:
+    """Print the least and median ms of n fresh imports from each tree."""
+    for src in srcs:
+        import_main(src)
+    ms = [[], []]
+    for r in range(n):
+        for t in ((0, 1) if r % 2 == 0 else (1, 0)):
+            gc.collect()
+            start = time.perf_counter()
+            import_main(srcs[t])
+            ms[t].append((time.perf_counter() - start) * 1e3)
+    print(f"imports: {n} per tree, ms per fresh import of hodgeatoms.cli")
+    print(f"{'':>9} {'parent':>9} {'change':>9} {'ratio':>6}")
+    for label, stat in (("least", min), ("median", statistics.median)):
+        a, b = stat(ms[0]), stat(ms[1])
+        print(f"{label:>9} {a:9.2f} {b:9.2f} {a / b:6.3f}")
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_src")
     parser.add_argument("change_src")
-    parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
+    parser.add_argument("--workload", choices=sorted(WORKLOADS))
     parser.add_argument("--rounds", type=int, default=12)
+    parser.add_argument("--imports", type=int, metavar="N",
+                        help="time N fresh imports per tree instead of the cases")
     args = parser.parse_args(argv)
+    if args.imports is not None:
+        if args.imports < 1:
+            parser.error("--imports must be at least 1")
+        return time_imports([args.parent_src, args.change_src], args.imports)
+    if args.workload is None:
+        parser.error("--workload is required unless --imports is given")
     w = WORKLOADS[args.workload]
     cases = list(itertools.islice(itertools.chain.from_iterable(w.rounds(random.Random(1))), 32))
     mains = [import_main(args.parent_src), import_main(args.change_src)]
