@@ -21,7 +21,7 @@ names by those positions, checked before the matrix is built.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from .cohomology import AmbientRing, gram_matrix
 from .linalg import Matrix
@@ -53,14 +53,17 @@ def classical_matrix(basis, ring: AmbientRing) -> List[List[Scalar]]:
     return [list(row) for row in zip(*cols)]
 
 
-class AnsatzMatrix(NamedTuple):
-    matrix: Matrix
-    params: Tuple[str, ...]
-    canonical: Tuple[str, ...]  # the parameters' canonical names, row-major by first position
-    # parameter -> positions it occupies, as (row, col, multiplier, q-power)
-    positions: Dict[str, Tuple[Tuple[int, int, Fraction, int], ...]]
-    classical: List[List[Scalar]]  # the cup matrix, as rows of scalars
-    gram: List[List[Scalar]]  # the block's pairing matrix, as rows of scalars
+class AnsatzMatrix:
+    __slots__ = ("matrix", "params", "canonical", "positions", "classical", "gram")
+
+    def __init__(self, matrix: Matrix, params: Tuple[str, ...],
+                 canonical: Tuple[str, ...],  # canonical names, row-major by first position
+                 # parameter -> positions it occupies, as (row, col, multiplier, q-power)
+                 positions: Dict[str, Tuple[Tuple[int, int, Fraction, int], ...]],
+                 classical: List[List[Scalar]],  # the cup matrix, as rows of scalars
+                 gram: List[List[Scalar]]):  # the block's pairing matrix, as rows of scalars
+        self.matrix, self.params, self.canonical = matrix, params, canonical
+        self.positions, self.classical, self.gram = positions, classical, gram
 
 
 def build_ansatz(basis, ring: AmbientRing, degrees: Tuple[int, ...],

@@ -13,7 +13,7 @@ any surface forces rho >= 3.
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
-from typing import List, Mapping, NamedTuple, Optional, Tuple
+from typing import List, Mapping, Optional, Tuple
 
 from .instance import InstanceSpec
 from .poly import Poly
@@ -75,10 +75,11 @@ def transcendental_invariants(instance: InstanceSpec) -> AtomInvariants:
     return AtomInvariants(0, hodge, "T")
 
 
-class PlacementCase(NamedTuple):
-    name: str
-    plus: AtomInvariants
-    minus: AtomInvariants
+class PlacementCase:
+    __slots__ = ("name", "plus", "minus")
+
+    def __init__(self, name: str, plus: AtomInvariants, minus: AtomInvariants):
+        self.name, self.plus, self.minus = name, plus, minus
 
     def atoms(self) -> Tuple[AtomInvariants, AtomInvariants]:
         return (self.plus, self.minus)
@@ -100,15 +101,10 @@ def assemble_zero_atoms(trans: AtomInvariants, zero_plus: int,
     """
     ambient_plus = AtomInvariants(zero_plus, hodge_poly({0: zero_plus}), "E_0^+")
     ambient_minus = AtomInvariants(zero_minus, hodge_poly({0: zero_minus}), "E_0^-")
-    case_plus = PlacementCase(
-        "T_in_plus",
-        plus=atom_sum(ambient_plus, trans, "E_0^+"),
-        minus=ambient_minus)
-    case_minus = PlacementCase(
-        "T_in_minus",
-        plus=ambient_plus,
-        minus=atom_sum(ambient_minus, trans, "E_0^-"))
-    return (case_plus, case_minus)
+    return (PlacementCase("T_in_plus", plus=atom_sum(ambient_plus, trans, "E_0^+"),
+                          minus=ambient_minus),
+            PlacementCase("T_in_minus", plus=ambient_plus,
+                          minus=atom_sum(ambient_minus, trans, "E_0^-")))
 
 
 # -- exhaustive exclusion over centre multisets --------------------------------

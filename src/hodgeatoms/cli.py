@@ -39,19 +39,19 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="hodgeatoms",
                      description="exact irrationality certificates from quantum periods")
+    # the options every subcommand shares, added once and copied into each
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--instance", default="verra",
+                        help="instance file path or bundled name (default: verra)")
+    common.add_argument("--order", type=int, default=None, help="truncation order override")
+    common.add_argument("--out", default=None, help="write the full certificate to this path")
+    common.add_argument("--format", choices=("json", "text"), default="text",
+                        help="output format (default: text)")
+    common.add_argument("--through", choices=STAGES, default=None,
+                        help="stop the pipeline after this stage")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
     for name, (_, help_line) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_line)
-        p.add_argument("--instance", default="verra",
-                       help="instance file path or bundled name (default: verra)")
-        p.add_argument("--order", type=int, default=None,
-                       help="truncation order override")
-        p.add_argument("--out", default=None,
-                       help="write the full certificate to this path")
-        p.add_argument("--format", choices=("json", "text"), default="text",
-                       help="output format (default: text)")
-        p.add_argument("--through", choices=STAGES, default=None,
-                       help="stop the pipeline after this stage")
+        sub.add_parser(name, help=help_line, parents=[common])
     return parser
 
 

@@ -14,7 +14,7 @@ antisymmetric block.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Tuple
+from typing import List, Tuple
 
 from .poly import Poly, Scalar
 
@@ -89,9 +89,11 @@ def degree(x: Poly) -> int:
     return degs.pop() if degs else 0
 
 
-class EigenBasis(NamedTuple):
-    symmetric: Tuple[Poly, ...]
-    antisymmetric: Tuple[Poly, ...]
+class EigenBasis:
+    __slots__ = ("symmetric", "antisymmetric")
+
+    def __init__(self, symmetric: Tuple[Poly, ...], antisymmetric: Tuple[Poly, ...]):
+        self.symmetric, self.antisymmetric = symmetric, antisymmetric
 
     def degrees(self, block: str) -> Tuple[int, ...]:
         return tuple(degree(x) for x in getattr(self, block))

@@ -22,8 +22,7 @@ import hashlib
 import os
 import re
 from fractions import Fraction
-from importlib import resources
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .poly import rat_str
 
@@ -32,87 +31,85 @@ class InstanceError(ValueError):
     pass
 
 
-class InstanceSpec(NamedTuple):
-    nilpotency: int
-    h31: int
-    middle: int
-    dim_t: int
-    tdecomp: Tuple[int, ...]
-    simple: bool
-    n_invariant: Fraction
-    enumerative: Tuple[str, ...]
-    component: int
-    param_names: Tuple[Tuple[str, Tuple[int, int]], ...]
-    period_source: str
-    order: int
-    a0plus_override: Optional[int]
-    metadata: Dict[str, Dict[str, str]]
-    name: str
-    source_sha256: str
+class InstanceSpec:
+    __slots__ = ("nilpotency", "h31", "middle", "dim_t", "tdecomp", "simple", "n_invariant",
+                 "enumerative", "component", "param_names", "period_source", "order",
+                 "a0plus_override", "metadata", "name", "source_sha256")
+
+    def __init__(self, nilpotency: int, h31: int, middle: int, dim_t: int,
+                 tdecomp: Tuple[int, ...], simple: bool, n_invariant: Fraction,
+                 enumerative: Tuple[str, ...], component: int,
+                 param_names: Tuple[Tuple[str, Tuple[int, int]], ...], period_source: str,
+                 order: int, a0plus_override: Optional[int],
+                 metadata: Dict[str, Dict[str, str]], name: str, source_sha256: str):
+        self.nilpotency, self.h31, self.middle, self.dim_t = nilpotency, h31, middle, dim_t
+        self.tdecomp, self.simple, self.n_invariant = tdecomp, simple, n_invariant
+        self.enumerative, self.component, self.param_names = enumerative, component, param_names
+        self.period_source, self.order, self.a0plus_override = period_source, order, a0plus_override
+        self.metadata, self.name, self.source_sha256 = metadata, name, source_sha256
 
     def parameter_order(self) -> Tuple[str, ...]:
         return tuple(name for name, _ in self.param_names)
 
 
+# ASCII digits only: \d and Decimal would also take any Unicode decimal digit
+_HEADER = re.compile(r"\[(\w+)\]\s*(.*)")
+_INT = re.compile(r"-?[0-9]+")
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+_TAG = re.compile(r"(\w+)@\(([0-9]+)\s*,\s*([0-9]+)\)")
+_SWAP = re.compile(r"(\w+):(\w+)")
+
+
 def _int(digits: str) -> int:
-    """int(digits) through Decimal, which has no limit on the number of digits."""
-    return int(decimal.Decimal(digits))
+    """int(digits), through Decimal past the interpreter's int-to-str digit limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        return int(decimal.Decimal(digits))
 
 
-def _parse_fraction(text: str, where: str) -> Fraction:
+def _parse_fraction(text: str) -> Fraction:
     text = text.strip()
-    m = re.fullmatch(r"(-?\d+)(?:/(\d+))?", text)
+    m = _RATIONAL.fullmatch(text)
     if not m:
-        raise InstanceError(f"{where}: not a rational: {text!r}")
-    num = _int(m.group(1))
-    den = _int(m.group(2)) if m.group(2) else 1
+        raise InstanceError(f"not a rational: {text!r}")
+    den = _int(m[2]) if m[2] else 1
     if den == 0:
-        raise InstanceError(f"{where}: zero denominator in {text!r}")
-    return Fraction(num, den)
+        raise InstanceError(f"zero denominator in {text!r}")
+    return Fraction(_int(m[1]), den)
 
 
-def _parse_int(text: str, where: str) -> int:
-    if not re.fullmatch(r"-?\d+", text.strip()):
-        raise InstanceError(f"{where}: not an integer: {text!r}")
+def _parse_int(text: str) -> int:
+    if not _INT.fullmatch(text.strip()):
+        raise InstanceError(f"not an integer: {text!r}")
     return _int(text)
 
 
-def _parse_bool(text: str, where: str) -> bool:
+def _parse_bool(text: str) -> bool:
     t = text.strip().lower()
     if t in ("true", "false"):
         return t == "true"
-    raise InstanceError(f"{where}: not a boolean: {text!r}")
+    raise InstanceError(f"not a boolean: {text!r}")
 
 
-def _split_outside_parens(text: str) -> List[str]:
-    parts, depth, cur = [], 0, []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
+def _parse_param_names(text: str) -> Tuple[Tuple[str, Tuple[int, int]], ...]:
+    items, cur, depth = [], [], 0  # text split at the commas outside parentheses
+    for piece in text.split(","):
+        cur.append(piece)
+        depth += piece.count("(") - piece.count(")")
+        if depth == 0:
+            items.append(",".join(cur))
             cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return [p.strip() for p in parts if p.strip()]
-
-
-def _parse_param_names(text: str, where: str) -> Tuple[Tuple[str, Tuple[int, int]], ...]:
     out = []
-    for item in _split_outside_parens(text):
-        m = re.fullmatch(r"(\w+)@\((\d+)\s*,\s*(\d+)\)", item)
+    for item in filter(None, (p.strip() for p in items + [",".join(cur)])):
+        m = _TAG.fullmatch(item)
         if not m:
-            raise InstanceError(f"{where}: bad parameter tag {item!r}, expected name@(row,col)")
-        out.append((m.group(1), (_int(m.group(2)), _int(m.group(3)))))
-    names = [n for n, _ in out]
-    positions = [p for _, p in out]
-    if len(set(names)) != len(names):
-        raise InstanceError(f"{where}: duplicate parameter names")
-    if len(set(positions)) != len(positions):
-        raise InstanceError(f"{where}: duplicate parameter positions")
+            raise InstanceError(f"bad parameter tag {item!r}, expected name@(row,col)")
+        out.append((m[1], (_int(m[2]), _int(m[3]))))
+    if len({n for n, _ in out}) != len(out):
+        raise InstanceError("duplicate parameter names")
+    if len({p for _, p in out}) != len(out):
+        raise InstanceError("duplicate parameter positions")
     return tuple(out)
 
 
@@ -131,51 +128,52 @@ def parse_instance_text(text: str, name: str = "") -> InstanceSpec:
     lineno_of: Dict[Tuple[str, str], int] = {}
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
-        m = re.match(r"\[(\w+)\]\s*(.*)", line)
-        if m:
-            current = m.group(1)
+        if line[0] == "[" and (m := _HEADER.match(line)):
+            current, line = m.groups()
             if current in sections:
                 raise InstanceError(f"line {lineno}: duplicate section [{current}]")
-            sections[current] = {}
-            line = m.group(2).strip()
+            sections[current] = values = {}
+            known = _KNOWN_KEYS.get(current)
+            line = line.strip()
             if not line:
                 continue
         if current is None:
             raise InstanceError(f"line {lineno}: key-value pair before any section header")
-        pairs: List[List[str]] = []
+        key = None
         for frag in line.split(","):
-            if "=" in frag:
-                k, v = frag.split("=", 1)
-                pairs.append([k.strip(), v.strip()])
-            elif pairs:
-                pairs[-1][1] += "," + frag.strip()
+            k, eq, v = frag.partition("=")
+            if eq:
+                key = k.strip()
+                if key in values:
+                    raise InstanceError(f"line {lineno}: duplicate key {key!r} in [{current}]")
+                if known is not None and key not in known:
+                    raise InstanceError(f"line {lineno}: unknown key {key!r} in [{current}]")
+                values[key] = v.strip()
+                lineno_of[(current, key)] = lineno
+            elif key is not None:
+                values[key] += "," + frag.strip()
             else:
                 raise InstanceError(f"line {lineno}: dangling fragment {frag.strip()!r}")
-        for k, v in pairs:
-            if k in sections[current]:
-                raise InstanceError(f"line {lineno}: duplicate key {k!r} in [{current}]")
-            if current in _KNOWN_KEYS and k not in _KNOWN_KEYS[current]:
-                raise InstanceError(f"line {lineno}: unknown key {k!r} in [{current}]")
-            sections[current][k] = v
-            lineno_of[(current, k)] = lineno
 
     for required in ("ring", "involution", "hodge", "quantum", "period"):
         if required not in sections:
             raise InstanceError(f"missing required section [{required}]")
 
-    def need(section: str, key: str) -> str:
+    def read(section: str, key: str, parse):
+        """parse of the key's value; the key's line and name head a parse error."""
         if key not in sections[section]:
             raise InstanceError(f"[{section}]: missing key {key!r}")
-        return sections[section][key]
+        try:
+            return parse(sections[section][key])
+        except InstanceError as e:
+            raise InstanceError(f"line {lineno_of[section, key]}: [{section}] {key}: {e}") from None
 
-    where = lambda s, k: f"line {lineno_of.get((s, k), '?')}: [{s}] {k}"
-
-    generators = _parse_int(need("ring", "generators"), where("ring", "generators"))
-    nilpotency = _parse_int(need("ring", "nilpotency"), where("ring", "nilpotency"))
-    pairing = _parse_fraction(need("ring", "pairing"), where("ring", "pairing"))
+    generators = read("ring", "generators", _parse_int)
+    nilpotency = read("ring", "nilpotency", _parse_int)
+    pairing = read("ring", "pairing", _parse_fraction)
     if generators != 2:
         raise InstanceError("[ring] generators: only the two-generator ring is supported")
     if nilpotency < 2:
@@ -183,20 +181,19 @@ def parse_instance_text(text: str, name: str = "") -> InstanceSpec:
     if pairing <= 0:
         raise InstanceError("[ring] pairing: normalization must be positive")
 
-    swap_text = need("involution", "swap")
-    m = re.fullmatch(r"(\w+):(\w+)", swap_text.strip())
-    if not m or {m.group(1), m.group(2)} != {"H1", "H2"}:
+    swap_text = read("involution", "swap", str)
+    m = _SWAP.fullmatch(swap_text.strip())
+    if not m or {m[1], m[2]} != {"H1", "H2"}:
         raise InstanceError(f"[involution] swap: expected H1:H2, got {swap_text!r}")
 
-    h31 = _parse_int(need("hodge", "h31"), where("hodge", "h31"))
-    middle = _parse_int(need("hodge", "middle"), where("hodge", "middle"))
-    dim_t = _parse_int(need("hodge", "dimT"), where("hodge", "dimT"))
-    tdecomp = tuple(_parse_int(x, where("hodge", "tdecomp"))
-                    for x in need("hodge", "tdecomp").split(","))
-    simple = _parse_bool(need("hodge", "simple"), where("hodge", "simple"))
+    h31 = read("hodge", "h31", _parse_int)
+    middle = read("hodge", "middle", _parse_int)
+    dim_t = read("hodge", "dimT", _parse_int)
+    tdecomp = read("hodge", "tdecomp", lambda t: tuple(_parse_int(x) for x in t.split(",")))
+    simple = read("hodge", "simple", _parse_bool)
     a0plus = None
     if "a0plus" in sections["hodge"]:
-        a0plus = _parse_int(sections["hodge"]["a0plus"], where("hodge", "a0plus"))
+        a0plus = read("hodge", "a0plus", _parse_int)
         if a0plus < 0:
             raise InstanceError("[hodge] a0plus: must be non-negative")
     if any(x < 0 for x in (h31, middle, dim_t)) or any(x < 0 for x in tdecomp):
@@ -214,10 +211,11 @@ def parse_instance_text(text: str, name: str = "") -> InstanceSpec:
             f"{rat_str(ambient_middle)} is {rat_str(dim_t + ambient_middle)}, "
             f"middle is {rat_str(middle)}")
 
-    n_invariant = _parse_fraction(need("quantum", "N"), where("quantum", "N"))
-    enumerative = tuple(x.strip() for x in need("quantum", "enumerative").split(",") if x.strip())
-    component = _parse_int(need("quantum", "component"), where("quantum", "component"))
-    param_names = _parse_param_names(need("quantum", "param_names"), where("quantum", "param_names"))
+    n_invariant = read("quantum", "N", _parse_fraction)
+    enumerative = tuple(x.strip() for x in read("quantum", "enumerative", str).split(",")
+                        if x.strip())
+    component = read("quantum", "component", _parse_int)
+    param_names = read("quantum", "param_names", _parse_param_names)
     known_names = {n for n, _ in param_names}
     for e in enumerative:
         if e not in known_names:
@@ -228,36 +226,32 @@ def parse_instance_text(text: str, name: str = "") -> InstanceSpec:
             f"[quantum] component: {rat_str(component)} outside the symmetric block "
             f"(dimension {rat_str(sym_dim)})")
 
-    period_source = need("period", "source")
+    period_source = read("period", "source", str)
 
     order = 16
     if "run" in sections and "order" in sections["run"]:
-        order = _parse_int(sections["run"]["order"], where("run", "order"))
+        order = read("run", "order", _parse_int)
         if order < 0:
             raise InstanceError("[run] order: must be non-negative")
 
     metadata = {sec: dict(kv) for sec, kv in sections.items() if sec not in _KNOWN_KEYS}
 
-    return InstanceSpec(
-        nilpotency=nilpotency, h31=h31, middle=middle, dim_t=dim_t, tdecomp=tdecomp,
-        simple=simple, n_invariant=n_invariant, enumerative=enumerative, component=component,
-        param_names=param_names, period_source=period_source, order=order,
-        a0plus_override=a0plus, metadata=metadata, name=name,
-        source_sha256=hashlib.sha256(text.encode("utf-8")).hexdigest())
+    return InstanceSpec(nilpotency, h31, middle, dim_t, tdecomp, simple, n_invariant, enumerative,
+                        component, param_names, period_source, order, a0plus, metadata, name,
+                        hashlib.sha256(text.encode("utf-8")).hexdigest())
 
 
 def load_instance(path: str) -> InstanceSpec:
-    """Load an instance from a file path or a bundled instance name."""
-    if os.path.exists(path):
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except (OSError, UnicodeDecodeError) as e:
-            raise InstanceError(f"cannot read {path!r}: {e}") from e
-        name = os.path.splitext(os.path.basename(path))[0]
-        return parse_instance_text(text, name=name)
-    bundled = resources.files("hodgeatoms").joinpath("data", f"{path}.instance")
-    if bundled.is_file():
-        return parse_instance_text(bundled.read_text(encoding="utf-8"), name=path)
-    raise InstanceError(f"no such instance file or bundled instance: {path!r}")
-
+    """Load an instance from a file path or a bundled instance name. A file
+    may start with a UTF-8 byte-order mark, which is not part of its text."""
+    name = os.path.splitext(os.path.basename(path))[0]
+    if not os.path.exists(path):
+        name, path = path, os.path.join(os.path.dirname(__file__), "data", path + ".instance")
+        if not os.path.isfile(path):
+            raise InstanceError(f"no such instance file or bundled instance: {name!r}")
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise InstanceError(f"cannot read {path!r}: {e}") from e
+    return parse_instance_text(text, name=name)

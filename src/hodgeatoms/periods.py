@@ -10,18 +10,21 @@ series the regularized operator annihilates.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Dict, List, NamedTuple, Optional
+from typing import Callable, Dict, List, Optional
 
 from .poly import Poly
 from .qde import DiffOperator
 from .series import Series
 
 
-class PeriodSource(NamedTuple):
-    name: str
-    description: str
-    coefficients: Callable[[int], List[Fraction]]  # a_0 .. a_order
-    regularized: Optional[DiffOperator]  # in t, with D_t = t d/dt
+class PeriodSource:
+    __slots__ = ("name", "description", "coefficients", "regularized")
+
+    def __init__(self, name: str, description: str,
+                 coefficients: Callable[[int], List[Fraction]],  # a_0 .. a_order
+                 regularized: Optional[DiffOperator]):  # in t, with D_t = t d/dt
+        self.name, self.description = name, description
+        self.coefficients, self.regularized = coefficients, regularized
 
 
 def _verra_coefficients(order: int) -> List[Fraction]:
@@ -56,14 +59,9 @@ def _verra_regularized() -> DiffOperator:
     ))
 
 
-REGISTRY: Dict[str, PeriodSource] = {
-    "verra-eq3": PeriodSource(
-        name="verra-eq3",
-        description="quantum period of the very general Verra fourfold",
-        coefficients=_verra_coefficients,
-        regularized=_verra_regularized(),
-    ),
-}
+REGISTRY: Dict[str, PeriodSource] = {"verra-eq3": PeriodSource(
+    name="verra-eq3", description="quantum period of the very general Verra fourfold",
+    coefficients=_verra_coefficients, regularized=_verra_regularized())}
 
 
 def get_source(name: str) -> PeriodSource:

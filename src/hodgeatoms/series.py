@@ -7,11 +7,9 @@ stated order.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable
 
-from .poly import _as_scalar
-
-Scalar = Union[int, Fraction]
+from .poly import Scalar, _as_scalar
 
 
 class Series:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import mul
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .poly import Poly, rat_str
 from .spectrum import rational_roots
@@ -23,12 +23,16 @@ class SolveError(ValueError):
     pass
 
 
-class SolveReport(NamedTuple):
-    reduced: Tuple[Poly, ...]                    # de-linearized equations
-    solutions: Tuple[Tuple[Fraction, ...], ...]  # full solution set, param order
-    accepted: Tuple[Tuple[Fraction, ...], ...]
-    rejected: Tuple[Tuple[Tuple[Fraction, ...], str], ...]
-    unverified: Tuple[Tuple[Tuple[Fraction, ...], int], ...]  # and the q^m they fail first
+class SolveReport:
+    __slots__ = ("reduced", "solutions", "accepted", "rejected", "unverified")
+
+    def __init__(self, reduced: Tuple[Poly, ...],  # de-linearized equations
+                 solutions: Tuple[Tuple[Fraction, ...], ...],  # full solution set, param order
+                 accepted: Tuple[Tuple[Fraction, ...], ...],
+                 rejected: Tuple[Tuple[Tuple[Fraction, ...], str], ...],
+                 unverified: Tuple[Tuple[Tuple[Fraction, ...], int], ...]):  # and their first q^m
+        self.reduced, self.solutions, self.accepted = reduced, solutions, accepted
+        self.rejected, self.unverified = rejected, unverified
 
 
 def _classify(e: Poly) -> Tuple[List[int], int]:

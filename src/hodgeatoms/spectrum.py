@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, NamedTuple, Tuple
+from typing import List, Tuple
 
 from .linalg import LAM, Matrix, char_poly
 from .poly import Poly, rat_str
@@ -24,11 +24,13 @@ class TemplateError(ValueError):
     pass
 
 
-class BlockSpectrum(NamedTuple):
-    chi: Poly                              # over (..., LAM)
-    dim: int
-    zero_multiplicity: int
-    square_factors: Tuple[Fraction, ...]   # multiset {c} with (lam^2 - c q) | chi
+class BlockSpectrum:
+    __slots__ = ("chi", "dim", "zero_multiplicity", "square_factors")
+
+    def __init__(self, chi: Poly, dim: int, zero_multiplicity: int,  # chi over (..., LAM)
+                 square_factors: Tuple[Fraction, ...]):  # the multiset {c}, (lam^2 - c q) | chi
+        self.chi, self.dim = chi, dim
+        self.zero_multiplicity, self.square_factors = zero_multiplicity, square_factors
 
     def factored_render(self) -> str:
         parts = []
@@ -42,10 +44,13 @@ class BlockSpectrum(NamedTuple):
         return "*".join(parts) if parts else "1"
 
 
-class ReciprocityResult(NamedTuple):
-    singular_squares: Tuple[Fraction, ...]
-    eigen_squares: Tuple[Fraction, ...]
-    passed: bool
+class ReciprocityResult:
+    __slots__ = ("singular_squares", "eigen_squares", "passed")
+
+    def __init__(self, singular_squares: Tuple[Fraction, ...],
+                 eigen_squares: Tuple[Fraction, ...], passed: bool):
+        self.singular_squares, self.eigen_squares = singular_squares, eigen_squares
+        self.passed = passed
 
 
 def rational_roots(coeffs: List[Fraction]) -> List[Fraction]:
@@ -114,8 +119,7 @@ def factor_template(chi: Poly, block: str) -> BlockSpectrum:
         rebuilt = rebuilt * (lam * lam - Poly.var(chi.vars, "q", 1, c))
     if rebuilt != chi:
         raise TemplateError(f"{block}: template product does not reproduce chi")
-    return BlockSpectrum(chi=chi, dim=dim, zero_multiplicity=a,
-                         square_factors=tuple(sorted(roots, reverse=True)))
+    return BlockSpectrum(chi, dim, a, tuple(sorted(roots, reverse=True)))
 
 
 def block_spectrum(m: Matrix, block: str) -> BlockSpectrum:
@@ -141,5 +145,4 @@ def reciprocity_check(reg_q: DiffOperator, plus: BlockSpectrum) -> ReciprocityRe
     singular = tuple(sorted(set(roots)))
     eigen = tuple(sorted({c for c in plus.square_factors if c != 0}))
     recip = tuple(sorted({Fraction(1, 1) / c for c in eigen}))
-    return ReciprocityResult(singular_squares=singular, eigen_squares=eigen,
-                             passed=singular == recip)
+    return ReciprocityResult(singular, eigen, singular == recip)

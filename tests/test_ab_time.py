@@ -40,6 +40,23 @@ def test_imports_prints_the_least_and_median_import_per_tree():
     assert len(lines) == 4
 
 
+def test_imports_with_a_workload_prints_the_least_and_median_set_up_per_tree():
+    # format only: two set-ups of each tree, each a fresh import and a read
+    # of the 43 instances verra-shallow can pick; no assertion on the times
+    proc = subprocess.run([sys.executable, str(TOOL), SRC, SRC, "--imports", "2",
+                           "--workload", "verra-shallow"],
+                          capture_output=True, text=True, timeout=600, check=False)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == ("set-ups: 2 per tree, ms per fresh import of hodgeatoms.cli and read of "
+                        "the 43 instances of verra-shallow")
+    assert lines[1].split() == ["parent", "change", "ratio"]
+    row = r"\s+{} +\d+\.\d\d +\d+\.\d\d +\d+\.\d{{3}}"
+    assert re.fullmatch(row.format("least"), lines[2])
+    assert re.fullmatch(row.format("median"), lines[3])
+    assert len(lines) == 4
+
+
 def test_a_tree_without_the_engine_is_refused(tmp_path):
     # with the engine on PYTHONPATH, an empty tree would silently time it instead
     proc = subprocess.run([sys.executable, str(TOOL), str(tmp_path), SRC, "--workload",

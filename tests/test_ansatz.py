@@ -206,8 +206,8 @@ def test_param_mapping_reads_the_built_matrix(monkeypatch, capsys):
         am = built(basis, ring, degrees, names)
         if names is None:
             return am
-        m = am.matrix.map(lambda p: p.rename_vars(p.vars, {"s": "t", "t": "s"}))
-        return am._replace(matrix=m)
+        am.matrix = am.matrix.map(lambda p: p.rename_vars(p.vars, {"s": "t", "t": "s"}))
+        return am
 
     verra = load_instance("verra")
     run = run_pipeline(verra)

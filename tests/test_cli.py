@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -22,15 +23,56 @@ def run_cli(capsys, *argv):
 
 
 def test_importing_the_command_line_loads_no_dataclasses():
-    # the records are plain classes and NamedTuples, so a fresh process that
-    # imports the engine generates no record methods and loads neither
-    # dataclasses nor the inspect module that dataclasses imports
+    # the records are plain classes, so a fresh process that imports the
+    # engine loads neither dataclasses nor the inspect module that
+    # dataclasses imports; bundled instances are found by path, so
+    # importlib.resources (and the archive and temp-file modules it pulls
+    # in) is not loaded either
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import hodgeatoms.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'importlib.resources'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-S", "-c", code, str(ROOT / "src")],
                           capture_output=True, text=True, timeout=60, check=False)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+# Prints every compile audit event of a fresh import of hodgeatoms.cli, with
+# the file of the module body that was running when it was raised. The loader
+# compiles each engine file while the body that imports it runs; code that a
+# body generates (typing.NamedTuple's annotations, namedtuple's __new__,
+# dataclasses' methods) is compiled from '<string>'. The stdlib's own
+# import-time records (_decimal's DecimalTuple, shutil's disk usage) are
+# generated while a stdlib body runs, and the engine cannot avoid them.
+_COMPILES = """
+import json, sys
+events = []
+def hook(event, args):
+    if event == "compile":
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code.co_name != "<module>":
+            frame = frame.f_back
+        events.append([args[1], frame and frame.f_code.co_filename])
+sys.path.insert(0, sys.argv[1])
+sys.addaudithook(hook)
+import hodgeatoms.cli
+print(json.dumps(events))
+"""
+
+
+def test_importing_the_engine_compiles_only_its_sources(tmp_path):
+    # a copy of the sources with no bytecode beside them, imported with -B,
+    # so that each of the 15 files is compiled in this process
+    (tmp_path / "hodgeatoms").mkdir()
+    for path in (ROOT / "src" / "hodgeatoms").glob("*.py"):
+        shutil.copy(path, tmp_path / "hodgeatoms")
+    engine = {str(p) for p in (tmp_path / "hodgeatoms").glob("*.py")}
+    assert len(engine) == 15
+    proc = subprocess.run([sys.executable, "-S", "-B", "-c", _COMPILES, str(tmp_path)],
+                          capture_output=True, text=True, timeout=60, check=False)
+    assert proc.returncode == 0, proc.stderr
+    events = json.loads(proc.stdout)
+    assert sorted(name for name, _ in events if name in engine) == sorted(engine)
+    assert [name for name, body in events if body in engine and name not in engine] == []
 
 
 def test_period(capsys):

@@ -1,7 +1,10 @@
 """Instance file parsing: happy path, line-numbered errors, invariants."""
 
+from pathlib import Path
+
 import pytest
 
+from hodgeatoms.cli import main
 from hodgeatoms.instance import InstanceError, load_instance, parse_instance_text
 
 GOOD = """\
@@ -147,3 +150,29 @@ def test_load_instance_paths(tmp_path):
 def test_bundled_names():
     for name in ("verra", "broken-nonsimple", "broken-a0plus"):
         assert load_instance(name).name == name
+
+
+def test_only_ascii_digits_are_numbers():
+    # int() and Decimal read any Unicode decimal digit; the reader does not
+    assert err(GOOD.replace("order=16", "order=\u0661\u0666")) == (
+        "line 6: [run] order: not an integer: '\u0661\u0666'")
+    assert err(GOOD.replace("N=-4/1", "N=\u0663/1")) == (
+        "line 4: [quantum] N: not a rational: '\u0663/1'")
+    assert err(GOOD.replace("v@(0,4)", "v@(0,\u0664)")) == (
+        "line 4: [quantum] param_names: bad parameter tag 'v@(0,\u0664)', "
+        "expected name@(row,col)")
+
+
+def test_a_byte_order_mark_is_not_part_of_the_text(tmp_path, capsys):
+    # the bundled instance saved with a UTF-8 byte-order mark reads the same
+    # text, so it hashes the same and certifies to the committed bytes
+    root = Path(__file__).resolve().parents[1]
+    text = (root / "src" / "hodgeatoms" / "data" / "verra.instance").read_text(encoding="utf-8")
+    path = tmp_path / "verra.instance"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    spec = load_instance(str(path))
+    assert spec.source_sha256 == load_instance("verra").source_sha256
+    assert spec.order == 16
+    capsys.readouterr()
+    assert main(["certify", "--format", "json", "--instance", str(path)]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == (root / "certificate.json").read_bytes()

@@ -59,6 +59,9 @@ MUTATIONS = [
     ("nilpotency=3, pairing=2/1\n[involution] swap=H1:H2\n[hodge] h31=1, middle=24",
      "nilpotency=12, pairing=2/1\n[involution] swap=H1:H2\n[hodge] h31=1, middle=33",
      2),                                        # 756 ansatz parameters against 4 named
+    ("# Very general", "\ufeff# Very general", 0),  # saved with a UTF-8 byte-order mark
+    ("order=16", "order=\u0661\u0666", 1),      # Arabic-Indic 16: not an integer
+    ("N=-4/1", "N=\u0663/1", 1),                 # Arabic-Indic 3: not a rational
 ]
 
 

@@ -7,8 +7,7 @@ A name counts as used when some code in src/ or demos/ outside its own
 definition mentions it: a call, an attribute access, an import or a
 reference (a recursive call from its own body does not count). Dunder
 methods are exempt, and so are the methods of a class with a base from
-outside the package (such as an argparse hook), which that base calls;
-``typing.NamedTuple`` calls none, so its subclasses' methods are checked.
+outside the package (such as an argparse hook), which that base calls.
 A constant, a non-dunder name bound by a top-level assignment, counts as
 read when some code in src/ or demos/ mentions it outside that assignment.
 A field counts as read when some code in src/ or demos/ loads an attribute
@@ -25,7 +24,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "hodgeatoms"
-# the record classes, each a typing.NamedTuple or a class with __slots__
+# the record classes, each a class with __slots__
 RECORDS = {"InstanceSpec", "PeriodSource", "EigenBasis", "AnsatzMatrix", "DiffOperator",
            "SolveReport", "BlockSpectrum", "ReciprocityResult", "AtomInvariants",
            "PlacementCase", "PipelineRun"}
@@ -73,8 +72,7 @@ def _methods(trees):
     for label, node in top:
         if not isinstance(node, ast.ClassDef):
             continue
-        if any(not (isinstance(b, ast.Name) and b.id in classes | {"NamedTuple"})
-               for b in node.bases):
+        if any(not (isinstance(b, ast.Name) and b.id in classes) for b in node.bases):
             continue
         for item in node.body:
             if isinstance(item, ast.FunctionDef) and not (
@@ -113,17 +111,14 @@ def test_every_module_constant_is_read():
 
 
 def _fields(trees):
-    """(label, class name, field name) for the fields of package records: the
-    annotated names of a NamedTuple and the names in a class's __slots__."""
+    """(label, class name, field name) for the fields of package records, the
+    names in a class's __slots__."""
     for label, node in _top_level(trees):
         if not isinstance(node, ast.ClassDef):
             continue
-        named = any(isinstance(b, ast.Name) and b.id == "NamedTuple" for b in node.bases)
         for item in node.body:
-            if named and isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
-                yield f"{label}.{item.target.id}", node.name, item.target.id
-            elif isinstance(item, ast.Assign) and [getattr(t, "id", None)
-                                                   for t in item.targets] == ["__slots__"]:
+            if isinstance(item, ast.Assign) and [getattr(t, "id", None)
+                                                 for t in item.targets] == ["__slots__"]:
                 for name in ast.literal_eval(item.value):
                     yield f"{label}.{name}", node.name, name
 
@@ -145,13 +140,13 @@ def test_every_record_field_is_read():
 
 
 def _package_records():
-    """(class, field names) for the package classes with _fields or __slots__."""
+    """(class, field names) for the package classes with __slots__."""
     out = []
     for path in sorted(PACKAGE.glob("*.py")):
         module = importlib.import_module(f"hodgeatoms.{path.stem}")
-        out += [(c, vars(c).get("_fields") or vars(c)["__slots__"]) for c in vars(module).values()
+        out += [(c, vars(c)["__slots__"]) for c in vars(module).values()
                 if isinstance(c, type) and c.__module__ == module.__name__
-                and ("_fields" in vars(c) or "__slots__" in vars(c))]
+                and "__slots__" in vars(c)]
     return out
 
 

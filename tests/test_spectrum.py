@@ -141,7 +141,8 @@ def test_reciprocity_matches_the_t_form_reference(plus_spectrum, verra, which):
              else PERTURBED_T)
     got = reciprocity_check(transform_even_operator(reg_t)[0], plus_spectrum)
     want = t_form_reciprocity_reference(reg_t, plus_spectrum)
-    assert got == want
+    assert (got.singular_squares, got.eigen_squares, got.passed) == (
+        want.singular_squares, want.eigen_squares, want.passed)
     assert got.passed == (which == "verra")
 
 

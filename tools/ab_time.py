@@ -1,7 +1,7 @@
 """Time two engine source trees side by side on one seeded set of bench cases.
 
     python3 tools/ab_time.py PARENT_SRC CHANGE_SRC --workload NAME [--rounds N]
-    python3 tools/ab_time.py PARENT_SRC CHANGE_SRC --imports N
+    python3 tools/ab_time.py PARENT_SRC CHANGE_SRC --imports N [--workload NAME]
 
 Run from a checkout's root. Both trees are imported into this process,
 each afresh as ``bench/run.py`` imports its engine. The cases are the first
@@ -9,11 +9,13 @@ each afresh as ``bench/run.py`` imports its engine. The cases are the first
 per tree, AB and BA by turns; each case keeps its least time per tree.
 Printed per component and in total: their sums and the ratio parent / change.
 
-With ``--imports N`` no case runs: after one untimed import of each tree,
+With ``--imports N`` no case runs: after one untimed set-up of each tree,
 N fresh imports of ``hodgeatoms.cli`` from each are timed, AB and BA by
 turns, each from a collected heap, and the least and median milliseconds
-per tree are printed with the ratio parent / change. This sizes a change
-to the start-up that ``bench/run.py`` reports as ``setup_s``.
+per tree are printed with the ratio parent / change. With ``--workload``
+as well, each timed set-up is the one ``bench/run.py`` makes and reports
+as ``setup_s``: the fresh import, then a read of every instance the
+workload can pick, from files written once before the first.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "bench"))
 
-from cases import WORKLOADS, case_argv, case_key, run_case, write_instances  # noqa: E402
+from cases import (WARMUP, WORKLOADS, case_argv, case_key, digest, instance_path,  # noqa: E402
+                   instance_text, run_case, write_instances)
 
 
 def import_main(src: str):
@@ -46,18 +49,36 @@ def import_main(src: str):
     return cli.main
 
 
-def time_imports(srcs, n: int) -> int:
-    """Print the least and median ms of n fresh imports from each tree."""
-    for src in srcs:
-        import_main(src)
+def set_up(src: str, work: str, cases) -> None:
+    """A fresh import from src, then a read of each case's instance file,
+    checked against its text as bench/run.py checks it."""
+    import_main(src)
+    load = sys.modules["hodgeatoms.instance"].load_instance
+    for case in cases:
+        if load(instance_path(work, case)).source_sha256 != digest(instance_text(case)):
+            raise SystemExit(f"{src}: instance {case_key(case)} did not read back intact")
+
+
+def time_imports(srcs, n: int, workload) -> int:
+    """Print the least and median ms of n fresh imports from each tree, each
+    with a read of the workload's instances unless workload is None."""
+    cases = workload.pool + (WARMUP,) if workload else ()
     ms = [[], []]
-    for r in range(n):
-        for t in ((0, 1) if r % 2 == 0 else (1, 0)):
-            gc.collect()
-            start = time.perf_counter()
-            import_main(srcs[t])
-            ms[t].append((time.perf_counter() - start) * 1e3)
-    print(f"imports: {n} per tree, ms per fresh import of hodgeatoms.cli")
+    with tempfile.TemporaryDirectory() as work:
+        write_instances(work, cases)
+        for src in srcs:
+            set_up(src, work, cases)
+        for r in range(n):
+            for t in ((0, 1) if r % 2 == 0 else (1, 0)):
+                gc.collect()
+                start = time.perf_counter()
+                set_up(srcs[t], work, cases)
+                ms[t].append((time.perf_counter() - start) * 1e3)
+    if workload:
+        print(f"set-ups: {n} per tree, ms per fresh import of hodgeatoms.cli and read of "
+              f"the {len(cases)} instances of {workload.name}")
+    else:
+        print(f"imports: {n} per tree, ms per fresh import of hodgeatoms.cli")
     print(f"{'':>9} {'parent':>9} {'change':>9} {'ratio':>6}")
     for label, stat in (("least", min), ("median", statistics.median)):
         a, b = stat(ms[0]), stat(ms[1])
@@ -72,12 +93,14 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", choices=sorted(WORKLOADS))
     parser.add_argument("--rounds", type=int, default=12)
     parser.add_argument("--imports", type=int, metavar="N",
-                        help="time N fresh imports per tree instead of the cases")
+                        help="time N fresh imports per tree instead of the cases, each "
+                             "with a read of the workload's instances when one is named")
     args = parser.parse_args(argv)
     if args.imports is not None:
         if args.imports < 1:
             parser.error("--imports must be at least 1")
-        return time_imports([args.parent_src, args.change_src], args.imports)
+        return time_imports([args.parent_src, args.change_src], args.imports,
+                            args.workload and WORKLOADS[args.workload])
     if args.workload is None:
         parser.error("--workload is required unless --imports is given")
     w = WORKLOADS[args.workload]
