@@ -20,8 +20,8 @@ names by those positions, checked before the matrix is built.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Tuple
 
 from .cohomology import AmbientRing, gram_matrix
 from .linalg import Matrix
@@ -32,13 +32,13 @@ NOVIKOV_DEGREE = 4
 MULTIPLIER_DEGREE = 2
 
 
-def admissible_powers(j: int, i: int, degrees: Tuple[int, ...]) -> Tuple[int, ...]:
+def admissible_powers(j: int, i: int, degrees: tuple[int, ...]) -> tuple[int, ...]:
     """All d >= 0 with deg(b_j) = multiplier + deg(b_i) - novikov*d."""
     d, r = divmod(degrees[i] + MULTIPLIER_DEGREE - degrees[j], NOVIKOV_DEGREE)
     return (d,) if d >= 0 and not r else ()
 
 
-def classical_matrix(basis, ring: AmbientRing) -> List[List[Scalar]]:
+def classical_matrix(basis, ring: AmbientRing) -> list[list[Scalar]]:
     """Cup multiplication by H in the given block basis, column convention:
     entry [j][i] is the b_j coordinate of H b_i, its coefficient at b_j's
     leading monomial."""
@@ -56,18 +56,18 @@ def classical_matrix(basis, ring: AmbientRing) -> List[List[Scalar]]:
 class AnsatzMatrix:
     __slots__ = ("matrix", "params", "canonical", "positions", "classical", "gram")
 
-    def __init__(self, matrix: Matrix, params: Tuple[str, ...],
-                 canonical: Tuple[str, ...],  # canonical names, row-major by first position
+    def __init__(self, matrix: Matrix, params: tuple[str, ...],
+                 canonical: tuple[str, ...],  # canonical names, row-major by first position
                  # parameter -> positions it occupies, as (row, col, multiplier, q-power)
-                 positions: Dict[str, Tuple[Tuple[int, int, Fraction, int], ...]],
-                 classical: List[List[Scalar]],  # the cup matrix, as rows of scalars
-                 gram: List[List[Scalar]]):  # the block's pairing matrix, as rows of scalars
+                 positions: dict[str, tuple[tuple[int, int, Fraction, int], ...]],
+                 classical: list[list[Scalar]],  # the cup matrix, as rows of scalars
+                 gram: list[list[Scalar]]):  # the block's pairing matrix, as rows of scalars
         self.matrix, self.params, self.canonical = matrix, params, canonical
         self.positions, self.classical, self.gram = positions, classical, gram
 
 
-def build_ansatz(basis, ring: AmbientRing, degrees: Tuple[int, ...],
-                 names: Optional[Tuple[Tuple[str, Tuple[int, int]], ...]]) -> AnsatzMatrix:
+def build_ansatz(basis, ring: AmbientRing, degrees: tuple[int, ...],
+                 names: tuple[tuple[str, tuple[int, int]], ...] | None) -> AnsatzMatrix:
     """The block's parametric matrix. names gives each parameter a conventional
     name by its first position, in the declared order, or is None for the
     canonical names; it is checked against the slot pairs (ValueError) before
@@ -83,7 +83,7 @@ def build_ansatz(basis, ring: AmbientRing, degrees: Tuple[int, ...],
     g = [gram[j][k] for j, k in enumerate(partner)]  # G[j][s(j)]
 
     # one parameter per slot pair (j, i, d) ~ (s(i), s(j), d), row-major by first slot
-    pairs: List[Tuple[Tuple[int, int, Fraction, int], ...]] = []
+    pairs: list[tuple[tuple[int, int, Fraction, int], ...]] = []
     for j, i, d in ((j, i, d) for j in range(n) for i in range(n)
                     for d in admissible_powers(j, i, degrees) if d >= 1):
         other = (partner[i], partner[j])

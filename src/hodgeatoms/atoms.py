@@ -12,8 +12,8 @@ any surface forces rho >= 3.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from itertools import combinations_with_replacement
-from typing import List, Mapping, Optional, Tuple
 
 from .instance import InstanceSpec
 from .poly import Poly
@@ -81,10 +81,10 @@ class PlacementCase:
     def __init__(self, name: str, plus: AtomInvariants, minus: AtomInvariants):
         self.name, self.plus, self.minus = name, plus, minus
 
-    def atoms(self) -> Tuple[AtomInvariants, AtomInvariants]:
+    def atoms(self) -> tuple[AtomInvariants, AtomInvariants]:
         return (self.plus, self.minus)
 
-    def obstructed(self) -> Optional[AtomInvariants]:
+    def obstructed(self) -> AtomInvariants | None:
         for atom in self.atoms():
             if obstruction_applies(atom):
                 return atom
@@ -92,7 +92,7 @@ class PlacementCase:
 
 
 def assemble_zero_atoms(trans: AtomInvariants, zero_plus: int,
-                        zero_minus: int) -> Tuple[PlacementCase, PlacementCase]:
+                        zero_minus: int) -> tuple[PlacementCase, PlacementCase]:
     """Both placements of T against the ambient zero eigenspaces.
 
     The ambient pieces are algebraic, contributing (dim, dim*t^0); T lands
@@ -110,7 +110,7 @@ def assemble_zero_atoms(trans: AtomInvariants, zero_plus: int,
 # -- exhaustive exclusion over centre multisets --------------------------------
 
 def exclusion_search(target: AtomInvariants, max_centres: int,
-                     max_genus: int) -> List[Tuple[Tuple[str, int], ...]]:
+                     max_genus: int) -> list[tuple[tuple[str, int], ...]]:
     """Centre multisets that could assemble the target atom.
 
     Enumerates every multiset of at most max_centres weighted centre

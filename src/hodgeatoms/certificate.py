@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import decimal
 import json
+from collections.abc import Sequence
 from json.encoder import encode_basestring_ascii
-from typing import Any, Dict, List, Sequence, Tuple
 
 from .linalg import LAM, Matrix
 from .poly import Poly, Scalar, _grlex_key, rat_str, render_terms
@@ -38,11 +38,11 @@ class _Verbatim(str):
     """Text built here with no character that JSON escapes: dump_json writes it as is."""
 
 
-def rats_json(values: Sequence[Scalar]) -> List[str]:
+def rats_json(values: Sequence[Scalar]) -> list[str]:
     return [_Verbatim(rat_str(x)) for x in values]
 
 
-def equations_json(params: Tuple[str, ...], equations: Sequence[tuple]) -> Dict[str, Any]:
+def equations_json(params: tuple[str, ...], equations: Sequence[tuple]) -> dict[str, object]:
     """solve.equations: poly_json of sum terms[ex] / den * params^ex under "q^m" for each
     (m, den, terms, lowest) of match_equations, monomials ordered once per section. Each
     distinct d of a lowest[ex] = (n, d, g, k) goes to decimal once; n's denominator (d / g) * k
@@ -62,18 +62,18 @@ def equations_json(params: Tuple[str, ...], equations: Sequence[tuple]) -> Dict[
     return out
 
 
-def rendered(polys: Sequence[Poly], forms: Sequence[Any]) -> List[str]:
+def rendered(polys: Sequence[Poly], forms: Sequence[object]) -> list[str]:
     """Each polynomial's render, reused from its poly_json form if that is a string."""
     return [x if isinstance(x, str) else p.render() for p, x in zip(polys, forms)]
 
 
-def operator_json(op: DiffOperator) -> Dict[str, Any]:
+def operator_json(op: DiffOperator) -> dict[str, object]:
     coeffs = [poly_json(c) for c in op.coeffs]
     return {"order": op.order, "coefficients": coeffs,
             "display": op.render(rendered(op.coeffs, coeffs))}
 
 
-def matrix_json(m: Matrix) -> List[List[Any]]:
+def matrix_json(m: Matrix) -> list[list[object]]:
     return [[poly_json(p) for p in row] for row in m.rows]
 
 
@@ -99,20 +99,20 @@ def chi_render(chi: Poly) -> str:
     return " + ".join(parts) or "0"
 
 
-def chi_json(chi: Poly) -> Dict[str, Any]:
+def chi_json(chi: Poly) -> dict[str, object]:
     return {
         "display": chi_render(chi),
         "coefficients": {str(k): poly_json(p) for k, p in _lam_coeffs(chi)},
     }
 
 
-def dump_json(cert: Dict[str, Any]) -> str:
+def dump_json(cert: dict[str, object]) -> str:
     """json.dumps(cert, sort_keys=True, indent=2) and a newline, written in one
     pass that appends each piece of text to one list."""
     return "".join(_write_json(cert, "\n", []) + ["\n"])  # one copy of the text, not two
 
 
-def _write_json(x: Any, nl: str, out: List[str]) -> List[str]:
+def _write_json(x: object, nl: str, out: list[str]) -> list[str]:
     """out with x's text appended, nl being a newline and x's indent; x is a dict
     with str keys, a list or tuple (written as a list), a str, int, bool or None."""
     if isinstance(x, str):
@@ -135,12 +135,12 @@ def _write_json(x: Any, nl: str, out: List[str]) -> List[str]:
 
 # -- human-readable rendering --------------------------------------------------
 
-def _fmt_block(title: str, lines: List[str]) -> List[str]:
+def _fmt_block(title: str, lines: list[str]) -> list[str]:
     return [title, "-" * len(title)] + lines + [""]
 
 
-def dump_text(cert: Dict[str, Any]) -> str:
-    out: List[str] = []
+def dump_text(cert: dict[str, object]) -> str:
+    out: list[str] = []
     out += _fmt_block("verdict", [cert["verdict"]])
 
     lines = []

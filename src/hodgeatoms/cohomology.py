@@ -14,7 +14,6 @@ antisymmetric block.
 
 from __future__ import annotations
 
-from typing import List, Tuple
 
 from .poly import Poly, Scalar
 
@@ -92,14 +91,14 @@ def degree(x: Poly) -> int:
 class EigenBasis:
     __slots__ = ("symmetric", "antisymmetric")
 
-    def __init__(self, symmetric: Tuple[Poly, ...], antisymmetric: Tuple[Poly, ...]):
+    def __init__(self, symmetric: tuple[Poly, ...], antisymmetric: tuple[Poly, ...]):
         self.symmetric, self.antisymmetric = symmetric, antisymmetric
 
-    def degrees(self, block: str) -> Tuple[int, ...]:
+    def degrees(self, block: str) -> tuple[int, ...]:
         return tuple(degree(x) for x in getattr(self, block))
 
 
-def gram_matrix(ring: AmbientRing, basis) -> List[List[Scalar]]:
+def gram_matrix(ring: AmbientRing, basis) -> list[list[Scalar]]:
     """Pairing matrix of an ordered basis, as rows of scalars."""
     return [[ring.pair(x, y) for y in basis] for x in basis]
 

@@ -22,7 +22,6 @@ import hashlib
 import os
 import re
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
 
 from .poly import rat_str
 
@@ -37,18 +36,18 @@ class InstanceSpec:
                  "a0plus_override", "metadata", "name", "source_sha256")
 
     def __init__(self, nilpotency: int, h31: int, middle: int, dim_t: int,
-                 tdecomp: Tuple[int, ...], simple: bool, n_invariant: Fraction,
-                 enumerative: Tuple[str, ...], component: int,
-                 param_names: Tuple[Tuple[str, Tuple[int, int]], ...], period_source: str,
-                 order: int, a0plus_override: Optional[int],
-                 metadata: Dict[str, Dict[str, str]], name: str, source_sha256: str):
+                 tdecomp: tuple[int, ...], simple: bool, n_invariant: Fraction,
+                 enumerative: tuple[str, ...], component: int,
+                 param_names: tuple[tuple[str, tuple[int, int]], ...], period_source: str,
+                 order: int, a0plus_override: int | None,
+                 metadata: dict[str, dict[str, str]], name: str, source_sha256: str):
         self.nilpotency, self.h31, self.middle, self.dim_t = nilpotency, h31, middle, dim_t
         self.tdecomp, self.simple, self.n_invariant = tdecomp, simple, n_invariant
         self.enumerative, self.component, self.param_names = enumerative, component, param_names
         self.period_source, self.order, self.a0plus_override = period_source, order, a0plus_override
         self.metadata, self.name, self.source_sha256 = metadata, name, source_sha256
 
-    def parameter_order(self) -> Tuple[str, ...]:
+    def parameter_order(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.param_names)
 
 
@@ -92,7 +91,7 @@ def _parse_bool(text: str) -> bool:
     raise InstanceError(f"not a boolean: {text!r}")
 
 
-def _parse_param_names(text: str) -> Tuple[Tuple[str, Tuple[int, int]], ...]:
+def _parse_param_names(text: str) -> tuple[tuple[str, tuple[int, int]], ...]:
     items, cur, depth = [], [], 0  # text split at the commas outside parentheses
     for piece in text.split(","):
         cur.append(piece)
@@ -124,8 +123,8 @@ _KNOWN_KEYS = {
 
 
 def parse_instance_text(text: str, name: str = "") -> InstanceSpec:
-    sections: Dict[str, Dict[str, str]] = {}
-    lineno_of: Dict[Tuple[str, str], int] = {}
+    sections: dict[str, dict[str, str]] = {}
+    lineno_of: dict[tuple[str, str], int] = {}
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.partition("#")[0].strip()

@@ -15,8 +15,8 @@ the rows scaled to integers.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterable
 from fractions import Fraction
-from typing import Callable, Iterable, List, Tuple
 
 from .poly import Poly, _pack, _packing, _pdot, _unpack, _zdiv
 
@@ -48,14 +48,14 @@ class Matrix:
 
 # -- kernel computation ------------------------------------------------------
 
-def _int_row(row: List[Poly]) -> Tuple[List[dict], int]:
+def _int_row(row: list[Poly]) -> tuple[list[dict], int]:
     """(den * row as integer term dicts, den), den the lcm of its denominators."""
     den = math.lcm(*(c.denominator for p in row for c in p.terms.values()))
     return [{ex: c.numerator * (den // c.denominator) for ex, c in p.terms.items()}
             for p in row], den
 
 
-def _bareiss(rows: List[List[dict]], nvars: int) -> Tuple[list, int, int]:
+def _bareiss(rows: list[list[dict]], nvars: int) -> tuple[list, int, int]:
     """Column-ordered fraction-free (Bareiss) elimination over Z.
 
     At each column c in turn, the pivot is the remaining row whose entry at
@@ -100,7 +100,7 @@ def _bareiss(rows: List[List[dict]], nvars: int) -> Tuple[list, int, int]:
     return pivots, width, guard
 
 
-def left_nullspace(m: Matrix) -> List[List[Poly]]:
+def left_nullspace(m: Matrix) -> list[list[Poly]]:
     """Basis of {v : v . m = 0}, in the order of the row each vector ends at.
 
     The vectors are returned as the elimination leaves them: integer

@@ -9,8 +9,8 @@ series the regularized operator annihilates.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional
 
 from .poly import Poly
 from .qde import DiffOperator
@@ -21,13 +21,13 @@ class PeriodSource:
     __slots__ = ("name", "description", "coefficients", "regularized")
 
     def __init__(self, name: str, description: str,
-                 coefficients: Callable[[int], List[Fraction]],  # a_0 .. a_order
-                 regularized: Optional[DiffOperator]):  # in t, with D_t = t d/dt
+                 coefficients: Callable[[int], list[Fraction]],  # a_0 .. a_order
+                 regularized: DiffOperator | None):  # in t, with D_t = t d/dt
         self.name, self.description = name, description
         self.coefficients, self.regularized = coefficients, regularized
 
 
-def _verra_coefficients(order: int) -> List[Fraction]:
+def _verra_coefficients(order: int) -> list[Fraction]:
     # closed two-point sum for the double cover of P2 x P2 in the
     # anticanonical Novikov slice, a_m = (2m)! f_m / m!^4 = C(2m,m) f_m / m!^2,
     # with f_m = Sum_l C(m,l)^3 the Franel numbers from their recurrence
@@ -59,7 +59,7 @@ def _verra_regularized() -> DiffOperator:
     ))
 
 
-REGISTRY: Dict[str, PeriodSource] = {"verra-eq3": PeriodSource(
+REGISTRY: dict[str, PeriodSource] = {"verra-eq3": PeriodSource(
     name="verra-eq3", description="quantum period of the very general Verra fourfold",
     coefficients=_verra_coefficients, regularized=_verra_regularized())}
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
-from typing import Any, Dict, List, Optional
 
 from . import __version__
 from .ansatz import admissible_powers, build_ansatz, self_adjoint, substitute_params
@@ -48,10 +47,10 @@ class PipelineRun:
 
     def __init__(self, instance: InstanceSpec, order: int):
         self.instance, self.order = instance, order
-        self.checks: List[Dict[str, Any]] = []
-        self.stages: List[Dict[str, str]] = []
-        self.sections: Dict[str, Dict[str, Any]] = {}
-        self.notes: List[str] = []
+        self.checks: list[dict[str, object]] = []
+        self.stages: list[dict[str, str]] = []
+        self.sections: dict[str, dict[str, object]] = {}
+        self.notes: list[str] = []
         self.verdict = "INCONCLUSIVE"
 
     def check(self, name: str, passed: bool, detail: str = "") -> None:
@@ -65,13 +64,13 @@ class PipelineRun:
 
 
 def run_pipeline(instance: InstanceSpec, through: str = "verdict",
-                 order: Optional[int] = None) -> PipelineRun:
+                 order: int | None = None) -> PipelineRun:
     if through not in STAGES:
         raise ValueError(f"unknown stage {through!r}; stages are {', '.join(STAGES)}")
     run = PipelineRun(instance, instance.order if order is None else order)
     limit = STAGES.index(through)
-    state: Dict[str, Any] = {}
-    failed_at: Optional[str] = None
+    state: dict[str, object] = {}
+    failed_at: str | None = None
     for idx, stage in enumerate(STAGES):
         status = "not run"
         reason = (f"run limited through {through}" if idx > limit else
@@ -93,7 +92,7 @@ def run_pipeline(instance: InstanceSpec, through: str = "verdict",
 
 # -- stages --------------------------------------------------------------------
 
-def _stage_period(run: PipelineRun, state: Dict[str, Any]) -> None:
+def _stage_period(run: PipelineRun, state: dict[str, object]) -> None:
     inst = run.instance
     order = run.order
     try:
@@ -143,7 +142,7 @@ def _stage_period(run: PipelineRun, state: Dict[str, Any]) -> None:
     }
 
 
-def _stage_ansatz(run: PipelineRun, state: Dict[str, Any]) -> None:
+def _stage_ansatz(run: PipelineRun, state: dict[str, object]) -> None:
     inst = run.instance
     ring = AmbientRing(nilpotency=inst.nilpotency)
     basis = ring.eigenbasis()
@@ -214,7 +213,7 @@ def _stage_ansatz(run: PipelineRun, state: Dict[str, Any]) -> None:
     }
 
 
-def _stage_eliminate(run: PipelineRun, state: Dict[str, Any]) -> None:
+def _stage_eliminate(run: PipelineRun, state: dict[str, object]) -> None:
     inst = run.instance
     m = state["sym"].matrix
     rows = cyclic_rows(m, inst.component, m.ncols)
@@ -234,7 +233,7 @@ def _stage_eliminate(run: PipelineRun, state: Dict[str, Any]) -> None:
     }
 
 
-def _stage_solve(run: PipelineRun, state: Dict[str, Any]) -> None:
+def _stage_solve(run: PipelineRun, state: dict[str, object]) -> None:
     inst = run.instance
     order = run.order
     op = state["operator"]
@@ -286,7 +285,7 @@ def _stage_solve(run: PipelineRun, state: Dict[str, Any]) -> None:
     }
 
 
-def _stage_spectrum(run: PipelineRun, state: Dict[str, Any]) -> None:
+def _stage_spectrum(run: PipelineRun, state: dict[str, object]) -> None:
     mplus, mminus = state["mplus"], state["mminus"]
     basis = state["basis"]
 
@@ -329,7 +328,7 @@ def _stage_spectrum(run: PipelineRun, state: Dict[str, Any]) -> None:
     }
 
 
-def _block_json(b) -> Dict[str, Any]:
+def _block_json(b) -> dict[str, object]:
     return {
         "chi": chi_json(b.chi),
         "factored": b.factored_render(),
@@ -339,7 +338,7 @@ def _block_json(b) -> Dict[str, Any]:
     }
 
 
-def _stage_atoms(run: PipelineRun, state: Dict[str, Any]) -> None:
+def _stage_atoms(run: PipelineRun, state: dict[str, object]) -> None:
     inst = run.instance
     plus, minus = state["spectrum"]["plus"], state["spectrum"]["minus"]
 
@@ -405,7 +404,7 @@ def _stage_atoms(run: PipelineRun, state: Dict[str, Any]) -> None:
     }
 
 
-def _stage_verdict(run: PipelineRun, state: Dict[str, Any]) -> None:
+def _stage_verdict(run: PipelineRun, state: dict[str, object]) -> None:
     # this stage runs only after every earlier one ran ok, and the atoms stage
     # records each placement's obstruction as a check: the checks decide alone
     passed = all(c["passed"] for c in run.checks)
@@ -425,9 +424,9 @@ _STAGE_RUNNERS = {
 
 # -- certificate assembly -------------------------------------------------------
 
-def build_certificate(run: PipelineRun) -> Dict[str, Any]:
+def build_certificate(run: PipelineRun) -> dict[str, object]:
     inst = run.instance
-    cert: Dict[str, Any] = {
+    cert: dict[str, object] = {
         "engine_version": __version__,
         "verdict": run.verdict,
         "checks": run.checks,

@@ -14,11 +14,11 @@ from __future__ import annotations
 import decimal
 import heapq
 import math
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from operator import add, sub
-from typing import Iterable, Mapping, Tuple, Union
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
 
 def _as_scalar(c: Scalar) -> Scalar:
@@ -61,7 +61,7 @@ def rat_str(x: Scalar) -> str:
     return "-" + text if x < 0 else text
 
 
-def render_terms(variables: Tuple[str, ...], items, monos: dict | None = None) -> str:
+def render_terms(variables: tuple[str, ...], items, monos: dict | None = None) -> str:
     """The one text form of a polynomial, from its terms (exponent, numerator,
     denominator) in the order given, each in lowest terms with a positive int or
     Decimal denominator; "0" for no terms. monos, when given, keeps each monomial's
@@ -204,7 +204,7 @@ class Poly:
 
     # -- substitution --------------------------------------------------------
 
-    def substitute(self, values: Mapping[str, Union["Poly", Scalar]]) -> "Poly":
+    def substitute(self, values: Mapping[str, Poly | Scalar]) -> "Poly":
         """Substitute polynomials or scalars for variables, exactly, in one pass over
         the terms: each power of a value is formed once, and a scalar's multiplies
         the term's coefficient, a polynomial's the term."""
@@ -269,7 +269,7 @@ class Poly:
 # order is graded-lex order and a monomial product is one integer addition.
 # Each field has a guard bit; b divides a when no field of a - b borrows through it.
 
-def _packing(nvars: int, maxdeg: int) -> Tuple[int, int]:
+def _packing(nvars: int, maxdeg: int) -> tuple[int, int]:
     """(field width, guard mask) for nvars variables and total degrees <= maxdeg."""
     width = maxdeg.bit_length() + 1
     return width, sum(1 << (width * i + width - 1) for i in range(nvars + 1))
@@ -294,7 +294,7 @@ def _unpack(terms: dict, nvars: int, width: int) -> dict:
     return {tuple([key >> s & mask for s in shifts]): c for key, c in terms.items()}
 
 
-def _zprimitive(p: Poly) -> Tuple[dict, Fraction]:
+def _zprimitive(p: Poly) -> tuple[dict, Fraction]:
     """(P, c) with p = c*P, P primitive over Z and c > 0; ({}, 0) for p = 0."""
     c = rational_content(p.terms.values())
     num, den = c.numerator, c.denominator
@@ -302,7 +302,7 @@ def _zprimitive(p: Poly) -> Tuple[dict, Fraction]:
             for ex, v in p.terms.items()}, c
 
 
-def _zdot(pairs: Iterable[Tuple[dict, dict]]) -> dict:
+def _zdot(pairs: Iterable[tuple[dict, dict]]) -> dict:
     """Sum of the products a*b over the pairs, into one term dict."""
     out: dict = {}
     get = out.get
@@ -314,7 +314,7 @@ def _zdot(pairs: Iterable[Tuple[dict, dict]]) -> dict:
     return {ex: c for ex, c in out.items() if c}
 
 
-def _pdot(pairs: Iterable[Tuple[dict, dict]]) -> dict:
+def _pdot(pairs: Iterable[tuple[dict, dict]]) -> dict:
     """_zdot on packed term dicts, where a monomial product is one int sum."""
     out: dict = {}
     get = out.get
@@ -494,7 +494,7 @@ def _shift(terms: dict, low: tuple, op) -> dict:
     return {tuple(map(op, ex, low)): c for ex, c in terms.items()}
 
 
-def poly_gcd_many(polys) -> Tuple[Poly, list]:
+def poly_gcd_many(polys) -> tuple[Poly, list]:
     """(g, quotients): the gcd g of the nonzero polynomials in polys (0 when
     there are none) and each polynomial over g, a zero one staying zero.
 

@@ -10,8 +10,8 @@ scalar operator annihilating that component for every solution.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Mapping, Sequence
 from fractions import Fraction
-from typing import Dict, Iterator, Mapping, Sequence, Tuple
 
 from .linalg import Matrix, _int_row, left_nullspace
 from .poly import (Poly, _pack, _packing, _pdot, _zadd, _zdot, poly_gcd_many, rational_content,
@@ -22,7 +22,7 @@ from .series import Series
 class DiffOperator:
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Tuple[Poly, ...]):  # c_0 .. c_order
+    def __init__(self, coeffs: tuple[Poly, ...]):  # c_0 .. c_order
         if not coeffs:
             raise ValueError("operator needs at least one coefficient")
         if coeffs[-1].is_zero() and len(coeffs) > 1:
@@ -37,7 +37,7 @@ class DiffOperator:
         return len(self.coeffs) - 1
 
     @property
-    def vars(self) -> Tuple[str, ...]:
+    def vars(self) -> tuple[str, ...]:
         return self.coeffs[0].vars
 
     def substitute(self, values: Mapping[str, Fraction]) -> "DiffOperator":
@@ -174,7 +174,7 @@ def apply(op: DiffOperator, f: Series) -> Series:
     return Series(out)
 
 
-def apply_symbolic(op: DiffOperator, f: Series) -> Iterator[Tuple[int, Dict[tuple, int]]]:
+def apply_symbolic(op: DiffOperator, f: Series) -> Iterator[tuple[int, dict[tuple, int]]]:
     """Coefficients of apply(op, f) when the operator still carries parameters,
     in integers, yielded in order as they are made: entry m is (den, terms), the
     polynomial sum terms[ex] / den * x^ex in the parameters x (op.vars less q),
@@ -224,7 +224,7 @@ def match_equations(op: DiffOperator, f: Series, depth: int, params: Sequence[st
     return out
 
 
-def transform_even_operator(op: DiffOperator) -> Tuple[DiffOperator, Fraction]:
+def transform_even_operator(op: DiffOperator) -> tuple[DiffOperator, Fraction]:
     """Change of variables q = t^2 for an operator with even coefficients:
     D_t becomes 2 D_q on even series, so c_k(t) D_t^k maps to
     c_k(sqrt q) 2^k D^k. Returns the content-divided operator and the

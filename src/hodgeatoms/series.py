@@ -6,8 +6,8 @@ stated order.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable
 
 from .poly import Scalar, _as_scalar
 

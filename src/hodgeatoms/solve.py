@@ -11,9 +11,9 @@ Nothing is ever guessed: states the loop cannot reduce are reported.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
 from operator import mul
-from typing import Dict, List, Sequence, Tuple
 
 from .poly import Poly, rat_str
 from .spectrum import rational_roots
@@ -26,21 +26,21 @@ class SolveError(ValueError):
 class SolveReport:
     __slots__ = ("reduced", "solutions", "accepted", "rejected", "unverified")
 
-    def __init__(self, reduced: Tuple[Poly, ...],  # de-linearized equations
-                 solutions: Tuple[Tuple[Fraction, ...], ...],  # full solution set, param order
-                 accepted: Tuple[Tuple[Fraction, ...], ...],
-                 rejected: Tuple[Tuple[Tuple[Fraction, ...], str], ...],
-                 unverified: Tuple[Tuple[Tuple[Fraction, ...], int], ...]):  # and their first q^m
+    def __init__(self, reduced: tuple[Poly, ...],  # de-linearized equations
+                 solutions: tuple[tuple[Fraction, ...], ...],  # full solution set, param order
+                 accepted: tuple[tuple[Fraction, ...], ...],
+                 rejected: tuple[tuple[tuple[Fraction, ...], str], ...],
+                 unverified: tuple[tuple[tuple[Fraction, ...], int], ...]):  # and their first q^m
         self.reduced, self.solutions, self.accepted = reduced, solutions, accepted
         self.rejected, self.unverified = rejected, unverified
 
 
-def _classify(e: Poly) -> Tuple[List[int], int]:
+def _classify(e: Poly) -> tuple[list[int], int]:
     present = sorted({i for ex in e.terms for i, k in enumerate(ex) if k})
     return present, e.total_degree()
 
 
-def solve_parameters(equations: Sequence[Tuple[int, int, Dict[tuple, int], Dict[tuple, tuple]]],
+def solve_parameters(equations: Sequence[tuple[int, int, dict[tuple, int], dict[tuple, tuple]]],
                      params: Sequence[str],
                      enumerative: Sequence[str]) -> SolveReport:
     """Every solution of the equations (q-order, den, terms, lowest) of
@@ -73,8 +73,8 @@ def solve_parameters(equations: Sequence[Tuple[int, int, Dict[tuple, int], Dict[
     # on the monomials, and then its constant must be too. Otherwise e joins at
     # its first nonzero column p: the rows e[p] basis_c - basis_c[p] e and d e
     # are (d e[p]) R', cut by their gcd.
-    basis: List[List[int]] = []
-    pivots: List[int] = []
+    basis: list[list[int]] = []
+    pivots: list[int] = []
     d, columns = 1, [()] * len(cols)
     for row in rows:
         at = [row[p] for p in pivots]
@@ -128,7 +128,7 @@ def solve_parameters(equations: Sequence[Tuple[int, int, Dict[tuple, int], Dict[
         unverified=tuple(unverified))
 
 
-def _back_substitute(reduced: List[Poly], params: Tuple[str, ...]):
+def _back_substitute(reduced: list[Poly], params: tuple[str, ...]):
     nvars = len(params)
     zero_ex = (0,) * nvars
     # state: rewrite rules (var, Poly or a quadratic's Fraction root) in order, equations left
@@ -183,7 +183,7 @@ def _back_substitute(reduced: List[Poly], params: Tuple[str, ...]):
             raise SolveError(f"underdetermined: no constraint fixes {missing}")
         # a rule's right side only mentions variables eliminated later, so
         # newest-first resolution always has what it needs
-        values: Dict[str, Fraction] = {}
+        values: dict[str, Fraction] = {}
         for var, rule in reversed(rules):
             values[params[var]] = (rule.substitute(values).constant_value()
                                    if isinstance(rule, Poly) else rule)

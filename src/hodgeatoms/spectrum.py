@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, Tuple
 
 from .linalg import LAM, Matrix, char_poly
 from .poly import Poly, rat_str
@@ -28,7 +27,7 @@ class BlockSpectrum:
     __slots__ = ("chi", "dim", "zero_multiplicity", "square_factors")
 
     def __init__(self, chi: Poly, dim: int, zero_multiplicity: int,  # chi over (..., LAM)
-                 square_factors: Tuple[Fraction, ...]):  # the multiset {c}, (lam^2 - c q) | chi
+                 square_factors: tuple[Fraction, ...]):  # the multiset {c}, (lam^2 - c q) | chi
         self.chi, self.dim = chi, dim
         self.zero_multiplicity, self.square_factors = zero_multiplicity, square_factors
 
@@ -47,13 +46,13 @@ class BlockSpectrum:
 class ReciprocityResult:
     __slots__ = ("singular_squares", "eigen_squares", "passed")
 
-    def __init__(self, singular_squares: Tuple[Fraction, ...],
-                 eigen_squares: Tuple[Fraction, ...], passed: bool):
+    def __init__(self, singular_squares: tuple[Fraction, ...],
+                 eigen_squares: tuple[Fraction, ...], passed: bool):
         self.singular_squares, self.eigen_squares = singular_squares, eigen_squares
         self.passed = passed
 
 
-def rational_roots(coeffs: List[Fraction]) -> List[Fraction]:
+def rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
     """All rational roots with multiplicity; coeffs[k] is the y^k coefficient.
 
     Zero roots come off first. A linear factor's root is taken directly and a
@@ -66,7 +65,7 @@ def rational_roots(coeffs: List[Fraction]) -> List[Fraction]:
         work.pop()
     if len(work) <= 1:
         raise TemplateError("degenerate polynomial in the square variable")
-    roots: List[Fraction] = []
+    roots: list[Fraction] = []
     while work[0] == 0:
         roots.append(Fraction(0))
         work = work[1:]
@@ -95,7 +94,7 @@ def factor_template(chi: Poly, block: str) -> BlockSpectrum:
     if any((ex[li] - a) % 2 for ex in chi.terms):
         raise TemplateError(f"{block}: odd eigenvalue powers outside the zero factor")
     f = (dim - a) // 2
-    alphas: List[Fraction] = []
+    alphas: list[Fraction] = []
     for k in range(f + 1):
         p = chi.coeff_of(LAM, 2 * k + a)
         want = f - k

@@ -1,8 +1,9 @@
-"""Command line behaviour: focal output, formats, exit codes."""
+"""Command line behaviour: partial and full certificates, formats, exit codes."""
 
 import hashlib
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from hodgeatoms import linalg, periods, pipeline, poly, qde, solve
-from hodgeatoms.cli import main
+from hodgeatoms.cli import _PARSER, main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -22,14 +23,25 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def certify_json(capsys, *argv):
+    code, out, _ = run_cli(capsys, "certify", "--format", "json", *argv)
+    return code, json.loads(out)
+
+
+def tuple_str(solution: dict) -> str:
+    return "(" + ", ".join(solution[p] for p in ("s", "t", "u", "v")) + ")"
+
+
 def test_importing_the_command_line_loads_no_dataclasses():
     # the records are plain classes, so a fresh process that imports the
     # engine loads neither dataclasses nor the inspect module that
     # dataclasses imports; bundled instances are found by path, so
     # importlib.resources (and the archive and temp-file modules it pulls
-    # in) is not loaded either
+    # in) is not loaded either; annotations are never evaluated, so nor is
+    # typing
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import hodgeatoms.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'importlib.resources'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'importlib.resources', 'typing'}"
+            " & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-S", "-c", code, str(ROOT / "src")],
                           capture_output=True, text=True, timeout=60, check=False)
     assert proc.returncode == 0, proc.stderr
@@ -76,11 +88,11 @@ def test_importing_the_engine_compiles_only_its_sources(tmp_path):
 
 
 def test_period(capsys):
-    code, out, _ = run_cli(capsys, "period", "--order", "4")
+    code, cert = certify_json(capsys, "--through", "period", "--order", "4")
     assert code == 2
-    assert "G(q) coefficients through q^4:" in out
-    assert "1, 4, 15, 280/9, 6055/144" in out
-    assert "verdict: INCONCLUSIVE" in out
+    assert cert["period"]["order"] == 4
+    assert cert["period"]["coefficients"] == ["1", "4", "15", "280/9", "6055/144"]
+    assert cert["verdict"] == "INCONCLUSIVE"
 
 
 def test_certify(capsys):
@@ -341,9 +353,9 @@ def test_one_content_gcd_per_elimination(capsys, monkeypatch, tmp_path):
     text = (ROOT / "src" / "hodgeatoms" / "data" / "verra.instance").read_text()
     path = tmp_path / "verra.instance"
     path.write_text(text.replace("component=5", "component=0"))
-    code, out, _ = run_cli(capsys, "derive-operator", "--instance", str(path))
+    code, cert = certify_json(capsys, "--through", "eliminate", "--instance", str(path))
     assert code == 2
-    assert "order 6 operator for component y_0:" in out
+    assert (cert["operator"]["order"], cert["operator"]["component"]) == (6, 0)  # y_0
     assert len(calls) == 1
 
 
@@ -378,9 +390,9 @@ def test_one_cyclic_row_stack_per_derive_operator(capsys, monkeypatch):
     for module in (qde, pipeline):
         if hasattr(module, "cyclic_rows"):
             monkeypatch.setattr(module, "cyclic_rows", counted)
-    code, out, _ = run_cli(capsys, "derive-operator")
+    code, cert = certify_json(capsys, "--through", "eliminate")
     assert code == 2
-    assert "order 6 operator for component y_5:" in out
+    assert (cert["operator"]["order"], cert["operator"]["component"]) == (6, 5)  # y_5
     assert len(calls) == 1
 
 
@@ -400,37 +412,43 @@ def test_huge_n_instance_finishes(tmp_path):
 
 
 def test_solve(capsys):
-    code, out, _ = run_cli(capsys, "solve")
+    code, cert = certify_json(capsys, "--through", "solve")
     assert code == 2
-    assert "solution set: {(2, 2/3, 14/3, 16), (2, 6, 2, 16)}" in out
-    assert "after enumerativity filter: {(2, 6, 2, 16)}" in out
-    assert "rejected (2, 2/3, 14/3, 16): not a non-negative integer" in out
-    assert "solved operator: D^6 - D^5 - 28*q*D^4" in out
+    sec = cert["solve"]
+    assert [tuple_str(s) for s in sec["solutions"]] == ["(2, 2/3, 14/3, 16)", "(2, 6, 2, 16)"]
+    assert [tuple_str(s) for s in sec["accepted"]] == ["(2, 6, 2, 16)"]
+    [rejected] = sec["rejected"]
+    assert tuple_str(rejected["solution"]) == "(2, 2/3, 14/3, 16)"
+    assert rejected["reason"].startswith("not a non-negative integer")
+    assert sec["solved_operator"]["display"].startswith("D^6 - D^5 - 28*q*D^4")
 
 
 def test_derive_operator(capsys):
-    code, out, _ = run_cli(capsys, "derive-operator")
+    code, cert = certify_json(capsys, "--through", "eliminate")
     assert code == 2
-    assert "order 6 operator for component y_5:" in out
-    assert "D^6 - D^5 + (-4*s*q - 2*t*q - 4*u*q)*D^4" in out
+    sec = cert["operator"]
+    assert (sec["order"], sec["component"]) == (6, 5)
+    assert sec["parametric"]["display"].startswith("D^6 - D^5 + (-4*s*q - 2*t*q - 4*u*q)*D^4")
 
 
 def test_ansatz(capsys):
-    code, out, _ = run_cli(capsys, "ansatz")
+    code, cert = certify_json(capsys, "--through", "ansatz")
     assert code == 2
-    assert "symmetric block parameters: s, t, u, v" in out
-    assert "[0, 2*s*q, 0, 0, 2*v*q^2, 0]" in out
-    assert "antisymmetric parameter p_0_1 = 2" in out
-    assert "[0, 2*q, 0]" in out
+    sec = cert["ansatz"]
+    assert sec["symmetric_parameters"] == ["s", "t", "u", "v"]
+    assert ["0", "2*s*q", "0", "0", "2*v*q^2", "0"] in sec["symmetric_display"]
+    assert (sec["antisymmetric_parameter"], sec["antisymmetric_value"]) == ("p_0_1", "2")
+    assert ["0", "2*q", "0"] in sec["antisymmetric_display"]
 
 
 def test_spectrum(capsys):
-    code, out, _ = run_cli(capsys, "spectrum")
+    code, cert = certify_json(capsys, "--through", "spectrum")
     assert code == 2
-    assert "chi(2M_+) = lam^2*(lam^2 - 128*q)*(lam^2 + 16*q)" in out
-    assert "chi(2M_-) = lam*(lam^2 - 16*q)" in out
-    assert "zero multiplicities: 2 and 1" in out
-    assert "-> pass" in out
+    sym, anti = cert["spectrum"]["symmetric"], cert["spectrum"]["antisymmetric"]
+    assert sym["factored"] == "lam^2*(lam^2 - 128*q)*(lam^2 + 16*q)"  # chi(2M_+)
+    assert anti["factored"] == "lam*(lam^2 - 16*q)"  # chi(2M_-)
+    assert (sym["zero_multiplicity"], anti["zero_multiplicity"]) == (2, 1)
+    assert cert["spectrum"]["reciprocity"]["passed"] is True
 
 
 def test_spectrum_after_a_failed_solve(capsys, tmp_path):
@@ -439,9 +457,9 @@ def test_spectrum_after_a_failed_solve(capsys, tmp_path):
     path = tmp_path / "mutated.instance"
     text = (ROOT / "src" / "hodgeatoms" / "data" / "verra.instance").read_text()
     path.write_text(text.replace("enumerative=t,u", "enumerative=s"))
-    code, out, _ = run_cli(capsys, "spectrum", "--instance", str(path))
+    code, out, _ = run_cli(capsys, "certify", "--through", "spectrum", "--instance", str(path))
     assert code == 2
-    assert "spectrum: not run (upstream failure in solve)" in out
+    assert "spectrum\n--------\nnot run (upstream failure in solve)\n" in out
 
 
 def test_through_truncates_certificate(capsys, tmp_path):
@@ -458,11 +476,12 @@ def test_through_truncates_certificate(capsys, tmp_path):
 
 def test_out_text(capsys, tmp_path):
     path = tmp_path / "cert.txt"
-    code, out, _ = run_cli(capsys, "period", "--out", str(path))
+    code, out, _ = run_cli(capsys, "certify", "--through", "period", "--out", str(path))
     assert code == 2
-    assert "G(q) coefficients" in out
+    assert out == f"verdict: INCONCLUSIVE\ncertificate written to {path}\n"
     body = path.read_text()
     assert body.startswith("verdict")
+    assert "coefficients: [1, 4, 15, 280/9, " in body
     assert "not run" in body
 
 
@@ -472,6 +491,34 @@ def test_out_path_that_cannot_be_written_is_a_configuration_error(capsys, tmp_pa
     code, _, err = run_cli(capsys, "certify", "--format", "json", "--out", str(path))
     assert code == 1
     assert err.startswith("hodgeatoms: cannot write") and "Traceback" not in err
+
+
+def certify_to(stdout, *argv) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, "-m", "hodgeatoms.cli", "certify", *argv],
+                          env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=30)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_full_stdout_is_a_clean_error():
+    with open("/dev/full", "w") as full:
+        proc = certify_to(full, "--format", "json")
+    assert proc.returncode == 1
+    # one line, and no report from the interpreter's flush at exit
+    assert proc.stderr.startswith("hodgeatoms: cannot write standard output: ")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_closed_pipe_on_stdout_is_a_clean_error():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = certify_to(write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("hodgeatoms: cannot write standard output: ")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_broken_fixture(capsys):
@@ -516,40 +563,51 @@ def test_instance_not_utf8_is_a_configuration_error(capsys, tmp_path):
 
 
 def test_low_order_refused(capsys):
-    code, _, err = run_cli(capsys, "solve", "--order", "8")
+    code, _, err = run_cli(capsys, "certify", "--through", "solve", "--order", "8")
     assert code == 1
     assert "cannot saturate" in err
 
 
 def test_negative_order_refused(capsys):
-    code, _, err = run_cli(capsys, "period", "--order", "-1")
+    code, _, err = run_cli(capsys, "certify", "--through", "period", "--order", "-1")
     assert code == 1
     assert "non-negative" in err
 
 
 def test_low_order_fine_for_early_stages(capsys):
-    code, out, _ = run_cli(capsys, "period", "--order", "2")
+    code, cert = certify_json(capsys, "--through", "period", "--order", "2")
     assert code == 2
-    assert "1, 4, 15" in out
+    assert cert["period"]["coefficients"] == ["1", "4", "15"]
 
 
 def test_help_is_pinned(capsys, monkeypatch):
-    # the top-level help, then each subcommand's, at 80 columns
+    # at 80 columns
     monkeypatch.setenv("COLUMNS", "80")
-    texts = []
-    for command in ("", "period", "ansatz", "derive-operator", "solve", "spectrum", "certify"):
-        with pytest.raises(SystemExit) as e:
-            main([command, "--help"] if command else ["--help"])
-        assert e.value.code == 0
-        texts.append(capsys.readouterr().out)
-    assert hashlib.sha256("".join(texts).encode("utf-8")).hexdigest() == (
-        "65a92499680a0f9d3d6bd92aabfd189b8fa673fafd8975d67ac2663f4da21290")
-
-
-def test_bad_subcommand(capsys):
     with pytest.raises(SystemExit) as e:
-        main(["frobnicate"])
+        main(["--help"])
+    assert e.value.code == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == (
+        "d18b668370ba1a081daf76f8e5098f96855f4eba42e9ca7630e630b6dca64db1")
+
+
+# certify is the one command; the stage names are --through values
+@pytest.mark.parametrize("command", ["frobnicate", "period", "ansatz", "derive-operator",
+                                     "solve", "spectrum"])
+def test_bad_subcommand(capsys, command):
+    with pytest.raises(SystemExit) as e:
+        main([command])
     assert e.value.code == 1
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_readme_examples_parse():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = [line for line in block.splitlines() if line.startswith("hodgeatoms ")]
+    assert examples
+    for line in examples:
+        assert _PARSER.parse_args(shlex.split(line)[1:]).command == "certify"
 
 
 def test_bad_through(capsys):
