@@ -19,12 +19,12 @@ from .poly import Poly, Scalar, _grlex_key, rat_str, render_terms
 from .qde import DiffOperator
 
 
-def poly_json(p: Poly):
+def poly_json(p: Poly, monos: dict | None = None):
     """Polynomials in q alone become dense coefficient lists ("0" for a missing
-    power), anything else a string."""
+    power), anything else a string, its monomials' texts kept in monos if given."""
     i = p.vars.index("q") if "q" in p.vars else len(p.vars)
     if any(any(ex[:i]) or any(ex[i + 1:]) for ex in p.terms):
-        return p.render()
+        return p.render(False, monos)
     dense = ["0"] * (p.total_degree() + 1)
     for ex, c in p.terms.items():
         dense[sum(ex)] = rat_str(c)  # q's exponent, the only nonzero one
@@ -68,7 +68,8 @@ def rendered(polys: Sequence[Poly], forms: Sequence[object]) -> list[str]:
 
 
 def operator_json(op: DiffOperator) -> dict[str, object]:
-    coeffs = [poly_json(c) for c in op.coeffs]
+    monos: dict = {}  # the coefficients share their monomials: each text is made once
+    coeffs = [poly_json(c, monos) for c in op.coeffs]
     return {"order": op.order, "coefficients": coeffs,
             "display": op.render(rendered(op.coeffs, coeffs))}
 

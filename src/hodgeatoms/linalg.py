@@ -77,7 +77,7 @@ def _bareiss(rows: list[list[dict]], nvars: int) -> tuple[list, int, int]:
                                             for r in rows))
     shift = width * nvars
     rest = [(i, [_pack(x, width) for x in r]) for i, r in enumerate(rows)]
-    pivots, prev = [], None
+    pivots, prev, one = [], None, {0: 1}  # the packed constant 1: no product or quotient by it
     for col in range(len(rows[0])):
         nonzero = [n for n, (_, r) in enumerate(rest) if r[col]]
         if not nonzero:
@@ -88,8 +88,10 @@ def _bareiss(rows: list[list[dict]], nvars: int) -> tuple[list, int, int]:
             ne = {key: -c for key, c in row[col].items()}
             nxt = [{}] * (col + 1)
             for x, y in zip(row[col + 1:], prow[col + 1:]):
-                v = _pdot(((pv, x), (ne, y)))
-                if prev is not None:
+                v = _pdot(((pv, x), (ne, y))) if ne or pv != one else x
+                if prev == one:  # the quotient by 1, in the order _zdiv leaves
+                    v = dict(sorted(v.items(), reverse=True))
+                elif prev is not None:
                     v = _zdiv(v, prev, guard)
                     if v is None:
                         raise RuntimeError("inexact Bareiss division")

@@ -249,11 +249,12 @@ class Poly:
 
     # -- rendering -----------------------------------------------------------
 
-    def render(self, ascending: bool = False) -> str:
+    def render(self, ascending: bool = False, monos: dict | None = None) -> str:
         """Deterministic human-readable form, graded-lex term order (leading
-        term first unless ascending)."""
+        term first unless ascending); monos is render_terms' monomial table."""
         items = sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=not ascending)
-        return render_terms(self.vars, [(ex, c.numerator, c.denominator) for ex, c in items])
+        return render_terms(self.vars, [(ex, c.numerator, c.denominator) for ex, c in items],
+                            monos)
 
     def __repr__(self):
         return f"Poly({self.render()})"

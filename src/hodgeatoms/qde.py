@@ -57,7 +57,9 @@ class DiffOperator:
             k = rational_content(v for c in coeffs for v in c.terms.values())
             if coeffs[-1].leading_coefficient() < 0:
                 k = -k
-        return DiffOperator(tuple(c.scale(Fraction(1) / k) for c in coeffs))
+        k = k.numerator if k.denominator == 1 else k  # so an int divides ints in integers
+        return DiffOperator(tuple(Poly(c.vars, {ex: Fraction(v, k) if v % k else v // k
+                                                for ex, v in c.terms.items()}) for c in coeffs))
 
     def render(self, texts: Sequence[str] = ()) -> str:
         """Highest order first; texts, when given, are the coefficients' renders."""
@@ -114,19 +116,35 @@ def cofactor_identity_holds(op: DiffOperator, rows: Matrix) -> bool:
     """Check Sum c_k r_k = 0 exactly on the cyclic rows, parameters included.
 
     Over Z and independent of the kernel that gave op: the operator is
-    cleared of denominators by one lcm and the rows it uses by another, and
-    each column's sum goes into one integer dict on packed monomials, every
-    value of which must be zero.
+    cleared of denominators by one lcm and the rows it uses by another, on
+    packed monomials, and all n columns go through one product. Row r_k
+    becomes R_k = sum_j r_k[j] 2^(beta j), so sum_k c_k R_k holds
+    sum_j s_j 2^(beta j) at each monomial, s_j the column sums there.
+
+    That is zero exactly when every s_j is: |s_j| <= B = sum_k |c_k|_1
+    max_j |r_k[j]|_1 < 2^beta for beta the bit length of B, so the least
+    nonzero s_j is not a multiple of 2^beta, and every later term is. One
+    bit fewer would not do: sums B = 2^(beta - 1) and -1 would cancel.
     """
     if op.vars != rows.vars:
         raise ValueError(f"variable sets differ: {op.vars} vs {rows.vars}")
     if op.order >= rows.nrows:
         return False
-    used = [p for r in rows.rows[:op.order + 1] for p in r]
-    width, _ = _packing(len(op.vars), max(c.total_degree() for c in op.coeffs) +
-                        max(p.total_degree() for p in used))
-    coeffs, entries = ([_pack(t, width) for t in _int_row(ps)[0]] for ps in (op.coeffs, used))
-    return not any(_pdot(zip(coeffs, entries[j::rows.ncols])) for j in range(rows.ncols))
+    n, used = rows.ncols, [p for r in rows.rows[:op.order + 1] for p in r]
+    exs = dict.fromkeys(ex for p in (*op.coeffs, *used) for ex in p.terms)  # each packed once
+    width = _packing(len(op.vars), 2 * max(map(sum, exs), default=0))[0]
+    keys = dict(zip(exs, _pack(exs, width)))
+    coeffs = [{keys[ex]: v for ex, v in c.items()} for c in _int_row(op.coeffs)[0]]
+    entries = _int_row(used)[0]
+    entries = [entries[k:k + n] for k in range(0, len(entries), n)]
+    beta = sum(sum(map(abs, c.values())) * max(sum(map(abs, e.values())) for e in r)
+               for c, r in zip(coeffs, entries)).bit_length()
+    packed = [{} for _ in entries]
+    for acc, r in zip(packed, entries):
+        for j, e in enumerate(r):
+            for ex, v in e.items():
+                acc[keys[ex]] = acc.get(keys[ex], 0) + (v << beta * j)
+    return not _pdot(zip(coeffs, packed))
 
 
 def _graded_terms(op: DiffOperator, f: Series) -> Iterator[tuple]:

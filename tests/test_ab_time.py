@@ -19,8 +19,9 @@ def test_one_tree_twice_prints_the_minima_per_component_and_in_total():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == "verra-shallow: 32 cases, 1 rounds, least ms per case"
-    assert lines[1].split() == ["cases", "parent", "change", "ratio"]
-    row = r"\s+{} +32 +\d+\.\d\d +\d+\.\d\d +\d+\.\d{{3}}"
+    assert lines[1].split() == ["cases", "parent", "change", "ratio", "share"]
+    # one component holds every case, so its share of the parent's total is 1
+    row = r"\s+{} +32 +\d+\.\d\d +\d+\.\d\d +\d+\.\d{{3}} +1\.000"
     assert re.fullmatch(row.format("c5"), lines[2])
     assert re.fullmatch(row.format("total"), lines[3])
     assert len(lines) == 4

@@ -18,7 +18,6 @@ AUDITED = {
     ("ansatz.py", "g[j] / scale"): "scale is a rational_content",
     ("pipeline.py", "-inst.n_invariant / 2"): "Instance.n_invariant is a Fraction",
     ("poly.py", "ca / cb"): "both are rational_contents",
-    ("qde.py", "Fraction(1) / k"): "a Fraction numerator",
     ("qde.py", "Fraction(1) / content"): "a Fraction numerator",
     ("solve.py", "-v / c"): "the pivot term is taken as a Fraction",
     ("spectrum.py", "-work[0] / work[1]"): "rational_roots coerces its coefficients",

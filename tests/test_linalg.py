@@ -478,6 +478,20 @@ def test_packed_bareiss_matches_the_tuple_elimination(rows):
     assert unpacked_bareiss(rows, 2) == column_bareiss_reference(rows)
 
 
+@settings(max_examples=100)
+@given(integer_matrices(), st.data())
+def test_packed_bareiss_skips_the_unit_pivot(rows, data):
+    # a unit first column, as the stack of cyclic rows has at r_0: the first
+    # pivot is 1, so the step after it multiplies by 1 and the next divides
+    # by 1; both are skipped, and every entry made after a division is still
+    # in the order _zdiv leaves, highest packed monomial first
+    i = data.draw(st.integers(0, len(rows) - 1))
+    rows = [[{(0, 0): 1} if k == i else {}] + r for k, r in enumerate(rows)]
+    assert unpacked_bareiss(rows, 2) == column_bareiss_reference(rows)
+    for _, _, row in _bareiss(rows, 2)[0][2:]:
+        assert all(list(x) == sorted(x, reverse=True) for x in row)
+
+
 def test_packed_bareiss_at_the_width_bound():
     # one row of total degree 64 over two constant rows: S = 64. The high row
     # is the only one nonzero at column 0, so it is the first pivot, and the

@@ -219,7 +219,7 @@ sq_polys = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 3)),
                            max_size=3).map(lambda t: Poly(SQ, t))
 
 
-@given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 1), st.data())
+@given(st.integers(1, 3), st.integers(1, 6), st.integers(0, 1), st.data())
 def test_cofactor_identity_matches_the_fraction_loop(order, ncols, unused, data):
     # rows r_0..r_order with c_order r_order = -sum_(k < order) c_k r_k times
     # c_order, so that the identity holds; then one used entry perturbed
@@ -240,6 +240,45 @@ def test_cofactor_identity_matches_the_fraction_loop(order, ncols, unused, data)
     assert not cofactor_identity_holds(op, Matrix(rows[:order]))
     with pytest.raises(ValueError, match="variable sets differ"):
         cofactor_identity_holds(DiffOperator((Poly.const(Q, 1),)), Matrix(rows))
+
+
+def cofactor_bound(op, rows):
+    # B = sum_k |c_k|_1 max_j |r_k[j]|_1 on the values as given; the check scales
+    # both sides to integers, which scales B and every column sum alike
+    return sum(sum(map(abs, c.terms.values())) * max(sum(map(abs, p.terms.values())) for p in r)
+               for c, r in zip(op.coeffs, rows.rows))
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_cofactor_identity_at_the_bound(sign):
+    # constant coefficients and entries put every product on one monomial, so
+    # the column sums are sign * B, -sign * B and 0: each fills its slot
+    op = DiffOperator((Poly.const(SQ, 3), Poly.const(SQ, -2)))
+    rows = Matrix([[Poly.const(SQ, v) for v in (5 * sign, -5 * sign, 1)],
+                   [Poly.const(SQ, v) for v in (-7 * sign, 7 * sign, Fraction(3, 2))]])
+    assert cofactor_bound(op, rows) == 29
+    sums = [sum((c * r[j] for c, r in zip(op.coeffs, rows.rows)), Poly.zero(SQ))
+            for j in range(3)]
+    assert [p.constant_value() for p in sums] == [29 * sign, -29 * sign, 0]
+    assert not cofactor_identity_holds(op, rows)
+    assert not cofactor_reference(op, rows)
+
+
+@pytest.mark.parametrize("w", [1, 5, 20, 64])
+@pytest.mark.parametrize("monomial", [(0, 0), (2, 3)])
+def test_cofactor_identity_one_bit_short_would_cancel(w, monomial):
+    # column sums 2^w = B and -1: in slots of w bits, one fewer than B's bit
+    # length, the packed value 2^w - 2^w would be zero
+    x = Poly(SQ, {monomial: 1})
+    op = DiffOperator((x,))
+    rows = Matrix([[x.scale(2 ** w), x.scale(-1), Poly.zero(SQ)]])
+    assert cofactor_bound(op, rows) == 2 ** w
+    assert not cofactor_identity_holds(op, rows)
+    assert not cofactor_reference(op, rows)
+    # and in a later pair of columns, with a zero sum before them
+    rows = Matrix([[Poly.zero(SQ), x.scale(2 ** w), x.scale(-1)]])
+    assert not cofactor_identity_holds(op, rows)
+    assert cofactor_identity_holds(op, Matrix([[Poly.zero(SQ)] * 3]))
 
 
 def normalize_reference(op):
@@ -274,6 +313,9 @@ sq_monomials = st.builds(lambda k, s: Poly(SQ, {(s, k): 1}), st.integers(1, 4), 
          Poly(SQ, {(1, 0): 1}), "plain", Poly(SQ, {(0, 1): 1}))
 @example([Poly(SQ, {(0, 1): Fraction(1, 3)})], Poly(SQ, {(1, 1): Fraction(2, 3), (0, 0): -1}),
          Poly(SQ, {(1, 0): 1}), "plain", Poly(SQ, {(0, 1): 1}))
+# a constant top -4 that divides 8 s but not 2 q: an int and a Fraction quotient
+@example([Poly(SQ, {(0, 1): 2, (1, 0): 8})], Poly(SQ, {(0, 0): -4}),
+         Poly(SQ, {(1, 0): 1}), "plain", Poly(SQ, {(0, 1): 1}))
 @given(st.lists(sq_polys, max_size=3), sq_polys.filter(bool), sq_polys.filter(bool),
        st.sampled_from(["constant top", "common factor", "monomial factor",
                         "monomial times binomial", "plain"]), sq_monomials)
@@ -294,6 +336,10 @@ def test_normalize_matches_the_three_step_definition(low, top, factor, shape, mo
     got, want = op.normalize(), normalize_reference(op)
     assert got == want
     assert [list(c.terms) for c in got.coeffs] == [list(c.terms) for c in want.coeffs]
+    # an int wherever the value is integral, as the reference holds it
+    types = [[type(v) for v in c.terms.values()] for c in got.coeffs]
+    assert types == [[int if Fraction(v).denominator == 1 else Fraction
+                      for v in c.terms.values()] for c in want.coeffs]
 
 
 def test_normalize_leaves_the_zero_operator():

@@ -7,7 +7,8 @@ Run from a checkout's root. Both trees are imported into this process,
 each afresh as ``bench/run.py`` imports its engine. The cases are the first
 32 in the workload's rounds for seed 1. Each round times every case once
 per tree, AB and BA by turns; each case keeps its least time per tree.
-Printed per component and in total: their sums and the ratio parent / change.
+Printed per component and in total: their sums, the ratio parent / change
+and the share of the parent's total.
 
 With ``--imports N`` no case runs: after one untimed set-up of each tree,
 N fresh imports of ``hodgeatoms.cli`` from each are timed, AB and BA by
@@ -115,12 +116,13 @@ def main(argv=None) -> int:
                     o = run_case(mains[t], case_argv(work, case), case_key(case), w.budget_s)
                     best[t][i] = min(best[t][i], o.seconds)
     print(f"{args.workload}: {len(cases)} cases, {args.rounds} rounds, least ms per case")
-    print(f"{'':>9} {'cases':>5} {'parent':>9} {'change':>9} {'ratio':>6}")
+    print(f"{'':>9} {'cases':>5} {'parent':>9} {'change':>9} {'ratio':>6} {'share':>6}")
+    total = sum(best[0]) * 1e3
     for comp in sorted({c for _, c, _ in cases}) + [None]:
         idx = [i for i, (_, c, _) in enumerate(cases) if comp in (None, c)]
         a, b = (sum(best[t][i] for i in idx) * 1e3 for t in (0, 1))
         label = "total" if comp is None else f"c{comp}"
-        print(f"{label:>9} {len(idx):>5} {a:9.2f} {b:9.2f} {a / b:6.3f}")
+        print(f"{label:>9} {len(idx):>5} {a:9.2f} {b:9.2f} {a / b:6.3f} {a / total:6.3f}")
     return 0
 
 
