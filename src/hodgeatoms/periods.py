@@ -1,16 +1,17 @@
 """Builtin quantum period sources.
 
 A period source provides the deregularised coefficient sequence a_m of
-G(q) = Sum a_m q^m together, when published, with the regularized scalar
-operator in the variable t. The regularized period carries factorially
-rescaled coefficients: its t^(2m) coefficient is (2m)! a_m, and it is the
-series the regularized operator annihilates.
+G(q) = Sum a_m q^m together with the recurrence of its factorially
+rescaled coefficients b_m = (2m)! a_m. The regularized period Sum b_m t^(2m)
+is the series the regularized operator annihilates, and the source derives
+that operator from the recurrence.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from fractions import Fraction
+from math import comb
 
 from .poly import Poly
 from .qde import DiffOperator
@@ -22,9 +23,23 @@ class PeriodSource:
 
     def __init__(self, name: str, description: str,
                  coefficients: Callable[[int], list[Fraction]],  # a_0 .. a_order
-                 regularized: DiffOperator | None):  # in t, with D_t = t d/dt
+                 recurrence: tuple[tuple[int, ...], ...]):  # S_0 .. S_r, each S_j(m) from m^0 up
         self.name, self.description = name, description
-        self.coefficients, self.regularized = coefficients, regularized
+        self.coefficients, self.regularized = coefficients, _regularize(recurrence)
+
+
+def _regularize(recurrence: tuple[tuple[int, ...], ...]) -> DiffOperator:
+    """Sum_j S_j(m) b_(m-j) = 0 as an operator on Sum b_m t^(2m): D_t = t d/dt takes
+    t^(2m) to 2m t^(2m), so it is Sum_j t^(2j) 2^deg S_j(D_t/2 + j), each 2^deg
+    (D_t/2 + j)^i = 2^(deg-i) (D_t + 2j)^i expanded in integers; then in normal form."""
+    deg = max(map(len, recurrence)) - 1
+    rows = [[0] * len(recurrence) for _ in range(deg + 1)]  # [k][j]: at t^(2j) D_t^k
+    for j, s in enumerate(recurrence):
+        for i, c in enumerate(s):
+            for k in range(i + 1):
+                rows[k][j] += (c << deg - i) * comb(i, k) * (2 * j) ** (i - k)
+    return DiffOperator(tuple(Poly(("t",), {(2 * j,): v for j, v in enumerate(row)})
+                              for row in rows)).normalize()
 
 
 def _verra_coefficients(order: int) -> list[Fraction]:
@@ -44,24 +59,13 @@ def _verra_coefficients(order: int) -> list[Fraction]:
     return out
 
 
-def _verra_regularized() -> DiffOperator:
-    T = ("t",)
-
-    def tp(*pairs) -> Poly:
-        return Poly(T, {(e,): c for e, c in pairs})
-
-    return DiffOperator((
-        tp((4, 18432), (2, 128)),           # 128 t^2 (144 t^2 + 1)
-        tp((4, 49152), (2, 480)),           # 96 t^2 (512 t^2 + 5)
-        tp((4, 45056), (2, 688)),           # 16 t^2 (2816 t^2 + 43)
-        tp((4, 16384), (2, 448)),           # 64 t^2 (256 t^2 + 7)
-        tp((4, 2048), (2, 112), (0, -1)),   # (16 t^2 + 1)(128 t^2 - 1)
-    ))
-
-
+# b_m = (2m)! a_m = C(2m,m)^2 f_m, by the Franel recurrence: S_0 = m^4,
+# S_1 = -4 (2m-1)^2 (7m^2 - 7m + 2) and S_2 = -128 (2m-1)^2 (2m-3)^2
+_VERRA_RECURRENCE = ((0, 0, 0, 0, 1), (-8, 60, -172, 224, -112),
+                     (-1152, 6144, -11264, 8192, -2048))
 REGISTRY: dict[str, PeriodSource] = {"verra-eq3": PeriodSource(
     name="verra-eq3", description="quantum period of the very general Verra fourfold",
-    coefficients=_verra_coefficients, regularized=_verra_regularized())}
+    coefficients=_verra_coefficients, recurrence=_VERRA_RECURRENCE)}
 
 
 def get_source(name: str) -> PeriodSource:

@@ -101,12 +101,7 @@ def _stage_period(run: PipelineRun, state: dict[str, object]) -> None:
         run.require("period.source_known", False, str(e.args[0]),
                     f"unknown period source {inst.period_source!r}")
     run.check("period.source_known", True, f"{src.name}: {src.description}")
-    try:
-        if src.regularized is None:
-            raise ValueError(f"period source {src.name!r} publishes no regularized operator")
-        reg_q, content = transform_even_operator(src.regularized)
-    except ValueError as e:
-        run.require("period.regularized_annihilation", False, str(e), str(e))
+    reg_q, content = transform_even_operator(src.regularized)
 
     try:  # the one period series of the run
         g = period_coefficients(inst.period_source, order)

@@ -46,6 +46,18 @@ def sympy_rref(rows):
     return [[Fraction(int(x.p), int(x.q)) for x in m.row(i)] for i in range(len(pivots))], pivots
 
 
+def to_sympy(p):
+    """p as an expanded sympy expression in symbols named after its variables."""
+    syms = sympy.symbols(p.vars)
+    expr = sympy.Integer(0)
+    for ex, c in p.terms.items():
+        term = sympy.Rational(c.numerator, c.denominator)
+        for sym, e in zip(syms, ex):
+            term *= sym ** e
+        expr += term
+    return sympy.expand(expr)
+
+
 def equation_poly(variables, den, terms):
     """The Poly sum terms[ex] / den * variables^ex."""
     return Poly(variables, {ex: Fraction(v, den) for ex, v in terms.items()})

@@ -247,7 +247,7 @@ def test_period_source_not_starting_at_one_fails_the_stage(capsys, monkeypatch, 
     monkeypatch.setitem(periods.REGISTRY, "doubled", periods.PeriodSource(
         name="doubled", description="a_0 = 2",
         coefficients=lambda n: [2 * a for a in verra.coefficients(n)],
-        regularized=verra.regularized))
+        recurrence=periods._VERRA_RECURRENCE))
     text = (ROOT / "src" / "hodgeatoms" / "data" / "verra.instance").read_text()
     path = tmp_path / "doubled.instance"
     path.write_text(text.replace("source=verra-eq3", "source=doubled"))
@@ -259,47 +259,6 @@ def test_period_source_not_starting_at_one_fails_the_stage(capsys, monkeypatch, 
     reason = "period source 'doubled' does not start at 1"
     assert {"name": "period", "status": "failed", "reason": reason} in cert["stages"]
     assert {"name": "period.initial_coefficient", "passed": False,
-            "detail": reason} in cert["checks"]
-
-
-def test_period_source_without_regularized_operator_fails_the_stage(
-        capsys, monkeypatch, tmp_path):
-    verra = periods.get_source("verra-eq3")
-    monkeypatch.setitem(periods.REGISTRY, "unregularized", periods.PeriodSource(
-        name="unregularized", description="no published operator",
-        coefficients=verra.coefficients, regularized=None))
-    text = (ROOT / "src" / "hodgeatoms" / "data" / "verra.instance").read_text()
-    path = tmp_path / "unregularized.instance"
-    path.write_text(text.replace("source=verra-eq3", "source=unregularized"))
-    code, out, err = run_cli(capsys, "certify", "--format", "json", "--instance", str(path))
-    assert code == 2
-    assert "Traceback" not in err
-    cert = json.loads(out)
-    assert cert["verdict"] == "INCONCLUSIVE"
-    reason = "period source 'unregularized' publishes no regularized operator"
-    assert {"name": "period", "status": "failed", "reason": reason} in cert["stages"]
-    assert {"name": "period.regularized_annihilation", "passed": False,
-            "detail": reason} in cert["checks"]
-
-
-def test_period_source_with_an_odd_power_of_t_fails_the_stage(capsys, monkeypatch, tmp_path):
-    verra = periods.get_source("verra-eq3")
-    coeffs = verra.regularized.coeffs
-    odd = qde.DiffOperator(coeffs[:4] + (coeffs[4] + poly.Poly.var(("t",), "t"),))
-    monkeypatch.setitem(periods.REGISTRY, "odd", periods.PeriodSource(
-        name="odd", description="an odd power of t", coefficients=verra.coefficients,
-        regularized=odd))
-    text = (ROOT / "src" / "hodgeatoms" / "data" / "verra.instance").read_text()
-    path = tmp_path / "odd.instance"
-    path.write_text(text.replace("source=verra-eq3", "source=odd"))
-    code, out, err = run_cli(capsys, "certify", "--format", "json", "--instance", str(path))
-    assert code == 2
-    assert "Traceback" not in err
-    cert = json.loads(out)
-    assert cert["verdict"] == "INCONCLUSIVE"
-    reason = "coefficient of D^4 has an odd power t^1"
-    assert {"name": "period", "status": "failed", "reason": reason} in cert["stages"]
-    assert {"name": "period.regularized_annihilation", "passed": False,
             "detail": reason} in cert["checks"]
 
 

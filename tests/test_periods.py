@@ -1,12 +1,16 @@
-"""Period sources: exact coefficients and the published regularized operator."""
+"""Period sources: exact coefficients, the declared recurrence of the rescaled
+coefficients and the regularized operator derived from it."""
 
 import math
 from fractions import Fraction
 
 import pytest
 
+from hodgeatoms import periods
 from hodgeatoms.periods import (REGISTRY, get_source, period_coefficients,
                                 regularized_coefficients)
+from hodgeatoms.poly import Poly
+from hodgeatoms.qde import DiffOperator
 from hodgeatoms.series import Series
 from conftest import fundamental_period
 
@@ -109,17 +113,52 @@ def test_registry_source_metadata():
     src = get_source("verra-eq3")
     assert src.name == "verra-eq3"
     assert "verra-eq3" in REGISTRY
-    assert src.regularized.order == 4
+
+    def tp(*pairs):
+        return Poly(("t",), {(e,): c for e, c in pairs})
+
+    # the operator derived from the declared recurrence, written out number
+    # for number; every coefficient is an int
+    expected = DiffOperator((
+        tp((4, 18432), (2, 128)),           # 128 t^2 (144 t^2 + 1)
+        tp((4, 49152), (2, 480)),           # 96 t^2 (512 t^2 + 5)
+        tp((4, 45056), (2, 688)),           # 16 t^2 (2816 t^2 + 43)
+        tp((4, 16384), (2, 448)),           # 64 t^2 (256 t^2 + 7)
+        tp((4, 2048), (2, 112), (0, -1)),   # (16 t^2 + 1)(128 t^2 - 1)
+    ))
+    assert src.regularized == expected
+    assert {type(v) for c in src.regularized.coeffs for v in c.terms.values()} == {int}
     assert src.regularized.render() == (
         "(2048*t^4 + 112*t^2 - 1)*D^4 + (16384*t^4 + 448*t^2)*D^3 + "
         "(45056*t^4 + 688*t^2)*D^2 + (49152*t^4 + 480*t^2)*D + "
         "(18432*t^4 + 128*t^2)")
 
 
+def _declared_s(m):
+    """S_0(m), S_1(m), S_2(m) of the declared recurrence Sum_j S_j(m) b_(m-j) = 0."""
+    return [sum(c * m ** i for i, c in enumerate(s)) for s in periods._VERRA_RECURRENCE]
+
+
+def test_the_declared_recurrence_gives_the_rescaled_period_through_200():
+    # the coefficient tuples are the factored forms: quartics equal at 40 points
+    for m in range(-20, 20):
+        assert _declared_s(m) == [m ** 4, -4 * (2 * m - 1) ** 2 * (7 * m * m - 7 * m + 2),
+                                  -128 * (2 * m - 1) ** 2 * (2 * m - 3) ** 2]
+    # run from b_0 = 1, each b_m an exact integer quotient by S_0(m) = m^4
+    b = [1]
+    for m in range(1, 201):
+        s = _declared_s(m)
+        top, rest = divmod(-sum(s[j] * b[m - j] for j in range(1, min(m, len(s) - 1) + 1)), s[0])
+        assert rest == 0
+        b.append(top)
+    assert regularized_coefficients(period_coefficients("verra-eq3", 200)).coeffs == b
+
+
 def test_first_coefficient_must_be_one(monkeypatch):
     src = get_source("verra-eq3")
     bad = type(src)(name="bad", description="",
-                    coefficients=lambda n: [Fraction(2)] * (n + 1), regularized=None)
+                    coefficients=lambda n: [Fraction(2)] * (n + 1),
+                    recurrence=periods._VERRA_RECURRENCE)
     monkeypatch.setitem(REGISTRY, "bad", bad)
     with pytest.raises(ValueError, match="does not start at 1"):
         period_coefficients("bad", 2)

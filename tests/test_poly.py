@@ -15,23 +15,13 @@ from hodgeatoms.linalg import Matrix
 from hodgeatoms.poly import (Poly, exact_div, normal_form, poly_gcd, poly_gcd_many, rat_str,
                              rational_content)
 from hodgeatoms.qde import cyclic_rows
+from conftest import to_sympy
 
 V = ("s", "t", "q")
 
 
 def P(terms):
     return Poly(V, terms)
-
-
-def to_sympy(p):
-    syms = sympy.symbols(p.vars)
-    expr = sympy.Integer(0)
-    for ex, c in p.terms.items():
-        term = sympy.Rational(c.numerator, c.denominator)
-        for sym, e in zip(syms, ex):
-            term *= sym ** e
-        expr += term
-    return sympy.expand(expr)
 
 
 def random_poly(rng, max_terms=4, max_exp=2):

@@ -4,17 +4,20 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
-from hodgeatoms import solve
+from hodgeatoms import periods, solve
 from hodgeatoms.ansatz import substitute_params
+from hodgeatoms.certificate import operator_json
 from hodgeatoms.periods import period_coefficients
+from hodgeatoms.pipeline import run_pipeline
 from hodgeatoms.poly import Poly, normal_form
-from hodgeatoms.qde import match_equations
+from hodgeatoms.qde import DiffOperator, match_equations
 from hodgeatoms.series import Series
 from hodgeatoms.solve import SolveError, _classify, solve_parameters
 from hodgeatoms.spectrum import rational_roots
-from conftest import equation_poly, fundamental_period, integer_equations, sympy_rref
+from conftest import equation_poly, fundamental_period, integer_equations, sympy_rref, to_sympy
 
 XY = ("x", "y")
 
@@ -52,6 +55,73 @@ def test_reduced_system(report, eqs):
         "s - 2",
         "t + 2*u - 10"]
     assert len(eqs) == 9
+
+
+M, D, q = sympy.symbols("m D q")
+
+
+def _source_recurrence():
+    """R_0, R_1, R_2 of Sum_j R_j(m) a_(m-j) = 0, derived from the declared
+    recurrence of b_m = (2m)! a_m: R_j = S_j (2m - 2j)! / (2m)!, times the
+    common factor m (m - 1) that makes every R_j a polynomial."""
+    out = []
+    for j, s in enumerate(periods._VERRA_RECURRENCE):
+        top = M * (M - 1) * sum(c * M ** i for i, c in enumerate(s))
+        quo, rem = sympy.div(top, sympy.prod([2 * M - i for i in range(2 * j)]), M)
+        assert rem == 0
+        out.append(sympy.expand(quo))
+    return out
+
+
+def _source_operator():
+    """L_src = Sum_j q^j R_j(D + j), the recurrence read as an operator in D = q d/dq."""
+    rs = _source_recurrence()
+    coeffs = [{} for _ in range(sympy.degree(rs[0], M) + 1)]
+    for j, r in enumerate(rs):
+        for (k,), c in sympy.Poly(r.subs(M, D + j), D).terms():
+            coeffs[k][(j,)] = int(c)
+    return DiffOperator(tuple(Poly(("q",), c) for c in coeffs))
+
+
+def test_the_period_recurrence_derived_from_the_declared_one():
+    assert _source_recurrence() == [sympy.expand(e) for e in (
+        M ** 5 * (M - 1), -2 * (M - 1) * (2 * M - 1) * (7 * M ** 2 - 7 * M + 2),
+        -32 * (2 * M - 1) * (2 * M - 3))]
+
+
+@pytest.mark.parametrize("order", [16, 200])
+def test_the_period_recurrence_as_an_operator_is_the_solved_operator(verra, order):
+    run = run_pipeline(verra, through="solve", order=order)
+    assert run.sections["solve"]["solved_operator"] == operator_json(_source_operator())
+
+
+def test_equating_coefficients_with_the_recurrence_gives_the_matched_solution_set(
+        parametric_op, report, verra):
+    params = sympy.symbols(verra.parameter_order())
+    ours = [to_sympy(c) for c in parametric_op.coeffs]
+    theirs = [to_sympy(c) for c in _source_operator().coeffs]
+    assert len(ours) == len(theirs) == 7
+    # the q^0 part has no parameters: D^6 - D^5 = R_0(D), on both sides
+    assert [c.coeff(q, 0) for c in ours] == [c.coeff(q, 0) for c in theirs] == [0] * 5 + [-1, 1]
+    eqs = [a.coeff(q, j) - b.coeff(q, j) for a, b in zip(ours, theirs) for j in (1, 2)]
+    eqs = [e for e in eqs if e != 0]
+    assert len(eqs) == 7
+    assert all(c.coeff(q, j) == 0 for c in ours + theirs for j in range(3, 9))
+    got = {tuple(Fraction(int(sol[x].p), int(sol[x].q)) for x in params)
+           for sol in sympy.solve(eqs, params, dict=True)}
+    assert got == set(report.solutions) == {
+        (2, 6, 2, 16), (2, Fraction(2, 3), Fraction(14, 3), 16)}
+
+
+def test_no_recurrence_of_two_shifts_without_the_leading_term():
+    # L_p - L_src has no q^0 part when both annihilate G, so it would give a
+    # recurrence Delta_1(m) a_(m-1) + Delta_2(m) a_(m-2) = 0, each Delta of
+    # degree <= 6; its 14 coefficients would solve these 14 equations at
+    # m = 2..15, which have full rank, so no nonzero pair exists
+    a = [sympy.Rational(x.numerator, x.denominator)
+         for x in period_coefficients("verra-eq3", 15).coeffs]
+    rows = [[m ** i * a[m - j] for j in (1, 2) for i in range(7)] for m in range(2, 16)]
+    assert sympy.Matrix(rows).rank() == 14
 
 
 def test_stability_across_truncation_orders(parametric_op, verra):

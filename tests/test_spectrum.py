@@ -7,15 +7,18 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import sympy
 from hypothesis import assume, given, strategies as st
 
+from hodgeatoms import periods
 from hodgeatoms.certificate import chi_render
-from hodgeatoms.linalg import LAM, char_poly
+from hodgeatoms.linalg import LAM, Matrix, char_poly
 from hodgeatoms.periods import get_source
 from hodgeatoms.poly import Poly
 from hodgeatoms.qde import DiffOperator, transform_even_operator
 from hodgeatoms.spectrum import (ReciprocityResult, TemplateError, block_spectrum,
                                  rational_roots, factor_template, reciprocity_check)
+from conftest import to_sympy
 
 Q = ("q",)
 QL = ("q", LAM)
@@ -144,6 +147,62 @@ def test_reciprocity_matches_the_t_form_reference(plus_spectrum, verra, which):
     assert (got.singular_squares, got.eigen_squares, got.passed) == (
         want.singular_squares, want.eigen_squares, want.passed)
     assert got.passed == (which == "verra")
+
+
+def test_the_leading_coefficient_is_the_symmetric_square_polynomial(plus_spectrum, verra):
+    y, q, lam = sympy.symbols(("y", "q", LAM))
+    s_plus = y ** 2 - 112 * y - 2048  # chi_+ in the square variable y = lam^2 / q
+    # S_+'s coefficients are the m^4 coefficients of the declared S_0, S_1, S_2
+    assert [s[4] for s in periods._VERRA_RECURRENCE] == [1, -112, -2048]
+    reg_q = transform_even_operator(get_source(verra.period_source).regularized)[0]
+    lead = to_sympy(reg_q.coeffs[-1])
+    assert lead == 2048 * q ** 2 + 112 * q - 1 == sympy.expand((128 * q - 1) * (16 * q + 1))
+    assert lead == sympy.expand(-q ** 2 * s_plus.subs(y, 1 / q))
+    chi_plus = sympy.expand(lam ** 2 * q ** 2 * s_plus.subs(y, lam ** 2 / q))
+    assert to_sympy(plus_spectrum.chi) == chi_plus
+
+
+def test_conjecture_o_data_for_verra(plus_spectrum, minus_spectrum, verra):
+    # the largest |c| over both blocks is 128, positive and simple, so the
+    # spectral radius of kappa at q = 1 is T = 8 sqrt 2, an eigenvalue of
+    # multiplicity one, and the eigenvalues of modulus T are +-T
+    squares = plus_spectrum.square_factors + minus_spectrum.square_factors
+    assert max(map(abs, squares)) == 128
+    assert [c for c in squares if abs(c) == 128] == [128]
+    # the q-form's singular point nearest 0 is q = 1 / 128 = 1 / T^2
+    reg_q = transform_even_operator(get_source(verra.period_source).regularized)[0]
+    singular = reciprocity_check(reg_q, plus_spectrum).singular_squares
+    assert min(singular, key=abs) == Fraction(1, 128)
+
+
+def _p2xp2_chi(sign):
+    """chi of kappa = 3 (H1 + H2) on P2 x P2 with H_i^3 = q, on the block of
+    x + sign * swap(x) for x = H1^a H2^b with a > b, and x alone for a = b
+    when sign is 1; coordinates are read at the x with a >= b."""
+    reps = [(a, b) for a in range(3) for b in range(a + 1) if a > b or sign > 0]
+    rows = []
+    for r in reps:
+        image = {}
+        for x, c in ((r, 1), (r[::-1], sign)) if r[0] != r[1] else ((r, 1),):
+            for i in (0, 1):
+                ex = list(x)
+                ex[i] += 1
+                power, ex[i] = divmod(ex[i], 3)
+                term = Poly.var(Q, "q", power, 3 * c)
+                image[tuple(ex)] = image.get(tuple(ex), Poly.zero(Q)) + term
+        rows.append([image.get(s, Poly.zero(Q)) for s in reps])
+    return char_poly(Matrix(rows))
+
+
+def test_p2xp2_spectrum_is_a_polynomial_in_the_cube_variable():
+    q, lam = sympy.symbols(("q", LAM))
+    # the index is 3, so y = lam^3 / q: S_sym(y) = (y - 216)(y + 27), S_anti(y) = y + 27
+    assert to_sympy(_p2xp2_chi(1)) == sympy.expand((lam ** 3 - 216 * q) * (lam ** 3 + 27 * q))
+    assert to_sympy(_p2xp2_chi(-1)) == lam ** 3 + 27 * q
+    # the template in lam^2 rejects both blocks
+    for sign, block in ((1, "symmetric"), (-1, "antisymmetric")):
+        with pytest.raises(TemplateError, match="odd eigenvalue powers"):
+            factor_template(_p2xp2_chi(sign), block)
 
 
 def test_rational_roots_large_coefficients():
